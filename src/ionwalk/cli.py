@@ -83,20 +83,6 @@ def _params_from_options(opt: dict) -> SimParams:
     )
 
 
-def _params_dict(p: SimParams) -> dict:
-    return {
-        "omega_z": p.omega_z,
-        "delta": p.delta,
-        "omega_d": p.omega_d,
-        "eta": p.eta,
-        "phi0": p.phi0,
-        "z0": p.z0,
-        "dim": p.dim,
-        "level": p.level,
-        "force_ratio": p.force_ratio,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 
@@ -196,8 +182,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
             "alpha_h": [final.h_part.mean_a().real, final.h_part.mean_a().imag],
             "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, float(opt["wait_multiplier"]))),
         }
-        ctx.path("program.json")
-        with open(os.path.join(ctx.out_dir, "program.json"), "w") as fh:
+        with open(ctx.path(f"program_{level.lower()}.json"), "w") as fh:
             fh.write(program.to_json())
     ctx.write_json("summary.json", info)
     return info
@@ -516,8 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", help="scenario name (alternative to positional)")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, help="worker processes (default 1)")
+    parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a scenario option")
     parser.add_argument("--step-size", type=float, help="walk-ideal lattice spacing")
@@ -552,8 +537,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.alpha_max is not None:
             overrides["alpha_max"] = args.alpha_max
         out_dir = args.out or config.get("out")
-        workers = args.workers if args.workers != 1 else int(config.get("workers", 1))
-        seed = args.seed if args.seed != 0 else int(config.get("seed", 0))
+        workers = args.workers if args.workers is not None else int(config.get("workers", 1))
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         ctx = run_scenario(scenario, overrides, out_dir, workers, seed)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

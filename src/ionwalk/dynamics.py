@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import StepError
@@ -70,12 +70,12 @@ class HybridState:
         return p_t / total, p_h / total
 
     def packed(self) -> np.ndarray:
-        """(dim, 2) array, column 0 = T branch, column 1 = H branch."""
-        return np.column_stack([self.t_part.amps, self.h_part.amps])
+        """(2, dim) array, row 0 = T branch, row 1 = H branch."""
+        return np.stack([self.t_part.amps, self.h_part.amps])
 
     @classmethod
     def from_packed(cls, psi: np.ndarray, time: float) -> "HybridState":
-        return cls(MotionalState(psi[:, 0]), MotionalState(psi[:, 1]), time)
+        return cls(MotionalState(psi[0]), MotionalState(psi[1]), time)
 
     def with_time(self, time: float) -> "HybridState":
         return HybridState(self.t_part, self.h_part, time)
@@ -106,23 +106,45 @@ def ground_hybrid(dim: int, coin: str = "T") -> HybridState:
 
 
 @dataclass(frozen=True)
-class DriveBand:
-    """One ladder band |n+offset><n| with its scalar time dependence.
+class DriveStencil:
+    """The drive's ladder bands |n+s><n|, s = P..-P, stacked by target level.
 
-    ``elements[i]`` couples source level ``n = i + max(0, -offset)``.
-    The time factor is sum_j amps[j] * exp(i * rates[j] * t).
+    Row ``j`` holds offset ``s = P - j``: ``elements[j, m]`` couples source
+    level ``m - s`` to target ``m`` (zero where the source lies outside the
+    basis), and its time factor is sum_k amps[j, k] * exp(i * rates[j, k] * t).
+    ``norm_weight`` is sum over bands of max|element| * sum|amps|.
     """
 
-    offset: int
     elements: np.ndarray
-    amps: tuple[complex, ...]
-    rates: tuple[float, ...]
+    amps: np.ndarray
+    rates: np.ndarray
+    norm_weight: float
 
-    def factor(self, t: float) -> complex:
-        total = 0.0 + 0.0j
-        for a, r in zip(self.amps, self.rates):
-            total += a * cmath.exp(1j * r * t)
-        return total
+    @property
+    def reach(self) -> int:
+        return (self.elements.shape[0] - 1) // 2
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.reach - np.arange(self.elements.shape[0])
+
+    def factors(self, times) -> np.ndarray:
+        """Band time factors at every time: shape ``times.shape + (2P+1,)``."""
+        terms = 1j * np.multiply.outer(np.asarray(times, dtype=float), self.rates)
+        np.exp(terms, out=terms)  # in place: a pulse's table is the transient peak
+        terms *= self.amps
+        return terms.sum(axis=-1)
+
+    def window_buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """(interior, windows) of a zeroed (2, dim + 2P) padded buffer.
+
+        Branch states written into the rows of ``interior`` show in
+        ``windows[:, m, j]`` as the source amplitudes psi[m - s] that
+        stencil row j couples to target level m.
+        """
+        reach, dim = self.reach, self.elements.shape[1]
+        padded = np.zeros((2, dim + 2 * reach), dtype=complex)
+        return padded[:, reach : reach + dim], sliding_window_view(padded, 2 * reach + 1, axis=1)
 
 
 def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.ndarray:
@@ -150,40 +172,42 @@ def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.nd
     return (1j * eta) ** abs(s) * np.exp(log_fac - x / 2.0) * lag
 
 
-def drive_bands(params: SimParams) -> tuple[DriveBand, ...]:
+def _build_stencil(params: SimParams) -> DriveStencil:
     """Band decomposition of the interaction Hamiltonian at params.level."""
     eta, dim = params.eta, params.dim
     wz, delta, phi0 = params.omega_z, params.delta, params.phi0
     eip = cmath.exp(1j * phi0)
-    bands = []
+    linear = params.level == LDA
     if params.level in (LDA, RWA):
-        linear = params.level == LDA
-        bands.append(
-            DriveBand(1, _band_elements(eta, 1, dim, linear), (eip,), (delta,))
-        )
-        bands.append(
-            DriveBand(-1, _band_elements(eta, -1, dim, linear), (-eip.conjugate(),), (-delta,))
-        )
-        return tuple(bands)
-    for s in range(-3, 4):
-        amps = (eip, (-1) ** abs(s) * eip.conjugate())
-        rates = ((s - 1) * wz + delta, (s + 1) * wz - delta)
-        bands.append(DriveBand(s, _band_elements(eta, s, dim, False), amps, rates))
-    return tuple(bands)
+        bands = {1: ((eip,), (delta,)), -1: ((-eip.conjugate(),), (-delta,))}
+    else:
+        bands = {
+            s: ((eip, (-1) ** abs(s) * eip.conjugate()), ((s - 1) * wz + delta, (s + 1) * wz - delta))
+            for s in range(-3, 4)
+        }
+    reach = max(bands)
+    n_terms = len(bands[reach][0])
+    elements = np.zeros((2 * reach + 1, dim), dtype=complex)
+    amps = np.zeros((2 * reach + 1, n_terms), dtype=complex)
+    rates = np.zeros((2 * reach + 1, n_terms))
+    norm_weight = 0.0
+    # bands in insertion order: the RK4 step size depends on this sum bitwise
+    for s, (band_amps, band_rates) in bands.items():
+        values = _band_elements(eta, s, dim, linear)
+        elements[reach - s, max(0, s) : dim + min(0, s)] = values
+        amps[reach - s] = band_amps
+        rates[reach - s] = band_rates
+        norm_weight += float(np.max(np.abs(values))) * sum(abs(a) for a in band_amps)
+    return DriveStencil(elements, amps, rates, norm_weight)
 
 
-def apply_drive(bands, t: float, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = W(t) @ psi for the band-decomposed coupling operator."""
-    out[:] = 0.0
-    dim = psi.shape[0]
-    for band in bands:
-        f = band.factor(t)
-        s = band.offset
-        if s >= 0:
-            out[s:] += (f * band.elements)[:, None] * psi[: dim - s]
-        else:
-            out[:s] += (f * band.elements)[:, None] * psi[-s:]
-    return out
+def apply_drive(
+    stencil: DriveStencil, factors: np.ndarray, windows: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out[b] = W(t) @ psi[b] for each row b of psi, given the band
+    ``factors`` at t and the stencil ``windows`` of psi (see
+    ``DriveStencil.window_buffer``)."""
+    return np.einsum("jm,bmj->bm", factors[:, None] * stencil.elements, windows, out=out)
 
 
 def hamiltonian(params: SimParams, t: float) -> np.ndarray:
@@ -193,31 +217,26 @@ def hamiltonian(params: SimParams, t: float) -> np.ndarray:
     coin block b in (H, T).
     """
     dim = params.dim
+    stencil = drive_stencil(params)
+    rows = np.broadcast_to(np.arange(dim), stencil.elements.shape)
+    cols = rows - stencil.offsets[:, None]
+    inside = (cols >= 0) & (cols < dim)
     w = np.zeros((dim, dim), dtype=complex)
-    for band in bands_for(params):
-        f = band.factor(t)
-        s = band.offset
-        if s >= 0:
-            rows = np.arange(dim - s) + s
-            cols = np.arange(dim - s)
-        else:
-            rows = np.arange(-s, dim) + s
-            cols = np.arange(-s, dim)
-        w[rows, cols] += f * band.elements
+    w[rows[inside], cols[inside]] = (stencil.factors(t)[:, None] * stencil.elements)[inside]
     coin = np.diag([params.force_ratio, 1.0]) * (params.omega_d / 2.0)
     return np.kron(coin, w)
 
 
-_BAND_CACHE: dict[tuple, tuple[DriveBand, ...]] = {}
+_STENCIL_CACHE: dict[tuple, DriveStencil] = {}
 
 
-def bands_for(params: SimParams) -> tuple[DriveBand, ...]:
+def drive_stencil(params: SimParams) -> DriveStencil:
     key = (params.level, params.eta, params.dim, params.omega_z, params.delta, params.phi0)
-    bands = _BAND_CACHE.get(key)
-    if bands is None:
-        bands = drive_bands(params)
-        _BAND_CACHE[key] = bands
-    return bands
+    stencil = _STENCIL_CACHE.get(key)
+    if stencil is None:
+        stencil = _build_stencil(params)
+        _STENCIL_CACHE[key] = stencil
+    return stencil
 
 
 def rk4_step_size(params: SimParams, duration: float) -> float:
@@ -233,10 +252,7 @@ def rk4_step_size(params: SimParams, duration: float) -> float:
         candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * omega_fast))
     if params.omega_d > 0.0:
         candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * params.omega_d))
-        norm_bound = 0.5 * params.omega_d * sum(
-            float(np.max(np.abs(b.elements))) * sum(abs(a) for a in b.amps)
-            for b in bands_for(params)
-        )
+        norm_bound = 0.5 * params.omega_d * drive_stencil(params).norm_weight
         if norm_bound > 0.0:
             candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * norm_bound))
     return min(candidates)
@@ -264,7 +280,7 @@ def propagate(
         if sample_interval is not None:
             return final, [state, final]
         return final
-    bands = bands_for(params)
+    stencil = drive_stencil(params)
     h = rk4_step_size(params, duration)
     n_steps = max(1, math.ceil(duration / h))
     h = duration / n_steps
@@ -273,31 +289,44 @@ def propagate(
         sample_stride = max(1, round(sample_interval / h))
         samples.append(state)
 
-    psi = state.packed().astype(complex)
+    psi = state.packed()
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
-    work = np.empty_like(psi)
+    coef = -1j * scale[:, None]
+    # band factors at each step's stage times t, t + h/2 and t + h
+    starts = state.time + np.arange(n_steps) * h
+    factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
+    stage, windows = stencil.window_buffer()
+    k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
 
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        return -1j * scale[None, :] * apply_drive(bands, t, y, work)
+    def deriv(f: np.ndarray, k: np.ndarray) -> None:
+        # k = -i H(t) @ (the state written into ``stage``)
+        apply_drive(stencil, f, windows, k)
+        k *= coef
 
-    t = state.time
     for step in range(n_steps):
-        k1 = deriv(t, psi)
-        k2 = deriv(t + h / 2.0, psi + (h / 2.0) * k1)
-        k3 = deriv(t + h / 2.0, psi + (h / 2.0) * k2)
-        k4 = deriv(t + h, psi + h * k3)
+        f = factors[step]
+        stage[:] = psi
+        deriv(f[0], k1)
+        np.multiply(k1, h / 2.0, out=stage)
+        stage += psi
+        deriv(f[1], k2)
+        np.multiply(k2, h / 2.0, out=stage)
+        stage += psi
+        deriv(f[1], k3)
+        np.multiply(k3, h, out=stage)
+        stage += psi
+        deriv(f[2], k4)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = state.time + (step + 1) * h
         if sample_stride is not None and (step + 1) % sample_stride == 0 and step + 1 < n_steps:
-            samples.append(HybridState.from_packed(psi, t))
+            samples.append(HybridState.from_packed(psi, state.time + (step + 1) * h))
 
     norm1 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     drift = abs(norm1 - norm0)
     if drift > 1e-6:
         raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
-    check_leakage(psi[:, 0], "propagate (T branch)")
-    check_leakage(psi[:, 1], "propagate (H branch)")
+    check_leakage(psi[0], "propagate (T branch)")
+    check_leakage(psi[1], "propagate (H branch)")
     final = HybridState.from_packed(psi, state.time + duration)
     if sample_interval is not None:
         samples.append(final)

@@ -222,10 +222,6 @@ def raising_op(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
 
 
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim)).astype(complex)
-
-
 def parity_signs(dim: int) -> np.ndarray:
     signs = np.ones(dim)
     signs[1::2] = -1.0

@@ -84,10 +84,6 @@ def _hybrid_to_vec(state: HybridState) -> np.ndarray:
     return np.concatenate([state.h_part.amps, state.t_part.amps])
 
 
-def _vec_to_hybrid(vec: np.ndarray, dim: int, time: float) -> HybridState:
-    return HybridState(MotionalState(vec[dim:]), MotionalState(vec[:dim]), time)
-
-
 def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridState:
     """RK4 integration of the kick including the trap term omega_z a^dag a."""
     if direction not in (1, -1):

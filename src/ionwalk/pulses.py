@@ -225,7 +225,6 @@ def scan_td(
     wait_multiplier: float = 2.0,
     symmetric: bool = False,
     workers: int = 1,
-    program_factory=None,
 ) -> list[tuple[float, float, float]]:
     """Coin probabilities (t_d, P_T, P_H) for a grid of dipole durations.
 
@@ -237,13 +236,6 @@ def scan_td(
     for t_d in t_d_values:
         if not 0.8 * t_half <= t_d <= 1.2 * t_half:
             raise ValueError(f"t_d {t_d} outside [0.8, 1.2]*pi/delta scan window")
-    if program_factory is not None:
-        rows = []
-        for t_d in t_d_values:
-            final = run_program(program_factory(t_d))
-            p_t, p_h = final.coin_probabilities()
-            rows.append((t_d, p_t, p_h))
-        return rows
     jobs = [(params, t_d, n_steps, wait_multiplier, symmetric) for t_d in t_d_values]
     if workers <= 1:
         return [_walk_coin_probs(job) for job in jobs]

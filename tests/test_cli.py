@@ -66,6 +66,16 @@ class TestConfigHandling:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["options"]["steps"] == 40
 
+    def test_flags_override_config_workers_and_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "walk-ideal", "overrides": {"steps": 40}, "workers": 2, "seed": 5,
+        }))
+        out = str(tmp_path / "out")
+        assert run(["--config", str(cfg), "--out", out, "--workers", "1", "--seed", "0"]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert (manifest["workers"], manifest["seed"]) == (1, 0)
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # a basis too small for the requested excitation trips the guard
         code = run([
@@ -103,6 +113,16 @@ class TestScenarioOutputs:
         step = summary["LDA"]["step_prediction_linear"]
         assert math.hypot(*alpha_t) == pytest.approx(step, rel=1e-3)
         assert math.hypot(alpha_t[0] + alpha_h[0], alpha_t[1] + alpha_h[1]) < 1e-3
+
+    def test_combined_pulse_writes_one_program_per_level(self, tmp_path):
+        out = str(tmp_path / "cp2")
+        assert run(["combined-pulse", "--out", out, "--set", 'levels=["LDA", "3SB"]']) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        artifacts = manifest["artifacts"]
+        assert len(artifacts) == len(set(artifacts))
+        for level in ("lda", "3sb"):
+            program = json.load(open(os.path.join(out, f"program_{level}.json")))
+            assert program["params"]["level"] == level.upper()
 
     def test_kick_threshold_reference_mode(self, tmp_path):
         out = str(tmp_path / "k")

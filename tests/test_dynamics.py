@@ -1,10 +1,12 @@
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ionwalk import dynamics as dyn
-from ionwalk import fock
+from ionwalk import fock, pulses
 from ionwalk.errors import TruncationError
 
 TWO_PI = 2.0 * math.pi
@@ -279,3 +281,148 @@ def test_wait_advances_drive_clock_exactly():
     for tau in (0.8e-6, 2.3e-6):
         delayed = dyn.propagate(start.with_time(tau), p, 1e-6).t_part.mean_a()
         assert delayed == pytest.approx(reference * np.exp(1j * p.delta * tau), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference integrator: one band at a time, each with a scalar time factor
+# and a shifted-slice update. The stacked stencil must reproduce it.
+
+
+@dataclass(frozen=True)
+class ReferenceBand:
+    offset: int
+    elements: np.ndarray
+    amps: tuple
+    rates: tuple
+
+    def factor(self, t):
+        total = 0.0 + 0.0j
+        for a, r in zip(self.amps, self.rates):
+            total += a * cmath.exp(1j * r * t)
+        return total
+
+
+def reference_bands(params):
+    eta, dim = params.eta, params.dim
+    wz, delta = params.omega_z, params.delta
+    eip = cmath.exp(1j * params.phi0)
+    if params.level in ("LDA", "RWA"):
+        linear = params.level == "LDA"
+        return (
+            ReferenceBand(1, dyn._band_elements(eta, 1, dim, linear), (eip,), (delta,)),
+            ReferenceBand(-1, dyn._band_elements(eta, -1, dim, linear),
+                          (-eip.conjugate(),), (-delta,)),
+        )
+    return tuple(
+        ReferenceBand(
+            s, dyn._band_elements(eta, s, dim, False),
+            (eip, (-1) ** abs(s) * eip.conjugate()),
+            ((s - 1) * wz + delta, (s + 1) * wz - delta),
+        )
+        for s in range(-3, 4)
+    )
+
+
+def reference_apply(bands, t, psi):
+    """W(t) @ psi for psi of shape (dim, 2)."""
+    out = np.zeros_like(psi)
+    dim = psi.shape[0]
+    for band in bands:
+        f = band.factor(t)
+        s = band.offset
+        if s >= 0:
+            out[s:] += (f * band.elements)[:, None] * psi[: dim - s]
+        else:
+            out[:s] += (f * band.elements)[:, None] * psi[-s:]
+    return out
+
+
+def reference_norm_bound(params):
+    return 0.5 * params.omega_d * sum(
+        float(np.max(np.abs(b.elements))) * sum(abs(a) for a in b.amps)
+        for b in reference_bands(params)
+    )
+
+
+def reference_propagate(state, params, duration, sample_interval=None):
+    bands = reference_bands(params)
+    h = dyn.rk4_step_size(params, duration)
+    n_steps = max(1, math.ceil(duration / h))
+    h = duration / n_steps
+    stride = None if sample_interval is None else max(1, round(sample_interval / h))
+    samples = [state]
+    psi = state.packed().T
+    scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
+
+    def deriv(t, y):
+        return -1j * scale[None, :] * reference_apply(bands, t, y)
+
+    t = state.time
+    for step in range(n_steps):
+        k1 = deriv(t, psi)
+        k2 = deriv(t + h / 2.0, psi + (h / 2.0) * k1)
+        k3 = deriv(t + h / 2.0, psi + (h / 2.0) * k2)
+        k4 = deriv(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = state.time + (step + 1) * h
+        if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
+            samples.append(dyn.HybridState.from_packed(psi.T, t))
+    samples.append(dyn.HybridState.from_packed(psi.T, state.time + duration))
+    return samples
+
+
+def random_hybrid(rng, dim, time=0.0):
+    psi = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    psi[:, dim // 2 :] = 0.0  # clear of the guard band
+    return dyn.HybridState.from_packed(psi / np.linalg.norm(psi), time)
+
+
+class TestDriveStencil:
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_apply_drive_matches_dense_hamiltonian(self, level):
+        p = fock.experimental_params(level=level, dim=40)
+        stencil = dyn.drive_stencil(p)
+        rng = np.random.default_rng(7)
+        stage, windows = stencil.window_buffer()
+        out = np.empty_like(stage)
+        for t in (0.0, 3.3e-7, 1.1e-6, 4.9e-6, 37.3e-6):
+            psi = rng.normal(size=(2, p.dim)) + 1j * rng.normal(size=(2, p.dim))
+            stage[:] = psi  # rows T, H
+            dyn.apply_drive(stencil, stencil.factors(t), windows, out)
+            dense = dyn.hamiltonian(p, t) @ np.concatenate([psi[1], psi[0]])
+            half = p.omega_d / 2.0
+            expected = np.stack([dense[p.dim :] / half, dense[: p.dim] / (p.force_ratio * half)])
+            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+            reference = reference_apply(reference_bands(p), t, psi.T).T
+            assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_step_size_norm_bound_unchanged(self, level):
+        # bit-identical, so every pulse keeps its RK4 step count
+        p = fock.experimental_params(level=level, dim=96)
+        assert 0.5 * p.omega_d * dyn.drive_stencil(p).norm_weight == reference_norm_bound(p)
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_propagate_matches_reference_rk4(self, level, sampled):
+        p = fig5_params(level, dim=48)
+        start = random_hybrid(np.random.default_rng(3), p.dim, time=0.37e-6)
+        duration = 0.6e-6
+        interval = duration / 7 if sampled else None
+        expected = reference_propagate(start, p, duration, interval)
+        if sampled:
+            final, history = dyn.propagate(start, p, duration, interval)
+        else:
+            final = dyn.propagate(start, p, duration)
+            history, expected = [final], expected[-1:]
+        assert len(history) == len(expected)
+        for got, want in zip(history, expected):
+            assert got.time == want.time
+            assert np.max(np.abs(got.packed() - want.packed())) <= 1e-12
+
+    def test_three_step_walk_coin_probabilities_pinned(self):
+        p = fock.experimental_params(level="3SB", dim=96)
+        program = pulses.walk_program(3, p.t_half_turn, p, wait_multiplier=4.0)
+        p_t, p_h = pulses.run_program(program).coin_probabilities()
+        assert abs(p_t - 0.7399464039676478) <= 1e-12
+        assert abs(p_h - 0.26005359603235234) <= 1e-12
