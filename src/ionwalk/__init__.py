@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import IllConditioned, NoThreshold, StepError, TruncationError
+from .errors import ConfigError, IllConditioned, NoThreshold, StepError, TruncationError
 from .fock import (
     LDA,
     LEVELS,

@@ -23,14 +23,10 @@ import scipy
 from . import __version__
 from . import dynamics as dyn
 from . import kicks, lattice, pulses, readout
-from .errors import IllConditioned, NoThreshold, StepError, TruncationError
+from .errors import ConfigError, IllConditioned, NoThreshold, StepError, TruncationError
 from .fock import SimParams, experimental_params
 
 TWO_PI = 2.0 * math.pi
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -78,7 +74,7 @@ def _params_from_options(opt: dict) -> SimParams:
         delta=opt["delta"],
         omega_d=opt["omega_d"],
         eta=opt["eta"],
-        dim=int(opt["dim"]),
+        dim=opt["dim"],
         level=opt["level"],
     )
 
@@ -89,7 +85,7 @@ def _params_from_options(opt: dict) -> SimParams:
 
 def scenario_walk_ideal(ctx: RunContext) -> dict:
     opt = ctx.options
-    spec = lattice.WalkSpec(int(opt["steps"]), float(opt["step_size"]), float(opt["phi"]))
+    spec = lattice.WalkSpec(opt["steps"], opt["step_size"], opt["phi"])
     state = lattice.run_walk(spec)
     ks, probs = lattice.position_probabilities(state)
     ctx.write_csv("positions.csv", ["k", "p"], zip(ks.tolist(), probs))
@@ -97,7 +93,7 @@ def scenario_walk_ideal(ctx: RunContext) -> dict:
     ctx.write_csv("sigma.csv", ["n", "sigma"], enumerate(sigmas))
     scaling_rows = []
     for s in opt["scaling_step_sizes"]:
-        scaling_rows.append((s, lattice.scaling_factor(float(s), spec.n_steps)))
+        scaling_rows.append((s, lattice.scaling_factor(s, spec.n_steps)))
     ctx.write_csv("scaling.csv", ["step_size", "v"], scaling_rows)
     p_t, p_h = lattice.coin_probabilities(state)
     return {"p_t": p_t, "p_h": p_h, "sigma_final": float(sigmas[-1])}
@@ -108,12 +104,8 @@ def scenario_trajectory(ctx: RunContext) -> dict:
     info = {}
     for level in opt["levels"]:
         params = _params_from_options(opt).replace(level=level)
-        _, history = dyn.propagate(
-            dyn.ground_hybrid(params.dim),
-            params,
-            float(opt["duration"]),
-            sample_interval=float(opt["duration"]) / int(opt["samples"]),
-        )
+        _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, opt["duration"],
+                                   sample_interval=opt["duration"] / opt["samples"])
         tab = dyn.trajectory_table(history)
         ctx.write_csv(
             f"trajectory_{level.lower()}.csv",
@@ -121,7 +113,7 @@ def scenario_trajectory(ctx: RunContext) -> dict:
             zip(*(tab[k] for k in (
                 "t", "re_alpha_t", "im_alpha_t", "re_alpha_h", "im_alpha_h", "n_t", "n_h"))),
         )
-        t_ret, n_min, _ = dyn.return_time(params, float(opt["duration"]))
+        t_ret, n_min, _ = dyn.return_time(params, opt["duration"])
         info[level] = {"return_time": t_ret, "min_n": n_min}
     ctx.write_json("returns.json", info)
     return info
@@ -130,7 +122,7 @@ def scenario_trajectory(ctx: RunContext) -> dict:
 def scenario_resonant(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(ctx.options)
-    result = dyn.resonant_excitation(params, float(opt["duration"]))
+    result = dyn.resonant_excitation(params, opt["duration"])
     ctx.write_csv(
         "resonant.csv",
         ["t", "mean_n", "var_n", "fano"],
@@ -142,12 +134,7 @@ def scenario_resonant(ctx: RunContext) -> dict:
 def scenario_stepwise(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(opt)
-    result = dyn.stepwise_excitation(
-        params,
-        int(opt["n_pulses"]),
-        params.t_half_turn,
-        params.t_half_turn,
-    )
+    result = dyn.stepwise_excitation(params, opt["n_pulses"], params.t_half_turn, params.t_half_turn)
     rows = []
     for i, segment in enumerate(result.segments):
         tab = dyn.trajectory_table(segment)
@@ -164,9 +151,9 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         params = _params_from_options(opt).replace(level=level)
         t_d = float(opt["t_d"]) if opt["t_d"] else params.t_half_turn
         program = pulses.PulseProgram(
-            tuple(pulses.combined_pulse(t_d, float(opt["wait_multiplier"]))),
+            tuple(pulses.combined_pulse(t_d, opt["wait_multiplier"])),
             params,
-            float(opt["wait_multiplier"]),
+            opt["wait_multiplier"],
         )
         initial = dyn.ground_hybrid(params.dim, "TH")
         final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
@@ -180,7 +167,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         info[level] = {
             "alpha_t": [final.t_part.mean_a().real, final.t_part.mean_a().imag],
             "alpha_h": [final.h_part.mean_a().real, final.h_part.mean_a().imag],
-            "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, float(opt["wait_multiplier"]))),
+            "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, opt["wait_multiplier"])),
         }
         with open(ctx.path(f"program_{level.lower()}.json"), "w") as fh:
             fh.write(program.to_json())
@@ -193,12 +180,12 @@ def scenario_scan_td(ctx: RunContext) -> dict:
     params = _params_from_options(opt)
     t_half = params.t_half_turn
     lo, hi = (0.96, 1.04) if opt["mode"] == "near" else (0.88, 1.12)
-    t_d_values = np.linspace(lo * t_half, hi * t_half, int(opt["points"]))
+    t_d_values = np.linspace(lo * t_half, hi * t_half, opt["points"])
     rows = pulses.scan_td(
         params,
         t_d_values,
-        n_steps=int(opt["n_steps"]),
-        wait_multiplier=float(opt["wait_multiplier"]),
+        n_steps=opt["n_steps"],
+        wait_multiplier=opt["wait_multiplier"],
         workers=ctx.workers,
     )
     table = [(td, pt, ph, pt / ph, ph / pt) for td, pt, ph in rows]
@@ -208,8 +195,8 @@ def scenario_scan_td(ctx: RunContext) -> dict:
     t_opt, p_t, p_h = pulses.find_optimal_td(
         params,
         (best[0] - spacing, best[0] + spacing),
-        n_steps=int(opt["n_steps"]),
-        wait_multiplier=float(opt["wait_multiplier"]),
+        n_steps=opt["n_steps"],
+        wait_multiplier=opt["wait_multiplier"],
         tol=1e-9,
         max_iter=18,
     )
@@ -234,8 +221,7 @@ def scenario_scan_td(ctx: RunContext) -> dict:
 def scenario_calibrate(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(opt)
-    result = pulses.calibrate_positions(int(opt["k_max"]), params,
-                                        wait_multiplier=float(opt["wait_multiplier"]))
+    result = pulses.calibrate_positions(opt["k_max"], params, wait_multiplier=opt["wait_multiplier"])
     rows = []
     for k, n in enumerate(result.mean_n):
         overlap = result.neighbor_overlaps[k] if k < len(result.neighbor_overlaps) else float("nan")
@@ -247,9 +233,7 @@ def scenario_calibrate(ctx: RunContext) -> dict:
 def scenario_readout_roundtrip(ctx: RunContext) -> dict:
     opt = ctx.options
     rng = np.random.default_rng(ctx.seed)
-    eta = float(opt["eta"])
-    n_max = int(opt["n_max"])
-    support = int(opt["support"])
+    eta, n_max, support = opt["eta"], opt["n_max"], opt["support"]
     cfg = readout.default_config(eta, n_max=n_max)
     example = np.zeros(n_max + 1)
     example[:support] = rng.random(support)
@@ -260,13 +244,13 @@ def scenario_readout_roundtrip(ctx: RunContext) -> dict:
     )
     rows = []
     worst_clean = worst_noisy = 0.0
-    for trial in range(int(opt["trials"])):
+    for trial in range(opt["trials"]):
         p = np.zeros(n_max + 1)
         p[:support] = rng.random(support)
         p /= p.sum()
         signal = readout.bsb_signal(p, cfg, eta)
         err_clean = float(np.max(np.abs(readout.invert_bsb(signal, cfg, eta) - p)))
-        noisy = signal + rng.normal(0.0, float(opt["noise_sigma"]), signal.size)
+        noisy = signal + rng.normal(0.0, opt["noise_sigma"], signal.size)
         err_noisy = float(np.max(np.abs(readout.invert_bsb(noisy, cfg, eta) - p)))
         worst_clean = max(worst_clean, err_clean)
         worst_noisy = max(worst_noisy, err_noisy)
@@ -278,7 +262,7 @@ def scenario_readout_roundtrip(ctx: RunContext) -> dict:
 def scenario_walk_positions(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(opt)
-    m = float(opt["wait_multiplier"])
+    m = opt["wait_multiplier"]
     t_d = float(opt["t_d"]) if opt["t_d"] else None
     if t_d is None:
         t_half = params.t_half_turn
@@ -287,7 +271,7 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
             wait_multiplier=m, workers=ctx.workers)
         best = max(coarse, key=lambda r: r[1] / r[2])
         t_d = best[0]
-    program = pulses.walk_program(int(opt["n_steps"]), t_d, params, wait_multiplier=m)
+    program = pulses.walk_program(opt["n_steps"], t_d, params, wait_multiplier=m)
     final = pulses.run_program(program)
 
     shift_events = pulses.combined_pulse(t_d, m)
@@ -297,11 +281,11 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
         pulses.PulseProgram(tuple([pulses.wait(t_d)] + shift_events), params, m),
         initial=final)
 
-    k_max = int(opt["n_steps"]) + 1
+    k_max = opt["n_steps"] + 1
     cal = pulses.calibrate_positions(k_max, params, t_d=t_d, wait_multiplier=m)
     profiles = {k: cal.states[k].fock_probs() for k in range(k_max + 1)}
 
-    k_values = list(range(-int(opt["n_steps"]), int(opt["n_steps"]) + 1))
+    k_values = list(range(-opt["n_steps"], opt["n_steps"] + 1))
     results = {}
     residuals = {}
     for branch, sign in (("T", 1), ("H", -1)):
@@ -337,13 +321,12 @@ def _threshold_job(args):
 
 def scenario_kick_threshold(ctx: RunContext) -> dict:
     opt = ctx.options
-    mags = [m for m in opt["alphas"] if m <= float(opt["alpha_max"])]
+    mags = [m for m in opt["alphas"] if m <= opt["alpha_max"]]
     jobs = []
     for mag in mags:
         dim = int(opt["dim"]) if opt["dim"] else kicks.required_dim(mag)
         for phase in ("imag", "real"):
-            jobs.append((float(mag), phase, float(opt["f_min"]), float(opt["eta"]),
-                         float(opt["omega_z"]), dim))
+            jobs.append((mag, phase, opt["f_min"], opt["eta"], opt["omega_z"], dim))
     if ctx.workers > 1:
         with ProcessPoolExecutor(max_workers=ctx.workers) as pool:
             rows = list(pool.map(_threshold_job, jobs))
@@ -442,7 +425,7 @@ def run_scenario(
     for key, value in (overrides or {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown option {key!r} for scenario {scenario!r}")
-        options[key] = value
+        options[key] = _coerce(key, value, defaults[key])
     ctx = RunContext(
         scenario=scenario,
         options=options,
@@ -454,7 +437,7 @@ def run_scenario(
     summary = fn(ctx)
     manifest = {
         "scenario": scenario,
-        "options": {k: v for k, v in options.items()},
+        "options": dict(options),
         "workers": ctx.workers,
         "seed": ctx.seed,
         "runtime_s": time.time() - started,
@@ -479,6 +462,20 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _coerce(key: str, value, default):
+    """``value`` as the type of its scenario default (None: an optional
+    number); ConfigError if it cannot be one."""
+    if isinstance(default, list) and isinstance(value, list):
+        return [_coerce(key, v, default[0]) for v in value]
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if default is None and (value is None or number) or type(value) is type(default) is str:
+        return value
+    if number and (type(default) is float or type(default) is int and float(value).is_integer()):
+        return type(default)(value)
+    raise ConfigError(f"option {key!r} must be like the default {default!r}, got {value!r}")
 
 
 def _parse_override(text: str):

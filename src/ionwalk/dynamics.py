@@ -213,8 +213,8 @@ def apply_drive(
 def hamiltonian(params: SimParams, t: float) -> np.ndarray:
     """Dense Hamiltonian on coin (x) motion at time t.
 
-    Basis ordering is coin-major with |H> first: index b*dim + n for
-    coin block b in (H, T).
+    Basis ordering is coin-major with |T> first, as in
+    ``HybridState.packed``: index b*dim + n for coin block b in (T, H).
     """
     dim = params.dim
     stencil = drive_stencil(params)
@@ -223,7 +223,7 @@ def hamiltonian(params: SimParams, t: float) -> np.ndarray:
     inside = (cols >= 0) & (cols < dim)
     w = np.zeros((dim, dim), dtype=complex)
     w[rows[inside], cols[inside]] = (stencil.factors(t)[:, None] * stencil.elements)[inside]
-    coin = np.diag([params.force_ratio, 1.0]) * (params.omega_d / 2.0)
+    coin = np.diag([1.0, params.force_ratio]) * (params.omega_d / 2.0)
     return np.kron(coin, w)
 
 

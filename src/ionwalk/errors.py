@@ -1,6 +1,10 @@
 """Exception types shared across the simulator."""
 
 
+class ConfigError(ValueError):
+    """An input parameter is invalid (bad type, out of range or unknown)."""
+
+
 class TruncationError(Exception):
     """Fock-space population reached the guard band below the basis edge."""
 

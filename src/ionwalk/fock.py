@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 
 # Approximation levels for the dipole-force interaction.
 LDA = "LDA"
@@ -146,19 +146,19 @@ class SimParams:
 
     def __post_init__(self):
         if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+            raise ConfigError("eta must be positive")
         if self.dim < 16:
-            raise ValueError("dim must be at least 16")
+            raise ConfigError("dim must be at least 16")
         if self.omega_z <= 0.0:
-            raise ValueError("omega_z must be positive")
+            raise ConfigError("omega_z must be positive")
         if abs(self.force_ratio) > 1.0:
-            raise ValueError("|force_ratio| must not exceed 1")
+            raise ConfigError("|force_ratio| must not exceed 1")
         if self.level not in LEVELS:
-            raise ValueError(f"level must be one of {LEVELS}")
+            raise ConfigError(f"level must be one of {LEVELS}")
         if self.omega_d < 0.0:
-            raise ValueError("omega_d must be nonnegative")
+            raise ConfigError("omega_d must be nonnegative")
         if self.z0 <= 0.0:
-            raise ValueError("z0 must be positive")
+            raise ConfigError("z0 must be positive")
 
     def replace(self, **changes) -> "SimParams":
         return dataclasses.replace(self, **changes)
@@ -200,8 +200,9 @@ def experimental_params(**overrides) -> SimParams:
 
 
 def leakage(amps: np.ndarray) -> float:
-    """Population inside the guard band at the top of the basis."""
-    guard = np.asarray(amps)[-GUARD_LEVELS:]
+    """Population inside the guard band at the top of the basis, summed
+    over the rows of a packed (T, H) array."""
+    guard = np.asarray(amps)[..., -GUARD_LEVELS:]
     return float(np.sum(np.abs(guard) ** 2))
 
 

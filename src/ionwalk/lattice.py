@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -27,9 +29,9 @@ class WalkSpec:
 
     def __post_init__(self):
         if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+            raise ConfigError("n_steps must be nonnegative")
         if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+            raise ConfigError("step_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class LatticeState:
         if c_t.shape != (size,) or c_h.shape != (size,):
             raise ValueError("coefficient arrays must have length 2*n_steps + 1")
         if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+            raise ConfigError("step_size must be positive")
         total = float(np.sum(np.abs(c_t) ** 2 + np.abs(c_h) ** 2))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"lattice norm {total} deviates from 1")
@@ -220,7 +222,7 @@ def sigma_series(
 def scaling_factor(step_size: float, n_max: int = 100, phi: float = 0.0) -> float:
     """Slope of sigma_N vs N fitted over the late half N in [n_max/2, n_max]."""
     if n_max < 40:
-        raise ValueError("n_max must be at least 40 for a stable slope fit")
+        raise ConfigError("n_max must be at least 40 for a stable slope fit")
     sigmas = sigma_series(step_size, n_max, phi=phi)
     lo = n_max // 2
     n = np.arange(lo, n_max + 1, dtype=float)

@@ -18,6 +18,16 @@ def read_csv(path):
     return header, rows
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestWalkIdeal:
     def test_writes_artifacts_and_manifest(self, tmp_path):
         out = str(tmp_path / "walk")
@@ -26,7 +36,7 @@ class TestWalkIdeal:
         assert header == ["k", "p"]
         odd = [float(p) for k, p in rows if int(k) % 2 != 0]
         assert max(odd) < 1e-6
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["scenario"] == "walk-ideal"
         assert manifest["options"]["step_size"] == 4
         assert manifest["options"]["steps"] == 60
@@ -38,8 +48,8 @@ class TestWalkIdeal:
         assert run(args + ["--out", out1]) == 0
         assert run(args + ["--out", out2]) == 0
         for name in ("positions.csv", "sigma.csv", "scaling.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = read_bytes(os.path.join(out1, name))
+            b = read_bytes(os.path.join(out2, name))
             assert a == b
 
 
@@ -63,7 +73,7 @@ class TestConfigHandling:
         }))
         out = str(tmp_path / "out")
         assert run(["--config", str(cfg), "--out", out]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["options"]["steps"] == 40
 
     def test_flags_override_config_workers_and_seed(self, tmp_path):
@@ -73,8 +83,28 @@ class TestConfigHandling:
         }))
         out = str(tmp_path / "out")
         assert run(["--config", str(cfg), "--out", out, "--workers", "1", "--seed", "0"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert (manifest["workers"], manifest["seed"]) == (1, 0)
+
+    @pytest.mark.parametrize("args", [
+        ["walk-ideal", "--set", "steps=-3"],
+        ["walk-ideal", "--set", 'steps="ten"'],
+        ["calibrate", "--set", "dim=8"],
+        ["walk-ideal", "--steps", "10"],
+    ])
+    def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
+        assert run(args + ["--out", str(tmp_path)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+
+    def test_overrides_take_the_type_of_their_default(self, tmp_path):
+        ctx = cli.run_scenario("walk-ideal", {"steps": 40.0, "step_size": 2}, str(tmp_path))
+        assert ctx.options["steps"] == 40 and isinstance(ctx.options["steps"], int)
+        assert isinstance(ctx.options["step_size"], float)
+        for bad in ({"steps": 40.5}, {"steps": True}, {"phi": "0"}, {"phi": float("nan")},
+                    {"scaling_step_sizes": 2.0}, {"scaling_step_sizes": ["2"]}):
+            with pytest.raises(cli.ConfigError):
+                cli.run_scenario("walk-ideal", bad, str(tmp_path))
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # a basis too small for the requested excitation trips the guard
@@ -92,7 +122,7 @@ class TestScenarioOutputs:
         out = str(tmp_path / "r")
         assert run(["readout-roundtrip", "--out", out, "--seed", "11",
                     "--set", "trials=20"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["summary"]["worst_noiseless"] < 1e-3
         assert manifest["summary"]["worst_noisy"] < 0.05
 
@@ -107,7 +137,7 @@ class TestScenarioOutputs:
     def test_combined_pulse_scenario(self, tmp_path):
         out = str(tmp_path / "cp")
         assert run(["combined-pulse", "--out", out, "--set", 'levels=["LDA"]']) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = read_json(os.path.join(out, "summary.json"))
         alpha_t = summary["LDA"]["alpha_t"]
         alpha_h = summary["LDA"]["alpha_h"]
         step = summary["LDA"]["step_prediction_linear"]
@@ -117,18 +147,18 @@ class TestScenarioOutputs:
     def test_combined_pulse_writes_one_program_per_level(self, tmp_path):
         out = str(tmp_path / "cp2")
         assert run(["combined-pulse", "--out", out, "--set", 'levels=["LDA", "3SB"]']) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         artifacts = manifest["artifacts"]
         assert len(artifacts) == len(set(artifacts))
         for level in ("lda", "3sb"):
-            program = json.load(open(os.path.join(out, f"program_{level}.json")))
+            program = read_json(os.path.join(out, f"program_{level}.json"))
             assert program["params"]["level"] == level.upper()
 
     def test_kick_threshold_reference_mode(self, tmp_path):
         out = str(tmp_path / "k")
         assert run(["kick-threshold", "--out", out, "--alpha-max", "1",
                     "--set", "dim=64"]) == 0
-        fit = json.load(open(os.path.join(out, "fit.json")))
+        fit = read_json(os.path.join(out, "fit.json"))
         assert fit["reference"]["alpha_200_center_s"] == pytest.approx(0.21e-9, abs=0.01e-9)
         assert fit["reference"]["alpha_200_turning_s"] == pytest.approx(2.18e-9, abs=0.01e-9)
         rows = fit["measured"]
@@ -140,7 +170,7 @@ class TestScenarioOutputs:
         out = str(tmp_path / "s")
         assert run(["scan-td", "--out", out, "--set", 'level="LDA"',
                     "--set", "points=5", "--set", "dim=96"]) == 0
-        optimum = json.load(open(os.path.join(out, "optimum.json")))
+        optimum = read_json(os.path.join(out, "optimum.json"))
         assert abs(optimum["relative_offset_from_half_turn"]) < 0.02
         assert optimum["max_ratio"] > 2.9
 

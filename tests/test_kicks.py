@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ionwalk import fock, kicks
-from ionwalk.errors import NoThreshold
+from ionwalk.errors import NoThreshold, TruncationError
 
 WZ = 2 * math.pi * 2.13e6
 
@@ -13,10 +14,10 @@ def test_ideal_kick_flips_coin_and_displaces():
     kp = kicks.pi_pulse(1e-9, 0.25, WZ, 64)
     u = kicks.kick_ideal(kp, 1)
     initial = kicks.coherent_hybrid(0.0, 64, "H")
-    out = u @ kicks._hybrid_to_vec(initial)
-    assert np.linalg.norm(out[:64]) < 1e-12  # H branch emptied
+    out = u @ initial.packed().ravel()
+    assert np.linalg.norm(out[64:]) < 1e-12  # H branch emptied
     target = fock.coherent_state(1j * 0.25, 64)
-    assert np.vdot(target.amps, out[64:]) == pytest.approx(-1j, abs=1e-12)
+    assert np.vdot(target.amps, out[:64]) == pytest.approx(-1j, abs=1e-12)
 
 
 def test_ideal_kick_is_unitary():
@@ -38,8 +39,8 @@ def test_alternating_pair_is_coin_diagonal_displacement():
     kp = kicks.pi_pulse(1e-9, 0.25, WZ, 64)
     pair = kicks.kick_ideal(kp, 1) @ kicks.kick_ideal(kp, -1)
     d2 = fock.displacement_matrix(2j * 0.25, 64)
-    assert np.max(np.abs(pair[64:, 64:] + d2)) < 1e-10
-    assert np.max(np.abs(pair[:64, :64] + d2.conj().T)) < 1e-10
+    assert np.max(np.abs(pair[:64, :64] + d2)) < 1e-10
+    assert np.max(np.abs(pair[64:, 64:] + d2.conj().T)) < 1e-10
     assert np.max(np.abs(pair[:64, 64:])) == 0.0
 
 
@@ -143,3 +144,125 @@ def test_kick_params_validation():
         kicks.pi_pulse(1e-12, 0.25, WZ, 64)
     with pytest.raises(ValueError):
         kicks.pi_pulse(1e-9, -0.25, WZ, 64)
+    with pytest.raises(ValueError, match="direction"):
+        kicks.kick_fidelity(0.0, kicks.pi_pulse(1e-9, 0.25, WZ, 64), direction=0)
+
+
+def reference_kick_rk4(state, kp, direction=1):
+    """Fixed-step RK4 of the kick Hamiltonian (the integrator ``kick_full``
+    used before it became exact); returns packed rows (T, H)."""
+    dim = kp.dim
+    d_up = fock.displacement_matrix(1j * direction * kp.eta, dim)
+    d_dn = d_up.conj().T
+    n_diag = np.arange(dim)
+    half_omega = kp.omega / 2.0
+    fast = max(kp.omega, kp.omega_z * dim)
+    n_steps = max(1, math.ceil(max(200.0, kp.t_p * fast * 100.0 / (2.0 * math.pi))))
+    h = kp.t_p / n_steps
+    psi_t, psi_h = state.packed()
+
+    def deriv(y_t, y_h):
+        d_t = -1j * (half_omega * (d_up @ y_h) + kp.omega_z * n_diag * y_t)
+        d_h = -1j * (half_omega * (d_dn @ y_t) + kp.omega_z * n_diag * y_h)
+        return d_t, d_h
+
+    for _ in range(n_steps):
+        k1t, k1h = deriv(psi_t, psi_h)
+        k2t, k2h = deriv(psi_t + 0.5 * h * k1t, psi_h + 0.5 * h * k1h)
+        k3t, k3h = deriv(psi_t + 0.5 * h * k2t, psi_h + 0.5 * h * k2h)
+        k4t, k4h = deriv(psi_t + h * k3t, psi_h + h * k3h)
+        psi_t = psi_t + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+        psi_h = psi_h + (h / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
+    return np.stack([psi_t, psi_h])
+
+
+def dense_kick_propagator(kp, direction):
+    """expm(-i t_p H) of the kick Hamiltonian on coin (x) motion, (T, H) blocks."""
+    dim = kp.dim
+    d_up = fock.displacement_matrix(1j * direction * kp.eta, dim)
+    rotation = np.diag(kp.omega_z * np.arange(dim).astype(complex))
+    ham = np.block([
+        [rotation, (kp.omega / 2.0) * d_up],
+        [(kp.omega / 2.0) * d_up.conj().T, rotation],
+    ])
+    return expm(-1j * kp.t_p * ham)
+
+
+ALL_KICKS = ((1, "real"), (1, "imag"), (-1, "real"), (-1, "imag"))
+
+
+class TestExactKick:
+    @pytest.mark.parametrize("dim, mag, t_p, kicks_run", [
+        (64, 1.0, 2e-8, ALL_KICKS),
+        (64, 1.0, 1e-5, ALL_KICKS),
+        (256, 1.0, 2e-8, ALL_KICKS),
+        (256, 10.0, 2e-8, ALL_KICKS),
+        # ~6e4 operator applications at the pulse ceiling: one kick
+        (256, 10.0, 1e-5, ((-1, "imag"),)),
+    ])
+    def test_kick_full_matches_dense_expm(self, dim, mag, t_p, kicks_run):
+        kp = kicks.pi_pulse(t_p, 0.31, WZ, dim)
+        propagators = {}
+        for direction, phase in kicks_run:
+            if direction not in propagators:
+                propagators[direction] = dense_kick_propagator(kp, direction)
+            initial = kicks.coherent_hybrid(mag if phase == "real" else 1j * mag, dim, "H")
+            got = kicks.kick_full(initial, kp, direction)
+            expected = (propagators[direction] @ initial.packed().ravel()).reshape(2, dim)
+            assert np.max(np.abs(got.packed() - expected)) <= 1e-10, (direction, phase)
+            assert got.time == initial.time + t_p
+
+    @pytest.mark.parametrize("alpha, dim, t_p", [
+        (1j, 64, 2.58e-8),
+        (1.0, 64, 4.07e-8),
+        (5j, 121, 7.23e-9),
+        (10.0, 256, 2.29e-8),
+    ])
+    def test_kick_fidelity_matches_rk4_reference(self, alpha, dim, t_p):
+        kp = kicks.pi_pulse(t_p, 0.31, WZ, dim)
+        initial = kicks.coherent_hybrid(alpha, dim, "H")
+        psi = reference_kick_rk4(initial, kp)
+        psi *= np.exp(1j * kp.omega_z * np.arange(dim) * t_p)  # undo the free rotation
+        ideal = kicks.kick_ideal(kp) @ initial.packed().ravel()
+        reference = abs(np.vdot(ideal, psi.ravel())) ** 2
+        assert abs(kicks.kick_fidelity(alpha, kp) - reference) <= 1e-7
+
+    def test_threshold_search_builds_displacement_once(self, monkeypatch):
+        calls = []
+        build = fock.displacement_matrix
+
+        def counting(alpha, dim):
+            calls.append((alpha, dim))
+            return build(alpha, dim)
+
+        monkeypatch.setattr(kicks, "_KICK_DISP_CACHE", {})
+        monkeypatch.setattr(fock, "displacement_matrix", counting)
+        monkeypatch.setattr(kicks, "displacement_matrix", counting)
+        _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
+        assert len(samples) > 5
+        assert calls == [(1j * 0.31, 64)]
+        cached = kicks._KICK_DISP_CACHE[(0.31, 64)]
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+    def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
+        kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
+        initial = kicks.coherent_hybrid(10j, 256, "H")
+        np.random.seed(1)
+        first = kicks.kick_full(initial, kp).packed()
+        after_first = np.random.random()
+        np.random.seed(2)
+        second = kicks.kick_full(initial, kp).packed()
+        np.random.seed(1)
+        assert np.random.random() == after_first
+        assert np.array_equal(first, second)
+
+    def test_guard_band_population_raises(self):
+        # clear of the guard band before the kick, not after it: the kick
+        # displaces |0.5i> to |0.81i>
+        kp = kicks.pi_pulse(1e-9, 0.31, WZ, 16)
+        initial = kicks.coherent_hybrid(0.5j, 16, "H")
+        assert fock.leakage(initial.h_part.amps) < fock.LEAK_TOL
+        with pytest.raises(TruncationError, match="kick: guard-band population"):
+            kicks.kick_full(initial, kp)
