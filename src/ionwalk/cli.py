@@ -86,10 +86,11 @@ def _params_from_options(opt: dict) -> SimParams:
 def scenario_walk_ideal(ctx: RunContext) -> dict:
     opt = ctx.options
     spec = lattice.WalkSpec(opt["steps"], opt["step_size"], opt["phi"])
-    state = lattice.run_walk(spec)
+    sigmas = []
+    for state in lattice._walk_states(spec):
+        sigmas.append(lattice.std_dev(state))
     ks, probs = lattice.position_probabilities(state)
     ctx.write_csv("positions.csv", ["k", "p"], zip(ks.tolist(), probs))
-    sigmas = lattice.sigma_series(spec.step_size, spec.n_steps, phi=spec.phi)
     ctx.write_csv("sigma.csv", ["n", "sigma"], enumerate(sigmas))
     scaling_rows = []
     for s in opt["scaling_step_sizes"]:
@@ -234,6 +235,8 @@ def scenario_readout_roundtrip(ctx: RunContext) -> dict:
     opt = ctx.options
     rng = np.random.default_rng(ctx.seed)
     eta, n_max, support = opt["eta"], opt["n_max"], opt["support"]
+    if not (1 <= support <= n_max + 1 and opt["noise_sigma"] >= 0.0):
+        raise ConfigError("readout-roundtrip needs 1 <= support <= n_max + 1 and noise_sigma >= 0")
     cfg = readout.default_config(eta, n_max=n_max)
     example = np.zeros(n_max + 1)
     example[:support] = rng.random(support)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +133,28 @@ def walk_step(state: LatticeState, theta: float, phi: float) -> LatticeState:
     return apply_shift(apply_coin(state, theta, phi))
 
 
+def _walk_states(spec: WalkSpec, coin: str = "T") -> Iterator[LatticeState]:
+    """States after 0..n_steps steps; a symmetric walk adds pi/2 to phi after step one."""
+    state = initial_state(spec.step_size, coin)
+    yield state
+    for step in range(spec.n_steps):
+        phi = spec.phi + math.pi / 2.0 if spec.symmetric and step > 0 else spec.phi
+        state = walk_step(state, math.pi / 2.0, phi)
+        yield state
+
+
 def run_walk(spec: WalkSpec, coin: str = "T") -> LatticeState:
     """Run the full walk from ``|coin>|0>`` with the configured coin phases."""
-    state = initial_state(spec.step_size, coin)
-    for step in range(spec.n_steps):
-        phi = spec.phi
-        if spec.symmetric and step > 0:
-            phi = spec.phi + math.pi / 2.0
-        state = walk_step(state, math.pi / 2.0, phi)
+    for state in _walk_states(spec, coin):
+        pass
     return state
 
 
-def _overlap_kernel(step_size: float, offsets: np.ndarray) -> np.ndarray:
+def _overlap_band(step_size: float, reach: int) -> np.ndarray:
+    """Overlap kernel exp(-d^2 s^2 / 2) for |d| <= ``reach``, cut where it
+    underflows: exp(-x) is exactly 0.0 in float64 for x > 745.14."""
+    reach = min(reach, int(math.sqrt(2.0 * 746.0) / step_size))
+    offsets = np.arange(-reach, reach + 1)
     return np.exp(-(offsets.astype(float) ** 2) * step_size**2 / 2.0)
 
 
@@ -161,11 +172,14 @@ def position_probabilities(
     if l_values is None:
         l_values = state.positions
     l_values = np.asarray(l_values, dtype=int)
-    offsets = state.positions[None, :] - l_values[:, None]
-    kernel = _overlap_kernel(state.step_size, offsets)
-    amp_t = kernel @ state.c_t
-    amp_h = kernel @ state.c_h
-    probs = np.abs(amp_t) ** 2 + np.abs(amp_h) ** 2
+    n = state.n_steps
+    kernel = _overlap_band(state.step_size, int(np.max(np.abs(l_values), initial=0)) + n)
+    # convolution index of position l; beyond n + R every overlap is 0.0
+    idx = l_values + (kernel.size - 1) // 2 + n
+    inside = (idx >= 0) & (idx < kernel.size + 2 * n)
+    probs = np.zeros(l_values.size)
+    probs[inside] = sum(np.abs(np.convolve(c, kernel)[idx[inside]]) ** 2
+                        for c in (state.c_t, state.c_h))
     if normalize:
         total = probs.sum()
         if total > 0.0:
@@ -175,10 +189,10 @@ def position_probabilities(
 
 def coin_probabilities(state: LatticeState) -> tuple[float, float]:
     """Exact (P_T, P_H) including position-state overlaps (Gram weighting)."""
-    pos = state.positions
-    gram = _overlap_kernel(state.step_size, pos[None, :] - pos[:, None])
-    p_t = float(np.real(np.conj(state.c_t) @ gram @ state.c_t))
-    p_h = float(np.real(np.conj(state.c_h) @ gram @ state.c_h))
+    kernel = _overlap_band(state.step_size, 2 * state.n_steps)
+    lo = (kernel.size - 1) // 2
+    p_t, p_h = (float(np.real(np.vdot(c, np.convolve(c, kernel)[lo:lo + c.size])))
+                for c in (state.c_t, state.c_h))
     return p_t, p_h
 
 
@@ -208,15 +222,8 @@ def sigma_series(
     coin: str = "T",
 ) -> np.ndarray:
     """sigma_N for N = 0..n_max of one walk, computed incrementally."""
-    state = initial_state(step_size, coin)
-    sigmas = [std_dev(state)]
-    for step in range(n_max):
-        use_phi = phi
-        if symmetric and step > 0:
-            use_phi = phi + math.pi / 2.0
-        state = walk_step(state, math.pi / 2.0, use_phi)
-        sigmas.append(std_dev(state))
-    return np.asarray(sigmas)
+    spec = WalkSpec(n_max, step_size, phi, symmetric)
+    return np.asarray([std_dev(state) for state in _walk_states(spec, coin)])
 
 
 def scaling_factor(step_size: float, n_max: int = 100, phi: float = 0.0) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from .errors import IllConditioned
+from .errors import ConfigError, IllConditioned
 from .fock import sideband_magnitudes
 
 MAX_CONDITION = 1e8
@@ -36,13 +36,13 @@ class ReadoutConfig:
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
         if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("t_grid must be strictly increasing with >= 2 samples")
+            raise ConfigError("t_grid must be strictly increasing with >= 2 samples")
         if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+            raise ConfigError("gamma must be nonnegative")
         if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+            raise ConfigError("n_max must be nonnegative")
         if self.base_rabi <= 0.0:
-            raise ValueError("base_rabi must be positive")
+            raise ConfigError("base_rabi must be positive")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "t_grid", t)
@@ -62,6 +62,8 @@ def default_config(
     n_samples: int = 200,
 ) -> ReadoutConfig:
     """Grid spanning ``n_periods`` of the slowest dictionary frequency."""
+    if eta <= 0.0 or n_max < 0:
+        raise ConfigError("eta must be positive and n_max nonnegative")
     omega = rabi_frequencies(eta, n_max, base_rabi)
     slowest = float(np.min(omega[omega > 0.0]))
     t_end = n_periods * 2.0 * math.pi / slowest
@@ -74,16 +76,25 @@ def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.nda
     p = np.asarray(fock_probs, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("fock_probs must sum to 1")
-    omega = rabi_frequencies(eta, p.size - 1, cfg.base_rabi)
-    phases = np.outer(cfg.t_grid, omega)
-    damp = np.exp(-cfg.gamma * cfg.t_grid)[:, None]
-    return 0.5 * (1.0 + (np.cos(phases) * damp) @ p)
+    return 0.5 * (1.0 + _dictionary(cfg, eta, p.size - 1)[0] @ p)
 
 
-def _dictionary(cfg: ReadoutConfig, eta: float) -> np.ndarray:
-    omega = rabi_frequencies(eta, cfg.n_max, cfg.base_rabi)
-    damp = np.exp(-cfg.gamma * cfg.t_grid)[:, None]
-    return np.cos(np.outer(cfg.t_grid, omega)) * damp
+_DICTIONARY_CACHE: dict[tuple, tuple[np.ndarray, float, float]] = {}
+
+
+def _dictionary(cfg: ReadoutConfig, eta: float, n_max: int) -> tuple[np.ndarray, float, float]:
+    """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest Omega_n > 0),
+    built once per grid and model; the matrix is read-only."""
+    key = (cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, eta)
+    cached = _DICTIONARY_CACHE.get(key)
+    if cached is None:
+        omega = rabi_frequencies(eta, n_max, cfg.base_rabi)
+        damp = np.exp(-cfg.gamma * cfg.t_grid)[:, None]
+        a = np.cos(np.outer(cfg.t_grid, omega)) * damp
+        a.setflags(write=False)
+        cached = (a, float(np.linalg.cond(a)), float(np.min(omega[omega > 0.0], initial=np.inf)))
+        _DICTIONARY_CACHE[key] = cached
+    return cached
 
 
 def invert_bsb(
@@ -102,15 +113,12 @@ def invert_bsb(
     signal = np.asarray(signal, dtype=float)
     if signal.shape != cfg.t_grid.shape:
         raise ValueError("signal and t_grid sizes differ")
-    omega = rabi_frequencies(eta, cfg.n_max, cfg.base_rabi)
-    slowest = float(np.min(omega[omega > 0.0]))
+    a, cond, slowest = _dictionary(cfg, eta, cfg.n_max)
     span = cfg.t_grid[-1] - cfg.t_grid[0]
     if span < 3.0 * 2.0 * math.pi / slowest:
         raise ValueError(
             "t_grid spans less than 3 periods of the slowest sideband frequency"
         )
-    a = _dictionary(cfg, eta)
-    cond = float(np.linalg.cond(a))
     if cond > MAX_CONDITION:
         raise IllConditioned(f"dictionary condition number {cond:.3e}")
     y = 2.0 * signal - 1.0

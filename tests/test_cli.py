@@ -91,6 +91,11 @@ class TestConfigHandling:
         ["walk-ideal", "--set", 'steps="ten"'],
         ["calibrate", "--set", "dim=8"],
         ["walk-ideal", "--steps", "10"],
+        ["readout-roundtrip", "--set", "eta=0"],
+        ["readout-roundtrip", "--set", "n_max=-1"],
+        ["readout-roundtrip", "--set", "support=0"],
+        ["readout-roundtrip", "--set", "support=20"],
+        ["readout-roundtrip", "--set", "noise_sigma=-1"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

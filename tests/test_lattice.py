@@ -166,3 +166,83 @@ def test_unnormalized_probabilities_bounded_by_one(n_steps, step_size):
     _, probs = lattice.position_probabilities(state, normalize=False)
     assert np.all(probs <= 1.0 + 1e-9)
     assert np.all(probs >= 0.0)
+
+
+def dense_amplitudes(state, l_values):
+    """Overlap-weighted amplitudes from the dense kernel over every (l, k)."""
+    offsets = state.positions[None, :] - np.asarray(l_values, dtype=int)[:, None]
+    kernel = np.exp(-(offsets.astype(float) ** 2) * state.step_size**2 / 2.0)
+    return kernel @ state.c_t, kernel @ state.c_h
+
+
+def dense_position_probabilities(state, l_values, normalize):
+    amp_t, amp_h = dense_amplitudes(state, l_values)
+    probs = np.abs(amp_t) ** 2 + np.abs(amp_h) ** 2
+    if normalize and probs.sum() > 0.0:
+        probs = probs / probs.sum()
+    return probs
+
+
+def dense_coin_probabilities(state):
+    gram_t, gram_h = dense_amplitudes(state, state.positions)
+    return (float(np.real(np.vdot(state.c_t, gram_t))),
+            float(np.real(np.vdot(state.c_h, gram_h))))
+
+
+def l_value_sets(state, rng):
+    n = state.n_steps
+    pad = int(math.ceil(6.0 / state.step_size))
+    far = rng.integers(-(n + 5000), n + 5000, 30)
+    near = rng.integers(-(3 * n + 20), 3 * n + 20, 30)
+    return {
+        "default": None,
+        "wide": np.arange(-(n + pad + 7), n + pad + 8),
+        "random": rng.permutation(np.concatenate([far, near, [n + 5001, -(n + 5001)]])),
+        "empty": np.array([], dtype=int),
+    }
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 4, 17, 60])
+@pytest.mark.parametrize("step_size", [0.01, 0.1, 0.5, 1.0, 2.0, 4.5, 10.0, 40.0])
+def test_banded_overlap_matches_dense_kernel(step_size, n_steps):
+    state = lattice.run_walk(lattice.WalkSpec(n_steps, step_size, phi=0.4, symmetric=True))
+    rng = np.random.default_rng(n_steps + int(100 * step_size))
+    for name, l_values in l_value_sets(state, rng).items():
+        for normalize in (False, True):
+            ks, probs = lattice.position_probabilities(state, l_values, normalize=normalize)
+            expected = dense_position_probabilities(state, ks, normalize)
+            assert probs.shape == expected.shape, name
+            assert np.max(np.abs(probs - expected), initial=0.0) <= 1e-13, name
+            assert np.array_equal(probs == 0.0, expected == 0.0), name
+    p_t, p_h = lattice.coin_probabilities(state)
+    e_t, e_h = dense_coin_probabilities(state)
+    assert abs(p_t - e_t) <= 1e-13 and abs(p_h - e_h) <= 1e-13
+
+
+def test_tiny_step_kernel_is_capped_by_requested_offsets(monkeypatch):
+    # at step 1e-4 the kernel underflows only past |d| ~ 3.9e5; the band
+    # must stop at the largest offset the call needs instead
+    band = lattice._overlap_band
+    sizes = []
+
+    def spy(step_size, reach):
+        kernel = band(step_size, reach)
+        sizes.append(kernel.size)
+        return kernel
+
+    monkeypatch.setattr(lattice, "_overlap_band", spy)
+    state = lattice.run_walk(lattice.WalkSpec(5, 1e-4))
+    _, probs = lattice.position_probabilities(state)
+    _, wide = lattice.position_probabilities(state, np.array([30, -7]), normalize=False)
+    p_t, _ = lattice.coin_probabilities(state)
+    assert sizes == [2 * 10 + 1, 2 * 35 + 1, 2 * 10 + 1]
+    assert np.max(np.abs(probs - dense_position_probabilities(state, state.positions, True))) <= 1e-13
+    assert np.max(np.abs(wide - dense_position_probabilities(state, [30, -7], False))) <= 1e-13
+    assert abs(p_t - dense_coin_probabilities(state)[0]) <= 1e-13
+
+
+def test_sigma_series_follows_run_walk():
+    spec = lattice.WalkSpec(6, 1.5, phi=0.3, symmetric=True)
+    sigmas = lattice.sigma_series(1.5, 6, phi=0.3, symmetric=True)
+    assert sigmas.shape == (7,)
+    assert sigmas[-1] == lattice.std_dev(lattice.run_walk(spec))

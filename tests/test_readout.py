@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionwalk import fock, readout
-from ionwalk.errors import IllConditioned
+from ionwalk.errors import ConfigError, IllConditioned
 
 ETA = 0.31
 
@@ -175,6 +175,13 @@ class TestDisambiguation:
         assert rec[-3] == pytest.approx(0.5, abs=0.02)
 
 
+def test_default_config_rejects_bad_model_before_numerics():
+    with pytest.raises(ConfigError):
+        readout.default_config(0.0, n_max=7)
+    with pytest.raises(ConfigError):
+        readout.default_config(ETA, n_max=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         readout.ReadoutConfig(t_grid=np.array([0.0]), n_max=3)
@@ -182,3 +189,73 @@ def test_config_validation():
         readout.ReadoutConfig(t_grid=np.array([0.0, -1.0]), n_max=3)
     with pytest.raises(ValueError):
         readout.ReadoutConfig(t_grid=np.array([0.0, 1.0]), n_max=3, gamma=-1.0)
+
+
+def uncached_dictionary(cfg, eta, n_max):
+    omega = readout.rabi_frequencies(eta, n_max, cfg.base_rabi)
+    return np.cos(np.outer(cfg.t_grid, omega)) * np.exp(-cfg.gamma * cfg.t_grid)[:, None]
+
+
+class TestDictionaryCache:
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        monkeypatch.setattr(readout, "_DICTIONARY_CACHE", {})
+        calls = []
+        cond = np.linalg.cond
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cond(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        return calls
+
+    def test_second_inversion_reuses_condition_number(self, cfg, cond_calls):
+        p = random_distribution(np.random.default_rng(6), 6, 8)
+        signal = readout.bsb_signal(p, cfg, ETA)
+        first = readout.invert_bsb(signal, cfg, ETA)
+        second = readout.invert_bsb(signal, cfg, ETA)
+        assert len(cond_calls) == 1
+        assert np.array_equal(first, second)
+
+    def test_cached_matrix_is_read_only(self, cfg):
+        a, _, _ = readout._dictionary(cfg, ETA, cfg.n_max)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+    def test_each_model_gets_its_own_entry(self, cfg, cond_calls):
+        variants = [
+            (cfg, ETA, 7),
+            (readout.ReadoutConfig(cfg.t_grid, 7, gamma=1e3), ETA, 7),
+            (cfg, 0.2, 7),
+            (cfg, ETA, 5),
+            (readout.ReadoutConfig(cfg.t_grid[:-1], 7), ETA, 7),
+        ]
+        for c, eta, n_max in variants:
+            a, cond, slowest = readout._dictionary(c, eta, n_max)
+            expected = uncached_dictionary(c, eta, n_max)
+            omega = readout.rabi_frequencies(eta, n_max, c.base_rabi)
+            assert np.array_equal(a, expected)
+            assert cond == float(np.linalg.cond(expected))
+            assert slowest == float(np.min(omega[omega > 0.0]))
+        assert len(readout._DICTIONARY_CACHE) == len(variants)
+
+    def test_ill_conditioned_dictionary_raises_every_call(self, cond_calls):
+        omega = readout.rabi_frequencies(ETA, 16, 2 * math.pi * 1e5)
+        t = np.linspace(0.0, 4 * 2 * math.pi / omega[omega > 0].min(), 120)
+        cfg16 = readout.ReadoutConfig(t_grid=t, n_max=16)
+        for _ in range(2):
+            with pytest.raises(IllConditioned):
+                readout.invert_bsb(np.full(120, 0.5), cfg16, ETA)
+        assert len(cond_calls) == 1
+
+    @pytest.mark.parametrize("n_levels, gamma", [(8, 0.0), (5, 2e4), (11, 0.0)])
+    def test_signal_matches_direct_formula_bit_for_bit(self, n_levels, gamma):
+        c = readout.default_config(ETA, n_max=7, gamma=gamma)
+        p = random_distribution(np.random.default_rng(n_levels), n_levels, n_levels)
+        omega = readout.rabi_frequencies(ETA, p.size - 1, c.base_rabi)
+        phases = np.outer(c.t_grid, omega)
+        damp = np.exp(-c.gamma * c.t_grid)[:, None]
+        expected = 0.5 * (1.0 + (np.cos(phases) * damp) @ p)
+        assert np.array_equal(readout.bsb_signal(p, c, ETA), expected)
