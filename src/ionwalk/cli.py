@@ -15,7 +15,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -27,6 +27,7 @@ from .errors import ConfigError, IllConditioned, NoThreshold, StepError, Truncat
 from .fock import SimParams, experimental_params
 
 TWO_PI = 2.0 * math.pi
+_PARAM_FIELDS = {f.name for f in fields(SimParams)}
 
 
 @dataclass
@@ -69,14 +70,7 @@ def _fmt(value) -> str:
 
 
 def _params_from_options(opt: dict) -> SimParams:
-    return experimental_params(
-        omega_z=opt["omega_z"],
-        delta=opt["delta"],
-        omega_d=opt["omega_d"],
-        eta=opt["eta"],
-        dim=opt["dim"],
-        level=opt["level"],
-    )
+    return experimental_params(**{k: v for k, v in opt.items() if k in _PARAM_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +102,7 @@ def scenario_trajectory(ctx: RunContext) -> dict:
         _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, opt["duration"],
                                    sample_interval=opt["duration"] / opt["samples"])
         tab = dyn.trajectory_table(history)
-        ctx.write_csv(
-            f"trajectory_{level.lower()}.csv",
-            ["t", "re_alpha_t", "im_alpha_t", "re_alpha_h", "im_alpha_h", "n_t", "n_h"],
-            zip(*(tab[k] for k in (
-                "t", "re_alpha_t", "im_alpha_t", "re_alpha_h", "im_alpha_h", "n_t", "n_h"))),
-        )
+        ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
         t_ret, n_min, _ = dyn.return_time(params, opt["duration"])
         info[level] = {"return_time": t_ret, "min_n": n_min}
     ctx.write_json("returns.json", info)
@@ -159,12 +148,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         initial = dyn.ground_hybrid(params.dim, "TH")
         final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
         tab = dyn.trajectory_table(history)
-        ctx.write_csv(
-            f"combined_pulse_{level.lower()}.csv",
-            ["t", "re_alpha_t", "im_alpha_t", "re_alpha_h", "im_alpha_h", "n_t", "n_h"],
-            zip(*(tab[k] for k in (
-                "t", "re_alpha_t", "im_alpha_t", "re_alpha_h", "im_alpha_h", "n_t", "n_h"))),
-        )
+        ctx.write_csv(f"combined_pulse_{level.lower()}.csv", list(tab), zip(*tab.values()))
         info[level] = {
             "alpha_t": [final.t_part.mean_a().real, final.t_part.mean_a().imag],
             "alpha_h": [final.h_part.mean_a().real, final.h_part.mean_a().imag],
@@ -356,6 +340,12 @@ def scenario_kick_threshold(ctx: RunContext) -> dict:
     return payload
 
 
+# Trap options of the Fock-space scenarios; each scenario lists what it changes.
+_TRAP = {k: getattr(experimental_params(), k)
+         for k in ("omega_z", "delta", "omega_d", "eta", "dim", "level")}
+# Scenarios that loop over "levels" take no single level.
+_TRAP_ALL_LEVELS = {k: v for k, v in _TRAP.items() if k != "level"}
+
 SCENARIOS = {
     "walk-ideal": (
         scenario_walk_ideal,
@@ -364,51 +354,44 @@ SCENARIOS = {
     ),
     "trajectory": (
         scenario_trajectory,
-        {"omega_z": TWO_PI * 2.13e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 1.2e6,
-         "eta": 0.31, "dim": 128, "level": "3SB", "duration": 12e-6, "samples": 600,
+        {**_TRAP_ALL_LEVELS, "omega_d": TWO_PI * 1.2e6, "duration": 12e-6, "samples": 600,
          "levels": ["LDA", "RWA", "3SB"]},
     ),
     "resonant": (
         scenario_resonant,
-        {"omega_z": TWO_PI * 2.0e6, "delta": 0.0, "omega_d": TWO_PI * 2.0e6,
-         "eta": 0.3, "dim": 128, "level": "3SB", "duration": 8e-6},
+        {**_TRAP, "omega_z": TWO_PI * 2.0e6, "delta": 0.0, "omega_d": TWO_PI * 2.0e6,
+         "eta": 0.3, "duration": 8e-6},
     ),
     "stepwise": (
         scenario_stepwise,
-        {"omega_z": TWO_PI * 2.0e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 0.4e6,
-         "eta": 0.3, "dim": 128, "level": "3SB", "n_pulses": 8},
+        {**_TRAP, "omega_z": TWO_PI * 2.0e6, "omega_d": TWO_PI * 0.4e6, "eta": 0.3,
+         "n_pulses": 8},
     ),
     "combined-pulse": (
         scenario_combined_pulse,
-        {"omega_z": TWO_PI * 2.13e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 0.24e6,
-         "eta": 0.31, "dim": 96, "level": "3SB", "levels": ["LDA", "3SB"],
-         "t_d": None, "wait_multiplier": 2.0},
+        {**_TRAP_ALL_LEVELS, "dim": 96, "levels": ["LDA", "3SB"], "t_d": None,
+         "wait_multiplier": 2.0},
     ),
     "scan-td": (
         scenario_scan_td,
-        {"omega_z": TWO_PI * 2.13e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 0.24e6,
-         "eta": 0.31, "dim": 96, "level": "3SB", "mode": "near", "points": 21,
-         "n_steps": 3, "wait_multiplier": 4.0},
+        {**_TRAP, "dim": 96, "mode": "near", "points": 21, "n_steps": 3, "wait_multiplier": 4.0},
     ),
     "calibrate": (
         scenario_calibrate,
-        {"omega_z": TWO_PI * 2.13e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 0.24e6,
-         "eta": 0.31, "dim": 128, "level": "3SB", "k_max": 4, "wait_multiplier": 2.0},
+        {**_TRAP, "k_max": 4, "wait_multiplier": 2.0},
     ),
     "readout-roundtrip": (
         scenario_readout_roundtrip,
-        {"eta": 0.31, "n_max": 7, "support": 6, "trials": 100, "noise_sigma": 0.02},
+        {"eta": _TRAP["eta"], "n_max": 7, "support": 6, "trials": 100, "noise_sigma": 0.02},
     ),
     "walk-positions": (
         scenario_walk_positions,
-        {"omega_z": TWO_PI * 2.13e6, "delta": TWO_PI * 0.1e6, "omega_d": TWO_PI * 0.24e6,
-         "eta": 0.31, "dim": 96, "level": "3SB", "n_steps": 3, "t_d": None,
-         "wait_multiplier": 4.0},
+        {**_TRAP, "dim": 96, "n_steps": 3, "t_d": None, "wait_multiplier": 4.0},
     ),
     "kick-threshold": (
         scenario_kick_threshold,
         {"alphas": [1.0, 2.0, 5.0, 10.0], "alpha_max": 10.0, "f_min": 0.99,
-         "eta": 0.31, "omega_z": TWO_PI * 2.13e6, "dim": None},
+         "eta": _TRAP["eta"], "omega_z": _TRAP["omega_z"], "dim": None},
     ),
 }
 

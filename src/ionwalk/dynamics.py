@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import StepError
 from .fock import (
@@ -35,6 +34,7 @@ from .fock import (
     check_leakage,
     coupling_thresholds,
     displacement_matrix,
+    ladder_elements,
 )
 
 STEPS_PER_PERIOD = 50
@@ -149,27 +149,12 @@ class DriveStencil:
 
 def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.ndarray:
     """Matrix elements <j+offset| exp(i eta (a+a^dag)) |j> over valid j."""
-    s = offset
-    if linearized:
-        if s == 1:
-            j = np.arange(dim - 1)
-            return 1j * eta * np.sqrt(j + 1.0)
-        if s == -1:
-            j = np.arange(1, dim)
-            return 1j * eta * np.sqrt(j.astype(float))
+    if not linearized:
+        source = np.arange(max(0, -offset), dim - max(0, offset))
+        return ladder_elements(1j * eta, offset, source)
+    if offset not in (1, -1):
         raise ValueError("linearized bands exist only for offset +-1")
-    x = eta * eta
-    if s >= 0:
-        j = np.arange(dim - s)
-        col, row = j, j + s
-    else:
-        j = np.arange(-s, dim)
-        col, row = j, j + s
-    low = np.minimum(row, col)
-    high = np.maximum(row, col)
-    log_fac = 0.5 * (gammaln(low + 1) - gammaln(high + 1))
-    lag = eval_genlaguerre(low, abs(s), x)
-    return (1j * eta) ** abs(s) * np.exp(log_fac - x / 2.0) * lag
+    return 1j * eta * np.sqrt(np.arange(1.0, dim))
 
 
 def _build_stencil(params: SimParams) -> DriveStencil:
@@ -378,7 +363,7 @@ def lda_pulse_displacement(params: SimParams, t_start: float, duration: float) -
     g0 = params.eta * params.omega_d / 2.0
     phase = cmath.exp(1j * params.phi0)
     if params.delta == 0.0:
-        return g0 * duration * phase * cmath.exp(1j * 0.0)
+        return g0 * duration * phase
     return (
         phase
         * (-1j * g0 / params.delta)
@@ -393,8 +378,7 @@ def lda_pulse_phase(params: SimParams, duration: float) -> float:
     for a half-turn pulse and twice that for a full turn.
     """
     if params.delta == 0.0:
-        g0 = params.eta * params.omega_d / 2.0
-        return 0.0 * g0
+        return 0.0
     a = params.eta * params.omega_d / (2.0 * params.delta)
     x = params.delta * duration
     return a * a * (x - math.sin(x))

@@ -183,20 +183,15 @@ class SimParams:
 
 
 def experimental_params(**overrides) -> SimParams:
-    """Default parameter set of the trap used throughout the scenarios."""
-    base = dict(
+    """Default parameter set of the trap used throughout the scenarios: the
+    trap values below plus the ``SimParams`` field defaults."""
+    trap = dict(
         omega_z=2 * math.pi * 2.13e6,
         delta=2 * math.pi * 100e3,
         omega_d=2 * math.pi * 0.24e6,
         eta=0.31,
-        phi0=0.0,
-        z0=10e-9,
-        dim=128,
-        level=THREE_SB,
-        force_ratio=-2.0 / 3.0,
     )
-    base.update(overrides)
-    return SimParams(**base)
+    return SimParams(**{**trap, **overrides})
 
 
 def leakage(amps: np.ndarray) -> float:
@@ -273,40 +268,39 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return expm(gen)
 
 
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Closed-form matrix element <m|D(alpha)|n> (log-space factorials).
+def ladder_elements(alpha: complex, offset: int, n) -> np.ndarray:
+    """Matrix elements <n+offset|D(alpha)|n> over an array of source levels n
+    (with n + offset >= 0).
 
-    Uses the associated-Laguerre expression; valid for arbitrary indices
-    without building or exponentiating a matrix.
+    Associated-Laguerre closed form with log-space factorials; valid for
+    arbitrary levels without building or exponentiating a matrix.
     """
+    alpha = complex(alpha)
+    k = abs(offset)
+    low = np.asarray(n) + min(offset, 0)
+    x = abs(alpha) ** 2
+    power = alpha**k if offset >= 0 else (-alpha.conjugate()) ** k
+    log_fac = 0.5 * (gammaln(low + 1) - gammaln(low + k + 1))
+    return power * np.exp(log_fac - x / 2.0) * eval_genlaguerre(low, k, x)
+
+
+def displacement_element(m: int, n: int, alpha: complex) -> complex:
+    """Closed-form matrix element <m|D(alpha)|n> (see ``ladder_elements``)."""
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be nonnegative")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    if m >= n:
-        power = alpha ** (m - n)
-        log_fac = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
-        lag = eval_genlaguerre(n, m - n, x)
-    else:
-        power = (-np.conj(alpha)) ** (n - m)
-        log_fac = 0.5 * (gammaln(m + 1) - gammaln(n + 1))
-        lag = eval_genlaguerre(m, n - m, x)
-    return complex(power * math.exp(log_fac - x / 2.0) * lag)
+    return complex(ladder_elements(alpha, m - n, n))
 
 
 def sideband_element(n: int, eta: float) -> complex:
     """First-sideband element <n+1| exp(i eta (a + a^dag)) |n>."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return displacement_element(n + 1, n, 1j * eta)
+    return complex(ladder_elements(1j * eta, 1, n))
 
 
 def sideband_magnitudes(eta: float, n_max: int) -> np.ndarray:
     """|<n+1|exp(i eta (a+a^dag))|n>| for n = 0..n_max (vectorized)."""
-    n = np.arange(n_max + 1)
-    log_fac = 0.5 * (gammaln(n + 1) - gammaln(n + 2))
-    lag = eval_genlaguerre(n, 1, eta**2)
-    return eta * np.exp(log_fac - eta**2 / 2.0) * np.abs(lag)
+    return np.abs(ladder_elements(1j * eta, 1, np.arange(n_max + 1)))
 
 
 def coupling_thresholds(eta: float, n_cap: int = 10000) -> tuple[int, int]:

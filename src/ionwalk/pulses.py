@@ -13,7 +13,7 @@ import cmath
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
 from .fock import MotionalState, SimParams, coherent_state
@@ -70,9 +70,6 @@ class PulseProgram:
             raise ValueError("wait_multiplier must be 2 or 4")
         object.__setattr__(self, "events", tuple(self.events))
 
-    def duration(self) -> float:
-        return sum(e.duration for e in self.events)
-
     def to_json_dict(self) -> dict:
         rows = []
         t = 0.0
@@ -85,20 +82,9 @@ class PulseProgram:
                 row["duration"] = e.duration
             rows.append(row)
             t += e.duration
-        p = self.params
         return {
             "wait_multiplier": self.wait_multiplier,
-            "params": {
-                "omega_z": p.omega_z,
-                "delta": p.delta,
-                "omega_d": p.omega_d,
-                "eta": p.eta,
-                "phi0": p.phi0,
-                "z0": p.z0,
-                "dim": p.dim,
-                "level": p.level,
-                "force_ratio": p.force_ratio,
-            },
+            "params": asdict(self.params),
             "events": rows,
         }
 

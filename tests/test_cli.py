@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ionwalk import cli
+from ionwalk import cli, fock
 
 
 def run(args):
@@ -96,6 +96,8 @@ class TestConfigHandling:
         ["readout-roundtrip", "--set", "support=0"],
         ["readout-roundtrip", "--set", "support=20"],
         ["readout-roundtrip", "--set", "noise_sigma=-1"],
+        ["trajectory", "--set", "level=RWA"],
+        ["combined-pulse", "--set", "level=RWA"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
@@ -110,6 +112,15 @@ class TestConfigHandling:
                     {"scaling_step_sizes": 2.0}, {"scaling_step_sizes": ["2"]}):
             with pytest.raises(cli.ConfigError):
                 cli.run_scenario("walk-ideal", bad, str(tmp_path))
+
+    def test_trap_options_come_from_experimental_params(self):
+        params = fock.experimental_params()
+        assert cli._TRAP == {k: getattr(params, k) for k in cli._TRAP}
+        assert set(cli._TRAP) == {"omega_z", "delta", "omega_d", "eta", "dim", "level"}
+        for _, options in cli.SCENARIOS.values():
+            if "level" in options:
+                built = cli._params_from_options(options)
+                assert {k: getattr(built, k) for k in cli._TRAP} == {k: options[k] for k in cli._TRAP}
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # a basis too small for the requested excitation trips the guard

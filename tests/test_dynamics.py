@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from ionwalk import dynamics as dyn
 from ionwalk import fock, pulses
@@ -302,6 +303,31 @@ class ReferenceBand:
         return total
 
 
+def reference_band_elements(eta, s, dim, linearized):
+    """<j+s| exp(i eta (a+a^dag)) |j> over valid j, one Laguerre formula per
+    offset (linearized: i eta sqrt(n) on the s = +-1 bands)."""
+    if linearized:
+        if s == 1:
+            j = np.arange(dim - 1)
+            return 1j * eta * np.sqrt(j + 1.0)
+        if s == -1:
+            j = np.arange(1, dim)
+            return 1j * eta * np.sqrt(j.astype(float))
+        raise ValueError("linearized bands exist only for offset +-1")
+    x = eta * eta
+    if s >= 0:
+        j = np.arange(dim - s)
+        col, row = j, j + s
+    else:
+        j = np.arange(-s, dim)
+        col, row = j, j + s
+    low = np.minimum(row, col)
+    high = np.maximum(row, col)
+    log_fac = 0.5 * (gammaln(low + 1) - gammaln(high + 1))
+    lag = eval_genlaguerre(low, abs(s), x)
+    return (1j * eta) ** abs(s) * np.exp(log_fac - x / 2.0) * lag
+
+
 def reference_bands(params):
     eta, dim = params.eta, params.dim
     wz, delta = params.omega_z, params.delta
@@ -309,13 +335,13 @@ def reference_bands(params):
     if params.level in ("LDA", "RWA"):
         linear = params.level == "LDA"
         return (
-            ReferenceBand(1, dyn._band_elements(eta, 1, dim, linear), (eip,), (delta,)),
-            ReferenceBand(-1, dyn._band_elements(eta, -1, dim, linear),
+            ReferenceBand(1, reference_band_elements(eta, 1, dim, linear), (eip,), (delta,)),
+            ReferenceBand(-1, reference_band_elements(eta, -1, dim, linear),
                           (-eip.conjugate(),), (-delta,)),
         )
     return tuple(
         ReferenceBand(
-            s, dyn._band_elements(eta, s, dim, False),
+            s, reference_band_elements(eta, s, dim, False),
             (eip, (-1) ** abs(s) * eip.conjugate()),
             ((s - 1) * wz + delta, (s + 1) * wz - delta),
         )
@@ -337,11 +363,15 @@ def reference_apply(bands, t, psi):
     return out
 
 
-def reference_norm_bound(params):
-    return 0.5 * params.omega_d * sum(
+def reference_norm_weight(params):
+    return sum(
         float(np.max(np.abs(b.elements))) * sum(abs(a) for a in b.amps)
         for b in reference_bands(params)
     )
+
+
+def reference_norm_bound(params):
+    return 0.5 * params.omega_d * reference_norm_weight(params)
 
 
 def reference_propagate(state, params, duration, sample_interval=None):
@@ -400,6 +430,21 @@ class TestDriveStencil:
         # bit-identical, so every pulse keeps its RK4 step count
         p = fock.experimental_params(level=level, dim=96)
         assert 0.5 * p.omega_d * dyn.drive_stencil(p).norm_weight == reference_norm_bound(p)
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    @pytest.mark.parametrize("dim", [16, 17, 96, 256])
+    @pytest.mark.parametrize("eta", [0.05, 0.31, 1.7])
+    def test_stencil_elements_equal_reference_formula(self, level, dim, eta):
+        # value-equal, and norm_weight bit-equal: RK4 step counts depend on it
+        p = fock.experimental_params(level=level, dim=dim, eta=eta)
+        stencil = dyn.drive_stencil(p)
+        bands = {b.offset: b.elements for b in reference_bands(p)}
+        for s, row in zip(stencil.offsets, stencil.elements):
+            lo, hi = max(0, s), dim + min(0, s)
+            expected = bands.get(s, np.zeros(hi - lo))
+            assert np.array_equal(row[lo:hi], expected)
+            assert not np.any(row[:lo]) and not np.any(row[hi:])
+        assert stencil.norm_weight == reference_norm_weight(p)
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     @pytest.mark.parametrize("sampled", [False, True])

@@ -90,6 +90,26 @@ def test_sideband_matches_displacement_matrix_elements():
         assert abs(fock.sideband_element(n, eta) - d[n + 1, n]) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.4 - 0.7j, 1.3j, -1.1 + 0.2j, 2.0, 0.0])
+def test_ladder_elements_match_dense_displacement(alpha):
+    d = fock.displacement_matrix(alpha, 128)
+    n = np.arange(40)
+    for offset in range(-3, 4):
+        source = n[n + offset >= 0]
+        elements = fock.ladder_elements(alpha, offset, source)
+        assert np.max(np.abs(elements - d[source + offset, source])) <= 1e-10
+        for m in (0, 7, 39):
+            if m + offset >= 0:
+                assert fock.displacement_element(m + offset, m, alpha) == elements[m - source[0]]
+
+
+def test_experimental_params_are_the_trap_values_plus_field_defaults():
+    trap = dict(omega_z=2 * math.pi * 2.13e6, delta=2 * math.pi * 100e3,
+                omega_d=2 * math.pi * 0.24e6, eta=0.31)
+    assert fock.experimental_params() == fock.SimParams(**trap)
+    assert fock.experimental_params(eta=0.2, dim=64) == fock.SimParams(**{**trap, "eta": 0.2, "dim": 64})
+
+
 def test_sideband_peak_and_collapse_indices():
     g1, g2 = fock.coupling_thresholds(0.31)
     assert g1 == 8

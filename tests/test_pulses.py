@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -134,6 +135,13 @@ class TestWalkProgram:
         # coin, dipole, rf, wait(4 t_d), dipole at 5 t_d
         assert data["events"][4]["start_time"] == pytest.approx(25e-6)
         assert data["params"]["level"] == "LDA"
+
+    def test_program_params_round_trip(self):
+        p = fock.experimental_params(level="RWA", dim=40, phi0=0.3, z0=12e-9, force_ratio=0.5)
+        program = pulses.walk_program(1, 5e-6, p)
+        data = json.loads(program.to_json())
+        assert list(data["params"]) == [f.name for f in dataclasses.fields(fock.SimParams)]
+        assert fock.SimParams(**data["params"]) == program.params
 
 
 class TestScan:
