@@ -97,13 +97,15 @@ def scenario_walk_ideal(ctx: RunContext) -> dict:
 def scenario_trajectory(ctx: RunContext) -> dict:
     opt = ctx.options
     info = {}
+    duration = opt["duration"]
     for level in opt["levels"]:
         params = _params_from_options(opt).replace(level=level)
-        _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, opt["duration"],
-                                   sample_interval=opt["duration"] / opt["samples"])
-        tab = dyn.trajectory_table(history)
+        csv_history, return_history = dyn.sampled_histories(
+            dyn.ground_hybrid(params.dim), params, duration,
+            (duration / opt["samples"], duration / dyn.RETURN_TIME_SAMPLES))
+        tab = dyn.trajectory_table(csv_history)
         ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
-        t_ret, n_min, _ = dyn.return_time(params, opt["duration"])
+        t_ret, n_min, _ = dyn.return_time(params, duration, history=return_history)
         info[level] = {"return_time": t_ret, "min_n": n_min}
     ctx.write_json("returns.json", info)
     return info

@@ -12,6 +12,17 @@ approximation levels are supported:
 Propagation is fixed-step RK4 on the Schrodinger equation; the free
 evolution (drive off) is the identity in this frame, so waits only
 advance the drive clock.
+
+The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
+repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
+H(t + T) = P H(t) P^dag with P = exp(i omega_z T n) = exp(i delta T n),
+so every whole period is the one-period propagator M = U(T, 0)
+conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  An
+unsampled 3SB pulse holding whole periods runs RK4 to the first period
+boundary, applies the cached P^-1 M once per period and runs RK4 for the
+tail.  Sampled pulses, pulses holding no whole period and the single-rate
+LDA and RWA drives (for which any time shift is an exact symmetry of the
+RK4 grid) take every step.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .fock import (
 )
 
 STEPS_PER_PERIOD = 50
+RETURN_TIME_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -135,15 +147,15 @@ class DriveStencil:
         terms *= self.amps
         return terms.sum(axis=-1)
 
-    def window_buffer(self) -> tuple[np.ndarray, np.ndarray]:
-        """(interior, windows) of a zeroed (2, dim + 2P) padded buffer.
+    def window_buffer(self, rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
+        """(interior, windows) of a zeroed (rows, dim + 2P) padded buffer.
 
-        Branch states written into the rows of ``interior`` show in
+        States written into the rows of ``interior`` show in
         ``windows[:, m, j]`` as the source amplitudes psi[m - s] that
         stencil row j couples to target level m.
         """
         reach, dim = self.reach, self.elements.shape[1]
-        padded = np.zeros((2, dim + 2 * reach), dtype=complex)
+        padded = np.zeros((rows, dim + 2 * reach), dtype=complex)
         return padded[:, reach : reach + dim], sliding_window_view(padded, 2 * reach + 1, axis=1)
 
 
@@ -215,13 +227,54 @@ def hamiltonian(params: SimParams, t: float) -> np.ndarray:
 _STENCIL_CACHE: dict[tuple, DriveStencil] = {}
 
 
+def _stencil_key(params: SimParams) -> tuple:
+    return (params.level, params.eta, params.dim, params.omega_z, params.delta, params.phi0)
+
+
 def drive_stencil(params: SimParams) -> DriveStencil:
-    key = (params.level, params.eta, params.dim, params.omega_z, params.delta, params.phi0)
+    key = _stencil_key(params)
     stencil = _STENCIL_CACHE.get(key)
     if stencil is None:
         stencil = _build_stencil(params)
         _STENCIL_CACHE[key] = stencil
     return stencil
+
+
+def drive_period(params: SimParams) -> float | None:
+    """Period T = 2 pi/|omega_z - delta| after which a two-rate (3SB) drive
+    repeats up to the phase exp(i delta T n); None for single-rate drives."""
+    if drive_stencil(params).amps.shape[1] < 2 or params.omega_z == params.delta:
+        return None
+    return 2.0 * math.pi / abs(params.omega_z - params.delta)
+
+
+# P^-1 U(T, 0) per coin row, keyed by the stencil key plus the row scales.
+_PERIOD_MAP_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def period_map(params: SimParams) -> np.ndarray:
+    """Read-only (2, dim, dim) one-period maps of the two coin rows.
+
+    ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of a packed
+    state, P = diag exp(i delta T n); built once by RK4 on all basis
+    columns at the step ``_rk4_grid(params, T)``.
+    """
+    key = (*_stencil_key(params), params.omega_d, params.force_ratio)
+    maps = _PERIOD_MAP_CACHE.get(key)
+    if maps is None:
+        dim = params.dim
+        # the top basis columns reach the guard band by construction: no leakage check
+        rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0, drive_period(params))
+        maps = rows.reshape(2, dim, dim) * _period_phase(params, -1)
+        maps.setflags(write=False)
+        _PERIOD_MAP_CACHE[key] = maps
+    return maps
+
+
+def _period_phase(params: SimParams, k: int) -> np.ndarray:
+    """The diagonal of P^k: exp(i k delta T n), which equals exp(i k omega_z T n)
+    because (omega_z - delta) T = +-2 pi, but is rounded from a small phase."""
+    return np.exp(1j * params.delta * drive_period(params) * (k * np.arange(params.dim)))
 
 
 def rk4_step_size(params: SimParams, duration: float) -> float:
@@ -243,49 +296,36 @@ def rk4_step_size(params: SimParams, duration: float) -> float:
     return min(candidates)
 
 
-def propagate(
-    state: HybridState,
-    params: SimParams,
-    duration: float,
-    sample_interval: float | None = None,
-) -> HybridState | tuple[HybridState, list[HybridState]]:
-    """Evolve under the drive for ``duration`` starting at ``state.time``.
+def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
+    """(n_steps, h): the fewest equal steps no longer than ``rk4_step_size``."""
+    n_steps = max(1, math.ceil(duration / rk4_step_size(params, duration)))
+    return n_steps, duration / n_steps
 
-    With ``sample_interval`` set, also returns snapshots roughly that far
-    apart (always including start and end).  Norm drift beyond 1e-6 raises
-    StepError; population reaching the guard band raises TruncationError.
+
+def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
+         sample_interval: float | None = None) -> tuple[np.ndarray, list[HybridState]]:
+    """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` from ``t0``, for
+    rows psi that stack equally many T-branch then H-branch states.
+
+    Returns the final rows and, with ``sample_interval``, the packed states
+    after every round(sample_interval / h)-th step before the last.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    if state.dim != params.dim:
-        raise ValueError("state dim does not match params.dim")
-    samples: list[HybridState] = []
-    if duration == 0.0 or params.omega_d == 0.0:
-        final = state.with_time(state.time + duration)
-        if sample_interval is not None:
-            return final, [state, final]
-        return final
+    if duration <= 0.0:
+        return psi, []
     stencil = drive_stencil(params)
-    h = rk4_step_size(params, duration)
-    n_steps = max(1, math.ceil(duration / h))
-    h = duration / n_steps
-    sample_stride = None
-    if sample_interval is not None:
-        sample_stride = max(1, round(sample_interval / h))
-        samples.append(state)
-
-    psi = state.packed()
-    norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
-    coef = -1j * scale[:, None]
+    n_steps, h = _rk4_grid(params, duration)
+    stride = None if sample_interval is None else max(1, round(sample_interval / h))
     # band factors at each step's stage times t, t + h/2 and t + h
-    starts = state.time + np.arange(n_steps) * h
+    starts = t0 + np.arange(n_steps) * h
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
-    stage, windows = stencil.window_buffer()
+    scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
+    coef = np.repeat(-1j * scale, len(psi) // 2)[:, None]
+    stage, windows = stencil.window_buffer(len(psi))
     k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
+    samples = []
 
     def deriv(f: np.ndarray, k: np.ndarray) -> None:
-        # k = -i H(t) @ (the state written into ``stage``)
+        # k = -i H(t) @ (the rows written into ``stage``)
         apply_drive(stencil, f, windows, k)
         k *= coef
 
@@ -303,8 +343,48 @@ def propagate(
         stage += psi
         deriv(f[2], k4)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if sample_stride is not None and (step + 1) % sample_stride == 0 and step + 1 < n_steps:
-            samples.append(HybridState.from_packed(psi, state.time + (step + 1) * h))
+        if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
+            samples.append(HybridState.from_packed(psi, t0 + (step + 1) * h))
+    return psi, samples
+
+
+def propagate(
+    state: HybridState,
+    params: SimParams,
+    duration: float,
+    sample_interval: float | None = None,
+) -> HybridState | tuple[HybridState, list[HybridState]]:
+    """Evolve under the drive for ``duration`` starting at ``state.time``.
+
+    With ``sample_interval`` set, also returns snapshots roughly that far
+    apart (always including start and end).  Without it, whole drive
+    periods of a 3SB pulse go through the cached ``period_map``.  Norm
+    drift beyond 1e-6 raises StepError; population reaching the guard band
+    raises TruncationError.
+    """
+    if duration < 0.0:
+        raise ValueError("duration must be nonnegative")
+    if state.dim != params.dim:
+        raise ValueError("state dim does not match params.dim")
+    if duration == 0.0 or params.omega_d == 0.0:
+        final = state.with_time(state.time + duration)
+        if sample_interval is not None:
+            return final, [state, final]
+        return final
+    psi = state.packed()
+    norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+    t0, t1 = state.time, state.time + duration
+    period = drive_period(params) if sample_interval is None else None
+    k0, k1 = (math.ceil(t0 / period), math.floor(t1 / period)) if period else (0, 0)
+    if k0 < k1:
+        # U(t1, t0) = U(t1, k1 T) P^k1 (P^-1 M)^(k1 - k0) P^-k0 U(k0 T, t0)
+        maps = period_map(params)
+        psi = _rk4(params, psi, t0, k0 * period - t0)[0] * _period_phase(params, -k0)
+        for _ in range(k1 - k0):
+            psi = np.einsum("bi,bim->bm", psi, maps)
+        psi, samples = _rk4(params, psi * _period_phase(params, k1), k1 * period, t1 - k1 * period)
+    else:
+        psi, samples = _rk4(params, psi, t0, duration, sample_interval)
 
     norm1 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     drift = abs(norm1 - norm0)
@@ -312,11 +392,23 @@ def propagate(
         raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
     check_leakage(psi[0], "propagate (T branch)")
     check_leakage(psi[1], "propagate (H branch)")
-    final = HybridState.from_packed(psi, state.time + duration)
+    final = HybridState.from_packed(psi, t1)
     if sample_interval is not None:
-        samples.append(final)
-        return final, samples
+        return final, [state, *samples, final]
     return final
+
+
+def sampled_histories(state: HybridState, params: SimParams, duration: float,
+                      sample_intervals: tuple[float, ...]) -> list[list[HybridState]]:
+    """The ``propagate`` history of each sample interval, bit for bit, from
+    one integration sampled at the gcd of their strides."""
+    if duration <= 0.0:
+        return [propagate(state, params, duration, i)[1] for i in sample_intervals]
+    _, h = _rk4_grid(params, duration)
+    strides = [max(1, round(i / h)) for i in sample_intervals]
+    gcd = math.gcd(*strides)
+    _, history = propagate(state, params, duration, gcd * h)
+    return [history[:-1:stride // gcd] + history[-1:] for stride in strides]
 
 
 def trajectory(history: list[HybridState], branch: str = "T") -> list[PhasePoint]:
@@ -490,14 +582,18 @@ def stepwise_excitation(
     return StepwiseResult(final=state, segments=segments)
 
 
-def return_time(params: SimParams, scan_duration: float, sample_interval: float | None = None):
+def return_time(params: SimParams, scan_duration: float, sample_interval: float | None = None,
+                history: list[HybridState] | None = None):
     """Time of minimum <n> after the excitation peak (single-branch drive).
 
-    Returns (t_return, min_n, history).
+    Searches ``history``, a ``propagate`` history from the ground state,
+    or else integrates one sampled every ``sample_interval`` (default
+    scan_duration / RETURN_TIME_SAMPLES).  Returns (t_return, min_n, history).
     """
-    if sample_interval is None:
-        sample_interval = scan_duration / 2000.0
-    final, history = propagate(ground_hybrid(params.dim), params, scan_duration, sample_interval)
+    if history is None:
+        if sample_interval is None:
+            sample_interval = scan_duration / RETURN_TIME_SAMPLES
+        _, history = propagate(ground_hybrid(params.dim), params, scan_duration, sample_interval)
     times = np.array([s.time for s in history])
     n_vals = np.array([_branch_number_stats(s)[0] for s in history])
     peak = int(np.argmax(n_vals))

@@ -164,10 +164,19 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     comparison removes it; what remains is the genuine interference of the
     trap evolution with the kick, which depends on the oscillation phase.
     """
+    return _fidelity_against(*_ideal_pair(alpha, kp, direction), kp, direction)
+
+
+def _ideal_pair(alpha: complex, kp: KickParams, direction: int) -> tuple[HybridState, np.ndarray]:
+    """|H>|alpha> and its ideal kick; neither depends on t_p or omega_z."""
     initial = coherent_hybrid(alpha, kp.dim, "H")
+    return initial, _apply_ideal(initial.packed(), kp, direction)
+
+
+def _fidelity_against(initial: HybridState, psi_ideal: np.ndarray, kp: KickParams,
+                      direction: int) -> float:
     full = kick_full(initial, kp, direction)
     psi_full = _undo_free_rotation(full.packed(), kp.omega_z, kp.t_p)
-    psi_ideal = _apply_ideal(initial.packed(), kp, direction)
     return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
 
 
@@ -217,9 +226,10 @@ def fidelity_threshold(
         dim = required_dim(alpha)
 
     samples: list[tuple[float, float]] = []
+    initial, psi_ideal = _ideal_pair(alpha, pi_pulse(t_floor, eta, omega_z, dim), 1)
 
     def f_at(t_p: float) -> float:
-        val = kick_fidelity(alpha, pi_pulse(t_p, eta, omega_z, dim))
+        val = _fidelity_against(initial, psi_ideal, pi_pulse(t_p, eta, omega_z, dim), 1)
         samples.append((t_p, val))
         return val
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from ionwalk import cli, fock
+from ionwalk import dynamics as dyn
 
 
 def run(args):
@@ -149,6 +150,23 @@ class TestScenarioOutputs:
         header, rows = read_csv(os.path.join(out, "resonant.csv"))
         assert header == ["t", "mean_n", "var_n", "fano"]
         assert len(rows) > 50
+
+    def test_trajectory_matches_separate_integrations(self, tmp_path):
+        # one integration at the gcd stride (3SB: gcd 1 of CSV stride 3 and
+        # return-time stride 2) gives the bytes of one integration per grid
+        opts = {"levels": ["RWA", "3SB"], "duration": 12e-6, "samples": 1300, "dim": 64}
+        cli.run_scenario("trajectory", opts, out_dir=str(tmp_path))
+        returns = read_json(tmp_path / "returns.json")
+        for level in opts["levels"]:
+            params = cli._params_from_options({**cli.SCENARIOS["trajectory"][1], **opts})
+            params = params.replace(level=level)
+            _, history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6, 12e-6 / 1300)
+            tab = dyn.trajectory_table(history)
+            lines = [",".join(tab)] + [",".join(cli._fmt(v) for v in row) for row in zip(*tab.values())]
+            expected = ("\n".join(lines) + "\n").encode()
+            assert read_bytes(tmp_path / f"trajectory_{level.lower()}.csv") == expected
+            t_ret, n_min, _ = dyn.return_time(params, 12e-6)
+            assert returns[level] == {"return_time": t_ret, "min_n": n_min}
 
     def test_combined_pulse_scenario(self, tmp_path):
         out = str(tmp_path / "cp")

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from ionwalk import dynamics as dyn
-from ionwalk import fock, pulses
+from ionwalk import cli, fock, pulses
 from ionwalk.errors import TruncationError
 
 TWO_PI = 2.0 * math.pi
@@ -165,6 +165,22 @@ class TestRegimeDeparture:
         assert t_rwa < 10e-6
         assert t_lda == pytest.approx(10e-6, rel=0.01)
         assert n_rwa < 0.5
+
+    def test_return_time_searches_a_given_history(self):
+        p = fig5_params("RWA", dim=64)
+        _, history = dyn.propagate(dyn.ground_hybrid(64), p, 12e-6, 12e-6 / dyn.RETURN_TIME_SAMPLES)
+        t_own, n_own, own = dyn.return_time(p, 12e-6)
+        t_given, n_given, given = dyn.return_time(p, 12e-6, history=history)
+        assert (t_given, n_given) == (t_own, n_own)
+        assert given is history
+        assert [s.time for s in own] == [s.time for s in history]
+
+    def test_sampled_histories_of_an_empty_pulse(self):
+        start = dyn.ground_hybrid(32)
+        for history in dyn.sampled_histories(start, fig5_params("RWA", dim=32), 0.0, (1e-7, 1e-8)):
+            assert history[0] is start
+            assert [s.time for s in history] == [0.0, 0.0]
+            assert np.array_equal(history[1].packed(), start.packed())
 
     def test_3sb_trajectory_carries_high_frequency_bands(self):
         spectra = {}
@@ -470,3 +486,93 @@ class TestDriveStencil:
         p_t, p_h = pulses.run_program(program).coin_probabilities()
         assert abs(p_t - 0.7399464039676478) <= 1e-12
         assert abs(p_h - 0.26005359603235234) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stroboscopic propagation: whole drive periods through the cached period map
+
+
+def plain_rk4_walk(program):
+    """Run a program with every RK4 step taken: a sampled run never uses
+    the period map, and its state sequence does not depend on sampling."""
+    final, _ = pulses.run_program(program, sample_interval=1.0)
+    return final
+
+
+class TestStroboscopic:
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_hamiltonian_is_periodic_up_to_diagonal_phase(self, level):
+        # H(t + T) = P H(t) P^dag, P = I_2 (x) diag exp(i omega_z T n)
+        p = fock.experimental_params(level=level, dim=40)
+        period = 2.0 * math.pi / abs(p.omega_z - p.delta)
+        phase = np.tile(np.exp(1j * p.omega_z * period * np.arange(p.dim)), 2)
+        for t in (0.0, 1.7e-7, 2.9e-6, 11.3e-6):
+            h_t = dyn.hamiltonian(p, t)
+            expected = phase[:, None] * h_t * phase.conj()[None, :]
+            got = dyn.hamiltonian(p, t + period)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(h_t)
+
+    def test_only_two_rate_drives_have_a_period(self):
+        assert dyn.drive_period(fock.experimental_params(level="LDA")) is None
+        assert dyn.drive_period(fock.experimental_params(level="RWA")) is None
+        p = fock.experimental_params(level="3SB")
+        assert dyn.drive_period(p) == 2.0 * math.pi / (p.omega_z - p.delta)
+
+    def test_period_map_cache(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+        p = fock.experimental_params(level="3SB", dim=32)
+        base = dyn.period_map(p)
+        assert base.shape == (2, 32, 32)
+        assert dyn.period_map(p) is base
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0, 0, 0] = 0.0
+        for changed in (p.replace(omega_d=1.5 * p.omega_d), p.replace(force_ratio=-0.5)):
+            other = dyn.period_map(changed)
+            assert not other.flags.writeable
+            assert np.max(np.abs(other[1] - base[1])) > 1e-3
+        assert len(dyn._PERIOD_MAP_CACHE) == 3
+
+    def test_td_scan_builds_one_period_map(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+        cli.run_scenario("scan-td", {"points": 5}, out_dir=str(tmp_path))
+        assert len(dyn._PERIOD_MAP_CACHE) == 1
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_paths_that_keep_plain_rk4(self, level, monkeypatch):
+        # single-rate drives, and 3SB pulses holding no whole period, take
+        # every RK4 step: bit-equal to the sampled run, and no map is built
+        def no_map(params):
+            raise AssertionError("period map used")
+
+        monkeypatch.setattr(dyn, "period_map", no_map)
+        p = fock.experimental_params(level=level, dim=48)
+        start = random_hybrid(np.random.default_rng(5), p.dim, time=0.37e-6)
+        duration = 0.6e-6 if level == "3SB" else 3.1e-6  # 3SB: T = 0.49 us
+        final = dyn.propagate(start, p, duration)
+        sampled, _ = dyn.propagate(start, p, duration, duration / 5)
+        assert np.array_equal(final.packed(), sampled.packed())
+        assert final.time == sampled.time
+
+    def test_long_pulse_matches_plain_rk4(self):
+        p = fig5_params("3SB", dim=48)
+        start = random_hybrid(np.random.default_rng(11), p.dim, time=1.234e-6)
+        duration = 2.9e-6  # from inside one period to inside a later one
+        period = dyn.drive_period(p)
+        assert math.ceil(start.time / period) > start.time / period
+        assert math.floor((start.time + duration) / period) - math.ceil(start.time / period) >= 4
+        final = dyn.propagate(start, p, duration)
+        plain, _ = dyn.propagate(start, p, duration, 1.0)
+        assert final.time == plain.time
+        assert np.max(np.abs(final.packed() - plain.packed())) <= 1e-9
+
+    @pytest.mark.parametrize("ratio", [0.97, 1.00, 1.03])
+    def test_three_step_walk_against_converged_reference(self, ratio, monkeypatch):
+        p = fock.experimental_params(level="3SB", dim=96)
+        program = pulses.walk_program(3, ratio * p.t_half_turn, p, wait_multiplier=4.0)
+        p_strobo = pulses.run_program(program).coin_probabilities()[0]
+        p_plain = plain_rk4_walk(program).coin_probabilities()[0]
+        monkeypatch.setattr(dyn, "STEPS_PER_PERIOD", 400)
+        p_ref = plain_rk4_walk(program).coin_probabilities()[0]
+        assert abs(p_strobo - p_plain) <= 1e-9
+        assert abs(p_strobo - p_ref) <= abs(p_plain - p_ref) + 1e-10

@@ -246,6 +246,21 @@ class TestExactKick:
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
 
+    def test_threshold_search_builds_start_state_once(self, monkeypatch):
+        calls = []
+        build = kicks.coherent_state
+
+        def counting(alpha, dim):
+            calls.append((alpha, dim))
+            return build(alpha, dim)
+
+        monkeypatch.setattr(kicks, "coherent_state", counting)
+        _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
+        assert calls == [(2j, 64)]
+        monkeypatch.undo()
+        for t_p, f in samples:
+            assert f == kicks.kick_fidelity(2j, kicks.pi_pulse(t_p, 0.31, WZ, 64))
+
     def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
         kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
         initial = kicks.coherent_hybrid(10j, 256, "H")
