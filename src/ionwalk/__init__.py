@@ -13,10 +13,8 @@ from .fock import (
     SimParams,
     coherent_state,
     coupling_thresholds,
-    displacement_element,
     displacement_matrix,
     experimental_params,
-    sideband_element,
     wigner,
     wigner_map,
 )
@@ -33,9 +31,7 @@ from .lattice import (
     std_dev,
 )
 from .dynamics import (
-    DerivedPhases,
     HybridState,
-    derived_phases,
     ground_hybrid,
     hamiltonian,
     lda_propagate,
@@ -66,7 +62,6 @@ from .kicks import (
     kick_full,
     kick_ideal,
     kick_train,
-    max_duration,
     pi_pulse,
     predict_threshold,
 )

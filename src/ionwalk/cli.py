@@ -14,7 +14,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,7 +34,6 @@ class RunContext:
     scenario: str
     options: dict
     out_dir: str
-    workers: int
     seed: int
     artifacts: list = field(default_factory=list)
 
@@ -168,13 +166,8 @@ def scenario_scan_td(ctx: RunContext) -> dict:
     t_half = params.t_half_turn
     lo, hi = (0.96, 1.04) if opt["mode"] == "near" else (0.88, 1.12)
     t_d_values = np.linspace(lo * t_half, hi * t_half, opt["points"])
-    rows = pulses.scan_td(
-        params,
-        t_d_values,
-        n_steps=opt["n_steps"],
-        wait_multiplier=opt["wait_multiplier"],
-        workers=ctx.workers,
-    )
+    rows = pulses.scan_td(params, t_d_values, n_steps=opt["n_steps"],
+                          wait_multiplier=opt["wait_multiplier"])
     table = [(td, pt, ph, pt / ph, ph / pt) for td, pt, ph in rows]
     ctx.write_csv("scan.csv", ["t_d", "p_t", "p_h", "ratio_t_h", "ratio_h_t"], table)
     best = max(rows, key=lambda r: r[1] / r[2])
@@ -257,7 +250,7 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
         t_half = params.t_half_turn
         coarse = pulses.scan_td(
             params, np.linspace(0.97 * t_half, 1.02 * t_half, 11),
-            wait_multiplier=m, workers=ctx.workers)
+            wait_multiplier=m)
         best = max(coarse, key=lambda r: r[1] / r[2])
         t_d = best[0]
     program = pulses.walk_program(opt["n_steps"], t_d, params, wait_multiplier=m)
@@ -301,26 +294,16 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
     return {"t_d": t_d, "residuals": residuals}
 
 
-def _threshold_job(args):
-    mag, phase, f_min, eta, omega_z, dim = args
-    alpha = 1j * mag if phase == "imag" else complex(mag)
-    t_p, f_val, _ = kicks.fidelity_threshold(alpha, f_min, eta, omega_z, dim=dim)
-    return mag, math.pi / 2.0 if phase == "imag" else 0.0, phase, t_p, f_val
-
-
 def scenario_kick_threshold(ctx: RunContext) -> dict:
     opt = ctx.options
     mags = [m for m in opt["alphas"] if m <= opt["alpha_max"]]
-    jobs = []
+    rows = []
     for mag in mags:
         dim = int(opt["dim"]) if opt["dim"] else kicks.required_dim(mag)
-        for phase in ("imag", "real"):
-            jobs.append((mag, phase, opt["f_min"], opt["eta"], opt["omega_z"], dim))
-    if ctx.workers > 1:
-        with ProcessPoolExecutor(max_workers=ctx.workers) as pool:
-            rows = list(pool.map(_threshold_job, jobs))
-    else:
-        rows = [_threshold_job(j) for j in jobs]
+        for phase, alpha, arg in (("imag", 1j * mag, math.pi / 2.0), ("real", complex(mag), 0.0)):
+            t_p, f_val, _ = kicks.fidelity_threshold(alpha, opt["f_min"], opt["eta"],
+                                                     opt["omega_z"], dim=dim)
+            rows.append((mag, arg, phase, t_p, f_val))
     ctx.write_csv(
         "thresholds.csv",
         ["alpha_mag", "arg_alpha", "phase", "t_p", "fidelity"],
@@ -398,6 +381,10 @@ SCENARIOS = {
 }
 
 
+# Lower bounds of integer options, checked in every scenario that has them.
+_MINIMUM = {"samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, "trials": 1}
+
+
 def run_scenario(
     scenario: str,
     overrides: dict | None = None,
@@ -405,7 +392,10 @@ def run_scenario(
     workers: int = 1,
     seed: int = 0,
 ) -> RunContext:
-    """Programmatic entry point used by the CLI and the test suite."""
+    """Programmatic entry point used by the CLI and the test suite; every
+    scenario runs in this one process."""
+    if workers != 1:
+        raise ConfigError(f"workers={workers!r}: scenarios run in one process")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     fn, defaults = SCENARIOS[scenario]
@@ -414,11 +404,13 @@ def run_scenario(
         if key not in defaults:
             raise ConfigError(f"unknown option {key!r} for scenario {scenario!r}")
         options[key] = _coerce(key, value, defaults[key])
+    for key, low in _MINIMUM.items():
+        if key in options and options[key] < low:
+            raise ConfigError(f"option {key!r} must be at least {low}, got {options[key]!r}")
     ctx = RunContext(
         scenario=scenario,
         options=options,
         out_dir=out_dir or os.path.join("out", scenario),
-        workers=max(1, int(workers)),
         seed=int(seed),
     )
     started = time.time()
@@ -426,7 +418,6 @@ def run_scenario(
     manifest = {
         "scenario": scenario,
         "options": dict(options),
-        "workers": ctx.workers,
         "seed": ctx.seed,
         "runtime_s": time.time() - started,
         "artifacts": ctx.artifacts,
@@ -477,8 +468,18 @@ def _parse_override(text: str):
     return key, value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError, so they print as JSON and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_CONFIG_KEYS = {"scenario", "overrides", "out", "seed"}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionwalk",
         description="Trapped-ion quantum-walk simulator scenarios",
     )
@@ -486,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", help="scenario name (alternative to positional)")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker processes (default 1)")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a scenario option")
@@ -494,20 +494,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, help="walk-ideal step count")
     parser.add_argument("--alpha-max", type=float, help="kick-threshold amplitude cap")
     parser.add_argument("--list", action="store_true", help="list scenarios and exit")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
-
     try:
+        args = parser.parse_args(argv)
+        if args.list:
+            for name in sorted(SCENARIOS):
+                print(name)
+            return 0
         config = {}
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ConfigError("config file must hold a JSON object")
+            unknown = sorted(set(config) - _CONFIG_KEYS)
+            if unknown:
+                raise ConfigError(
+                    f"unknown config keys {unknown}; allowed {sorted(_CONFIG_KEYS)}")
+            if not isinstance(config.get("overrides", {}), dict):
+                raise ConfigError("config overrides must be a JSON object")
         scenario = args.scenario_pos or args.scenario or config.get("scenario")
         if not scenario:
             raise ConfigError("no scenario given (positional, --scenario or config)")
@@ -522,9 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.alpha_max is not None:
             overrides["alpha_max"] = args.alpha_max
         out_dir = args.out or config.get("out")
-        workers = args.workers if args.workers is not None else int(config.get("workers", 1))
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        ctx = run_scenario(scenario, overrides, out_dir, workers, seed)
+        seed = args.seed if args.seed is not None else _coerce("seed", config.get("seed", 0), 0)
+        ctx = run_scenario(scenario, overrides, out_dir, seed=seed)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2

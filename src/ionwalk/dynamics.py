@@ -43,7 +43,6 @@ from .fock import (
     PhasePoint,
     SimParams,
     check_leakage,
-    coupling_thresholds,
     displacement_matrix,
     ladder_elements,
 )
@@ -91,16 +90,6 @@ class HybridState:
 
     def with_time(self, time: float) -> "HybridState":
         return HybridState(self.t_part, self.h_part, time)
-
-
-@dataclass(frozen=True)
-class DerivedPhases:
-    """Per-pulse geometric phases and the sideband-coupling thresholds."""
-
-    phi_t: float
-    phi_h: float
-    g1: int
-    g2: int
 
 
 def ground_hybrid(dim: int, coin: str = "T") -> HybridState:
@@ -486,16 +475,6 @@ def lda_propagate(state: HybridState, params: SimParams, duration: float) -> Hyb
     amps_t = cmath.exp(1j * phi) * (d_t @ state.t_part.amps)
     amps_h = cmath.exp(1j * r * r * phi) * (d_h @ state.h_part.amps)
     return HybridState(MotionalState(amps_t), MotionalState(amps_h), state.time + duration)
-
-
-def derived_phases(params: SimParams, duration: float | None = None) -> DerivedPhases:
-    """Geometric phases of one drive pulse (default: half turn) plus g1, g2."""
-    if duration is None:
-        duration = params.t_half_turn
-    phi_t = lda_pulse_phase(params, duration)
-    phi_h = params.force_ratio**2 * phi_t
-    g1, g2 = coupling_thresholds(params.eta)
-    return DerivedPhases(phi_t=phi_t, phi_h=phi_h, g1=g1, g2=g2)
 
 
 # ---------------------------------------------------------------------------

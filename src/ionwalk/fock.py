@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError, TruncationError
@@ -261,13 +260,6 @@ def coherent_state(alpha: complex, dim: int) -> MotionalState:
     return MotionalState(amps)
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Matrix exponential of ``alpha a^dag - alpha* a`` on the truncated basis."""
-    alpha = complex(alpha)
-    gen = alpha * raising_op(dim) - np.conj(alpha) * lowering_op(dim)
-    return expm(gen)
-
-
 def ladder_elements(alpha: complex, offset: int, n) -> np.ndarray:
     """Matrix elements <n+offset|D(alpha)|n> over an array of source levels n
     (with n + offset >= 0).
@@ -282,20 +274,6 @@ def ladder_elements(alpha: complex, offset: int, n) -> np.ndarray:
     power = alpha**k if offset >= 0 else (-alpha.conjugate()) ** k
     log_fac = 0.5 * (gammaln(low + 1) - gammaln(low + k + 1))
     return power * np.exp(log_fac - x / 2.0) * eval_genlaguerre(low, k, x)
-
-
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Closed-form matrix element <m|D(alpha)|n> (see ``ladder_elements``)."""
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    return complex(ladder_elements(alpha, m - n, n))
-
-
-def sideband_element(n: int, eta: float) -> complex:
-    """First-sideband element <n+1| exp(i eta (a + a^dag)) |n>."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return complex(ladder_elements(1j * eta, 1, n))
 
 
 def sideband_magnitudes(eta: float, n_max: int) -> np.ndarray:
@@ -323,7 +301,7 @@ def coupling_thresholds(eta: float, n_cap: int = 10000) -> tuple[int, int]:
 
 
 # Cache: the Hermitian tridiagonal i(a^dag - a) diagonalized once per dim,
-# shared by all Wigner evaluations.
+# shared by every D(alpha) build and Wigner evaluation.
 _DISP_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -335,6 +313,16 @@ def _displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
         cached = (vals, vecs)
         _DISP_EIG_CACHE[dim] = cached
     return cached
+
+
+def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated basis, as
+    e^{i theta n} V e^{-i r lambda} V^dag e^{-i theta n} for alpha = r e^{i theta}."""
+    alpha = complex(alpha)
+    vals, vecs = _displacement_eig(dim)
+    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
+    left = phase[:, None] * vecs
+    return (left * np.exp(-1j * abs(alpha) * vals)) @ left.conj().T
 
 
 def displaced_states(state: MotionalState, alphas: np.ndarray) -> np.ndarray:

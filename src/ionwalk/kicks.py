@@ -192,14 +192,6 @@ def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:
     return t_p * omega_z * abs(alpha) ** 2
 
 
-def max_duration(alpha: complex, omega_z: float, epsilon: float) -> float:
-    """Longest pulse with first-order error below epsilon (inf at alpha=0)."""
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0 or omega_z == 0.0:
-        return math.inf
-    return epsilon / (omega_z * a2)
-
-
 def required_dim(alpha: complex) -> int:
     """Truncation heuristic for kick studies at motional amplitude alpha."""
     return max(64, int(math.ceil((abs(alpha) + 6.0) ** 2)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
@@ -195,8 +194,8 @@ def combined_pulse_step(params: SimParams, t_d: float | None = None,
     return d1 + params.force_ratio * d2
 
 
-def _walk_coin_probs(args) -> tuple[float, float, float]:
-    params, t_d, n_steps, wait_multiplier, symmetric = args
+def _walk_coin_probs(params: SimParams, t_d: float, n_steps: int, wait_multiplier: float,
+                     symmetric: bool = False) -> tuple[float, float, float]:
     program = walk_program(n_steps, t_d, params, symmetric=symmetric,
                            wait_multiplier=wait_multiplier)
     final = run_program(program)
@@ -210,7 +209,6 @@ def scan_td(
     n_steps: int = 3,
     wait_multiplier: float = 2.0,
     symmetric: bool = False,
-    workers: int = 1,
 ) -> list[tuple[float, float, float]]:
     """Coin probabilities (t_d, P_T, P_H) for a grid of dipole durations.
 
@@ -222,11 +220,8 @@ def scan_td(
     for t_d in t_d_values:
         if not 0.8 * t_half <= t_d <= 1.2 * t_half:
             raise ValueError(f"t_d {t_d} outside [0.8, 1.2]*pi/delta scan window")
-    jobs = [(params, t_d, n_steps, wait_multiplier, symmetric) for t_d in t_d_values]
-    if workers <= 1:
-        return [_walk_coin_probs(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_walk_coin_probs, jobs))
+    return [_walk_coin_probs(params, t_d, n_steps, wait_multiplier, symmetric)
+            for t_d in t_d_values]
 
 
 def find_optimal_td(
@@ -245,7 +240,7 @@ def find_optimal_td(
     """
 
     def ratio(t_d: float) -> tuple[float, float, float]:
-        _, p_t, p_h = _walk_coin_probs((params, t_d, n_steps, wait_multiplier, False))
+        _, p_t, p_h = _walk_coin_probs(params, t_d, n_steps, wait_multiplier)
         return p_t / p_h, p_t, p_h
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

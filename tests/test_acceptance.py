@@ -2,7 +2,6 @@
 PASS/FAIL line with its runtime and checking the stated tolerances."""
 
 import math
-import os
 import time
 from contextlib import contextmanager
 
@@ -12,7 +11,6 @@ from ionwalk import dynamics as dyn
 from ionwalk import fock, kicks, lattice, pulses, readout
 
 TWO_PI = 2.0 * math.pi
-WORKERS = min(8, os.cpu_count() or 1)
 
 
 @contextmanager
@@ -100,9 +98,7 @@ def test_criterion_06_interference_scan():
         m = 4.0  # sensitivity-enhanced wait setting used for the scans
 
         coarse = pulses.scan_td(
-            params, np.linspace(0.96 * t_half, 1.04 * t_half, 17),
-            wait_multiplier=m, workers=WORKERS,
-        )
+            params, np.linspace(0.96 * t_half, 1.04 * t_half, 17), wait_multiplier=m)
         best = max(coarse, key=lambda r: r[1] / r[2])
         spacing = 0.005 * t_half
         t_opt, p_t, p_h = pulses.find_optimal_td(
@@ -117,7 +113,7 @@ def test_criterion_06_interference_scan():
         # splittings (the heavy coin state swaps) around the nominal duration
         for window, center in (((4.40e-6, 4.80e-6), 4.6e-6), ((5.20e-6, 5.60e-6), 5.4e-6)):
             grid = np.arange(window[0], window[1] + 1e-12, 0.025e-6)
-            rows = pulses.scan_td(params, grid, wait_multiplier=m, workers=WORKERS)
+            rows = pulses.scan_td(params, grid, wait_multiplier=m)
             split = np.array([max(pt / ph, ph / pt) for _, pt, ph in rows])
             idx = int(np.argmax(split))
             assert 0 < idx < len(rows) - 1, "splitting peak not interior to window"

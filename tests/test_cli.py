@@ -77,15 +77,35 @@ class TestConfigHandling:
         manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["options"]["steps"] == 40
 
-    def test_flags_override_config_workers_and_seed(self, tmp_path):
+    def test_flags_override_config_seed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "scenario": "walk-ideal", "overrides": {"steps": 40}, "workers": 2, "seed": 5,
+            "scenario": "walk-ideal", "overrides": {"steps": 40}, "seed": 5,
         }))
         out = str(tmp_path / "out")
-        assert run(["--config", str(cfg), "--out", out, "--workers", "1", "--seed", "0"]) == 0
+        assert run(["--config", str(cfg), "--out", out, "--seed", "0"]) == 0
         manifest = read_json(os.path.join(out, "manifest.json"))
-        assert (manifest["workers"], manifest["seed"]) == (1, 0)
+        assert manifest["seed"] == 0
+        assert "workers" not in manifest
+
+    @pytest.mark.parametrize("extra", [
+        {"workers": 2}, {"sead": 5}, {"seed": "x"}, {"overrides": [1, 2]},
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "walk-ideal", **extra}))
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError"
+        assert list(extra)[0] in payload["message"]
+        assert not out.exists()
+
+    def test_run_scenario_accepts_only_one_worker(self, tmp_path):
+        with pytest.raises(cli.ConfigError):
+            cli.run_scenario("walk-ideal", {"steps": 40}, str(tmp_path / "w"), workers=2)
+        assert not (tmp_path / "w").exists()
+        cli.run_scenario("walk-ideal", {"steps": 40}, str(tmp_path / "one"), workers=1)
 
     @pytest.mark.parametrize("args", [
         ["walk-ideal", "--set", "steps=-3"],
@@ -99,6 +119,16 @@ class TestConfigHandling:
         ["readout-roundtrip", "--set", "noise_sigma=-1"],
         ["trajectory", "--set", "level=RWA"],
         ["combined-pulse", "--set", "level=RWA"],
+        ["trajectory", "--set", "samples=0"],
+        ["trajectory", "--set", "samples=-5"],
+        ["scan-td", "--set", "points=1"],
+        ["scan-td", "--set", "points=0"],
+        ["walk-positions", "--set", "n_steps=0"],
+        ["stepwise", "--set", "n_pulses=-1"],
+        ["calibrate", "--set", "k_max=-1"],
+        ["readout-roundtrip", "--set", "trials=0"],
+        ["scan-td", "--workers", "2"],
+        ["walk-ideal", "--seed", "x"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

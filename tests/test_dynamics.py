@@ -47,7 +47,7 @@ class TestHamiltonianStructure:
         h = dyn.hamiltonian(p, 0.0)
         dim = p.dim
         for n in range(0, 12):
-            expected = (p.omega_d / 2.0) * fock.sideband_element(n, p.eta)
+            expected = (p.omega_d / 2.0) * complex(fock.ladder_elements(1j * p.eta, 1, n))
             assert h[n + 1, n] == pytest.approx(expected, abs=1e-12)
 
     def test_band_structure_per_level(self):
@@ -111,10 +111,11 @@ class TestLinearRegime:
 
     def test_derived_phases_defaults(self):
         p = fock.experimental_params(level="LDA")
-        derived = dyn.derived_phases(p)
-        assert derived.phi_h / derived.phi_t == pytest.approx(4.0 / 9.0, rel=1e-12)
-        assert derived.phi_t == pytest.approx(math.pi * p.lda_radius**2, rel=1e-12)
-        assert (derived.g1, derived.g2) == (8, 37)
+        phi_t = dyn.lda_pulse_phase(p, p.t_half_turn)
+        phi_h = p.force_ratio**2 * phi_t
+        assert phi_h / phi_t == pytest.approx(4.0 / 9.0, rel=1e-12)
+        assert phi_t == pytest.approx(math.pi * p.lda_radius**2, rel=1e-12)
+        assert fock.coupling_thresholds(p.eta) == (8, 37)
 
 
 class TestTrajectories:

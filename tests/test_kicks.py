@@ -56,11 +56,14 @@ def test_short_pulse_fidelity_near_unity():
 
 def test_error_bound_values_and_monotonicity():
     assert kicks.error_bound(2.0, WZ, 1e-9) == pytest.approx(1e-9 * WZ * 4.0, rel=1e-12)
-    assert kicks.max_duration(0.0, WZ, 0.1) == math.inf
-    t200 = kicks.max_duration(200.0, WZ, 0.1)
+    # no pulse is too long at alpha = 0; elsewhere the longest pulse whose
+    # first-order error stays below epsilon = 0.1 is epsilon / (omega_z |alpha|^2)
+    assert kicks.error_bound(0.0, WZ, 1.0) == 0.0
+    t200 = 0.1 / (WZ * 200.0**2)
     assert t200 == pytest.approx(1.87e-13, rel=0.01)
+    assert kicks.error_bound(200.0, WZ, t200) == pytest.approx(0.1, rel=1e-12)
     mags = [1.0, 2.0, 5.0, 10.0]
-    durations = [kicks.max_duration(m, WZ, 0.1) for m in mags]
+    durations = [0.1 / (WZ * m**2) for m in mags]
     assert all(a > b for a, b in zip(durations, durations[1:]))
 
 
