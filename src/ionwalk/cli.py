@@ -214,8 +214,6 @@ def scenario_readout_roundtrip(ctx: RunContext) -> dict:
     opt = ctx.options
     rng = np.random.default_rng(ctx.seed)
     eta, n_max, support = opt["eta"], opt["n_max"], opt["support"]
-    if not (1 <= support <= n_max + 1 and opt["noise_sigma"] >= 0.0):
-        raise ConfigError("readout-roundtrip needs 1 <= support <= n_max + 1 and noise_sigma >= 0")
     cfg = readout.default_config(eta, n_max=n_max)
     example = np.zeros(n_max + 1)
     example[:support] = rng.random(support)
@@ -383,6 +381,19 @@ SCENARIOS = {
 
 # Lower bounds of integer options, checked in every scenario that has them.
 _MINIMUM = {"samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, "trials": 1}
+# The other checked options: (test of the value and all options, what it must be).
+_CHECKS = {
+    "duration": (lambda v, o: v > 0.0, "positive"),
+    "t_d": (lambda v, o: not v or v > 0.0, "positive, or null for the default"),
+    "levels": (lambda v, o: len(v) > 0, "a nonempty list"),
+    "f_min": (lambda v, o: 0.0 < v < 1.0, "in (0, 1)"),
+    "alphas": (lambda v, o: len(v) > 0, "a nonempty list"),
+    "alpha_max": (lambda v, o: any(a <= v for a in o["alphas"]), "at least the smallest alpha"),
+    "mode": (lambda v, o: v in ("near", "extended"), "'near' or 'extended'"),
+    "wait_multiplier": (lambda v, o: v in (2.0, 4.0), "2 or 4"),
+    "support": (lambda v, o: 1 <= v <= o["n_max"] + 1, "in [1, n_max + 1]"),
+    "noise_sigma": (lambda v, o: v >= 0.0, "nonnegative"),
+}
 
 
 def run_scenario(
@@ -407,6 +418,9 @@ def run_scenario(
     for key, low in _MINIMUM.items():
         if key in options and options[key] < low:
             raise ConfigError(f"option {key!r} must be at least {low}, got {options[key]!r}")
+    for key, (valid, must) in _CHECKS.items():
+        if key in options and not valid(options[key], options):
+            raise ConfigError(f"option {key!r} must be {must}, got {options[key]!r}")
     ctx = RunContext(
         scenario=scenario,
         options=options,

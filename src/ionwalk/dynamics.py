@@ -17,16 +17,23 @@ The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
 H(t + T) = P H(t) P^dag with P = exp(i omega_z T n) = exp(i delta T n),
 so every whole period is the one-period propagator M = U(T, 0)
-conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  An
-unsampled 3SB pulse holding whole periods runs RK4 to the first period
-boundary, applies the cached P^-1 M once per period and runs RK4 for the
-tail.  Sampled pulses, pulses holding no whole period and the single-rate
-LDA and RWA drives (for which any time shift is an exact symmetry of the
-RK4 grid) take every step.
+conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  The
+RK4 run that builds M on all basis columns also keeps the snapshot table
+F_j = U(t_j, 0) at the SNAPSHOTS_PER_PERIOD - 1 interior points t_j of its
+grid, cached with M.  An unsampled 3SB pulse holding whole periods runs
+RK4 only to the next t_j (or period boundary), undoes F_j with one solve
+per coin row and so counts that period as whole, applies the cached
+P^-1 M once per period, applies the last F_i with t_i at or before the
+end, and runs RK4 for the rest: each end takes at most one snapshot
+interval (T/8 when 8 divides the grid) of RK4.
+Sampled pulses, pulses holding no whole period and the single-rate LDA
+and RWA drives (for which any time shift is an exact symmetry of the RK4
+grid) take every step.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -49,6 +56,7 @@ from .fock import (
 
 STEPS_PER_PERIOD = 50
 RETURN_TIME_SAMPLES = 2000
+SNAPSHOTS_PER_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -237,27 +245,45 @@ def drive_period(params: SimParams) -> float | None:
     return 2.0 * math.pi / abs(params.omega_z - params.delta)
 
 
-# P^-1 U(T, 0) per coin row, keyed by the stencil key plus the row scales.
-_PERIOD_MAP_CACHE: dict[tuple, np.ndarray] = {}
+# (P^-1 U(T, 0), U(t_j, 0) table) per coin row, keyed by the stencil key
+# plus the row scales.
+_PERIOD_MAP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def period_map(params: SimParams) -> np.ndarray:
-    """Read-only (2, dim, dim) one-period maps of the two coin rows.
+def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
+    """The RK4 step counts round(j n_T / SNAPSHOTS_PER_PERIOD), j = 1..7, of
+    the interior snapshots on the one-period grid (n_T, h), and h.  As
+    h <= 2 pi/(50 (3 omega_z + |delta|)), n_T >= 50: the counts are
+    distinct and positive."""
+    n_steps, h = _rk4_grid(params, drive_period(params))
+    return [round(j * n_steps / SNAPSHOTS_PER_PERIOD) for j in range(1, SNAPSHOTS_PER_PERIOD)], h
+
+
+def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only one-period maps (2, dim, dim) and snapshot table
+    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows.
 
     ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of a packed
-    state, P = diag exp(i delta T n); built once by RK4 on all basis
-    columns at the step ``_rk4_grid(params, T)``.
+    state, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
+    U_b(steps[j] h, 0) with (steps, h) = ``_snapshot_steps(params)``; both
+    come from one RK4 run on all basis columns at the step
+    ``_rk4_grid(params, T)``.
     """
     key = (*_stencil_key(params), params.omega_d, params.force_ratio)
-    maps = _PERIOD_MAP_CACHE.get(key)
-    if maps is None:
+    cached = _PERIOD_MAP_CACHE.get(key)
+    if cached is None:
         dim = params.dim
+        steps, _ = _snapshot_steps(params)
+        snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
+        record = dict(zip(steps, snapshots.reshape(len(steps), 2 * dim, dim)))
         # the top basis columns reach the guard band by construction: no leakage check
-        rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0, drive_period(params))
+        rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+                       drive_period(params), record=record)
         maps = rows.reshape(2, dim, dim) * _period_phase(params, -1)
         maps.setflags(write=False)
-        _PERIOD_MAP_CACHE[key] = maps
-    return maps
+        snapshots.setflags(write=False)
+        cached = _PERIOD_MAP_CACHE[key] = maps, snapshots
+    return cached
 
 
 def _period_phase(params: SimParams, k: int) -> np.ndarray:
@@ -292,12 +318,14 @@ def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
 
 
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         sample_interval: float | None = None) -> tuple[np.ndarray, list[HybridState]]:
+         sample_interval: float | None = None,
+         record: dict[int, np.ndarray] | None = None) -> tuple[np.ndarray, list[HybridState]]:
     """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` from ``t0``, for
     rows psi that stack equally many T-branch then H-branch states.
 
     Returns the final rows and, with ``sample_interval``, the packed states
-    after every round(sample_interval / h)-th step before the last.
+    after every round(sample_interval / h)-th step before the last.  With
+    ``record``, the rows after step count s are written into ``record[s]``.
     """
     if duration <= 0.0:
         return psi, []
@@ -332,6 +360,8 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         stage += psi
         deriv(f[2], k4)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if record and step + 1 in record:
+            record[step + 1][:] = psi
         if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
             samples.append(HybridState.from_packed(psi, t0 + (step + 1) * h))
     return psi, samples
@@ -366,12 +396,27 @@ def propagate(
     period = drive_period(params) if sample_interval is None else None
     k0, k1 = (math.ceil(t0 / period), math.floor(t1 / period)) if period else (0, 0)
     if k0 < k1:
-        # U(t1, t0) = U(t1, k1 T) P^k1 (P^-1 M)^(k1 - k0) P^-k0 U(k0 T, t0)
-        maps = period_map(params)
-        psi = _rk4(params, psi, t0, k0 * period - t0)[0] * _period_phase(params, -k0)
+        # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
+        # and t_i the last at or before t1 - k1 T (t_0 = 0, F_0 = I):
+        # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0 + 1)
+        #             F_j^-1 P^-(k0 - 1) U((k0 - 1) T + t_j, t0)
+        maps, snapshots = period_map(params)
+        steps, h = _snapshot_steps(params)
+        times = [s * h for s in steps]
+        j = bisect.bisect_left(times, t0 - (k0 - 1) * period)
+        if j < len(times):  # t_j = T takes the boundary: no F_j
+            k0 -= 1
+            psi = _rk4(params, psi, t0, k0 * period + times[j] - t0)[0] * _period_phase(params, -k0)
+            psi = np.linalg.solve(snapshots[j].transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
+        else:
+            psi = _rk4(params, psi, t0, k0 * period - t0)[0] * _period_phase(params, -k0)
         for _ in range(k1 - k0):
             psi = np.einsum("bi,bim->bm", psi, maps)
-        psi, samples = _rk4(params, psi * _period_phase(params, k1), k1 * period, t1 - k1 * period)
+        i = bisect.bisect_right(times, t1 - k1 * period)
+        if i:
+            psi = np.einsum("bi,bim->bm", psi, snapshots[i - 1])
+        start = k1 * period + (times[i - 1] if i else 0.0)
+        psi, samples = _rk4(params, psi * _period_phase(params, k1), start, t1 - start)
     else:
         psi, samples = _rk4(params, psi, t0, duration, sample_interval)
 

@@ -129,6 +129,17 @@ class TestConfigHandling:
         ["readout-roundtrip", "--set", "trials=0"],
         ["scan-td", "--workers", "2"],
         ["walk-ideal", "--seed", "x"],
+        ["resonant", "--set", "duration=-1e-6"],
+        ["trajectory", "--set", "duration=-1e-6"],
+        ["kick-threshold", "--set", "f_min=2", "--set", "alpha_max=1"],
+        ["kick-threshold", "--set", "alpha_max=-1"],
+        ["scan-td", "--set", "mode=far"],
+        ["calibrate", "--set", "wait_multiplier=3"],
+        ["scan-td", "--set", "wait_multiplier=3"],
+        ["combined-pulse", "--set", "t_d=-1e-6"],
+        ["walk-positions", "--set", "t_d=-1e-6"],
+        ["trajectory", "--set", "levels=[]"],
+        ["kick-threshold", "--set", "alphas=[]"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

@@ -522,16 +522,21 @@ class TestStroboscopic:
     def test_period_map_cache(self, monkeypatch):
         monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
         p = fock.experimental_params(level="3SB", dim=32)
-        base = dyn.period_map(p)
+        base, snapshots = dyn.period_map(p)
         assert base.shape == (2, 32, 32)
-        assert dyn.period_map(p) is base
-        assert not base.flags.writeable
-        with pytest.raises(ValueError):
-            base[0, 0, 0] = 0.0
+        assert snapshots.shape == (dyn.SNAPSHOTS_PER_PERIOD - 1, 2, 32, 32)
+        assert dyn.period_map(p)[0] is base
+        (entry,) = dyn._PERIOD_MAP_CACHE.values()
+        assert entry[0] is base and entry[1] is snapshots
+        for table in (base, snapshots):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0.0
         for changed in (p.replace(omega_d=1.5 * p.omega_d), p.replace(force_ratio=-0.5)):
-            other = dyn.period_map(changed)
-            assert not other.flags.writeable
+            other, other_snapshots = dyn.period_map(changed)
+            assert not other.flags.writeable and not other_snapshots.flags.writeable
             assert np.max(np.abs(other[1] - base[1])) > 1e-3
+            assert np.max(np.abs(other_snapshots[:, 1] - snapshots[:, 1])) > 1e-3
         assert len(dyn._PERIOD_MAP_CACHE) == 3
 
     def test_td_scan_builds_one_period_map(self, monkeypatch, tmp_path):
@@ -566,6 +571,52 @@ class TestStroboscopic:
         plain, _ = dyn.propagate(start, p, duration, 1.0)
         assert final.time == plain.time
         assert np.max(np.abs(final.packed() - plain.packed())) <= 1e-9
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(j, id=f"inside-{j}") for j in range(8)),
+        "on-snapshot", "start-on-boundary", "end-on-boundary",
+    ])
+    def test_snapshot_paths_match_plain_rk4(self, case):
+        p = fig5_params("3SB", dim=48)
+        period = dyn.drive_period(p)
+        steps, h = dyn._snapshot_steps(p)
+        if isinstance(case, int):
+            t0 = 2 * period + (case + 0.37) / 8 * period  # in sub-interval j
+        else:
+            t0 = {
+                "on-snapshot": steps[2] * h,  # in the first period: tau0 = t_3 exactly
+                "start-on-boundary": 2 * period,  # tau0 = T
+                "end-on-boundary": 2.3 * period,
+            }[case]
+        # the inside-j tails end in sub-interval j + 5 (mod 8)
+        t1 = 7 * period if case == "end-on-boundary" else t0 + 4.6 * period
+        state = random_hybrid(np.random.default_rng(17), p.dim, time=t0)
+        final = dyn.propagate(state, p, t1 - t0)
+        plain, _ = dyn.propagate(state, p, t1 - t0, 1.0)
+        assert final.time == plain.time
+        assert np.max(np.abs(final.packed() - plain.packed())) <= 1e-9
+
+    def test_rk4_spans_at_most_two_snapshot_intervals(self, monkeypatch):
+        # each end of a pulse holding whole periods integrates only up to
+        # the nearest snapshot: at most 2 T/8 of two-row RK4 per pulse
+        p = fig5_params("3SB", dim=48)
+        period = dyn.drive_period(p)
+        spans = []
+        rk4 = dyn._rk4
+
+        def recording(params, psi, t0, duration, *args, **kwargs):
+            if len(psi) == 2:  # not the period map's RK4 on all basis columns
+                spans.append(duration)
+            return rk4(params, psi, t0, duration, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "_rk4", recording)
+        h = dyn._rk4_grid(p, period)[1]
+        rng = np.random.default_rng(23)
+        for t0 in 0.2e-6 + period * rng.random(12):
+            spans.clear()  # 5.3 periods from t0 hold at least 4 whole ones
+            dyn.propagate(random_hybrid(rng, p.dim, time=t0), p, 5.3 * period)
+            assert len(spans) == 2  # head and tail
+            assert sum(spans) <= 2 * period / 8 + h
 
     @pytest.mark.parametrize("ratio", [0.97, 1.00, 1.03])
     def test_three_step_walk_against_converged_reference(self, ratio, monkeypatch):
