@@ -139,7 +139,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
     info = {}
     for level in opt["levels"]:
         params = _params_from_options(opt).replace(level=level)
-        t_d = float(opt["t_d"]) if opt["t_d"] else params.t_half_turn
+        t_d = params.t_half_turn if opt["t_d"] is None else float(opt["t_d"])
         program = pulses.PulseProgram(
             tuple(pulses.combined_pulse(t_d, opt["wait_multiplier"])),
             params,
@@ -243,7 +243,7 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(opt)
     m = opt["wait_multiplier"]
-    t_d = float(opt["t_d"]) if opt["t_d"] else None
+    t_d = None if opt["t_d"] is None else float(opt["t_d"])
     if t_d is None:
         t_half = params.t_half_turn
         coarse = pulses.scan_td(
@@ -268,15 +268,10 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
     k_values = list(range(-opt["n_steps"], opt["n_steps"] + 1))
     results = {}
     residuals = {}
-    for branch, sign in (("T", 1), ("H", -1)):
-        def probs_of(state):
-            part = state.t_part if branch == "T" else state.h_part
-            q = part.fock_probs()
-            return q / q.sum()
-
+    for row, (branch, sign) in enumerate((("T", 1), ("H", -1))):
+        q = [np.abs(state.amps[row]) ** 2 for state in (final, up, down)]
         weights, resid = readout.disambiguate_positions(
-            probs_of(final), probs_of(up), probs_of(down),
-            profiles, k_values, shift_sign=sign)
+            *(p / p.sum() for p in q), profiles, k_values, shift_sign=sign)
         results[branch] = weights
         residuals[branch] = resid
     p_t, p_h = final.coin_probabilities()
@@ -297,10 +292,9 @@ def scenario_kick_threshold(ctx: RunContext) -> dict:
     mags = [m for m in opt["alphas"] if m <= opt["alpha_max"]]
     rows = []
     for mag in mags:
-        dim = int(opt["dim"]) if opt["dim"] else kicks.required_dim(mag)
         for phase, alpha, arg in (("imag", 1j * mag, math.pi / 2.0), ("real", complex(mag), 0.0)):
             t_p, f_val, _ = kicks.fidelity_threshold(alpha, opt["f_min"], opt["eta"],
-                                                     opt["omega_z"], dim=dim)
+                                                     opt["omega_z"], dim=opt["dim"])
             rows.append((mag, arg, phase, t_p, f_val))
     ctx.write_csv(
         "thresholds.csv",
@@ -384,10 +378,10 @@ _MINIMUM = {"samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, 
 # The other checked options: (test of the value and all options, what it must be).
 _CHECKS = {
     "duration": (lambda v, o: v > 0.0, "positive"),
-    "t_d": (lambda v, o: not v or v > 0.0, "positive, or null for the default"),
-    "levels": (lambda v, o: len(v) > 0, "a nonempty list"),
+    "t_d": (lambda v, o: v is None or v > 0.0, "positive, or null for the default"),
+    "dim": (lambda v, o: v is None or isinstance(v, int) and v >= 16, "null or an integer >= 16"),
+    **{k: (lambda v, o: len(v) > 0, "a nonempty list") for k in ("levels", "alphas", "scaling_step_sizes")},
     "f_min": (lambda v, o: 0.0 < v < 1.0, "in (0, 1)"),
-    "alphas": (lambda v, o: len(v) > 0, "a nonempty list"),
     "alpha_max": (lambda v, o: any(a <= v for a in o["alphas"]), "at least the smallest alpha"),
     "mode": (lambda v, o: v in ("near", "extended"), "'near' or 'extended'"),
     "wait_multiplier": (lambda v, o: v in (2.0, 4.0), "2 or 4"),

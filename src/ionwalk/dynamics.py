@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,61 +59,77 @@ from .fock import (
 STEPS_PER_PERIOD = 50
 RETURN_TIME_SAMPLES = 2000
 SNAPSHOTS_PER_PERIOD = 8
+COINS = "TH"  # the coin state of each row of HybridState.amps
 
 
 @dataclass(frozen=True)
 class HybridState:
-    """Coin (x) motion wavefunction: one motional branch per coin state."""
+    """Coin (x) motion wavefunction: a read-only (2, dim) array ``amps``
+    whose rows are the motional branches of the coin states (T, H)."""
 
-    t_part: MotionalState
-    h_part: MotionalState
+    amps: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        if self.t_part.dim != self.h_part.dim:
-            raise ValueError("branch dimensions differ")
-        total = self.t_part.norm() ** 2 + self.h_part.norm() ** 2
-        if abs(total - 1.0) > 5e-6:
-            raise ValueError(f"total norm^2 {total} deviates from 1")
+        amps = np.array(self.amps, dtype=complex)
+        if amps.ndim != 2 or amps.shape[0] != 2 or amps.shape[1] == 0:
+            raise ValueError("amps must have shape (2, dim) with dim >= 1")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amps must be finite")
+        # Constructors produce unit norm; integrator snapshots may carry a
+        # small drift before readout renormalization.
+        norms_sq = [float(np.vdot(row, row).real) for row in amps]
+        if max(norms_sq) > 1.0 + 1e-6:
+            raise ValueError(f"branch norm^2 {max(norms_sq)} exceeds 1")
+        if abs(sum(norms_sq) - 1.0) > 5e-6:
+            raise ValueError(f"total norm^2 {sum(norms_sq)} deviates from 1")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def product(cls, coin: str, motion: np.ndarray) -> "HybridState":
+        """|coin> (x) motion at time 0, coin 'T', 'H' or 'TH' = (|T> + |H>)/sqrt 2."""
+        if coin not in ("T", "H", "TH"):
+            raise ValueError("coin must be 'T', 'H' or 'TH'")
+        amps = np.zeros((2, len(motion)), dtype=complex)
+        amps[[COINS.index(c) for c in coin]] = motion
+        if coin == "TH":
+            amps /= math.sqrt(2.0)
+        return cls(amps)
+
+    @functools.cached_property
+    def t_part(self) -> MotionalState:
+        return MotionalState(self.amps[0])
+
+    @functools.cached_property
+    def h_part(self) -> MotionalState:
+        return MotionalState(self.amps[1])
+
+    def branch(self, row: int) -> MotionalState:
+        """The branch of coin row 0 (T) or 1 (H)."""
+        return self.h_part if row else self.t_part
 
     @property
     def dim(self) -> int:
-        return self.t_part.dim
-
-    def total_norm(self) -> float:
-        return math.sqrt(self.t_part.norm() ** 2 + self.h_part.norm() ** 2)
+        return self.amps.shape[1]
 
     def coin_probabilities(self) -> tuple[float, float]:
         """(P_T, P_H), renormalized at readout."""
-        p_t = self.t_part.norm() ** 2
-        p_h = self.h_part.norm() ** 2
+        p_t, p_h = (float(np.linalg.norm(row)) ** 2 for row in self.amps)
         total = p_t + p_h
         return p_t / total, p_h / total
 
-    def packed(self) -> np.ndarray:
-        """(2, dim) array, row 0 = T branch, row 1 = H branch."""
-        return np.stack([self.t_part.amps, self.h_part.amps])
-
-    @classmethod
-    def from_packed(cls, psi: np.ndarray, time: float) -> "HybridState":
-        return cls(MotionalState(psi[0]), MotionalState(psi[1]), time)
-
     def with_time(self, time: float) -> "HybridState":
-        return HybridState(self.t_part, self.h_part, time)
+        # shares the validated read-only amps and any branch views built so far
+        moved = copy.copy(self)
+        object.__setattr__(moved, "time", time)
+        return moved
 
 
 def ground_hybrid(dim: int, coin: str = "T") -> HybridState:
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = 1.0
-    zero = np.zeros(dim, dtype=complex)
-    if coin == "T":
-        return HybridState(MotionalState(amps), MotionalState(zero))
-    if coin == "H":
-        return HybridState(MotionalState(zero), MotionalState(amps))
-    if coin == "TH":
-        w = amps / math.sqrt(2.0)
-        return HybridState(MotionalState(w), MotionalState(w))
-    raise ValueError("coin must be 'T', 'H' or 'TH'")
+    vacuum = np.zeros(dim, dtype=complex)
+    vacuum[0] = 1.0
+    return HybridState.product(coin, vacuum)
 
 
 @dataclass(frozen=True)
@@ -208,7 +226,7 @@ def hamiltonian(params: SimParams, t: float) -> np.ndarray:
     """Dense Hamiltonian on coin (x) motion at time t.
 
     Basis ordering is coin-major with |T> first, as in
-    ``HybridState.packed``: index b*dim + n for coin block b in (T, H).
+    ``HybridState.amps``: index b*dim + n for coin block b in (T, H).
     """
     dim = params.dim
     stencil = drive_stencil(params)
@@ -263,8 +281,8 @@ def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-period maps (2, dim, dim) and snapshot table
     (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows.
 
-    ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of a packed
-    state, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
+    ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of
+    ``HybridState.amps``, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
     U_b(steps[j] h, 0) with (steps, h) = ``_snapshot_steps(params)``; both
     come from one RK4 run on all basis columns at the step
     ``_rk4_grid(params, T)``.
@@ -323,7 +341,7 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` from ``t0``, for
     rows psi that stack equally many T-branch then H-branch states.
 
-    Returns the final rows and, with ``sample_interval``, the packed states
+    Returns the final rows and, with ``sample_interval``, the states
     after every round(sample_interval / h)-th step before the last.  With
     ``record``, the rows after step count s are written into ``record[s]``.
     """
@@ -363,7 +381,7 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         if record and step + 1 in record:
             record[step + 1][:] = psi
         if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
-            samples.append(HybridState.from_packed(psi, t0 + (step + 1) * h))
+            samples.append(HybridState(psi, t0 + (step + 1) * h))
     return psi, samples
 
 
@@ -390,33 +408,39 @@ def propagate(
         if sample_interval is not None:
             return final, [state, final]
         return final
-    psi = state.packed()
+    psi = state.amps
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     t0, t1 = state.time, state.time + duration
     period = drive_period(params) if sample_interval is None else None
-    k0, k1 = (math.ceil(t0 / period), math.floor(t1 / period)) if period else (0, 0)
+    k0 = k1 = 0
+    if period:
+        steps, h = _snapshot_steps(params)
+        # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps
+        # of k T: ends within ``snap`` of one count as on it
+        snap = 1e-9 * h
+        k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
     if k0 < k1:
         # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
         # and t_i the last at or before t1 - k1 T (t_0 = 0, F_0 = I):
         # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0 + 1)
         #             F_j^-1 P^-(k0 - 1) U((k0 - 1) T + t_j, t0)
         maps, snapshots = period_map(params)
-        steps, h = _snapshot_steps(params)
         times = [s * h for s in steps]
-        j = bisect.bisect_left(times, t0 - (k0 - 1) * period)
+        j = bisect.bisect_left(times, t0 - (k0 - 1) * period - snap)
         if j < len(times):  # t_j = T takes the boundary: no F_j
             k0 -= 1
-            psi = _rk4(params, psi, t0, k0 * period + times[j] - t0)[0] * _period_phase(params, -k0)
+        head = k0 * period + (times[j] if j < len(times) else 0.0) - t0
+        psi = _rk4(params, psi, t0, head if head > snap else 0.0)[0] * _period_phase(params, -k0)
+        if j < len(times):
             psi = np.linalg.solve(snapshots[j].transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
-        else:
-            psi = _rk4(params, psi, t0, k0 * period - t0)[0] * _period_phase(params, -k0)
         for _ in range(k1 - k0):
             psi = np.einsum("bi,bim->bm", psi, maps)
-        i = bisect.bisect_right(times, t1 - k1 * period)
+        i = bisect.bisect_right(times, t1 - k1 * period + snap)
         if i:
             psi = np.einsum("bi,bim->bm", psi, snapshots[i - 1])
         start = k1 * period + (times[i - 1] if i else 0.0)
-        psi, samples = _rk4(params, psi * _period_phase(params, k1), start, t1 - start)
+        tail = t1 - start
+        psi, samples = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)
     else:
         psi, samples = _rk4(params, psi, t0, duration, sample_interval)
 
@@ -426,7 +450,7 @@ def propagate(
         raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
     check_leakage(psi[0], "propagate (T branch)")
     check_leakage(psi[1], "propagate (H branch)")
-    final = HybridState.from_packed(psi, t1)
+    final = HybridState(psi, t1)
     if sample_interval is not None:
         return final, [state, *samples, final]
     return final
@@ -451,10 +475,10 @@ def trajectory(history: list[HybridState], branch: str = "T") -> list[PhasePoint
     The simulation frame co-rotates at the trap frequency, so the branch
     expectation of the lowering operator is already the co-rotating alpha.
     """
-    part = {"T": lambda s: s.t_part, "H": lambda s: s.h_part}[branch]
+    row = COINS.index(branch)
     points = []
     for state in history:
-        branch_state = part(state)
+        branch_state = state.branch(row)
         if branch_state.norm() <= 1e-6:
             points.append(PhasePoint(0.0, 0.0))
         else:
@@ -464,20 +488,13 @@ def trajectory(history: list[HybridState], branch: str = "T") -> list[PhasePoint
 
 def trajectory_table(history: list[HybridState]) -> dict[str, np.ndarray]:
     """Arrays (t, re/im alpha per branch, mean n per branch) for export."""
-    t = np.array([s.time for s in history])
-    a_t = np.array([s.t_part.mean_a() for s in history])
-    a_h = np.array([s.h_part.mean_a() for s in history])
-    n_t = np.array([s.t_part.mean_n() for s in history])
-    n_h = np.array([s.h_part.mean_n() for s in history])
-    return {
-        "t": t,
-        "re_alpha_t": a_t.real,
-        "im_alpha_t": a_t.imag,
-        "re_alpha_h": a_h.real,
-        "im_alpha_h": a_h.imag,
-        "n_t": n_t,
-        "n_h": n_h,
-    }
+    table = {"t": np.array([s.time for s in history])}
+    for row, coin in enumerate(COINS.lower()):
+        alpha = np.array([s.branch(row).mean_a() for s in history])
+        table[f"re_alpha_{coin}"], table[f"im_alpha_{coin}"] = alpha.real, alpha.imag
+    for row, coin in enumerate(COINS.lower()):
+        table[f"n_{coin}"] = np.array([s.branch(row).mean_n() for s in history])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +534,9 @@ def lda_propagate(state: HybridState, params: SimParams, duration: float) -> Hyb
     r = params.force_ratio
     d_t = displacement_matrix(disp, params.dim)
     d_h = displacement_matrix(r * disp, params.dim)
-    amps_t = cmath.exp(1j * phi) * (d_t @ state.t_part.amps)
-    amps_h = cmath.exp(1j * r * r * phi) * (d_h @ state.h_part.amps)
-    return HybridState(MotionalState(amps_t), MotionalState(amps_h), state.time + duration)
+    amps_t = cmath.exp(1j * phi) * (d_t @ state.amps[0])
+    amps_h = cmath.exp(1j * r * r * phi) * (d_h @ state.amps[1])
+    return HybridState(np.stack([amps_t, amps_h]), state.time + duration)
 
 
 # ---------------------------------------------------------------------------
@@ -541,29 +558,24 @@ class ExcitationResult:
         return out
 
 
-def _branch_number_stats(state: HybridState, branch: str = "T") -> tuple[float, float]:
-    part = state.t_part if branch == "T" else state.h_part
-    p = part.fock_probs()
+def _branch_number_stats(state: HybridState, row: int = 0) -> tuple[float, float]:
+    p = np.abs(state.amps[row]) ** 2
     total = p.sum()
     if total <= 0.0:
         return 0.0, 0.0
     p = p / total
-    n = np.arange(part.dim)
+    n = np.arange(state.dim)
     mean = float(n @ p)
     var = float((n - mean) ** 2 @ p)
     return mean, var
 
 
-def resonant_excitation(
-    params: SimParams, duration: float, sample_interval: float | None = None
-) -> ExcitationResult:
+def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
     """Drive at delta = 0 from the ground state; report <n>(t) and its variance."""
     if params.level == LDA:
         raise ValueError("resonant excitation requires RWA or 3SB")
     run = params.replace(delta=0.0)
-    if sample_interval is None:
-        sample_interval = duration / 200.0
-    final, history = propagate(ground_hybrid(run.dim), run, duration, sample_interval)
+    final, history = propagate(ground_hybrid(run.dim), run, duration, duration / 200.0)
     stats = [_branch_number_stats(s) for s in history]
     return ExcitationResult(
         final=final,
@@ -584,7 +596,6 @@ def stepwise_excitation(
     n_pulses: int,
     pulse_duration: float,
     wait_duration: float,
-    sample_interval: float | None = None,
 ) -> StepwiseResult:
     """Alternate drive pulses and free waits from the ground state.
 
@@ -595,29 +606,26 @@ def stepwise_excitation(
         raise ValueError("stepwise excitation requires RWA or 3SB")
     if n_pulses < 0:
         raise ValueError("n_pulses must be nonnegative")
-    if sample_interval is None:
-        sample_interval = pulse_duration / 50.0
     state = ground_hybrid(params.dim)
     segments = []
     for _ in range(n_pulses):
-        state, history = propagate(state, params, pulse_duration, sample_interval)
+        state, history = propagate(state, params, pulse_duration, pulse_duration / 50.0)
         segments.append(history)
         state = state.with_time(state.time + wait_duration)
     return StepwiseResult(final=state, segments=segments)
 
 
-def return_time(params: SimParams, scan_duration: float, sample_interval: float | None = None,
+def return_time(params: SimParams, scan_duration: float,
                 history: list[HybridState] | None = None):
     """Time of minimum <n> after the excitation peak (single-branch drive).
 
     Searches ``history``, a ``propagate`` history from the ground state,
-    or else integrates one sampled every ``sample_interval`` (default
-    scan_duration / RETURN_TIME_SAMPLES).  Returns (t_return, min_n, history).
+    or else integrates one sampled every scan_duration / RETURN_TIME_SAMPLES.
+    Returns (t_return, min_n, history).
     """
     if history is None:
-        if sample_interval is None:
-            sample_interval = scan_duration / RETURN_TIME_SAMPLES
-        _, history = propagate(ground_hybrid(params.dim), params, scan_duration, sample_interval)
+        _, history = propagate(ground_hybrid(params.dim), params, scan_duration,
+                               scan_duration / RETURN_TIME_SAMPLES)
     times = np.array([s.time for s in history])
     n_vals = np.array([_branch_number_stats(s)[0] for s in history])
     peak = int(np.argmax(n_vals))

@@ -26,6 +26,7 @@ LEVELS = (LDA, RWA, THREE_SB)
 
 GUARD_LEVELS = 10
 LEAK_TOL = 1e-6
+N_CAP = 10000  # highest Fock level ``coupling_thresholds`` searches
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,10 @@ class MotionalState:
         norm_sq = float(np.vdot(amps, amps).real)
         if norm_sq > 1.0 + 1e-6:
             raise ValueError(f"state norm {math.sqrt(norm_sq)} exceeds 1")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        # a read-only view of read-only memory (a HybridState row) is shared
+        if amps.flags.writeable or isinstance(amps.base, np.ndarray) and amps.base.flags.writeable:
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -195,7 +198,7 @@ def experimental_params(**overrides) -> SimParams:
 
 def leakage(amps: np.ndarray) -> float:
     """Population inside the guard band at the top of the basis, summed
-    over the rows of a packed (T, H) array."""
+    over the rows of a (T, H) array laid out as ``HybridState.amps``."""
     guard = np.asarray(amps)[..., -GUARD_LEVELS:]
     return float(np.sum(np.abs(guard) ** 2))
 
@@ -281,22 +284,22 @@ def sideband_magnitudes(eta: float, n_max: int) -> np.ndarray:
     return np.abs(ladder_elements(1j * eta, 1, np.arange(n_max + 1)))
 
 
-def coupling_thresholds(eta: float, n_cap: int = 10000) -> tuple[int, int]:
+def coupling_thresholds(eta: float) -> tuple[int, int]:
     """Fock indices (g1, g2) where the sideband coupling peaks and collapses.
 
     g1 is the argmax of ``|<n+1|exp(i eta (a+a^dag))|n>|``; g2 the first
     local minimum above it (the coupling nearly vanishes there, bounding
     displacement-based excitation).
     """
-    mags = sideband_magnitudes(eta, n_cap)
+    mags = sideband_magnitudes(eta, N_CAP)
     g1 = int(np.argmax(mags))
-    if g1 >= n_cap:
-        raise ValueError(f"no coupling maximum below n_cap={n_cap}")
+    if g1 >= N_CAP:
+        raise ValueError(f"no coupling maximum below N_CAP={N_CAP}")
     n = g1
-    while n + 1 <= n_cap and mags[n + 1] < mags[n]:
+    while n + 1 <= N_CAP and mags[n + 1] < mags[n]:
         n += 1
-    if n >= n_cap:
-        raise ValueError(f"no coupling minimum below n_cap={n_cap}")
+    if n >= N_CAP:
+        raise ValueError(f"no coupling minimum below N_CAP={N_CAP}")
     return g1, n
 
 

@@ -7,7 +7,8 @@ momentum displacement.  The finite trap frequency makes the usable pulse
 duration shrink with the motional amplitude, and the threshold depends on
 the oscillation phase at the moment of the kick: kicks at the turning
 point (real alpha) tolerate much longer pulses than kicks at the center
-of the trap (imaginary alpha).
+of the trap (imaginary alpha).  Kicks act on the coin rows (T, H) of
+``HybridState.amps``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from scipy.sparse.linalg import LinearOperator, expm_multiply
 from .dynamics import HybridState
 from .errors import ConfigError, NoThreshold
 from .fock import (
-    MotionalState,
     check_leakage,
     coherent_state,
     displacement_matrix,
@@ -36,12 +36,16 @@ MIN_PULSE = 5e-12
 CENTER_KICK_COEFFS = (-17.55, -0.63, -0.05)   # kick at the trap center (imaginary alpha)
 TURNING_KICK_COEFFS = (-17.03, -0.02, -0.1)   # kick at the turning point (real alpha)
 
+# Threshold searches: validity floor to ceiling, 1% in t_p, at most 20 bisections.
+THRESHOLD_FLOOR = 1.2 * MIN_PULSE
+THRESHOLD_CEILING = 1e-5
+THRESHOLD_REL_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class KickParams:
-    """Pi-pulse kick parameters; omega * t_p = pi is enforced."""
+    """Pi-pulse kick parameters: a pulse of length t_p at Rabi frequency pi/t_p."""
 
-    omega: float
     t_p: float
     eta: float
     omega_z: float
@@ -50,8 +54,6 @@ class KickParams:
     def __post_init__(self):
         if self.t_p <= MIN_PULSE:
             raise ConfigError(f"t_p must exceed {MIN_PULSE:.0e} s")
-        if abs(self.omega * self.t_p - math.pi) > 1e-9:
-            raise ConfigError("omega * t_p must equal pi")
         if self.eta <= 0.0:
             raise ConfigError("eta must be positive")
         if self.omega_z < 0.0:
@@ -59,9 +61,13 @@ class KickParams:
         if self.dim < 16:
             raise ConfigError("dim must be at least 16")
 
+    @property
+    def omega(self) -> float:
+        return math.pi / self.t_p
+
 
 def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
-    return KickParams(omega=math.pi / t_p, t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
+    return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
 # D(i eta d) per (d * eta, dim), built once and kept read-only; shared by
@@ -92,7 +98,7 @@ def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:
 
 
 def _apply_ideal(psi: np.ndarray, kp: KickParams, direction: int) -> np.ndarray:
-    """The ideal kick applied to packed rows (T, H) of ``psi``."""
+    """The ideal kick applied to rows (T, H) of ``psi``, laid out as ``HybridState.amps``."""
     d_up = _kick_displacement(kp, direction)
     # sigma_plus = |T><H| carries D(i eta d); sigma_minus = |H><T| its inverse
     return -1j * np.stack([d_up @ psi[1], d_up.conj().T @ psi[0]])
@@ -127,29 +133,23 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
     # onenormest (it sizes the Taylor steps) draws sign vectors from NumPy's
     # global generator: seed it so a kick is bit-reproducible, then restore it.
     # Its overflow in divide at long pulses and large dim leaves the action
-    # accurate; MotionalState and the guard band still check the result.
+    # accurate; HybridState and the guard band still check the result.
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            psi = expm_multiply(gen, state.packed().ravel(),
+            psi = expm_multiply(gen, state.amps.ravel(),
                                 traceA=-1j * kp.t_p * kp.omega_z * dim * (dim - 1))
     finally:
         np.random.set_state(rng_state)
     psi = psi.reshape(2, dim)
     check_leakage(psi, "kick")
-    return HybridState.from_packed(psi, state.time + kp.t_p)
+    return HybridState(psi, state.time + kp.t_p)
 
 
 def coherent_hybrid(alpha: complex, dim: int, coin: str = "H") -> HybridState:
     """|coin> (x) |alpha> on the truncated basis."""
-    motional = coherent_state(alpha, dim)
-    zero = MotionalState(np.zeros(dim, dtype=complex))
-    if coin == "H":
-        return HybridState(zero, motional)
-    if coin == "T":
-        return HybridState(motional, zero)
-    raise ValueError("coin must be 'H' or 'T'")
+    return HybridState.product(coin, coherent_state(alpha, dim).amps)
 
 
 def _undo_free_rotation(psi: np.ndarray, omega_z: float, elapsed: float) -> np.ndarray:
@@ -170,21 +170,20 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
 def _ideal_pair(alpha: complex, kp: KickParams, direction: int) -> tuple[HybridState, np.ndarray]:
     """|H>|alpha> and its ideal kick; neither depends on t_p or omega_z."""
     initial = coherent_hybrid(alpha, kp.dim, "H")
-    return initial, _apply_ideal(initial.packed(), kp, direction)
+    return initial, _apply_ideal(initial.amps, kp, direction)
 
 
 def _fidelity_against(initial: HybridState, psi_ideal: np.ndarray, kp: KickParams,
                       direction: int) -> float:
     full = kick_full(initial, kp, direction)
-    psi_full = _undo_free_rotation(full.packed(), kp.omega_z, kp.t_p)
+    psi_full = _undo_free_rotation(full.amps, kp.omega_z, kp.t_p)
     return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
 
 
 def kick_deviation(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     """Norm of (U - U0) applied to |H>|alpha>."""
-    initial = coherent_hybrid(alpha, kp.dim, "H")
-    full = kick_full(initial, kp, direction).packed()
-    return float(np.linalg.norm(full - _apply_ideal(initial.packed(), kp, direction)))
+    initial, psi_ideal = _ideal_pair(alpha, kp, direction)
+    return float(np.linalg.norm(kick_full(initial, kp, direction).amps - psi_ideal))
 
 
 def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:
@@ -203,29 +202,25 @@ def fidelity_threshold(
     eta: float,
     omega_z: float,
     dim: int | None = None,
-    t_floor: float = 1.2 * MIN_PULSE,
-    t_ceiling: float = 1e-5,
-    max_iter: int = 20,
-    rel_tol: float = 0.01,
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Largest pulse duration whose kick fidelity still reaches ``f_min``.
 
-    Bisects on log t_p; returns (t_p, fidelity at t_p, sampled (t_p, f)
-    pairs).  Raises NoThreshold when even the shortest valid pulse falls
+    Bisects on log t_p between THRESHOLD_FLOOR and THRESHOLD_CEILING;
+    returns (t_p, fidelity at t_p, sampled (t_p, f) pairs).  Raises NoThreshold when even the shortest valid pulse falls
     below ``f_min``, TruncationError when ``dim`` cannot hold |alpha>.
     """
     if dim is None:
         dim = required_dim(alpha)
 
     samples: list[tuple[float, float]] = []
-    initial, psi_ideal = _ideal_pair(alpha, pi_pulse(t_floor, eta, omega_z, dim), 1)
+    initial, psi_ideal = _ideal_pair(alpha, pi_pulse(THRESHOLD_FLOOR, eta, omega_z, dim), 1)
 
     def f_at(t_p: float) -> float:
         val = _fidelity_against(initial, psi_ideal, pi_pulse(t_p, eta, omega_z, dim), 1)
         samples.append((t_p, val))
         return val
 
-    lo = t_floor
+    lo = THRESHOLD_FLOOR
     f_lo = f_at(lo)
     if f_lo < f_min:
         raise NoThreshold(
@@ -236,11 +231,11 @@ def fidelity_threshold(
     while f_hi >= f_min:
         lo, f_lo = hi, f_hi
         hi *= 4.0
-        if hi > t_ceiling:
-            return t_ceiling, f_hi, samples
+        if hi > THRESHOLD_CEILING:
+            return THRESHOLD_CEILING, f_hi, samples
         f_hi = f_at(hi)
-    for _ in range(max_iter):
-        if hi / lo < 1.0 + rel_tol:
+    for _ in range(20):
+        if hi / lo < 1.0 + THRESHOLD_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
         f_mid = f_at(mid)
@@ -287,10 +282,10 @@ def kick_train(
     if initial is None:
         initial = coherent_hybrid(0.0, kp.dim, "H")
     state = initial
-    psi_ideal = initial.packed()
+    psi_ideal = initial.amps
     for j in range(n_kicks):
         direction = (-1) ** (j + 1) if alternate else 1
         state = kick_full(state, kp, direction)
         psi_ideal = _apply_ideal(psi_ideal, kp, direction)
-    psi_full = _undo_free_rotation(state.packed(), kp.omega_z, n_kicks * kp.t_p)
+    psi_full = _undo_free_rotation(state.amps, kp.omega_z, n_kicks * kp.t_p)
     return state, float(abs(np.vdot(psi_ideal, psi_full)) ** 2)

@@ -39,33 +39,27 @@ class WalkSpec:
 class LatticeState:
     """Amplitude pairs (c_k^T, c_k^H) on positions k in [-n_steps, n_steps].
 
-    Arrays are indexed by ``k + n_steps``.  The stored amplitudes are the
-    lattice coefficients; position probabilities additionally weight them
-    with the coherent-state overlaps.
+    ``amps`` is a read-only (2, 2*n_steps + 1) array with coin rows (T, H),
+    as ``HybridState.amps``, indexed by ``k + n_steps``.  The stored
+    amplitudes are the lattice coefficients; position probabilities
+    additionally weight them with the coherent-state overlaps.
     """
 
-    c_t: np.ndarray
-    c_h: np.ndarray
+    amps: np.ndarray
     step_size: float
     n_steps: int
 
     def __post_init__(self):
-        c_t = np.asarray(self.c_t, dtype=complex)
-        c_h = np.asarray(self.c_h, dtype=complex)
-        size = 2 * self.n_steps + 1
-        if c_t.shape != (size,) or c_h.shape != (size,):
-            raise ValueError("coefficient arrays must have length 2*n_steps + 1")
+        amps = np.array(self.amps, dtype=complex)
+        if amps.shape != (2, 2 * self.n_steps + 1):
+            raise ValueError("amps must have shape (2, 2*n_steps + 1)")
         if self.step_size <= 0.0:
             raise ConfigError("step_size must be positive")
-        total = float(np.sum(np.abs(c_t) ** 2 + np.abs(c_h) ** 2))
-        if abs(total - 1.0) > 1e-9:
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+        total = self.lattice_norm()
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails this test too
             raise ValueError(f"lattice norm {total} deviates from 1")
-        c_t = c_t.copy()
-        c_h = c_h.copy()
-        c_t.setflags(write=False)
-        c_h.setflags(write=False)
-        object.__setattr__(self, "c_t", c_t)
-        object.__setattr__(self, "c_h", c_h)
 
     @property
     def positions(self) -> np.ndarray:
@@ -73,39 +67,39 @@ class LatticeState:
 
     def coeff(self, k: int) -> tuple[complex, complex]:
         idx = k + self.n_steps
-        if not 0 <= idx < self.c_t.size:
+        if not 0 <= idx < self.amps.shape[1]:
             return 0.0 + 0.0j, 0.0 + 0.0j
-        return complex(self.c_t[idx]), complex(self.c_h[idx])
+        return complex(self.amps[0, idx]), complex(self.amps[1, idx])
 
     def lattice_norm(self) -> float:
-        return float(np.sum(np.abs(self.c_t) ** 2 + np.abs(self.c_h) ** 2))
+        return float(np.sum(np.abs(self.amps[0]) ** 2 + np.abs(self.amps[1]) ** 2))
 
 
 def initial_state(step_size: float, coin: str = "T") -> LatticeState:
     """Walker at the origin in a definite coin state."""
-    c_t = np.zeros(1, dtype=complex)
-    c_h = np.zeros(1, dtype=complex)
-    if coin == "T":
-        c_t[0] = 1.0
-    elif coin == "H":
-        c_h[0] = 1.0
-    else:
+    if coin not in ("T", "H"):
         raise ValueError("coin must be 'T' or 'H'")
-    return LatticeState(c_t, c_h, step_size, 0)
+    amps = np.zeros((2, 1), dtype=complex)
+    amps["TH".index(coin), 0] = 1.0
+    return LatticeState(amps, step_size, 0)
+
+
+def rotate_coin(rows: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """R(theta, phi) of ``apply_coin`` on the coin rows (T, H) of ``rows``."""
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    eip = cmath.exp(1j * phi)
+    t, h = rows
+    return np.stack([-eip.conjugate() * s * h + c * t, c * h + eip * s * t])
 
 
 def apply_coin(state: LatticeState, theta: float, phi: float) -> LatticeState:
     """Rotate every amplitude pair by R(theta, phi).
 
-    In the (H, T) ordering the matrix is
-    ``[[cos(t/2), e^{i phi} sin(t/2)], [-e^{-i phi} sin(t/2), cos(t/2)]]``.
+    In the coin order (T, H) of ``HybridState.amps`` the matrix is
+    ``[[cos(t/2), -e^{-i phi} sin(t/2)], [e^{i phi} sin(t/2), cos(t/2)]]``.
     """
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    eip = cmath.exp(1j * phi)
-    new_h = c * state.c_h + eip * s * state.c_t
-    new_t = -np.conj(eip) * s * state.c_h + c * state.c_t
-    return LatticeState(new_t, new_h, state.step_size, state.n_steps)
+    return LatticeState(rotate_coin(state.amps, theta, phi), state.step_size, state.n_steps)
 
 
 def apply_shift(state: LatticeState, direction: int = 1) -> LatticeState:
@@ -118,19 +112,10 @@ def apply_shift(state: LatticeState, direction: int = 1) -> LatticeState:
         raise ValueError("direction must be +1 or -1")
     n = state.n_steps + 1
     size = 2 * n + 1
-    c_t = np.zeros(size, dtype=complex)
-    c_h = np.zeros(size, dtype=complex)
-    if direction == 1:
-        c_t[2:] = state.c_t
-        c_h[:-2] = state.c_h
-    else:
-        c_t[:-2] = state.c_t
-        c_h[2:] = state.c_h
-    return LatticeState(c_t, c_h, state.step_size, n)
-
-
-def walk_step(state: LatticeState, theta: float, phi: float) -> LatticeState:
-    return apply_shift(apply_coin(state, theta, phi))
+    amps = np.zeros((2, size), dtype=complex)
+    for row, shift in ((0, direction), (1, -direction)):
+        amps[row, 1 + shift : size - 1 + shift] = state.amps[row]
+    return LatticeState(amps, state.step_size, n)
 
 
 def _walk_states(spec: WalkSpec, coin: str = "T") -> Iterator[LatticeState]:
@@ -139,7 +124,7 @@ def _walk_states(spec: WalkSpec, coin: str = "T") -> Iterator[LatticeState]:
     yield state
     for step in range(spec.n_steps):
         phi = spec.phi + math.pi / 2.0 if spec.symmetric and step > 0 else spec.phi
-        state = walk_step(state, math.pi / 2.0, phi)
+        state = apply_shift(apply_coin(state, math.pi / 2.0, phi))
         yield state
 
 
@@ -179,7 +164,7 @@ def position_probabilities(
     inside = (idx >= 0) & (idx < kernel.size + 2 * n)
     probs = np.zeros(l_values.size)
     probs[inside] = sum(np.abs(np.convolve(c, kernel)[idx[inside]]) ** 2
-                        for c in (state.c_t, state.c_h))
+                        for c in state.amps)
     if normalize:
         total = probs.sum()
         if total > 0.0:
@@ -192,7 +177,7 @@ def coin_probabilities(state: LatticeState) -> tuple[float, float]:
     kernel = _overlap_band(state.step_size, 2 * state.n_steps)
     lo = (kernel.size - 1) // 2
     p_t, p_h = (float(np.real(np.vdot(c, np.convolve(c, kernel)[lo:lo + c.size])))
-                for c in (state.c_t, state.c_h))
+                for c in state.amps)
     return p_t, p_h
 
 
@@ -219,11 +204,10 @@ def sigma_series(
     n_max: int,
     phi: float = 0.0,
     symmetric: bool = False,
-    coin: str = "T",
 ) -> np.ndarray:
-    """sigma_N for N = 0..n_max of one walk, computed incrementally."""
+    """sigma_N for N = 0..n_max of one walk from |T>|0>, computed incrementally."""
     spec = WalkSpec(n_max, step_size, phi, symmetric)
-    return np.asarray([std_dev(state) for state in _walk_states(spec, coin)])
+    return np.asarray([std_dev(state) for state in _walk_states(spec)])
 
 
 def scaling_factor(step_size: float, n_max: int = 100, phi: float = 0.0) -> float:

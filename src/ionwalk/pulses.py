@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
 from .fock import MotionalState, SimParams, coherent_state
+from .lattice import rotate_coin
 
 HBAR = 1.054571817e-34  # J s
 
@@ -91,43 +92,30 @@ class PulseProgram:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def apply_rf(state: HybridState, theta: float, phi: float) -> HybridState:
-    """Instantaneous coin rotation R(theta, phi) on both branches."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    eip = cmath.exp(1j * phi)
-    new_h = c * state.h_part.amps + eip * s * state.t_part.amps
-    new_t = -eip.conjugate() * s * state.h_part.amps + c * state.t_part.amps
-    return HybridState(MotionalState(new_t), MotionalState(new_h), state.time)
-
-
 def combined_pulse(
     t_d: float,
     wait_multiplier: float = 2.0,
     phi_rf: float = 0.0,
-    trailing_wait: bool = True,
 ) -> list[PulseEvent]:
-    """Shift-operation fragment: dipole, pi pulse, wait, dipole, pi pulse.
+    """Shift-operation fragment: dipole, pi pulse, wait, dipole, pi pulse, wait.
 
-    The wait advances the drive phase so that at t_d = pi/delta the second
-    displacement is antiparallel to the first, which turns the two
+    The first wait advances the drive phase so that at t_d = pi/delta the
+    second displacement is antiparallel to the first, which turns the two
     coin-dependent phase factors into one global phase and gives equal
-    step distances on both branches.  With ``trailing_wait`` a second wait
-    of the same length follows, so consecutive shifts stay collinear at
-    the nominal duration and one step spans (2 + 2*wait_multiplier)*t_d.
+    step distances on both branches.  The trailing wait of the same length
+    keeps consecutive shifts collinear at the nominal duration, so one step
+    spans (2 + 2*wait_multiplier)*t_d.
     """
     if t_d <= 0.0:
         raise ValueError("t_d must be positive")
-    events = [
+    return [
         dipole(t_d),
         rf(math.pi, phi_rf),
         wait(wait_multiplier * t_d),
         dipole(t_d),
         rf(math.pi, phi_rf),
+        wait(wait_multiplier * t_d),
     ]
-    if trailing_wait:
-        events.append(wait(wait_multiplier * t_d))
-    return events
 
 
 def walk_program(
@@ -166,7 +154,7 @@ def run_program(
     history: list[HybridState] = [state] if sample_interval is not None else []
     for event in program.events:
         if event.kind == RF:
-            state = apply_rf(state, event.theta, event.phi)
+            state = HybridState(rotate_coin(state.amps, event.theta, event.phi), state.time)
         elif event.kind == DIPOLE:
             if sample_interval is not None:
                 state, chunk = propagate(state, params, event.duration, sample_interval)
@@ -194,9 +182,9 @@ def combined_pulse_step(params: SimParams, t_d: float | None = None,
     return d1 + params.force_ratio * d2
 
 
-def _walk_coin_probs(params: SimParams, t_d: float, n_steps: int, wait_multiplier: float,
-                     symmetric: bool = False) -> tuple[float, float, float]:
-    program = walk_program(n_steps, t_d, params, symmetric=symmetric,
+def _walk_coin_probs(params: SimParams, t_d: float, n_steps: int,
+                     wait_multiplier: float) -> tuple[float, float, float]:
+    program = walk_program(n_steps, t_d, params,
                            wait_multiplier=wait_multiplier)
     final = run_program(program)
     p_t, p_h = final.coin_probabilities()
@@ -208,7 +196,6 @@ def scan_td(
     t_d_values,
     n_steps: int = 3,
     wait_multiplier: float = 2.0,
-    symmetric: bool = False,
 ) -> list[tuple[float, float, float]]:
     """Coin probabilities (t_d, P_T, P_H) for a grid of dipole durations.
 
@@ -220,7 +207,7 @@ def scan_td(
     for t_d in t_d_values:
         if not 0.8 * t_half <= t_d <= 1.2 * t_half:
             raise ValueError(f"t_d {t_d} outside [0.8, 1.2]*pi/delta scan window")
-    return [_walk_coin_probs(params, t_d, n_steps, wait_multiplier, symmetric)
+    return [_walk_coin_probs(params, t_d, n_steps, wait_multiplier)
             for t_d in t_d_values]
 
 

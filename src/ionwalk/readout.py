@@ -57,18 +57,15 @@ def default_config(
     eta: float,
     n_max: int,
     gamma: float = 0.0,
-    base_rabi: float = 2 * math.pi * 100e3,
-    n_periods: float = 5.0,
-    n_samples: int = 200,
 ) -> ReadoutConfig:
-    """Grid spanning ``n_periods`` of the slowest dictionary frequency."""
+    """200 times over 5 periods of the slowest dictionary frequency."""
     if eta <= 0.0 or n_max < 0:
         raise ConfigError("eta must be positive and n_max nonnegative")
-    omega = rabi_frequencies(eta, n_max, base_rabi)
+    omega = rabi_frequencies(eta, n_max, ReadoutConfig.base_rabi)
     slowest = float(np.min(omega[omega > 0.0]))
-    t_end = n_periods * 2.0 * math.pi / slowest
-    t = np.linspace(0.0, t_end, n_samples)
-    return ReadoutConfig(t_grid=t, n_max=n_max, gamma=gamma, base_rabi=base_rabi)
+    t_end = 5.0 * 2.0 * math.pi / slowest
+    t = np.linspace(0.0, t_end, 200)
+    return ReadoutConfig(t_grid=t, n_max=n_max, gamma=gamma)
 
 
 def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray:

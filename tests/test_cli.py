@@ -43,15 +43,22 @@ class TestWalkIdeal:
         assert manifest["options"]["steps"] == 60
         assert "numpy" in manifest["versions"]
 
-    def test_output_is_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["walk-ideal", "--step-size", "2", "--steps", "50"],
+        ["combined-pulse", "--set", 'levels=["LDA"]', "--set", "dim=32"],
+        ["readout-roundtrip"],
+        ["scan-td", "--set", 'level="LDA"', "--set", "points=3", "--set", "n_steps=1"],
+    ], ids=lambda args: args[0])
+    def test_output_is_deterministic(self, tmp_path, args):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        args = ["walk-ideal", "--step-size", "2", "--steps", "50"]
         assert run(args + ["--out", out1]) == 0
         assert run(args + ["--out", out2]) == 0
-        for name in ("positions.csv", "sigma.csv", "scaling.csv"):
-            a = read_bytes(os.path.join(out1, name))
-            b = read_bytes(os.path.join(out2, name))
-            assert a == b
+        names = sorted(n for n in os.listdir(out1) if n.endswith((".csv", ".json")))
+        assert any(n.endswith(".csv") for n in names)
+        assert sorted(os.listdir(out2)) == sorted(os.listdir(out1))
+        for name in names:
+            if name != "manifest.json":
+                assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name))
 
 
 class TestConfigHandling:
@@ -140,6 +147,11 @@ class TestConfigHandling:
         ["walk-positions", "--set", "t_d=-1e-6"],
         ["trajectory", "--set", "levels=[]"],
         ["kick-threshold", "--set", "alphas=[]"],
+        ["combined-pulse", "--set", "t_d=0"],
+        ["walk-positions", "--set", "t_d=0"],
+        ["kick-threshold", "--set", "dim=0"],
+        ["kick-threshold", "--set", "dim=64.5"],
+        ["walk-ideal", "--set", "scaling_step_sizes=[]"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

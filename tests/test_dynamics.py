@@ -125,7 +125,7 @@ class TestTrajectories:
 
     def test_undriven_coherent_state_is_static(self):
         amps = fock.coherent_state(2.0, 64).amps
-        state = dyn.HybridState(fock.MotionalState(amps), fock.MotionalState(np.zeros(64)))
+        state = dyn.HybridState(np.stack([amps, np.zeros(64)]))
         p = fock.experimental_params(level="LDA", dim=64, omega_d=0.0)
         later = dyn.propagate(state, p, 5e-6)
         assert later.t_part.mean_a() == pytest.approx(2.0, abs=1e-9)
@@ -181,7 +181,7 @@ class TestRegimeDeparture:
         for history in dyn.sampled_histories(start, fig5_params("RWA", dim=32), 0.0, (1e-7, 1e-8)):
             assert history[0] is start
             assert [s.time for s in history] == [0.0, 0.0]
-            assert np.array_equal(history[1].packed(), start.packed())
+            assert np.array_equal(history[1].amps, start.amps)
 
     def test_3sb_trajectory_carries_high_frequency_bands(self):
         spectra = {}
@@ -206,7 +206,7 @@ class TestRegimeDeparture:
         p = fig5_params("3SB")
         initial = dyn.ground_hybrid(128)
         final = dyn.propagate(initial, p, 6e-6)
-        drift = abs(final.total_norm() - 1.0)
+        drift = abs(np.linalg.norm(final.amps) - 1.0)
         assert drift < 1e-8 * 6.0
 
     def test_leakage_raises_truncation_error(self):
@@ -290,6 +290,48 @@ class TestStepwiseExcitation:
 
         assert turn(result.segments[0]) > 0.0
         assert turn(result.segments[-1]) < 0.0
+
+
+class TestHybridState:
+    @pytest.mark.parametrize("amps", [
+        np.ones(16) / 4.0,  # one branch, not (2, dim)
+        np.ones((3, 16)) / math.sqrt(48.0),  # three coin rows
+        np.zeros((2, 0)),  # empty basis
+        [np.ones(4) / 2.0, np.zeros(5)],  # branch dimensions differ
+        np.array([[1.0, np.nan], [0.0, 0.0]]),
+        np.array([[1.0, 0.0], [np.inf, 0.0]]),
+        np.array([[math.sqrt(1.0 + 3e-6), 0.0], [0.0, 0.0]]),  # a branch norm above 1
+        np.array([[0.5, 0.5], [0.0, 0.0]]),  # total norm deviates from 1
+    ])
+    def test_rejects_bad_input(self, amps):
+        with pytest.raises(ValueError):
+            dyn.HybridState(amps)
+
+    def test_amps_is_a_read_only_copy(self):
+        amps = np.zeros((2, 16), dtype=complex)
+        amps[1, 0] = 1.0
+        state = dyn.HybridState(amps, 0.5)
+        amps[1, 0] = 0.0
+        assert state.amps[1, 0] == 1.0
+        with pytest.raises(ValueError):
+            state.amps[0, 0] = 1.0
+
+    def test_branch_views_are_built_once(self):
+        state = dyn.ground_hybrid(32, "TH")
+        t_part = state.t_part
+        assert state.t_part is t_part and state.branch(0) is t_part
+        assert state.branch(1) is state.h_part
+        assert np.array_equal(t_part.amps, state.amps[0])
+        assert np.shares_memory(t_part.amps, state.amps)  # a view, not a copy
+        later = state.with_time(1e-6)
+        assert later.time == 1e-6 and later.amps is state.amps and later.t_part is t_part
+        assert state.time == 0.0
+
+    def test_product_states(self):
+        for coin, rows in (("T", [1.0, 0.0]), ("H", [0.0, 1.0]), ("TH", [1.0 / math.sqrt(2.0)] * 2)):
+            assert np.array_equal(dyn.ground_hybrid(16, coin).amps[:, 0], rows)
+        with pytest.raises(ValueError, match="coin"):
+            dyn.ground_hybrid(16, "X")
 
 
 def test_wait_advances_drive_clock_exactly():
@@ -398,7 +440,7 @@ def reference_propagate(state, params, duration, sample_interval=None):
     h = duration / n_steps
     stride = None if sample_interval is None else max(1, round(sample_interval / h))
     samples = [state]
-    psi = state.packed().T
+    psi = state.amps.T
     scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
 
     def deriv(t, y):
@@ -413,15 +455,15 @@ def reference_propagate(state, params, duration, sample_interval=None):
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = state.time + (step + 1) * h
         if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
-            samples.append(dyn.HybridState.from_packed(psi.T, t))
-    samples.append(dyn.HybridState.from_packed(psi.T, state.time + duration))
+            samples.append(dyn.HybridState(psi.T, t))
+    samples.append(dyn.HybridState(psi.T, state.time + duration))
     return samples
 
 
 def random_hybrid(rng, dim, time=0.0):
     psi = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
     psi[:, dim // 2 :] = 0.0  # clear of the guard band
-    return dyn.HybridState.from_packed(psi / np.linalg.norm(psi), time)
+    return dyn.HybridState(psi / np.linalg.norm(psi), time)
 
 
 class TestDriveStencil:
@@ -479,7 +521,7 @@ class TestDriveStencil:
         assert len(history) == len(expected)
         for got, want in zip(history, expected):
             assert got.time == want.time
-            assert np.max(np.abs(got.packed() - want.packed())) <= 1e-12
+            assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
 
     def test_three_step_walk_coin_probabilities_pinned(self):
         p = fock.experimental_params(level="3SB", dim=96)
@@ -557,7 +599,7 @@ class TestStroboscopic:
         duration = 0.6e-6 if level == "3SB" else 3.1e-6  # 3SB: T = 0.49 us
         final = dyn.propagate(start, p, duration)
         sampled, _ = dyn.propagate(start, p, duration, duration / 5)
-        assert np.array_equal(final.packed(), sampled.packed())
+        assert np.array_equal(final.amps, sampled.amps)
         assert final.time == sampled.time
 
     def test_long_pulse_matches_plain_rk4(self):
@@ -570,7 +612,7 @@ class TestStroboscopic:
         final = dyn.propagate(start, p, duration)
         plain, _ = dyn.propagate(start, p, duration, 1.0)
         assert final.time == plain.time
-        assert np.max(np.abs(final.packed() - plain.packed())) <= 1e-9
+        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
     @pytest.mark.parametrize("case", [
         *(pytest.param(j, id=f"inside-{j}") for j in range(8)),
@@ -594,7 +636,7 @@ class TestStroboscopic:
         final = dyn.propagate(state, p, t1 - t0)
         plain, _ = dyn.propagate(state, p, t1 - t0, 1.0)
         assert final.time == plain.time
-        assert np.max(np.abs(final.packed() - plain.packed())) <= 1e-9
+        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
     def test_rk4_spans_at_most_two_snapshot_intervals(self, monkeypatch):
         # each end of a pulse holding whole periods integrates only up to
@@ -617,6 +659,32 @@ class TestStroboscopic:
             dyn.propagate(random_hybrid(rng, p.dim, time=t0), p, 5.3 * period)
             assert len(spans) == 2  # head and tail
             assert sum(spans) <= 2 * period / 8 + h
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_ends_on_snapshots_of_later_periods_run_no_rk4(self, k, monkeypatch):
+        # k T + t_j misses the snapshot time t_j of period k by a few ulps of
+        # k T; those ends must count as on it, as they do in the first period
+        p = fock.experimental_params(level="3SB", dim=64)
+        period = dyn.drive_period(p)
+        steps, h = dyn._snapshot_steps(p)
+        dyn.period_map(p)
+        calls = []
+        apply_drive = dyn.apply_drive
+
+        def counting(*args):
+            calls.append(None)
+            return apply_drive(*args)
+
+        monkeypatch.setattr(dyn, "apply_drive", counting)
+        counts = []
+        for periods in (0, k):
+            state = random_hybrid(np.random.default_rng(29), p.dim, time=periods * period + steps[2] * h)
+            calls.clear()
+            final = dyn.propagate(state, p, 3 * period)
+            counts.append(len(calls))
+        assert counts == [0, 0]
+        plain, _ = dyn.propagate(state, p, 3 * period, 1.0)
+        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
     @pytest.mark.parametrize("ratio", [0.97, 1.00, 1.03])
     def test_three_step_walk_against_converged_reference(self, ratio, monkeypatch):

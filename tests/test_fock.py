@@ -178,6 +178,16 @@ def test_motional_state_rejects_overfilled_norm():
         fock.MotionalState(amps)
 
 
+def test_motional_state_copies_what_can_still_change():
+    base = np.zeros(16, dtype=complex)
+    base[0] = 1.0
+    view = base[:]
+    view.setflags(write=False)
+    for amps in (base, view):
+        state = fock.MotionalState(amps)
+        assert not np.shares_memory(state.amps, base)
+
+
 def test_state_json_roundtrip():
     state = fock.coherent_state(0.3 + 0.9j, 48)
     data = json.loads(json.dumps(state.to_json_dict()))

@@ -14,7 +14,7 @@ def test_ideal_kick_flips_coin_and_displaces():
     kp = kicks.pi_pulse(1e-9, 0.25, WZ, 64)
     u = kicks.kick_ideal(kp, 1)
     initial = kicks.coherent_hybrid(0.0, 64, "H")
-    out = u @ initial.packed().ravel()
+    out = u @ initial.amps.ravel()
     assert np.linalg.norm(out[64:]) < 1e-12  # H branch emptied
     target = fock.coherent_state(1j * 0.25, 64)
     assert np.vdot(target.amps, out[:64]) == pytest.approx(-1j, abs=1e-12)
@@ -45,7 +45,7 @@ def test_alternating_pair_is_coin_diagonal_displacement():
 
 
 def test_full_kick_matches_ideal_without_trap():
-    kp = kicks.KickParams(omega=math.pi / 1e-9, t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
+    kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
     assert kicks.kick_fidelity(0.5 + 0.3j, kp) >= 1.0 - 1e-8
 
 
@@ -115,7 +115,7 @@ def test_reference_coefficients_at_walk_scale():
 
 class TestKickTrain:
     def test_eight_alternating_kicks_build_full_step(self):
-        kp = kicks.KickParams(omega=math.pi / 1e-9, t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
+        kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
         final, fidelity = kicks.kick_train(8, True, kp)
         assert fidelity >= 1.0 - 1e-8
         # even kick count returns the coin; displacement magnitude 8 * eta
@@ -123,7 +123,7 @@ class TestKickTrain:
         assert abs(branch.mean_a()) == pytest.approx(2.0, abs=1e-6)
 
     def test_same_direction_train_goes_nowhere(self):
-        kp = kicks.KickParams(omega=math.pi / 1e-9, t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
+        kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
         final, fidelity = kicks.kick_train(8, False, kp)
         assert fidelity >= 1.0 - 1e-8
         assert abs(final.h_part.mean_a()) < 1e-6
@@ -142,8 +142,6 @@ class TestKickTrain:
 
 def test_kick_params_validation():
     with pytest.raises(ValueError):
-        kicks.KickParams(omega=1.0, t_p=1e-9, eta=0.25, omega_z=WZ, dim=64)
-    with pytest.raises(ValueError):
         kicks.pi_pulse(1e-12, 0.25, WZ, 64)
     with pytest.raises(ValueError):
         kicks.pi_pulse(1e-9, -0.25, WZ, 64)
@@ -153,7 +151,7 @@ def test_kick_params_validation():
 
 def reference_kick_rk4(state, kp, direction=1):
     """Fixed-step RK4 of the kick Hamiltonian (the integrator ``kick_full``
-    used before it became exact); returns packed rows (T, H)."""
+    used before it became exact); returns rows (T, H) as in ``HybridState.amps``."""
     dim = kp.dim
     d_up = fock.displacement_matrix(1j * direction * kp.eta, dim)
     d_dn = d_up.conj().T
@@ -162,7 +160,7 @@ def reference_kick_rk4(state, kp, direction=1):
     fast = max(kp.omega, kp.omega_z * dim)
     n_steps = max(1, math.ceil(max(200.0, kp.t_p * fast * 100.0 / (2.0 * math.pi))))
     h = kp.t_p / n_steps
-    psi_t, psi_h = state.packed()
+    psi_t, psi_h = state.amps
 
     def deriv(y_t, y_h):
         d_t = -1j * (half_omega * (d_up @ y_h) + kp.omega_z * n_diag * y_t)
@@ -211,8 +209,8 @@ class TestExactKick:
                 propagators[direction] = dense_kick_propagator(kp, direction)
             initial = kicks.coherent_hybrid(mag if phase == "real" else 1j * mag, dim, "H")
             got = kicks.kick_full(initial, kp, direction)
-            expected = (propagators[direction] @ initial.packed().ravel()).reshape(2, dim)
-            assert np.max(np.abs(got.packed() - expected)) <= 1e-10, (direction, phase)
+            expected = (propagators[direction] @ initial.amps.ravel()).reshape(2, dim)
+            assert np.max(np.abs(got.amps - expected)) <= 1e-10, (direction, phase)
             assert got.time == initial.time + t_p
 
     @pytest.mark.parametrize("alpha, dim, t_p", [
@@ -226,7 +224,7 @@ class TestExactKick:
         initial = kicks.coherent_hybrid(alpha, dim, "H")
         psi = reference_kick_rk4(initial, kp)
         psi *= np.exp(1j * kp.omega_z * np.arange(dim) * t_p)  # undo the free rotation
-        ideal = kicks.kick_ideal(kp) @ initial.packed().ravel()
+        ideal = kicks.kick_ideal(kp) @ initial.amps.ravel()
         reference = abs(np.vdot(ideal, psi.ravel())) ** 2
         assert abs(kicks.kick_fidelity(alpha, kp) - reference) <= 1e-7
 
@@ -268,10 +266,10 @@ class TestExactKick:
         kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
         initial = kicks.coherent_hybrid(10j, 256, "H")
         np.random.seed(1)
-        first = kicks.kick_full(initial, kp).packed()
+        first = kicks.kick_full(initial, kp).amps
         after_first = np.random.random()
         np.random.seed(2)
-        second = kicks.kick_full(initial, kp).packed()
+        second = kicks.kick_full(initial, kp).amps
         np.random.seed(1)
         assert np.random.random() == after_first
         assert np.array_equal(first, second)

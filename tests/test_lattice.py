@@ -15,8 +15,8 @@ def three_step_state(step_size=1.0):
 def test_coin_identity_at_zero_angle():
     state = lattice.initial_state(1.0)
     rotated = lattice.apply_coin(state, 0.0, 0.4)
-    assert np.allclose(rotated.c_t, state.c_t)
-    assert np.allclose(rotated.c_h, state.c_h)
+    assert np.allclose(rotated.amps[0], state.amps[0])
+    assert np.allclose(rotated.amps[1], state.amps[1])
 
 
 def test_coin_half_angle_from_tails():
@@ -30,8 +30,30 @@ def test_coin_half_angle_from_tails():
 def test_double_pi_coin_is_minus_identity():
     state = lattice.apply_coin(lattice.initial_state(1.0), math.pi / 2, 0.3)
     twice = lattice.apply_coin(lattice.apply_coin(state, math.pi, 0.0), math.pi, 0.0)
-    assert np.allclose(twice.c_t, -state.c_t)
-    assert np.allclose(twice.c_h, -state.c_h)
+    assert np.allclose(twice.amps[0], -state.amps[0])
+    assert np.allclose(twice.amps[1], -state.amps[1])
+
+
+@pytest.mark.parametrize("amps, step_size, n_steps", [
+    (np.array([1.0, 0.0]), 1.0, 0),  # one coin row
+    (np.array([[1.0], [0.0], [0.0]]), 1.0, 0),  # three coin rows
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0, 0),  # length is not 2*n_steps + 1
+    (np.array([[1.0], [0.0]]), 0.0, 0),
+    (np.array([[1.0], [0.5]]), 1.0, 0),  # norm deviates from 1
+    (np.array([[np.nan], [0.0]]), 1.0, 0),
+])
+def test_lattice_state_rejects_bad_input(amps, step_size, n_steps):
+    with pytest.raises(ValueError):
+        lattice.LatticeState(amps, step_size, n_steps)
+
+
+def test_lattice_amps_is_a_read_only_copy():
+    amps = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    state = lattice.LatticeState(amps, 1.0, 1)
+    amps[0, 1] = 0.0
+    assert state.coeff(0) == (1.0, 0.0)
+    with pytest.raises(ValueError):
+        state.amps[0, 1] = 0.0
 
 
 def test_shift_moves_tails_up():
@@ -172,7 +194,7 @@ def dense_amplitudes(state, l_values):
     """Overlap-weighted amplitudes from the dense kernel over every (l, k)."""
     offsets = state.positions[None, :] - np.asarray(l_values, dtype=int)[:, None]
     kernel = np.exp(-(offsets.astype(float) ** 2) * state.step_size**2 / 2.0)
-    return kernel @ state.c_t, kernel @ state.c_h
+    return kernel @ state.amps[0], kernel @ state.amps[1]
 
 
 def dense_position_probabilities(state, l_values, normalize):
@@ -185,8 +207,8 @@ def dense_position_probabilities(state, l_values, normalize):
 
 def dense_coin_probabilities(state):
     gram_t, gram_h = dense_amplitudes(state, state.positions)
-    return (float(np.real(np.vdot(state.c_t, gram_t))),
-            float(np.real(np.vdot(state.c_h, gram_h))))
+    return (float(np.real(np.vdot(state.amps[0], gram_t))),
+            float(np.real(np.vdot(state.amps[1], gram_h))))
 
 
 def l_value_sets(state, rng):

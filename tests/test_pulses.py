@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -198,6 +199,27 @@ class TestForceAmplitude:
         assert pulses.force_amplitude(doubled) == pytest.approx(
             2 * pulses.force_amplitude(p), rel=1e-12
         )
+
+
+def test_rf_event_and_lattice_coin_rotate_rows_bit_for_bit():
+    # the lattice coin (once written in the (H, T) order) and the RF event of
+    # a pulse program (once its own function) share one rotation: same bits
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33))
+    rows /= np.linalg.norm(rows)
+    walker = lattice.LatticeState(rows, 1.0, 16)
+    hybrid = dyn.HybridState(rows, 0.0)
+    params = fock.experimental_params(dim=33)
+    for theta, phi in ((math.pi / 2.0, 0.0), (math.pi, 0.3), (0.7, -2.1)):
+        c, s, eip = math.cos(theta / 2.0), math.sin(theta / 2.0), cmath.exp(1j * phi)
+        t, h = rows
+        old_lattice = [-np.conj(eip) * s * h + c * t, c * h + eip * s * t]
+        old_rf = [-eip.conjugate() * s * h + c * t, c * h + eip * s * t]
+        coin = lattice.apply_coin(walker, theta, phi).amps
+        program = pulses.PulseProgram((pulses.rf(theta, phi),), params, 2.0)
+        event = pulses.run_program(program, hybrid).amps
+        bits = {np.stack(a).tobytes() for a in (coin, event, old_lattice, old_rf)}
+        assert bits == {lattice.rotate_coin(rows, theta, phi).tobytes()}
 
 
 def test_event_validation():
