@@ -39,7 +39,6 @@ from .dynamics import (
     resonant_excitation,
     return_time,
     stepwise_excitation,
-    trajectory,
     trajectory_table,
 )
 from .pulses import (

@@ -23,7 +23,7 @@ from . import __version__
 from . import dynamics as dyn
 from . import kicks, lattice, pulses, readout
 from .errors import ConfigError, IllConditioned, NoThreshold, StepError, TruncationError
-from .fock import SimParams, experimental_params
+from .fock import SimParams, experimental_params, mean_a, mean_n
 
 TWO_PI = 2.0 * math.pi
 _PARAM_FIELDS = {f.name for f in fields(SimParams)}
@@ -131,7 +131,7 @@ def scenario_stepwise(ctx: RunContext) -> dict:
         for j in range(tab["t"].size):
             rows.append((i, tab["t"][j], tab["re_alpha_t"][j], tab["im_alpha_t"][j], tab["n_t"][j]))
     ctx.write_csv("stepwise.csv", ["pulse", "t", "re_alpha", "im_alpha", "mean_n"], rows)
-    return {"final_mean_n": result.final.t_part.mean_n()}
+    return {"final_mean_n": float(mean_n(result.final.amps[0]))}
 
 
 def scenario_combined_pulse(ctx: RunContext) -> dict:
@@ -149,9 +149,10 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
         tab = dyn.trajectory_table(history)
         ctx.write_csv(f"combined_pulse_{level.lower()}.csv", list(tab), zip(*tab.values()))
+        alpha_t, alpha_h = mean_a(final.amps)
         info[level] = {
-            "alpha_t": [final.t_part.mean_a().real, final.t_part.mean_a().imag],
-            "alpha_h": [final.h_part.mean_a().real, final.h_part.mean_a().imag],
+            "alpha_t": [alpha_t.real, alpha_t.imag],
+            "alpha_h": [alpha_h.real, alpha_h.imag],
             "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, opt["wait_multiplier"])),
         }
         with open(ctx.path(f"program_{level.lower()}.json"), "w") as fh:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import copy
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +47,12 @@ from .fock import (
     LDA,
     RWA,
     THREE_SB,
-    MotionalState,
-    PhasePoint,
     SimParams,
     check_leakage,
     displacement_matrix,
     ladder_elements,
+    mean_a,
+    mean_n,
 )
 
 STEPS_PER_PERIOD = 50
@@ -97,18 +96,6 @@ class HybridState:
             amps /= math.sqrt(2.0)
         return cls(amps)
 
-    @functools.cached_property
-    def t_part(self) -> MotionalState:
-        return MotionalState(self.amps[0])
-
-    @functools.cached_property
-    def h_part(self) -> MotionalState:
-        return MotionalState(self.amps[1])
-
-    def branch(self, row: int) -> MotionalState:
-        """The branch of coin row 0 (T) or 1 (H)."""
-        return self.h_part if row else self.t_part
-
     @property
     def dim(self) -> int:
         return self.amps.shape[1]
@@ -120,7 +107,7 @@ class HybridState:
         return p_t / total, p_h / total
 
     def with_time(self, time: float) -> "HybridState":
-        # shares the validated read-only amps and any branch views built so far
+        # shares the validated read-only amps
         moved = copy.copy(self)
         object.__setattr__(moved, "time", time)
         return moved
@@ -469,31 +456,20 @@ def sampled_histories(state: HybridState, params: SimParams, duration: float,
     return [history[:-1:stride // gcd] + history[-1:] for stride in strides]
 
 
-def trajectory(history: list[HybridState], branch: str = "T") -> list[PhasePoint]:
-    """Phase-space path <a>(t) of one branch over a state history.
-
-    The simulation frame co-rotates at the trap frequency, so the branch
-    expectation of the lowering operator is already the co-rotating alpha.
-    """
-    row = COINS.index(branch)
-    points = []
-    for state in history:
-        branch_state = state.branch(row)
-        if branch_state.norm() <= 1e-6:
-            points.append(PhasePoint(0.0, 0.0))
-        else:
-            points.append(PhasePoint.from_complex(branch_state.mean_a()))
-    return points
-
-
 def trajectory_table(history: list[HybridState]) -> dict[str, np.ndarray]:
-    """Arrays (t, re/im alpha per branch, mean n per branch) for export."""
+    """Arrays (t, re/im alpha per branch, mean n per branch) for export.
+
+    The simulation frame co-rotates at the trap frequency, so a branch's
+    <a> is already its co-rotating phase-space alpha.
+    """
+    # one state at a time: stacking the history would copy all of it
+    alpha = np.array([mean_a(s.amps) for s in history])
+    n = np.array([mean_n(s.amps) for s in history])
     table = {"t": np.array([s.time for s in history])}
     for row, coin in enumerate(COINS.lower()):
-        alpha = np.array([s.branch(row).mean_a() for s in history])
-        table[f"re_alpha_{coin}"], table[f"im_alpha_{coin}"] = alpha.real, alpha.imag
+        table[f"re_alpha_{coin}"], table[f"im_alpha_{coin}"] = alpha[:, row].real, alpha[:, row].imag
     for row, coin in enumerate(COINS.lower()):
-        table[f"n_{coin}"] = np.array([s.branch(row).mean_n() for s in history])
+        table[f"n_{coin}"] = n[:, row]
     return table
 
 
@@ -558,30 +534,22 @@ class ExcitationResult:
         return out
 
 
-def _branch_number_stats(state: HybridState, row: int = 0) -> tuple[float, float]:
-    p = np.abs(state.amps[row]) ** 2
-    total = p.sum()
-    if total <= 0.0:
-        return 0.0, 0.0
-    p = p / total
-    n = np.arange(state.dim)
-    mean = float(n @ p)
-    var = float((n - mean) ** 2 @ p)
-    return mean, var
-
-
 def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
     """Drive at delta = 0 from the ground state; report <n>(t) and its variance."""
     if params.level == LDA:
         raise ValueError("resonant excitation requires RWA or 3SB")
     run = params.replace(delta=0.0)
     final, history = propagate(ground_hybrid(run.dim), run, duration, duration / 200.0)
-    stats = [_branch_number_stats(s) for s in history]
+    amps = np.stack([s.amps[0] for s in history])
+    mean = mean_n(amps)
+    p = np.abs(amps) ** 2
+    p /= p.sum(axis=-1, keepdims=True)
+    levels = np.arange(run.dim)
     return ExcitationResult(
         final=final,
         times=np.array([s.time for s in history]),
-        mean_n=np.array([m for m, _ in stats]),
-        var_n=np.array([v for _, v in stats]),
+        mean_n=mean,
+        var_n=np.array([(levels - m) ** 2 @ row for m, row in zip(mean, p)]),
     )
 
 
@@ -627,7 +595,7 @@ def return_time(params: SimParams, scan_duration: float,
         _, history = propagate(ground_hybrid(params.dim), params, scan_duration,
                                scan_duration / RETURN_TIME_SAMPLES)
     times = np.array([s.time for s in history])
-    n_vals = np.array([_branch_number_stats(s)[0] for s in history])
+    n_vals = np.array([mean_n(s.amps[0]) for s in history])
     peak = int(np.argmax(n_vals))
     if peak >= len(n_vals) - 1:
         raise ValueError("no post-peak window inside scan_duration")

@@ -40,7 +40,7 @@ class MotionalState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amps must be a nonempty 1-d vector")
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
@@ -50,10 +50,7 @@ class MotionalState:
         norm_sq = float(np.vdot(amps, amps).real)
         if norm_sq > 1.0 + 1e-6:
             raise ValueError(f"state norm {math.sqrt(norm_sq)} exceeds 1")
-        # a read-only view of read-only memory (a HybridState row) is shared
-        if amps.flags.writeable or isinstance(amps.base, np.ndarray) and amps.base.flags.writeable:
-            amps = amps.copy()
-            amps.setflags(write=False)
+        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -70,20 +67,10 @@ class MotionalState:
         return np.abs(self.amps) ** 2
 
     def mean_n(self) -> float:
-        p = self.fock_probs()
-        total = p.sum()
-        if total <= 0.0:
-            return 0.0
-        return float(np.arange(self.dim) @ p / total)
+        return float(mean_n(self.amps))
 
     def mean_a(self) -> complex:
-        """Expectation of the lowering operator, normalized to the branch weight."""
-        a = self.amps
-        total = float(np.vdot(a, a).real)
-        if total <= 0.0:
-            return 0.0 + 0.0j
-        n = np.arange(1, self.dim)
-        return complex(np.sum(np.conj(a[:-1]) * np.sqrt(n) * a[1:]) / total)
+        return complex(mean_a(self.amps))
 
     def renormalized(self) -> "MotionalState":
         n = self.norm()
@@ -107,6 +94,27 @@ class MotionalState:
         return cls(re + 1j * im)
 
 
+def mean_n(amps: np.ndarray) -> np.ndarray:
+    """<n> of each amplitude vector along the last axis of ``amps``,
+    normalized to its weight (0 for a zero vector)."""
+    p = np.abs(amps) ** 2
+    levels = np.arange(p.shape[-1])
+    # a 1-d dot per vector: a batched matmul sums in another order
+    num = np.array([levels @ row for row in p.reshape(-1, p.shape[-1])]).reshape(p.shape[:-1])
+    total = p.sum(axis=-1)
+    return np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
+
+
+def mean_a(amps: np.ndarray) -> np.ndarray:
+    """<a> of each amplitude vector along the last axis of ``amps``,
+    normalized to its weight (0 for a zero vector)."""
+    total = np.array([np.vdot(row, row).real for row in amps.reshape(-1, amps.shape[-1])])
+    total = total.reshape(amps.shape[:-1])
+    n = np.arange(1, amps.shape[-1])
+    num = np.sum(np.conj(amps[..., :-1]) * np.sqrt(n) * amps[..., 1:], axis=-1)
+    return np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A point (Re alpha, Im alpha) in the co-rotating phase space."""
@@ -117,10 +125,6 @@ class PhasePoint:
     def __post_init__(self):
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
             raise ValueError("phase-space coordinates must be finite")
-
-    @classmethod
-    def from_complex(cls, alpha: complex) -> "PhasePoint":
-        return cls(float(alpha.real), float(alpha.imag))
 
     @property
     def value(self) -> complex:

@@ -205,9 +205,12 @@ def fidelity_threshold(
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Largest pulse duration whose kick fidelity still reaches ``f_min``.
 
-    Bisects on log t_p between THRESHOLD_FLOOR and THRESHOLD_CEILING;
-    returns (t_p, fidelity at t_p, sampled (t_p, f) pairs).  Raises NoThreshold when even the shortest valid pulse falls
-    below ``f_min``, TruncationError when ``dim`` cannot hold |alpha>.
+    Quadruples t_p from THRESHOLD_FLOOR, capped at THRESHOLD_CEILING, until
+    the fidelity drops below ``f_min``, then bisects on log t_p; returns
+    (t_p, fidelity at t_p, sampled (t_p, f) pairs), with (t_p, f) one of the
+    samples (the ceiling if it still reaches ``f_min``).  Raises NoThreshold
+    when even the shortest valid pulse falls below ``f_min``,
+    TruncationError when ``dim`` cannot hold |alpha>.
     """
     if dim is None:
         dim = required_dim(alpha)
@@ -226,13 +229,12 @@ def fidelity_threshold(
         raise NoThreshold(
             f"fidelity {f_lo:.6f} < {f_min} already at the validity floor"
         )
-    hi = lo * 4.0
-    f_hi = f_at(hi)
+    hi, f_hi = lo, f_lo
     while f_hi >= f_min:
+        if hi >= THRESHOLD_CEILING:
+            return hi, f_hi, samples
         lo, f_lo = hi, f_hi
-        hi *= 4.0
-        if hi > THRESHOLD_CEILING:
-            return THRESHOLD_CEILING, f_hi, samples
+        hi = min(hi * 4.0, THRESHOLD_CEILING)
         f_hi = f_at(hi)
     for _ in range(20):
         if hi / lo < 1.0 + THRESHOLD_REL_TOL:

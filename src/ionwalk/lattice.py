@@ -118,9 +118,10 @@ def apply_shift(state: LatticeState, direction: int = 1) -> LatticeState:
     return LatticeState(amps, state.step_size, n)
 
 
-def _walk_states(spec: WalkSpec, coin: str = "T") -> Iterator[LatticeState]:
-    """States after 0..n_steps steps; a symmetric walk adds pi/2 to phi after step one."""
-    state = initial_state(spec.step_size, coin)
+def _walk_states(spec: WalkSpec) -> Iterator[LatticeState]:
+    """States after 0..n_steps steps from |T>|0>; a symmetric walk adds pi/2
+    to phi after step one."""
+    state = initial_state(spec.step_size)
     yield state
     for step in range(spec.n_steps):
         phi = spec.phi + math.pi / 2.0 if spec.symmetric and step > 0 else spec.phi
@@ -128,9 +129,9 @@ def _walk_states(spec: WalkSpec, coin: str = "T") -> Iterator[LatticeState]:
         yield state
 
 
-def run_walk(spec: WalkSpec, coin: str = "T") -> LatticeState:
-    """Run the full walk from ``|coin>|0>`` with the configured coin phases."""
-    for state in _walk_states(spec, coin):
+def run_walk(spec: WalkSpec) -> LatticeState:
+    """Run the full walk from |T>|0> with the configured coin phases."""
+    for state in _walk_states(spec):
         pass
     return state
 
@@ -210,11 +211,12 @@ def sigma_series(
     return np.asarray([std_dev(state) for state in _walk_states(spec)])
 
 
-def scaling_factor(step_size: float, n_max: int = 100, phi: float = 0.0) -> float:
-    """Slope of sigma_N vs N fitted over the late half N in [n_max/2, n_max]."""
+def scaling_factor(step_size: float, n_max: int = 100) -> float:
+    """Slope of sigma_N vs N (coin phase 0) fitted over the late half
+    N in [n_max/2, n_max]."""
     if n_max < 40:
         raise ConfigError("n_max must be at least 40 for a stable slope fit")
-    sigmas = sigma_series(step_size, n_max, phi=phi)
+    sigmas = sigma_series(step_size, n_max)
     lo = n_max // 2
     n = np.arange(lo, n_max + 1, dtype=float)
     slope, _ = np.polyfit(n, sigmas[lo:], 1)

@@ -282,16 +282,16 @@ def calibrate_positions(
         state = run_program(program, initial=state)
         ladder.append(state)
     # the T branch carries the full weight throughout (no coins applied)
-    branches = [s.t_part.renormalized() for s in ladder]
+    branches = [MotionalState(s.amps[0]).renormalized() for s in ladder]
     mean_n = [b.mean_n() for b in branches]
     overlaps = [
         abs(branches[k].overlap(branches[k + 1])) ** 2 for k in range(k_max)
     ]
     fidelities = []
-    for b in branches:
-        amp = math.sqrt(b.mean_n())
-        direction = cmath.phase(b.mean_a()) if abs(b.mean_a()) > 1e-12 else 0.0
-        target = coherent_state(amp * cmath.exp(1j * direction), params.dim)
+    for b, n in zip(branches, mean_n):
+        alpha = b.mean_a()
+        direction = cmath.phase(alpha) if abs(alpha) > 1e-12 else 0.0
+        target = coherent_state(math.sqrt(n) * cmath.exp(1j * direction), params.dim)
         fidelities.append(abs(b.overlap(target)) ** 2)
     return CalibrationResult(mean_n, overlaps, fidelities, branches)
 

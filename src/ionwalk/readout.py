@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import nnls
 
 from .errors import ConfigError, IllConditioned
 from .fock import sideband_magnitudes
@@ -98,14 +98,11 @@ def invert_bsb(
     signal: np.ndarray,
     cfg: ReadoutConfig,
     eta: float,
-    prior: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fock probabilities from a readout signal by non-negative LS fitting.
 
     The grid must span at least three periods of the slowest dictionary
-    frequency.  An optional prior distribution (for instance from a
-    simulated state) seeds the fit, which matters when the dictionary has
-    nearly degenerate frequencies on both sides of its maximum.
+    frequency.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.shape != cfg.t_grid.shape:
@@ -118,21 +115,7 @@ def invert_bsb(
         )
     if cond > MAX_CONDITION:
         raise IllConditioned(f"dictionary condition number {cond:.3e}")
-    y = 2.0 * signal - 1.0
-    if prior is None:
-        coeffs, _ = nnls(a, y)
-    else:
-        x0 = np.clip(np.asarray(prior, dtype=float)[: cfg.n_max + 1], 0.0, None)
-        if x0.size < cfg.n_max + 1:
-            x0 = np.pad(x0, (0, cfg.n_max + 1 - x0.size))
-        res = minimize(
-            lambda x: 0.5 * float(np.sum((a @ x - y) ** 2)),
-            x0,
-            jac=lambda x: a.T @ (a @ x - y),
-            bounds=[(0.0, None)] * (cfg.n_max + 1),
-            method="L-BFGS-B",
-        )
-        coeffs = res.x
+    coeffs, _ = nnls(a, 2.0 * signal - 1.0)
     coeffs = np.clip(coeffs, 0.0, None)
     total = coeffs.sum()
     if total <= 0.0:

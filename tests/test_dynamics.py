@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ def fig5_params(level, dim=128):
 
 
 def branch_fidelity(reference, state, branch="T"):
-    a = getattr(reference, f"{branch.lower()}_part").amps
-    b = getattr(state, f"{branch.lower()}_part").amps
+    a = reference.amps[dyn.COINS.index(branch)]
+    b = state.amps[dyn.COINS.index(branch)]
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     return abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2
 
@@ -83,7 +84,7 @@ class TestLinearRegime:
         p = fock.experimental_params(level="LDA", dim=64)
         state = dyn.propagate(dyn.ground_hybrid(64), p, p.t_half_turn)
         # half-turn displacement spans the drive-circle diameter
-        assert abs(state.t_part.mean_a()) == pytest.approx(
+        assert abs(fock.mean_a(state.amps[0])) == pytest.approx(
             p.eta * p.omega_d / p.delta, rel=1e-6
         )
 
@@ -92,7 +93,7 @@ class TestLinearRegime:
         initial = dyn.ground_hybrid(64, "TH")
         final = dyn.propagate(initial, p, p.t_full_turn)
         assert branch_fidelity(initial, final, "T") >= 1.0 - 1e-6
-        phase = np.angle(np.vdot(initial.t_part.amps, final.t_part.amps))
+        phase = np.angle(np.vdot(initial.amps[0], final.amps[0]))
         full_turn_phase = dyn.lda_pulse_phase(p, p.t_full_turn)
         assert full_turn_phase == pytest.approx(2.0 * math.pi * p.lda_radius**2, rel=1e-12)
         assert phase == pytest.approx(full_turn_phase, abs=1e-6)
@@ -104,8 +105,8 @@ class TestLinearRegime:
         disp = dyn.lda_pulse_displacement(p, 0.0, p.t_half_turn)
         tgt_t = fock.displacement_matrix(disp, 64)[:, 0] / math.sqrt(2.0)
         tgt_h = fock.displacement_matrix(p.force_ratio * disp, 64)[:, 0] / math.sqrt(2.0)
-        phi_t = np.angle(np.vdot(tgt_t, final.t_part.amps))
-        phi_h = np.angle(np.vdot(tgt_h, final.h_part.amps))
+        phi_t = np.angle(np.vdot(tgt_t, final.amps[0]))
+        phi_h = np.angle(np.vdot(tgt_h, final.amps[1]))
         assert phi_t == pytest.approx(math.pi * p.lda_radius**2, abs=1e-6)
         assert phi_h / phi_t == pytest.approx(4.0 / 9.0, abs=1e-6)
 
@@ -120,15 +121,45 @@ class TestLinearRegime:
 
 class TestTrajectories:
     def test_ground_state_sits_at_origin(self):
-        points = dyn.trajectory([dyn.ground_hybrid(32)])
-        assert points[0].re == 0.0 and points[0].im == 0.0
+        tab = dyn.trajectory_table([dyn.ground_hybrid(32)])
+        assert tab["re_alpha_t"][0] == 0.0 and tab["im_alpha_t"][0] == 0.0
+
+    @pytest.mark.parametrize("coin", ["TH", "T"])
+    def test_table_matches_per_branch_motional_states(self, coin):
+        p = fig5_params("3SB", dim=48)
+        _, history = dyn.propagate(dyn.ground_hybrid(48, coin), p, 1e-6, sample_interval=2e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = dyn.trajectory_table(history)
+        for row, c in enumerate("th"):
+            branches = [fock.MotionalState(s.amps[row]) for s in history]
+            alpha = np.array([b.mean_a() for b in branches])
+            assert np.array_equal(tab[f"re_alpha_{c}"], alpha.real)
+            assert np.array_equal(tab[f"im_alpha_{c}"], alpha.imag)
+            assert np.array_equal(tab[f"n_{c}"], [b.mean_n() for b in branches])
+        assert len(history) > 40 and tab["n_t"][-1] > 0.1
+        if coin == "T":  # the empty H branch sits at 0
+            assert not np.any(tab["re_alpha_h"]) and not np.any(tab["im_alpha_h"])
+            assert not np.any(tab["n_h"])
+
+    def test_table_builds_no_motional_state(self, monkeypatch):
+        built = []
+        post_init = fock.MotionalState.__post_init__
+        monkeypatch.setattr(fock.MotionalState, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        _, history = dyn.propagate(dyn.ground_hybrid(32, "TH"), fig5_params("LDA", dim=32),
+                                   1e-6, sample_interval=1e-7)
+        tab = dyn.trajectory_table(history)
+        assert len(tab["t"]) == len(history) and built == []
+        fock.MotionalState(history[-1].amps[0])
+        assert len(built) == 1  # the counter sees a construction
 
     def test_undriven_coherent_state_is_static(self):
         amps = fock.coherent_state(2.0, 64).amps
         state = dyn.HybridState(np.stack([amps, np.zeros(64)]))
         p = fock.experimental_params(level="LDA", dim=64, omega_d=0.0)
         later = dyn.propagate(state, p, 5e-6)
-        assert later.t_part.mean_a() == pytest.approx(2.0, abs=1e-9)
+        assert fock.mean_a(later.amps[0]) == pytest.approx(2.0, abs=1e-9)
 
     def test_driven_ground_state_traces_drive_circle(self):
         p = fock.experimental_params(level="LDA", dim=64)
@@ -138,7 +169,7 @@ class TestTrajectories:
         a = p.lda_radius
         center = 1j * a * math.copysign(1.0, p.delta)
         for state in history:
-            alpha = state.t_part.mean_a()
+            alpha = fock.mean_a(state.amps[0])
             assert abs(abs(alpha - center) - a) < 1e-6
 
     def test_exact_trajectories_stay_near_linear_prediction_at_low_drive(self):
@@ -151,7 +182,7 @@ class TestTrajectories:
             )
             a = p.lda_radius
             devs = [
-                abs(s.t_part.mean_a() - (-1j * a * (np.exp(1j * p.delta * s.time) - 1.0)))
+                abs(fock.mean_a(s.amps[0]) - (-1j * a * (np.exp(1j * p.delta * s.time) - 1.0)))
                 for s in history
             ]
             quarter = len(devs) // 4
@@ -229,7 +260,7 @@ class TestResonantExcitation:
         params, result = resonant
         g1, g2 = fock.coupling_thresholds(params.eta)
         assert result.mean_n.max() < g2
-        probs = result.final.t_part.fock_probs()
+        probs = np.abs(result.final.amps[0]) ** 2
         probs = probs / probs.sum()
         assert probs[g2 + 15 :].sum() < 1e-3
 
@@ -247,7 +278,7 @@ class TestResonantExcitation:
         _, history = dyn.propagate(dyn.ground_hybrid(64), params, 3e-6, sample_interval=1e-6)
         rate = params.eta * params.omega_d / 2.0
         for state in history:
-            assert abs(state.t_part.mean_a()) == pytest.approx(rate * state.time, abs=1e-6)
+            assert abs(fock.mean_a(state.amps[0])) == pytest.approx(rate * state.time, abs=1e-6)
 
     def test_resonant_rejects_linear_level(self):
         params = fock.experimental_params(level="LDA")
@@ -266,12 +297,12 @@ class TestStepwiseExcitation:
 
     def test_zero_pulses_leave_ground_state(self, fig7_params):
         result = dyn.stepwise_excitation(fig7_params, 0, 1e-6, 1e-6)
-        assert result.final.t_part.amps[0] == pytest.approx(1.0)
+        assert result.final.amps[0, 0] == pytest.approx(1.0)
 
     def test_two_pulses_reach_second_site(self, fig7_params):
         p = fig7_params
         result = dyn.stepwise_excitation(p, 2, p.t_half_turn, p.t_half_turn)
-        alpha = result.final.t_part.mean_a()
+        alpha = fock.mean_a(result.final.amps[0])
         target = 4.0 * p.lda_radius
         assert abs(alpha) == pytest.approx(target, rel=0.2)
         # both displacements along the same line (+imaginary axis here)
@@ -281,10 +312,10 @@ class TestStepwiseExcitation:
         p = fig7_params
         result = dyn.stepwise_excitation(p, 8, p.t_half_turn, p.t_half_turn)
         g1, _ = fock.coupling_thresholds(p.eta)
-        assert result.final.t_part.mean_n() > g1
+        assert fock.mean_n(result.final.amps[0]) > g1
 
         def turn(segment):
-            alphas = np.array([s.t_part.mean_a() for s in segment])
+            alphas = np.array([fock.mean_a(s.amps[0]) for s in segment])
             steps = np.diff(alphas)
             return float(np.sum(np.imag(np.conj(steps[:-1]) * steps[1:])))
 
@@ -316,15 +347,10 @@ class TestHybridState:
         with pytest.raises(ValueError):
             state.amps[0, 0] = 1.0
 
-    def test_branch_views_are_built_once(self):
+    def test_with_time_shares_amps(self):
         state = dyn.ground_hybrid(32, "TH")
-        t_part = state.t_part
-        assert state.t_part is t_part and state.branch(0) is t_part
-        assert state.branch(1) is state.h_part
-        assert np.array_equal(t_part.amps, state.amps[0])
-        assert np.shares_memory(t_part.amps, state.amps)  # a view, not a copy
         later = state.with_time(1e-6)
-        assert later.time == 1e-6 and later.amps is state.amps and later.t_part is t_part
+        assert later.time == 1e-6 and later.amps is state.amps
         assert state.time == 0.0
 
     def test_product_states(self):
@@ -337,9 +363,9 @@ class TestHybridState:
 def test_wait_advances_drive_clock_exactly():
     p = fock.experimental_params(level="LDA", dim=64)
     start = dyn.ground_hybrid(64)
-    reference = dyn.propagate(start, p, 1e-6).t_part.mean_a()
+    reference = fock.mean_a(dyn.propagate(start, p, 1e-6).amps[0])
     for tau in (0.8e-6, 2.3e-6):
-        delayed = dyn.propagate(start.with_time(tau), p, 1e-6).t_part.mean_a()
+        delayed = fock.mean_a(dyn.propagate(start.with_time(tau), p, 1e-6).amps[0])
         assert delayed == pytest.approx(reference * np.exp(1j * p.delta * tau), abs=1e-12)
 
 

@@ -183,9 +183,27 @@ def test_motional_state_copies_what_can_still_change():
     base[0] = 1.0
     view = base[:]
     view.setflags(write=False)
-    for amps in (base, view):
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    for amps in (base, view, frozen, frozen[:]):
         state = fock.MotionalState(amps)
-        assert not np.shares_memory(state.amps, base)
+        assert not np.shares_memory(state.amps, amps)
+
+
+def test_means_match_per_vector_loop():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(5, 2, 40)) + 1j * rng.normal(size=(5, 2, 40))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True) * 2.0
+    amps[2, 1] = 0.0
+    n = np.arange(40)
+    for idx in np.ndindex(5, 2):
+        a = amps[idx]
+        p = np.abs(a) ** 2
+        total = float(np.vdot(a, a).real)
+        want_n = float(n @ p / p.sum()) if total > 0.0 else 0.0
+        want_a = complex(np.sum(np.conj(a[:-1]) * np.sqrt(n[1:]) * a[1:]) / total) if total > 0.0 else 0j
+        assert fock.mean_n(amps)[idx] == want_n and fock.mean_n(a) == want_n
+        assert fock.mean_a(amps)[idx] == want_a and fock.mean_a(a) == want_a
 
 
 def test_state_json_roundtrip():

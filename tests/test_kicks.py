@@ -96,6 +96,14 @@ def test_no_threshold_when_floor_already_fails():
         kicks.fidelity_threshold(5j, 1.0 - 1e-15, 0.31, WZ, dim=160)
 
 
+def test_search_past_the_ceiling_measures_the_ceiling():
+    # every quadrupling passes f_min, so the search ends at the ceiling and
+    # must return the fidelity sampled there (kick_fidelity at 1e-5 s)
+    t_p, f_val, samples = kicks.fidelity_threshold(1j, 0.01, 0.31, WZ, dim=64)
+    assert t_p == kicks.THRESHOLD_CEILING and (t_p, f_val) == samples[-1]
+    assert f_val == pytest.approx(0.8294867206448532, rel=1e-9)
+
+
 def test_fit_recovers_exact_quadratic():
     coeffs = (-17.0, -0.5, -0.08)
     mags = [1.0, 2.0, 3.0, 5.0, 8.0, 10.0]
@@ -119,20 +127,20 @@ class TestKickTrain:
         final, fidelity = kicks.kick_train(8, True, kp)
         assert fidelity >= 1.0 - 1e-8
         # even kick count returns the coin; displacement magnitude 8 * eta
-        branch = final.h_part if final.h_part.norm() > 0.5 else final.t_part
-        assert abs(branch.mean_a()) == pytest.approx(2.0, abs=1e-6)
+        row = 1 if np.linalg.norm(final.amps[1]) > 0.5 else 0
+        assert abs(fock.mean_a(final.amps[row])) == pytest.approx(2.0, abs=1e-6)
 
     def test_same_direction_train_goes_nowhere(self):
         kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
         final, fidelity = kicks.kick_train(8, False, kp)
         assert fidelity >= 1.0 - 1e-8
-        assert abs(final.h_part.mean_a()) < 1e-6
+        assert abs(fock.mean_a(final.amps[1])) < 1e-6
 
     def test_single_kick_train_equals_kick_full(self):
         kp = kicks.pi_pulse(2e-10, 0.25, WZ, 64)
         final, _ = kicks.kick_train(1, False, kp)
         direct = kicks.kick_full(kicks.coherent_hybrid(0.0, 64, "H"), kp, 1)
-        assert np.max(np.abs(final.t_part.amps - direct.t_part.amps)) < 1e-12
+        assert np.max(np.abs(final.amps[0] - direct.amps[0])) < 1e-12
 
     def test_train_with_trap_on_tracks_ideal_composition(self):
         kp = kicks.pi_pulse(5e-11, 0.25, WZ, 64)
@@ -279,6 +287,6 @@ class TestExactKick:
         # displaces |0.5i> to |0.81i>
         kp = kicks.pi_pulse(1e-9, 0.31, WZ, 16)
         initial = kicks.coherent_hybrid(0.5j, 16, "H")
-        assert fock.leakage(initial.h_part.amps) < fock.LEAK_TOL
+        assert fock.leakage(initial.amps[1]) < fock.LEAK_TOL
         with pytest.raises(TruncationError, match="kick: guard-band population"):
             kicks.kick_full(initial, kp)

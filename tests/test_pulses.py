@@ -29,15 +29,15 @@ class TestCombinedPulse:
         step = pulses.combined_pulse_step(p)
         target_t = fock.coherent_state(step, p.dim)
         target_h = fock.coherent_state(-step, p.dim)
-        f_t = abs(np.vdot(target_t.amps, final.t_part.amps)) ** 2 / final.t_part.norm() ** 2
-        f_h = abs(np.vdot(target_h.amps, final.h_part.amps)) ** 2 / final.h_part.norm() ** 2
+        f_t = abs(np.vdot(target_t.amps, final.amps[0])) ** 2 / np.linalg.norm(final.amps[0]) ** 2
+        f_h = abs(np.vdot(target_h.amps, final.amps[1])) ** 2 / np.linalg.norm(final.amps[1]) ** 2
         assert f_t >= 0.999
         assert f_h >= 0.999
 
     def test_step_distances_equal(self):
         p = lda_params()
         final = run_combined(p)
-        assert abs(abs(final.t_part.mean_a()) - abs(final.h_part.mean_a())) < 1e-3
+        assert abs(abs(fock.mean_a(final.amps[0])) - abs(fock.mean_a(final.amps[1]))) < 1e-3
 
     def test_coin_phases_cancel_into_global_phase(self):
         p = lda_params()
@@ -45,8 +45,8 @@ class TestCombinedPulse:
         step = pulses.combined_pulse_step(p)
         target_t = fock.coherent_state(step, p.dim)
         target_h = fock.coherent_state(-step, p.dim)
-        rel = np.angle(np.vdot(target_t.amps, final.t_part.amps)) - np.angle(
-            np.vdot(target_h.amps, final.h_part.amps)
+        rel = np.angle(np.vdot(target_t.amps, final.amps[0])) - np.angle(
+            np.vdot(target_h.amps, final.amps[1])
         )
         assert abs(rel) < 1e-3
 
@@ -55,8 +55,8 @@ class TestCombinedPulse:
         final = run_combined(p, t_d=1e-12)
         initial = dyn.ground_hybrid(32, "TH")
         # R(pi,0)^2 = -identity on the coin, motion untouched
-        assert np.vdot(initial.t_part.amps, final.t_part.amps) == pytest.approx(-0.5, abs=1e-6)
-        assert np.vdot(initial.h_part.amps, final.h_part.amps) == pytest.approx(-0.5, abs=1e-6)
+        assert np.vdot(initial.amps[0], final.amps[0]) == pytest.approx(-0.5, abs=1e-6)
+        assert np.vdot(initial.amps[1], final.amps[1]) == pytest.approx(-0.5, abs=1e-6)
 
     def test_reverse_timing_inverts_the_shift(self):
         p = lda_params()
@@ -68,8 +68,8 @@ class TestCombinedPulse:
         )
         back = pulses.run_program(reverse, initial=forward)
         initial = dyn.ground_hybrid(p.dim, "TH")
-        f_t = abs(np.vdot(initial.t_part.amps, back.t_part.amps)) ** 2 / back.t_part.norm() ** 2 / 0.5
-        f_h = abs(np.vdot(initial.h_part.amps, back.h_part.amps)) ** 2 / back.h_part.norm() ** 2 / 0.5
+        f_t = abs(np.vdot(initial.amps[0], back.amps[0])) ** 2 / np.linalg.norm(back.amps[0]) ** 2 / 0.5
+        f_h = abs(np.vdot(initial.amps[1], back.amps[1])) ** 2 / np.linalg.norm(back.amps[1]) ** 2 / 0.5
         assert f_t >= 0.999
         assert f_h >= 0.999
 
@@ -84,8 +84,8 @@ class TestCombinedPulse:
             reference = pulses.run_program(
                 pulses.PulseProgram((pulses.dipole(t_d),), p, 2.0), dyn.ground_hybrid(64)
             )
-            expected = reference.t_part.mean_a() * np.exp(1j * p.delta * tau)
-            assert moved.t_part.mean_a() == pytest.approx(expected, abs=1e-9)
+            expected = fock.mean_a(reference.amps[0]) * np.exp(1j * p.delta * tau)
+            assert fock.mean_a(moved.amps[0]) == pytest.approx(expected, abs=1e-9)
 
 
 class TestWalkProgram:
@@ -110,11 +110,10 @@ class TestWalkProgram:
         sites = [fock.coherent_state(k * step, p.dim) for k in range(-3, 4)]
         gram = np.array([[a.overlap(b) for b in sites] for a in sites])
         ideal = lattice.run_walk(lattice.WalkSpec(3, abs(step)))
-        for branch in ("t", "h"):
-            amps = getattr(final, f"{branch}_part").amps
+        for row, amps in enumerate(final.amps):
             proj = np.array([site.overlap(fock.MotionalState(amps)) for site in sites])
             coeffs = np.linalg.solve(gram, proj)
-            expected = [abs(ideal.coeff(k)[0 if branch == "t" else 1]) for k in range(-3, 4)]
+            expected = [abs(ideal.coeff(k)[row]) for k in range(-3, 4)]
             assert np.max(np.abs(np.abs(coeffs) - expected)) < 1e-3
 
     def test_symmetric_variant_offsets_first_coin(self):

@@ -79,13 +79,6 @@ class TestInversion:
             rec = readout.invert_bsb(noisy, cfg, ETA)
             assert np.max(np.abs(rec - p)) < 0.05
 
-    def test_prior_seeded_roundtrip(self, cfg):
-        rng = np.random.default_rng(5)
-        p = random_distribution(rng, 6, 8)
-        signal = readout.bsb_signal(p, cfg, ETA)
-        rec = readout.invert_bsb(signal, cfg, ETA, prior=p)
-        assert np.max(np.abs(rec - p)) < 1e-3
-
     def test_short_grid_rejected(self):
         cfg = readout.ReadoutConfig(t_grid=np.linspace(0.0, 1e-6, 16), n_max=3)
         with pytest.raises(ValueError):
