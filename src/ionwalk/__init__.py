@@ -8,15 +8,11 @@ from .fock import (
     LEVELS,
     RWA,
     THREE_SB,
-    MotionalState,
-    PhasePoint,
     SimParams,
     coherent_state,
     coupling_thresholds,
     displacement_matrix,
     experimental_params,
-    wigner,
-    wigner_map,
 )
 from .lattice import (
     LatticeState,
@@ -33,7 +29,6 @@ from .lattice import (
 from .dynamics import (
     HybridState,
     ground_hybrid,
-    hamiltonian,
     lda_propagate,
     propagate,
     resonant_excitation,

@@ -38,7 +38,6 @@ class RunContext:
     artifacts: list = field(default_factory=list)
 
     def path(self, name: str) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
         full = os.path.join(self.out_dir, name)
         self.artifacts.append(name)
         return full
@@ -264,7 +263,7 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
 
     k_max = opt["n_steps"] + 1
     cal = pulses.calibrate_positions(k_max, params, t_d=t_d, wait_multiplier=m)
-    profiles = {k: cal.states[k].fock_probs() for k in range(k_max + 1)}
+    profiles = {k: np.abs(cal.states[k]) ** 2 for k in range(k_max + 1)}
 
     k_values = list(range(-opt["n_steps"], opt["n_steps"] + 1))
     results = {}
@@ -422,6 +421,10 @@ def run_scenario(
         out_dir=out_dir or os.path.join("out", scenario),
         seed=int(seed),
     )
+    try:
+        os.makedirs(ctx.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {ctx.out_dir!r}: {exc}") from exc
     started = time.time()
     summary = fn(ctx)
     manifest = {
@@ -511,8 +514,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         config = {}
         if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    config = json.load(fh)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
             if not isinstance(config, dict):
                 raise ConfigError("config file must hold a JSON object")
             unknown = sorted(set(config) - _CONFIG_KEYS)
@@ -537,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or config.get("out")
         seed = args.seed if args.seed is not None else _coerce("seed", config.get("seed", 0), 0)
         ctx = run_scenario(scenario, overrides, out_dir, seed=seed)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except (TruncationError, StepError, IllConditioned, NoThreshold, ValueError) as exc:

@@ -138,10 +138,6 @@ class DriveStencil:
     def reach(self) -> int:
         return (self.elements.shape[0] - 1) // 2
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return self.reach - np.arange(self.elements.shape[0])
-
     def factors(self, times) -> np.ndarray:
         """Band time factors at every time: shape ``times.shape + (2P+1,)``."""
         terms = 1j * np.multiply.outer(np.asarray(times, dtype=float), self.rates)
@@ -207,23 +203,6 @@ def apply_drive(
     ``factors`` at t and the stencil ``windows`` of psi (see
     ``DriveStencil.window_buffer``)."""
     return np.einsum("jm,bmj->bm", factors[:, None] * stencil.elements, windows, out=out)
-
-
-def hamiltonian(params: SimParams, t: float) -> np.ndarray:
-    """Dense Hamiltonian on coin (x) motion at time t.
-
-    Basis ordering is coin-major with |T> first, as in
-    ``HybridState.amps``: index b*dim + n for coin block b in (T, H).
-    """
-    dim = params.dim
-    stencil = drive_stencil(params)
-    rows = np.broadcast_to(np.arange(dim), stencil.elements.shape)
-    cols = rows - stencil.offsets[:, None]
-    inside = (cols >= 0) & (cols < dim)
-    w = np.zeros((dim, dim), dtype=complex)
-    w[rows[inside], cols[inside]] = (stencil.factors(t)[:, None] * stencil.elements)[inside]
-    coin = np.diag([1.0, params.force_ratio]) * (params.omega_d / 2.0)
-    return np.kron(coin, w)
 
 
 _STENCIL_CACHE: dict[tuple, DriveStencil] = {}

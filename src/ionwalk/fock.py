@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -27,71 +26,6 @@ LEVELS = (LDA, RWA, THREE_SB)
 GUARD_LEVELS = 10
 LEAK_TOL = 1e-6
 N_CAP = 10000  # highest Fock level ``coupling_thresholds`` searches
-
-
-@dataclass(frozen=True)
-class MotionalState:
-    """Amplitudes over the truncated Fock basis.
-
-    Sub-normalized vectors are allowed (branches of a hybrid state carry
-    less than unit weight); the norm may never exceed one.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amps must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise ValueError("amps must be finite")
-        # Constructors produce unit norm; integrator snapshots may carry a
-        # small positive drift before readout renormalization.
-        norm_sq = float(np.vdot(amps, amps).real)
-        if norm_sq > 1.0 + 1e-6:
-            raise ValueError(f"state norm {math.sqrt(norm_sq)} exceeds 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def overlap(self, other: "MotionalState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fock_probs(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def mean_n(self) -> float:
-        return float(mean_n(self.amps))
-
-    def mean_a(self) -> complex:
-        return complex(mean_a(self.amps))
-
-    def renormalized(self) -> "MotionalState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return MotionalState(self.amps / n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.amps.real.tolist(),
-            "im": self.amps.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MotionalState":
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if re.size != data["dim"] or im.size != data["dim"]:
-            raise ValueError("dim does not match amplitude arrays")
-        return cls(re + 1j * im)
 
 
 def mean_n(amps: np.ndarray) -> np.ndarray:
@@ -113,22 +47,6 @@ def mean_a(amps: np.ndarray) -> np.ndarray:
     n = np.arange(1, amps.shape[-1])
     num = np.sum(np.conj(amps[..., :-1]) * np.sqrt(n) * amps[..., 1:], axis=-1)
     return np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (Re alpha, Im alpha) in the co-rotating phase space."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("phase-space coordinates must be finite")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -170,22 +88,11 @@ class SimParams:
         return dataclasses.replace(self, **changes)
 
     @property
-    def lda_radius(self) -> float:
-        """Radius eta*omega_d/(2*delta) of the detuned-drive arc (full-force branch)."""
-        if self.delta == 0.0:
-            return math.inf
-        return self.eta * self.omega_d / (2.0 * abs(self.delta))
-
-    @property
     def t_half_turn(self) -> float:
         """Drive duration pi/delta after which the detuned force reverses."""
         if self.delta == 0.0:
             return math.inf
         return math.pi / abs(self.delta)
-
-    @property
-    def t_full_turn(self) -> float:
-        return 2.0 * self.t_half_turn
 
 
 def experimental_params(**overrides) -> SimParams:
@@ -224,12 +131,6 @@ def raising_op(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
 
 
-def parity_signs(dim: int) -> np.ndarray:
-    signs = np.ones(dim)
-    signs[1::2] = -1.0
-    return signs
-
-
 def coherent_truncated_norm_sq(alpha: complex, dim: int) -> float:
     """Weight of |alpha> on the first ``dim`` Fock levels (Poisson partial sum)."""
     x = abs(complex(alpha)) ** 2
@@ -240,8 +141,9 @@ def coherent_truncated_norm_sq(alpha: complex, dim: int) -> float:
     return float(np.sum(np.exp(log_p)))
 
 
-def coherent_state(alpha: complex, dim: int) -> MotionalState:
-    """Coherent state |alpha> on the truncated basis, renormalized to one.
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """Read-only amplitudes of the coherent state |alpha> on the truncated
+    basis, renormalized to one.
 
     Raises :class:`TruncationError` when the basis captures less than
     ``1 - 1e-9`` of the untruncated norm.
@@ -264,7 +166,8 @@ def coherent_state(alpha: complex, dim: int) -> MotionalState:
         phase = n * np.angle(alpha)
         amps = np.exp(log_mag + 1j * phase)
         amps /= math.sqrt(norm_sq)
-    return MotionalState(amps)
+    amps.setflags(write=False)
+    return amps
 
 
 def ladder_elements(alpha: complex, offset: int, n) -> np.ndarray:
@@ -308,7 +211,7 @@ def coupling_thresholds(eta: float) -> tuple[int, int]:
 
 
 # Cache: the Hermitian tridiagonal i(a^dag - a) diagonalized once per dim,
-# shared by every D(alpha) build and Wigner evaluation.
+# shared by every D(alpha) build.
 _DISP_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -330,49 +233,3 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
     left = phase[:, None] * vecs
     return (left * np.exp(-1j * abs(alpha) * vals)) @ left.conj().T
-
-
-def displaced_states(state: MotionalState, alphas: np.ndarray) -> np.ndarray:
-    """Columns D(alpha_g)|state> for a batch of displacements.
-
-    Factorizes D(r e^{i theta}) = e^{i theta n} V e^{-i r lambda} V^dag
-    e^{-i theta n}, so the whole batch costs two dense matmuls.
-    """
-    amps = state.amps
-    dim = state.dim
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    r = np.abs(alphas)
-    theta = np.angle(alphas)
-    n = np.arange(dim)
-    vals, vecs = _displacement_eig(dim)
-    block = np.exp(-1j * np.outer(n, theta)) * amps[:, None]
-    block = vecs.conj().T @ block
-    block *= np.exp(-1j * np.outer(vals, r))
-    block = vecs @ block
-    block *= np.exp(1j * np.outer(n, theta))
-    return block
-
-
-def wigner(state: MotionalState, grid: Sequence[PhasePoint]) -> np.ndarray:
-    """Wigner function at the given phase-space points.
-
-    Convention: displaced-parity expectation scaled by 2/pi, so the ground
-    state peaks at W(0) = 2/pi.
-    """
-    points = np.array([p.value for p in grid], dtype=complex)
-    displaced = displaced_states(state, -points)
-    probs = np.abs(displaced) ** 2
-    worst_leak = float(np.max(np.sum(probs[-GUARD_LEVELS:, :], axis=0)))
-    if worst_leak >= LEAK_TOL:
-        raise TruncationError(
-            f"wigner: displaced support leaks {worst_leak:.3e} into the guard band"
-        )
-    signs = parity_signs(state.dim)
-    return (2.0 / math.pi) * (signs @ probs)
-
-
-def wigner_map(state: MotionalState, re_vals: np.ndarray, im_vals: np.ndarray) -> np.ndarray:
-    """Wigner function on a rectangular grid; rows follow ``im_vals``."""
-    rr, ii = np.meshgrid(np.asarray(re_vals, float), np.asarray(im_vals, float))
-    pts = [PhasePoint(float(a), float(b)) for a, b in zip(rr.ravel(), ii.ravel())]
-    return wigner(state, pts).reshape(rr.shape)

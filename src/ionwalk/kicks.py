@@ -149,7 +149,7 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
 
 def coherent_hybrid(alpha: complex, dim: int, coin: str = "H") -> HybridState:
     """|coin> (x) |alpha> on the truncated basis."""
-    return HybridState.product(coin, coherent_state(alpha, dim).amps)
+    return HybridState.product(coin, coherent_state(alpha, dim))
 
 
 def _undo_free_rotation(psi: np.ndarray, omega_z: float, elapsed: float) -> np.ndarray:
@@ -178,12 +178,6 @@ def _fidelity_against(initial: HybridState, psi_ideal: np.ndarray, kp: KickParam
     full = kick_full(initial, kp, direction)
     psi_full = _undo_free_rotation(full.amps, kp.omega_z, kp.t_p)
     return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
-
-
-def kick_deviation(alpha: complex, kp: KickParams, direction: int = 1) -> float:
-    """Norm of (U - U0) applied to |H>|alpha>."""
-    initial, psi_ideal = _ideal_pair(alpha, kp, direction)
-    return float(np.linalg.norm(kick_full(initial, kp, direction).amps - psi_ideal))
 
 
 def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:

@@ -75,12 +75,10 @@ class LatticeState:
         return float(np.sum(np.abs(self.amps[0]) ** 2 + np.abs(self.amps[1]) ** 2))
 
 
-def initial_state(step_size: float, coin: str = "T") -> LatticeState:
-    """Walker at the origin in a definite coin state."""
-    if coin not in ("T", "H"):
-        raise ValueError("coin must be 'T' or 'H'")
+def initial_state(step_size: float) -> LatticeState:
+    """Walker at the origin in the coin state |T>."""
     amps = np.zeros((2, 1), dtype=complex)
-    amps["TH".index(coin), 0] = 1.0
+    amps[0, 0] = 1.0
     return LatticeState(amps, step_size, 0)
 
 
@@ -200,14 +198,10 @@ def std_dev(state: LatticeState) -> float:
     return math.sqrt(var)
 
 
-def sigma_series(
-    step_size: float,
-    n_max: int,
-    phi: float = 0.0,
-    symmetric: bool = False,
-) -> np.ndarray:
-    """sigma_N for N = 0..n_max of one walk from |T>|0>, computed incrementally."""
-    spec = WalkSpec(n_max, step_size, phi, symmetric)
+def sigma_series(step_size: float, n_max: int) -> np.ndarray:
+    """sigma_N for N = 0..n_max of one walk from |T>|0> (coin phase 0),
+    computed incrementally."""
+    spec = WalkSpec(n_max, step_size)
     return np.asarray([std_dev(state) for state in _walk_states(spec)])
 
 

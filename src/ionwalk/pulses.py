@@ -14,8 +14,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
-from .fock import MotionalState, SimParams, coherent_state
+from .fock import SimParams, coherent_state, mean_a, mean_n
 from .lattice import rotate_coin
 
 HBAR = 1.054571817e-34  # J s
@@ -256,7 +258,7 @@ class CalibrationResult:
     mean_n: list[float]
     neighbor_overlaps: list[float]
     coherent_fidelities: list[float]
-    states: list[MotionalState]
+    states: list[np.ndarray]
 
 
 def calibrate_positions(
@@ -282,18 +284,19 @@ def calibrate_positions(
         state = run_program(program, initial=state)
         ladder.append(state)
     # the T branch carries the full weight throughout (no coins applied)
-    branches = [MotionalState(s.amps[0]).renormalized() for s in ladder]
-    mean_n = [b.mean_n() for b in branches]
+    rows = [s.amps[0] for s in ladder]
+    branches = [row / float(np.linalg.norm(row)) for row in rows]
+    n_values = [float(mean_n(b)) for b in branches]
     overlaps = [
-        abs(branches[k].overlap(branches[k + 1])) ** 2 for k in range(k_max)
+        abs(complex(np.vdot(branches[k], branches[k + 1]))) ** 2 for k in range(k_max)
     ]
     fidelities = []
-    for b, n in zip(branches, mean_n):
-        alpha = b.mean_a()
+    for b, n in zip(branches, n_values):
+        alpha = complex(mean_a(b))
         direction = cmath.phase(alpha) if abs(alpha) > 1e-12 else 0.0
         target = coherent_state(math.sqrt(n) * cmath.exp(1j * direction), params.dim)
-        fidelities.append(abs(b.overlap(target)) ** 2)
-    return CalibrationResult(mean_n, overlaps, fidelities, branches)
+        fidelities.append(abs(complex(np.vdot(b, target))) ** 2)
+    return CalibrationResult(n_values, overlaps, fidelities, branches)
 
 
 def force_amplitude(params: SimParams) -> float:

@@ -1,0 +1,45 @@
+"""Reference forms the tests check the library against: the dense drive
+Hamiltonian, the linear-drive arc radius and the kick deviation."""
+
+import math
+
+import numpy as np
+
+from ionwalk import dynamics as dyn
+from ionwalk import kicks
+
+
+def stencil_offsets(stencil: dyn.DriveStencil) -> np.ndarray:
+    """Level offset s = P - j of each stencil row j."""
+    return stencil.reach - np.arange(stencil.elements.shape[0])
+
+
+def hamiltonian(params, t: float) -> np.ndarray:
+    """Dense Hamiltonian on coin (x) motion at time t.
+
+    Basis ordering is coin-major with |T> first, as in
+    ``HybridState.amps``: index b*dim + n for coin block b in (T, H).
+    """
+    dim = params.dim
+    stencil = dyn.drive_stencil(params)
+    rows = np.broadcast_to(np.arange(dim), stencil.elements.shape)
+    cols = rows - stencil_offsets(stencil)[:, None]
+    inside = (cols >= 0) & (cols < dim)
+    w = np.zeros((dim, dim), dtype=complex)
+    w[rows[inside], cols[inside]] = (stencil.factors(t)[:, None] * stencil.elements)[inside]
+    coin = np.diag([1.0, params.force_ratio]) * (params.omega_d / 2.0)
+    return np.kron(coin, w)
+
+
+def lda_radius(params) -> float:
+    """Radius eta*omega_d/(2*delta) of the detuned-drive arc (full-force branch)."""
+    if params.delta == 0.0:
+        return math.inf
+    return params.eta * params.omega_d / (2.0 * abs(params.delta))
+
+
+def kick_deviation(alpha: complex, kp: kicks.KickParams, direction: int = 1) -> float:
+    """Norm of (U - U0) applied to |H>|alpha>, U the full kick and U0 the ideal one."""
+    initial = kicks.coherent_hybrid(alpha, kp.dim, "H")
+    psi_ideal = kicks.kick_ideal(kp, direction) @ initial.amps.ravel()
+    return float(np.linalg.norm(kicks.kick_full(initial, kp, direction).amps.ravel() - psi_ideal))

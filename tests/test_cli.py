@@ -97,16 +97,34 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("extra", [
         {"workers": 2}, {"sead": 5}, {"seed": "x"}, {"overrides": [1, 2]},
+        pytest.param(lambda cfg: cfg.write_bytes(b"\xff\xfe{"), id="not-utf8"),
+        pytest.param(lambda cfg: cfg.mkdir(), id="directory"),
+        pytest.param(lambda cfg: None, id="missing"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra):
+        # a dict extends a valid config file; a callable makes the file itself
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": "walk-ideal", **extra}))
+        if callable(extra):
+            extra(cfg)
+        else:
+            cfg.write_text(json.dumps({"scenario": "walk-ideal", **extra}))
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigError"
-        assert list(extra)[0] in payload["message"]
+        assert (str(cfg) if callable(extra) else list(extra)[0]) in payload["message"]
         assert not out.exists()
+
+    def test_out_path_that_is_a_file_exits_2_before_numerics(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        ran = []
+        _, defaults = cli.SCENARIOS["walk-ideal"]
+        monkeypatch.setitem(cli.SCENARIOS, "walk-ideal", (ran.append, defaults))
+        assert run(["walk-ideal", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigError" and str(out) in payload["message"]
+        assert ran == [] and out.read_text() == "kept\n"
 
     def test_run_scenario_accepts_only_one_worker(self, tmp_path):
         with pytest.raises(cli.ConfigError):

@@ -20,7 +20,7 @@ def test_coin_identity_at_zero_angle():
 
 
 def test_coin_half_angle_from_tails():
-    state = lattice.initial_state(1.0, "T")
+    state = lattice.initial_state(1.0)
     rotated = lattice.apply_coin(state, math.pi / 2.0, 0.0)
     c_t, c_h = rotated.coeff(0)
     assert c_h == pytest.approx(1.0 / math.sqrt(2.0))
@@ -57,7 +57,7 @@ def test_lattice_amps_is_a_read_only_copy():
 
 
 def test_shift_moves_tails_up():
-    state = lattice.apply_shift(lattice.initial_state(1.0, "T"))
+    state = lattice.apply_shift(lattice.initial_state(1.0))
     c_t, _ = state.coeff(1)
     assert c_t == pytest.approx(1.0)
 
@@ -264,7 +264,7 @@ def test_tiny_step_kernel_is_capped_by_requested_offsets(monkeypatch):
 
 
 def test_sigma_series_follows_run_walk():
-    spec = lattice.WalkSpec(6, 1.5, phi=0.3, symmetric=True)
-    sigmas = lattice.sigma_series(1.5, 6, phi=0.3, symmetric=True)
+    spec = lattice.WalkSpec(6, 1.5)
+    sigmas = lattice.sigma_series(1.5, 6)
     assert sigmas.shape == (7,)
     assert sigmas[-1] == lattice.std_dev(lattice.run_walk(spec))

@@ -29,8 +29,8 @@ class TestCombinedPulse:
         step = pulses.combined_pulse_step(p)
         target_t = fock.coherent_state(step, p.dim)
         target_h = fock.coherent_state(-step, p.dim)
-        f_t = abs(np.vdot(target_t.amps, final.amps[0])) ** 2 / np.linalg.norm(final.amps[0]) ** 2
-        f_h = abs(np.vdot(target_h.amps, final.amps[1])) ** 2 / np.linalg.norm(final.amps[1]) ** 2
+        f_t = abs(np.vdot(target_t, final.amps[0])) ** 2 / np.linalg.norm(final.amps[0]) ** 2
+        f_h = abs(np.vdot(target_h, final.amps[1])) ** 2 / np.linalg.norm(final.amps[1]) ** 2
         assert f_t >= 0.999
         assert f_h >= 0.999
 
@@ -45,8 +45,8 @@ class TestCombinedPulse:
         step = pulses.combined_pulse_step(p)
         target_t = fock.coherent_state(step, p.dim)
         target_h = fock.coherent_state(-step, p.dim)
-        rel = np.angle(np.vdot(target_t.amps, final.amps[0])) - np.angle(
-            np.vdot(target_h.amps, final.amps[1])
+        rel = np.angle(np.vdot(target_t, final.amps[0])) - np.angle(
+            np.vdot(target_h, final.amps[1])
         )
         assert abs(rel) < 1e-3
 
@@ -108,10 +108,10 @@ class TestWalkProgram:
         final = pulses.run_program(pulses.walk_program(3, p.t_half_turn, p))
         step = pulses.combined_pulse_step(p)
         sites = [fock.coherent_state(k * step, p.dim) for k in range(-3, 4)]
-        gram = np.array([[a.overlap(b) for b in sites] for a in sites])
+        gram = np.array([[np.vdot(a, b) for b in sites] for a in sites])
         ideal = lattice.run_walk(lattice.WalkSpec(3, abs(step)))
         for row, amps in enumerate(final.amps):
-            proj = np.array([site.overlap(fock.MotionalState(amps)) for site in sites])
+            proj = np.array([np.vdot(site, amps) for site in sites])
             coeffs = np.linalg.solve(gram, proj)
             expected = [abs(ideal.coeff(k)[row]) for k in range(-3, 4)]
             assert np.max(np.abs(np.abs(coeffs) - expected)) < 1e-3

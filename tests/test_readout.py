@@ -98,7 +98,7 @@ class TestDisambiguation:
     @pytest.fixture(scope="class")
     @staticmethod
     def profiles():
-        return {k: fock.coherent_state(1.24 * k, 64).fock_probs() for k in range(5)}
+        return {k: np.abs(fock.coherent_state(1.24 * k, 64)) ** 2 for k in range(5)}
 
     @staticmethod
     def mixture(profiles, weights, shift):
