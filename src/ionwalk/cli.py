@@ -527,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
                     f"unknown config keys {unknown}; allowed {sorted(_CONFIG_KEYS)}")
             if not isinstance(config.get("overrides", {}), dict):
                 raise ConfigError("config overrides must be a JSON object")
+            for key in ("scenario", "out"):
+                if not isinstance(config.get(key, ""), str):
+                    raise ConfigError(f"config {key} must be a string")
         scenario = args.scenario_pos or args.scenario or config.get("scenario")
         if not scenario:
             raise ConfigError("no scenario given (positional, --scenario or config)")

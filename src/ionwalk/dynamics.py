@@ -17,15 +17,20 @@ The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
 H(t + T) = P H(t) P^dag with P = exp(i omega_z T n) = exp(i delta T n),
 so every whole period is the one-period propagator M = U(T, 0)
-conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  The
-RK4 run that builds M on all basis columns also keeps the snapshot table
-F_j = U(t_j, 0) at the SNAPSHOTS_PER_PERIOD - 1 interior points t_j of its
-grid, cached with M.  An unsampled 3SB pulse holding whole periods runs
-RK4 only to the next t_j (or period boundary), undoes F_j with one solve
-per coin row and so counts that period as whole, applies the cached
-P^-1 M once per period, applies the last F_i with t_i at or before the
-end, and runs RK4 for the rest: each end takes at most one snapshot
-interval (T/8 when 8 divides the grid) of RK4.
+conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  At
+phi0 = 0 the drive is also time-reversal symmetric, H(-t) = Pi H(t)* Pi
+with Pi = (-1)^n, and so is the RK4 step: one RK4 run over half a period
+on all basis columns gives M = P Pi F^T Pi P^dag F, F = U(T/2, 0), and the
+snapshot table F_j = U(t_j, 0) at the SNAPSHOTS_PER_PERIOD - 1 interior
+points t_j = j T/8 of the grid, cached with M.  An unsampled 3SB pulse
+holding whole periods runs RK4 only to the next t_j (or period boundary),
+crosses the rest of that period with the transposed snapshot
+P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1, applies P^-1 M once per further
+period, applies the last F_i with t_i at or before the end, and runs RK4
+for the rest: each end takes at most T/8 of RK4.  A drive with phase phi0
+is the phi0 = 0 drive shifted in time by t_s = phi0/(omega_z - delta) and
+conjugated by exp(i omega_z t_s n), so it runs the same way on the
+shifted clock.
 Sampled pulses, pulses holding no whole period and the single-rate LDA
 and RWA drives (for which any time shift is an exact symmetry of the RK4
 grid) take every step.
@@ -235,35 +240,49 @@ _PERIOD_MAP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
-    """The RK4 step counts round(j n_T / SNAPSHOTS_PER_PERIOD), j = 1..7, of
-    the interior snapshots on the one-period grid (n_T, h), and h.  As
-    h <= 2 pi/(50 (3 omega_z + |delta|)), n_T >= 50: the counts are
-    distinct and positive."""
-    n_steps, h = _rk4_grid(params, drive_period(params))
-    return [round(j * n_steps / SNAPSHOTS_PER_PERIOD) for j in range(1, SNAPSHOTS_PER_PERIOD)], h
+    """The RK4 step counts j n_T / SNAPSHOTS_PER_PERIOD, j = 1..7, of the
+    interior snapshots on the one-period grid (n_T, h), and h.  n_T is the
+    ``_rk4_grid`` count of one period rounded up to a multiple of
+    SNAPSHOTS_PER_PERIOD, so every snapshot (the half period among them)
+    lies on the grid; as h <= 2 pi/(50 (3 omega_z + |delta|)), n_T >= 56."""
+    period = drive_period(params)
+    n_steps = -(-_rk4_grid(params, period)[0] // SNAPSHOTS_PER_PERIOD) * SNAPSHOTS_PER_PERIOD
+    return [j * n_steps // SNAPSHOTS_PER_PERIOD for j in range(1, SNAPSHOTS_PER_PERIOD)], period / n_steps
 
 
 def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-period maps (2, dim, dim) and snapshot table
-    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows.
+    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows of a
+    drive with phi0 = 0.
 
     ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of
     ``HybridState.amps``, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
-    U_b(steps[j] h, 0) with (steps, h) = ``_snapshot_steps(params)``; both
-    come from one RK4 run on all basis columns at the step
-    ``_rk4_grid(params, T)``.
+    F_j = U_b(steps[j] h, 0) with (steps, h) = ``_snapshot_steps(params)``.
+    One RK4 run on all basis columns covers the half period; the time
+    reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step shares,
+    gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
     """
+    if params.phi0:
+        raise ValueError("period_map is built for phi0 = 0")
     key = (*_stencil_key(params), params.omega_d, params.force_ratio)
     cached = _PERIOD_MAP_CACHE.get(key)
     if cached is None:
         dim = params.dim
         steps, _ = _snapshot_steps(params)
+        half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
         snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
-        record = dict(zip(steps, snapshots.reshape(len(steps), 2 * dim, dim)))
+        record = dict(zip(steps[:half], snapshots.reshape(len(steps), 2 * dim, dim)))
         # the top basis columns reach the guard band by construction: no leakage check
         rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                       drive_period(params), record=record)
-        maps = rows.reshape(2, dim, dim) * _period_phase(params, -1)
+                       drive_period(params) / 2.0, record=record, n_steps=steps[half])
+        snapshots[half] = rows.reshape(2, dim, dim)
+        # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
+        parity = (-1.0) ** np.arange(dim)
+        reflect = _period_phase(params, -1) * parity  # P^-1 Pi
+        maps = (snapshots[half] * reflect) @ snapshots[half].transpose(0, 2, 1) * parity
+        rhs = parity[:, None] * maps.transpose(0, 2, 1)
+        for j in range(1, half + 1):  # F(T - t_j) = P Pi (F_j^T)^-1 Pi P^-1 M
+            snapshots[-j] = np.linalg.solve(snapshots[j - 1], rhs).transpose(0, 2, 1) * reflect.conj()
         maps.setflags(write=False)
         snapshots.setflags(write=False)
         cached = _PERIOD_MAP_CACHE[key] = maps, snapshots
@@ -302,10 +321,11 @@ def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
 
 
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         sample_interval: float | None = None,
-         record: dict[int, np.ndarray] | None = None) -> tuple[np.ndarray, list[HybridState]]:
-    """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` from ``t0``, for
-    rows psi that stack equally many T-branch then H-branch states.
+         sample_interval: float | None = None, record: dict[int, np.ndarray] | None = None,
+         n_steps: int | None = None) -> tuple[np.ndarray, list[HybridState]]:
+    """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on
+    ``n_steps`` equal steps) from ``t0``, for rows psi that stack equally
+    many T-branch then H-branch states.
 
     Returns the final rows and, with ``sample_interval``, the states
     after every round(sample_interval / h)-th step before the last.  With
@@ -314,7 +334,7 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     if duration <= 0.0:
         return psi, []
     stencil = drive_stencil(params)
-    n_steps, h = _rk4_grid(params, duration)
+    n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
     stride = None if sample_interval is None else max(1, round(sample_interval / h))
     # band factors at each step's stage times t, t + h/2 and t + h
     starts = t0 + np.arange(n_steps) * h
@@ -380,33 +400,42 @@ def propagate(
     period = drive_period(params) if sample_interval is None else None
     k0 = k1 = 0
     if period:
+        # H(t) = R H_0(t - t_s) R^dag, t_s = phi0/(omega_z - delta), R = exp(i omega_z t_s n)
+        shift = params.phi0 / (params.omega_z - params.delta)
         steps, h = _snapshot_steps(params)
         # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps
         # of k T: ends within ``snap`` of one count as on it
         snap = 1e-9 * h
-        k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
+        k0, k1 = math.ceil((t0 - shift - snap) / period), math.floor((t1 - shift + snap) / period)
     if k0 < k1:
+        if shift:
+            rot = np.exp(1j * params.omega_z * shift * np.arange(params.dim))
+            params, psi, t0, t1 = params.replace(phi0=0.0), psi * rot.conj(), t0 - shift, t1 - shift
         # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
         # and t_i the last at or before t1 - k1 T (t_0 = 0, F_0 = I):
-        # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0 + 1)
-        #             F_j^-1 P^-(k0 - 1) U((k0 - 1) T + t_j, t0)
+        # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0)
+        #             Pi F_(8-j)^T Pi P^-k0 U((k0 - 1) T + t_j, t0)
+        # with P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 (see ``period_map``)
         maps, snapshots = period_map(params)
         times = [s * h for s in steps]
         j = bisect.bisect_left(times, t0 - (k0 - 1) * period - snap)
-        if j < len(times):  # t_j = T takes the boundary: no F_j
-            k0 -= 1
-        head = k0 * period + (times[j] if j < len(times) else 0.0) - t0
+        # t_j = T (j = len(times)): the head ends on the boundary k0 T
+        start = (k0 - 1) * period + times[j] if j < len(times) else k0 * period
+        head = start - t0
         psi = _rk4(params, psi, t0, head if head > snap else 0.0)[0] * _period_phase(params, -k0)
-        if j < len(times):
-            psi = np.linalg.solve(snapshots[j].transpose(0, 2, 1), psi[:, :, None])[:, :, 0]
+        if j < len(times):  # rows hold transposes: F^T psi is snapshots @ psi
+            parity = (-1.0) ** np.arange(params.dim)
+            psi = np.matmul(snapshots[-1 - j], (psi * parity)[:, :, None])[:, :, 0] * parity
         for _ in range(k1 - k0):
-            psi = np.einsum("bi,bim->bm", psi, maps)
+            psi = np.matmul(psi[:, None], maps)[:, 0]
         i = bisect.bisect_right(times, t1 - k1 * period + snap)
         if i:
-            psi = np.einsum("bi,bim->bm", psi, snapshots[i - 1])
+            psi = np.matmul(psi[:, None], snapshots[i - 1])[:, 0]
         start = k1 * period + (times[i - 1] if i else 0.0)
         tail = t1 - start
         psi, samples = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)
+        if shift:
+            psi = psi * rot
     else:
         psi, samples = _rk4(params, psi, t0, duration, sample_interval)
 
@@ -416,7 +445,7 @@ def propagate(
         raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
     check_leakage(psi[0], "propagate (T branch)")
     check_leakage(psi[1], "propagate (H branch)")
-    final = HybridState(psi, t1)
+    final = HybridState(psi, state.time + duration)
     if sample_interval is not None:
         return final, [state, *samples, final]
     return final

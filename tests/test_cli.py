@@ -97,6 +97,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("extra", [
         {"workers": 2}, {"sead": 5}, {"seed": "x"}, {"overrides": [1, 2]},
+        {"scenario": ["walk-ideal"]}, {"out": 5},
         pytest.param(lambda cfg: cfg.write_bytes(b"\xff\xfe{"), id="not-utf8"),
         pytest.param(lambda cfg: cfg.mkdir(), id="directory"),
         pytest.param(lambda cfg: None, id="missing"),

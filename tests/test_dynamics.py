@@ -712,3 +712,95 @@ class TestStroboscopic:
         p_ref = plain_rk4_walk(program).coin_probabilities()[0]
         assert abs(p_strobo - p_plain) <= 1e-9
         assert abs(p_strobo - p_ref) <= abs(p_plain - p_ref) + 1e-10
+
+    # -- time reversal: the half-period map build and the solve-free head
+
+    @staticmethod
+    def parity(dim):
+        return (-1.0) ** np.arange(dim)
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.7, -2.0])
+    def test_drive_is_a_time_reversed_shift_of_the_phi0_zero_drive(self, phi0):
+        # H_0(-t) = Pi H_0(t)* Pi, Pi = (-1)^n; H_phi0(t) = R H_0(t - t_s) R^dag
+        # with t_s = phi0/(omega_z - delta) and R = exp(i omega_z t_s n)
+        p = fock.experimental_params(level="3SB", dim=40, phi0=phi0)
+        p0 = p.replace(phi0=0.0)
+        t_s = phi0 / (p.omega_z - p.delta)
+        parity = np.tile(self.parity(p.dim), 2)
+        rot = np.tile(np.exp(1j * p.omega_z * t_s * np.arange(p.dim)), 2)
+        for t in (0.0, 1.7e-7, 2.9e-6, 11.3e-6):
+            h_t = hamiltonian(p0, t)
+            reversed_ = parity[:, None] * h_t.conj() * parity[None, :]
+            assert np.linalg.norm(hamiltonian(p0, -t) - reversed_) <= 1e-12 * np.linalg.norm(h_t)
+            shifted = rot[:, None] * hamiltonian(p0, t - t_s) * rot.conj()[None, :]
+            assert np.linalg.norm(hamiltonian(p, t) - shifted) <= 1e-12 * np.linalg.norm(h_t)
+
+    @pytest.mark.parametrize("j", [1, 3, 4])
+    def test_rk4_grid_map_is_reflected_by_time_reversal(self, j):
+        # the RK4 step shares the symmetry: U_grid(0, -tau) = Pi F_tau^T Pi
+        p = fig5_params("3SB", dim=32)
+        steps, h = dyn._snapshot_steps(p)
+        n, tau = steps[j - 1], steps[j - 1] * h
+        basis = np.tile(np.eye(p.dim, dtype=complex), (2, 1))
+        forward = dyn._rk4(p, basis, 0.0, tau, n_steps=n)[0].reshape(2, p.dim, p.dim)
+        backward = dyn._rk4(p, basis, -tau, tau, n_steps=n)[0].reshape(2, p.dim, p.dim)
+        parity = self.parity(p.dim)
+        # rows hold transposes: backward = (Pi F^T Pi)^T = Pi F Pi
+        reflected = parity[:, None] * forward.transpose(0, 2, 1) * parity[None, :]
+        assert np.max(np.abs(backward - reflected)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [32, 48])
+    @pytest.mark.parametrize("setting", ["trap", "fig5"])
+    def test_period_map_matches_full_period_rk4(self, setting, dim, monkeypatch):
+        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+        p = fock.experimental_params(level="3SB", dim=dim) if setting == "trap" else fig5_params("3SB", dim)
+        maps, snapshots = dyn.period_map(p)
+        # one RK4 run over the whole period, every snapshot recorded
+        steps, h = dyn._snapshot_steps(p)
+        n_period = dyn.SNAPSHOTS_PER_PERIOD * steps[0]
+        assert steps == [j * n_period // dyn.SNAPSHOTS_PER_PERIOD for j in range(1, dyn.SNAPSHOTS_PER_PERIOD)]
+        assert n_period * h == pytest.approx(dyn.drive_period(p), rel=1e-15)
+        full = np.empty_like(snapshots)
+        record = dict(zip(steps, full.reshape(len(steps), 2 * dim, dim)))
+        rows, _ = dyn._rk4(p, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+                           dyn.drive_period(p), record=record, n_steps=n_period)
+        full_maps = rows.reshape(2, dim, dim) * dyn._period_phase(p, -1)
+        assert np.max(np.abs(maps - full_maps)) <= 1e-14
+        for j in range(len(steps)):
+            assert np.max(np.abs(snapshots[j] - full[j])) <= 1e-14
+
+    def test_period_map_is_built_for_phi0_zero_only(self):
+        with pytest.raises(ValueError, match="phi0"):
+            dyn.period_map(fock.experimental_params(level="3SB", dim=32, phi0=0.7))
+
+    @pytest.mark.parametrize("phi0", [0.7, -2.0, 3.0])
+    @pytest.mark.parametrize("before_shift", [True, False])
+    def test_phase_shifted_drive_matches_plain_rk4(self, phi0, before_shift):
+        p = fig5_params("3SB", dim=48).replace(phi0=phi0)
+        period = dyn.drive_period(p)
+        t_s = phi0 / (p.omega_z - p.delta)
+        t0 = t_s - 0.3 * period if before_shift else t_s + 1.37 * period
+        assert (t0 - t_s < 0.0) == before_shift
+        state = random_hybrid(np.random.default_rng(31), p.dim, time=t0)
+        duration = 4.6 * period  # holds at least three whole periods
+        final = dyn.propagate(state, p, duration)
+        plain, _ = dyn.propagate(state, p, duration, 1.0)
+        assert final.time == plain.time
+        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
+
+    def test_head_inside_a_period_makes_no_solve(self, monkeypatch):
+        p = fig5_params("3SB", dim=48)
+        period = dyn.drive_period(p)
+        dyn.period_map(p)
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(*args):
+            solves.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for j in range(8):
+            t0 = 2 * period + (j + 0.37) / 8 * period
+            dyn.propagate(random_hybrid(np.random.default_rng(j), p.dim, time=t0), p, 3.2 * period)
+        assert solves == []
