@@ -380,7 +380,8 @@ _CHECKS = {
     "duration": (lambda v, o: v > 0.0, "positive"),
     "t_d": (lambda v, o: v is None or v > 0.0, "positive, or null for the default"),
     "dim": (lambda v, o: v is None or isinstance(v, int) and v >= 16, "null or an integer >= 16"),
-    **{k: (lambda v, o: len(v) > 0, "a nonempty list") for k in ("levels", "alphas", "scaling_step_sizes")},
+    **{k: (lambda v, o: len(v) > 0, "a nonempty list") for k in ("levels", "scaling_step_sizes")},
+    "alphas": (lambda v, o: len(v) > 0 and min(v) > 0.0, "a nonempty list of positive amplitudes"),
     "f_min": (lambda v, o: 0.0 < v < 1.0, "in (0, 1)"),
     "alpha_max": (lambda v, o: any(a <= v for a in o["alphas"]), "at least the smallest alpha"),
     "mode": (lambda v, o: v in ("near", "extended"), "'near' or 'extended'"),

@@ -1,5 +1,6 @@
 """Short-pulse (photon-kick) shift protocol: exact kick operator, exact
-propagation including the trap rotation, and fidelity-threshold analysis.
+propagation including the trap rotation (a Chebyshev expansion on the kick
+Hamiltonian's known spectral interval), and fidelity-threshold analysis.
 
 A kick is a coin pi pulse fast enough that the free harmonic motion during
 the pulse is negligible; it then acts as a coin flip combined with a
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, expm_multiply
+from scipy import special
 
 from .dynamics import HybridState
 from .errors import ConfigError, NoThreshold
@@ -107,44 +108,42 @@ def _apply_ideal(psi: np.ndarray, kp: KickParams, direction: int) -> np.ndarray:
 def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridState:
     """Exact kick including the trap term omega_z a^dag a.
 
-    The kick Hamiltonian H = [[omega_z n, (omega/2) D], [(omega/2) D^dag,
-    omega_z n]] on rows (T, H) is time independent, so the pulse is the
-    action of exp(A), A = -i t_p H, on the state (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)).
+    On rows (T, H), t_p H = t_p omega_z n + (pi/2) K with K = [[0, D], [D^dag, 0]]
+    is Hermitian and time independent; D = D(i eta) is unitary, so ||K|| = 1 and
+    the spectrum lies in [-pi/2, t_p omega_z (dim - 1) + pi/2] (Weyl).  With c, R
+    that interval's centre and half-width and Ht = (t_p H - c) / R, the pulse is
+    exp(-i t_p H) = e^{-ic} sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(Ht), summed by
+    the Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+    J_k(R) falls monotonically once k > R: the sum stops at the first such k
+    with |J_k(R)| < 1e-16.
     """
-    dim = kp.dim
-    if state.dim != dim:
+    if state.dim != kp.dim:
         raise ValueError("state dim does not match kick dim")
-    d_up = _kick_displacement(kp, direction)
-    d_dn = np.ascontiguousarray(d_up.conj().T)
-    rotation = -1j * kp.t_p * kp.omega_z * np.arange(dim)
-    flip = -1j * kp.t_p * kp.omega / 2.0
+    rotation = kp.t_p * kp.omega_z * np.arange(kp.dim)
+    centre = rotation[-1] / 2.0
+    radius = centre + math.pi / 2.0
+    # |J_{R+m}(R)| < 1e-16 by m ~ 12 R^(1/3) (Airy tail), well inside this range
+    k = np.arange(int(radius + 20.0 * np.cbrt(radius)) + 30)
+    bessel = special.jv(k, radius)
+    n_terms = k[(k > radius) & (np.abs(bessel) < 1e-16)][0]
+    coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k[:n_terms] % 4] * bessel[:n_terms]
+    # 2 Ht; D^dag x = conj(conj(x) D) reads only the cached D
+    diag = 2.0 * (rotation - centre) / radius
+    flip = (math.pi / radius) * _kick_displacement(kp, direction)
 
-    def apply_a(x: np.ndarray) -> np.ndarray:
-        x = x.reshape(2, dim)
-        out = rotation * x
-        out[0] += flip * (d_up @ x[1])
-        out[1] += flip * (d_dn @ x[0])
-        return out.ravel()
+    def double_scaled(x: np.ndarray) -> np.ndarray:
+        out = diag * x
+        out[0] += flip @ x[1]
+        out[1] += np.conj(np.conj(x[0]) @ flip)
+        return out
 
-    # H is Hermitian, so the adjoint of A is -A
-    gen = LinearOperator((2 * dim, 2 * dim), matvec=apply_a, rmatvec=lambda x: -apply_a(x),
-                         dtype=complex)
-    # onenormest (it sizes the Taylor steps) draws sign vectors from NumPy's
-    # global generator: seed it so a kick is bit-reproducible, then restore it.
-    # Its overflow in divide at long pulses and large dim leaves the action
-    # accurate; HybridState and the guard band still check the result.
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            psi = expm_multiply(gen, state.amps.ravel(),
-                                traceA=-1j * kp.t_p * kp.omega_z * dim * (dim - 1))
-    finally:
-        np.random.set_state(rng_state)
-    psi = psi.reshape(2, dim)
+    prev, cur = state.amps, 0.5 * double_scaled(state.amps)
+    psi = bessel[0] * prev + coeffs[1] * cur
+    for coeff in coeffs[2:]:
+        prev, cur = cur, double_scaled(cur) - prev
+        psi += coeff * cur
     check_leakage(psi, "kick")
-    return HybridState(psi, state.time + kp.t_p)
+    return HybridState(np.exp(-1j * centre) * psi, state.time + kp.t_p)
 
 
 def coherent_hybrid(alpha: complex, dim: int, coin: str = "H") -> HybridState:

@@ -171,6 +171,8 @@ class TestConfigHandling:
         ["kick-threshold", "--set", "dim=0"],
         ["kick-threshold", "--set", "dim=64.5"],
         ["walk-ideal", "--set", "scaling_step_sizes=[]"],
+        ["kick-threshold", "--set", "alphas=[0.0,1.0,2.0,3.0,4.0]", "--set", "alpha_max=4.0"],
+        ["kick-threshold", "--set", "alphas=[-2.0]"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

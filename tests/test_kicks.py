@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from ionwalk import fock, kicks
+from ionwalk.dynamics import HybridState
 from ionwalk.errors import NoThreshold, TruncationError
 from oracles import kick_deviation
 
@@ -209,7 +210,7 @@ class TestExactKick:
         (64, 1.0, 1e-5, ALL_KICKS),
         (256, 1.0, 2e-8, ALL_KICKS),
         (256, 10.0, 2e-8, ALL_KICKS),
-        # ~6e4 operator applications at the pulse ceiling: one kick
+        # 17,335 Chebyshev terms at the pulse ceiling: one kick
         (256, 10.0, 1e-5, ((-1, "imag"),)),
     ])
     def test_kick_full_matches_dense_expm(self, dim, mag, t_p, kicks_run):
@@ -272,6 +273,25 @@ class TestExactKick:
         monkeypatch.undo()
         for t_p, f in samples:
             assert f == kicks.kick_fidelity(2j, kicks.pi_pulse(t_p, 0.31, WZ, 64))
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("dim, alpha", [(16, 0.1 + 0.2j), (64, 2.0 - 1.0j), (256, 6.0 + 5.0j)])
+    def test_kick_full_without_trap_is_the_ideal_kick(self, dim, alpha, direction):
+        # at omega_z = 0, t_p H = (pi/2) K with K^2 = 1, so exp(-i t_p H) = -i K
+        kp = kicks.KickParams(t_p=1e-9, eta=0.31, omega_z=0.0, dim=dim)
+        rows = np.stack([fock.coherent_state(alpha, dim), fock.coherent_state(-1j * alpha, dim)])
+        initial = HybridState(rows / math.sqrt(2.0), 0.0)
+        got = kicks.kick_full(initial, kp, direction)
+        expected = kicks.kick_ideal(kp, direction) @ initial.amps.ravel()
+        assert np.max(np.abs(got.amps.ravel() - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("eta", [0.25, 0.31])
+    @pytest.mark.parametrize("dim", [16, 64, 256, 512])
+    def test_cached_kick_displacement_is_unitary(self, dim, eta):
+        # ||K|| = 1, the spectral interval kick_full expands on, needs this
+        for direction in (1, -1):
+            d = kicks._kick_displacement(kicks.pi_pulse(1e-9, eta, WZ, dim), direction)
+            assert np.max(np.abs(d.conj().T @ d - np.eye(dim))) <= 1e-13
 
     def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
         kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
