@@ -3,7 +3,14 @@
 The readout signal is a sum of cosines, one per Fock level, at the
 level-dependent sideband Rabi frequencies.  Those frequencies are not
 harmonically spaced, so inversion fits the known frequency dictionary by
-non-negative least squares instead of a plain Fourier transform.
+non-negative least squares (NNLS; Lawson & Hanson, *Solving Least Squares
+Problems*, 1974) instead of a plain Fourier transform.
+
+``_nnls`` reduces A = QR once and solves a whole stack of right-hand sides
+by block principal pivoting with the backup rule of Kim & Park (SIAM J.
+Sci. Comput. 33, 3261 (2011)).  Each passive-set subproblem is solved by
+QR of the masked system [R F; I (1 - F)], never by normal equations, which
+would square a condition number of up to ``MAX_CONDITION``.
 """
 
 from __future__ import annotations
@@ -12,12 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConfigError, IllConditioned
 from .fock import sideband_magnitudes
 
 MAX_CONDITION = 1e8
+# full exchanges allowed without fewer infeasible variables before the
+# single-variable backup rule takes over (Kim & Park's p)
+NNLS_FULL_EXCHANGES = 3
+# the backup rule terminates in exact arithmetic; the cap guards against rounding
+NNLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -35,14 +46,14 @@ class ReadoutConfig:
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-            raise ConfigError("t_grid must be strictly increasing with >= 2 samples")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be nonnegative")
+        if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise ConfigError("t_grid must be finite and strictly increasing with >= 2 samples")
+        if not 0.0 <= self.gamma < math.inf:  # NaN fails these tests too
+            raise ConfigError("gamma must be finite and nonnegative")
         if self.n_max < 0:
             raise ConfigError("n_max must be nonnegative")
-        if self.base_rabi <= 0.0:
-            raise ConfigError("base_rabi must be positive")
+        if not 0.0 < self.base_rabi < math.inf:
+            raise ConfigError("base_rabi must be finite and positive")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "t_grid", t)
@@ -59,7 +70,7 @@ def default_config(
     gamma: float = 0.0,
 ) -> ReadoutConfig:
     """200 times over 5 periods of the slowest dictionary frequency."""
-    if eta <= 0.0 or n_max < 0:
+    if not eta > 0.0 or n_max < 0:  # NaN fails this test too
         raise ConfigError("eta must be positive and n_max nonnegative")
     omega = rabi_frequencies(eta, n_max, ReadoutConfig.base_rabi)
     slowest = float(np.min(omega[omega > 0.0]))
@@ -71,43 +82,90 @@ def default_config(
 def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray:
     """Coin-state signal 0.5*(1 + sum_n p_n cos(Omega_n t) e^{-gamma t})."""
     p = np.asarray(fock_probs, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
+    if not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails this test too
         raise ValueError("fock_probs must sum to 1")
     return 0.5 * (1.0 + _dictionary(cfg, eta, p.size - 1)[0] @ p)
 
 
-_DICTIONARY_CACHE: dict[tuple, tuple[np.ndarray, float, float]] = {}
+_DICTIONARY_CACHE: dict[tuple, tuple] = {}
 
 
-def _dictionary(cfg: ReadoutConfig, eta: float, n_max: int) -> tuple[np.ndarray, float, float]:
-    """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest Omega_n > 0),
-    built once per grid and model; the matrix is read-only."""
+def _dictionary(cfg: ReadoutConfig, eta: float, n_max: int) -> tuple:
+    """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest
+    Omega_n > 0, its QR factors in ``np.linalg.qr``'s raw form), built once
+    per grid and model; the arrays are read-only."""
     key = (cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, eta)
     cached = _DICTIONARY_CACHE.get(key)
     if cached is None:
         omega = rabi_frequencies(eta, n_max, cfg.base_rabi)
         damp = np.exp(-cfg.gamma * cfg.t_grid)[:, None]
         a = np.cos(np.outer(cfg.t_grid, omega)) * damp
-        a.setflags(write=False)
-        cached = (a, float(np.linalg.cond(a)), float(np.min(omega[omega > 0.0], initial=np.inf)))
+        qr = np.linalg.qr(a, mode="raw")
+        for m in (a, *qr):
+            m.setflags(write=False)
+        cached = (a, float(np.linalg.cond(a)), float(np.min(omega[omega > 0.0], initial=np.inf)), qr)
         _DICTIONARY_CACHE[key] = cached
     return cached
 
 
-def invert_bsb(
-    signal: np.ndarray,
-    cfg: ReadoutConfig,
-    eta: float,
-) -> np.ndarray:
+def _nnls(qr: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """argmin ||A x - b|| subject to x >= 0, for A of full column rank given
+    as ``np.linalg.qr(A, mode="raw")`` and b of shape (..., m).
+
+    Each row of b is its own problem, and its answer does not depend on the
+    other rows: every product and factorization acts on one row's arrays.
+    """
+    h, tau = qr
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    n = tau.size
+    # d = Q^T b by the Householder reflectors: more accurate than a product with
+    # the explicit Q (5e-11 against 2e-10 at n_max = 11, condition number 2.6e7)
+    d = b.reshape(-1, h.shape[1]).copy()
+    for v, t in zip(np.triu(h, 1) + np.eye(*h.shape), tau):
+        d -= t * (d * v).sum(axis=1, keepdims=True) * v
+    d, r = d[:, :n], np.triu(h[:, :n].T)
+    x = np.zeros_like(d)
+    passive = np.ones(d.shape, dtype=bool)  # start from unconstrained least squares
+    fewest, exchanges = np.full(len(d), n + 1), np.full(len(d), NNLS_FULL_EXCHANGES)
+    todo = np.arange(len(d))
+    for _ in range(NNLS_MAX_ITER):
+        f = passive[todo]
+        # x_F = argmin ||R_F x_F - d||, x_G = 0, by QR of [R F; I (1 - F)]
+        qs, rs = np.linalg.qr(np.concatenate([r * f[:, None], np.eye(n) * ~f[:, None]], axis=1))
+        rhs = np.swapaxes(qs[:, :n], 1, 2) @ d[todo, :, None]
+        x[todo] = xs = np.where(f, np.linalg.solve(rs, rhs)[..., 0], 0.0)
+        grad = (((r @ xs[..., None])[..., 0] - d[todo])[:, None] @ r)[:, 0]
+        # rounding bound of grad: n eps |R|^T (|R| |x| + |d|)
+        size = (np.abs(r) @ np.abs(xs)[..., None])[..., 0] + np.abs(d[todo])
+        tol = n * np.finfo(float).eps * (size[:, None] @ np.abs(r))[:, 0]
+        bad = np.where(f, xs < 0.0, grad < -tol)
+        count = bad.sum(axis=1)
+        fewer = count < fewest[todo]
+        full = fewer | (exchanges[todo] > 0)
+        exchanges[todo] = np.where(fewer, NNLS_FULL_EXCHANGES, exchanges[todo] - 1)
+        fewest[todo] = np.minimum(count, fewest[todo])
+        # backup rule: flip only the infeasible variable of largest index
+        last = (np.arange(n) == n - 1 - np.argmax(bad[:, ::-1], axis=1)[:, None]) & bad
+        passive[todo] ^= np.where(full[:, None], bad, last)
+        todo = todo[count > 0]
+        if todo.size == 0:
+            return x.reshape(b.shape[:-1] + (n,))
+    raise IllConditioned(f"NNLS did not converge in {NNLS_MAX_ITER} iterations")
+
+
+def invert_bsb(signal: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray:
     """Fock probabilities from a readout signal by non-negative LS fitting.
 
-    The grid must span at least three periods of the slowest dictionary
-    frequency.
+    ``signal`` may be a (k, n_t) stack; row i of the result is the
+    inversion of row i alone.  The grid must span at least three periods
+    of the slowest dictionary frequency.
     """
     signal = np.asarray(signal, dtype=float)
-    if signal.shape != cfg.t_grid.shape:
+    if signal.shape[-1:] != cfg.t_grid.shape:
         raise ValueError("signal and t_grid sizes differ")
-    a, cond, slowest = _dictionary(cfg, eta, cfg.n_max)
+    _, cond, slowest, qr = _dictionary(cfg, eta, cfg.n_max)
     span = cfg.t_grid[-1] - cfg.t_grid[0]
     if span < 3.0 * 2.0 * math.pi / slowest:
         raise ValueError(
@@ -115,10 +173,9 @@ def invert_bsb(
         )
     if cond > MAX_CONDITION:
         raise IllConditioned(f"dictionary condition number {cond:.3e}")
-    coeffs, _ = nnls(a, 2.0 * signal - 1.0)
-    coeffs = np.clip(coeffs, 0.0, None)
-    total = coeffs.sum()
-    if total <= 0.0:
+    coeffs = _nnls(qr, 2.0 * signal - 1.0)
+    total = coeffs.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
         raise IllConditioned("fit collapsed to the zero distribution")
     return coeffs / total
 
@@ -162,7 +219,7 @@ def disambiguate_positions(
     if cond > MAX_CONDITION:
         raise IllConditioned(f"position dictionary condition number {cond:.3e}")
     y = np.concatenate([q0, qp, qm])
-    weights, _ = nnls(a, y)
+    weights = _nnls(np.linalg.qr(a, mode="raw"), y)
     residual = float(np.linalg.norm(a @ weights - y) / math.sqrt(y.size))
     total = weights.sum()
     if total <= 0.0:

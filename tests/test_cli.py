@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,6 +219,15 @@ class TestScenarioOutputs:
         assert manifest["summary"]["worst_noiseless"] < 1e-3
         assert manifest["summary"]["worst_noisy"] < 0.05
 
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_roundtrip_csv_does_not_depend_on_block_size(self, tmp_path, monkeypatch, block):
+        # 30 trials: one block of the default size, 30 of 1, 5 of 7 with a short last one
+        cli.run_scenario("readout-roundtrip", {"trials": 30}, str(tmp_path / "ref"), seed=5)
+        monkeypatch.setattr(cli, "READOUT_BLOCK", block)
+        cli.run_scenario("readout-roundtrip", {"trials": 30}, str(tmp_path / "b"), seed=5)
+        for name in ("roundtrip.csv", "example_signal.csv"):
+            assert read_bytes(tmp_path / "ref" / name) == read_bytes(tmp_path / "b" / name)
+
     def test_resonant_scenario_small(self, tmp_path):
         out = str(tmp_path / "res")
         assert run(["resonant", "--out", out, "--set", "duration=2e-6",
@@ -286,3 +297,12 @@ class TestScenarioOutputs:
         assert run(["--list"]) == 0
         names = capsys.readouterr().out.split()
         assert "scan-td" in names and "kick-threshold" in names
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone adds ~0.35 s and ~23 MB to every command's start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, ionwalk.cli; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

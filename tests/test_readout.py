@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls  # oracle only: the package does not import it
 
 from ionwalk import fock, readout
 from ionwalk.errors import ConfigError, IllConditioned
@@ -79,6 +80,25 @@ class TestInversion:
             rec = readout.invert_bsb(noisy, cfg, ETA)
             assert np.max(np.abs(rec - p)) < 0.05
 
+    def test_stack_equals_single_calls_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(8)
+        signals = np.array([
+            readout.bsb_signal(random_distribution(rng, support, 8), cfg, ETA)
+            + rng.normal(0.0, sigma, cfg.t_grid.size)
+            for support in (1, 3, 6, 8) for sigma in (0.0, 0.02, 0.2)
+        ])
+        stacked = readout.invert_bsb(signals, cfg, ETA)
+        assert stacked.shape == (12, 8)
+        assert np.array_equal(stacked, [readout.invert_bsb(s, cfg, ETA) for s in signals])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_signal_rejected(self, cfg, bad):
+        signal = readout.bsb_signal(random_distribution(np.random.default_rng(9), 6, 8), cfg, ETA)
+        signal[17] = bad
+        for s in (signal, np.array([signal + 0.0, signal])):
+            with pytest.raises(ValueError):
+                readout.invert_bsb(s, cfg, ETA)
+
     def test_short_grid_rejected(self):
         cfg = readout.ReadoutConfig(t_grid=np.linspace(0.0, 1e-6, 16), n_max=3)
         with pytest.raises(ValueError):
@@ -92,6 +112,71 @@ class TestInversion:
         cfg = readout.ReadoutConfig(t_grid=t, n_max=16)
         with pytest.raises(IllConditioned):
             readout.invert_bsb(np.full(120, 0.5), cfg, ETA)
+
+
+def roundtrip_rhs(a, seed, count=100):
+    """Right-hand sides of the readout fit: distributions of random support,
+    noiseless and with noise 0.02 on the signal, as 2 * signal - 1."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros((count, a.shape[1]))
+    for row in p:
+        support = rng.integers(1, row.size + 1)
+        row[:support] = rng.random(support)
+    b = (p / p.sum(axis=1, keepdims=True)) @ a.T
+    b[count // 2:] += 2.0 * rng.normal(0.0, 0.02, (count - count // 2, a.shape[0]))
+    return b
+
+
+class TestNNLS:
+    @pytest.mark.parametrize("n_max, bound", [(7, 1e-12), (9, 1e-10), (10, 1e-10), (11, 1e-10)])
+    def test_matches_scipy_nnls(self, n_max, bound):
+        # condition numbers 24 (the scenario's dictionary), 8.2e4, 2.3e6 and 2.6e7
+        a, cond, _, qr = readout._dictionary(readout.default_config(ETA, n_max), ETA, n_max)
+        assert cond <= readout.MAX_CONDITION
+        b = roundtrip_rhs(a, seed=n_max)
+        expected = np.array([nnls(a, row)[0] for row in b])
+        assert np.max(np.abs(readout._nnls(qr, b) - expected)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(0, 20),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_kkt_conditions_hold(self, seed, n, extra, scale):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n + extra, n))
+        b = scale * rng.normal(size=(3, n + extra))
+        x = readout._nnls(np.linalg.qr(a, mode="raw"), b)
+        grad = (x @ a.T - b) @ a
+        tol = 1e-12 * np.linalg.norm(a) * (np.linalg.norm(a) * np.abs(x).max() + np.abs(b).max())
+        assert np.all(x >= 0.0)
+        assert np.all(np.abs(grad[x > 0.0]) <= tol)
+        assert np.all(grad[x == 0.0] >= -tol)
+
+    def test_backup_rule_ends_full_exchange_cycles(self, cfg, monkeypatch):
+        a, _, _, qr = readout._dictionary(cfg, ETA, cfg.n_max)
+        rng = np.random.default_rng(0)
+        p = np.zeros((250, 8))
+        p[:, :6] = rng.random((250, 6))
+        b = (p / p.sum(axis=1, keepdims=True)) @ a.T + 2.0 * rng.normal(0.0, 0.02, (250, a.shape[0]))
+        expected = np.array([nnls(a, row)[0] for row in b])
+        assert np.max(np.abs(readout._nnls(qr, b) - expected)) <= 1e-12
+        # full exchanges only: some problem of this set cycles until the cap
+        monkeypatch.setattr(readout, "NNLS_FULL_EXCHANGES", readout.NNLS_MAX_ITER)
+        with pytest.raises(IllConditioned):
+            readout._nnls(qr, b)
+
+    def test_iteration_cap_raises(self, cfg, monkeypatch):
+        monkeypatch.setattr(readout, "NNLS_MAX_ITER", 1)
+        p = random_distribution(np.random.default_rng(10), 6, 8)
+        with pytest.raises(IllConditioned):
+            readout.invert_bsb(readout.bsb_signal(p, cfg, ETA), cfg, ETA)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_input_rejected(self, cfg, bad):
+        a, _, _, qr = readout._dictionary(cfg, ETA, cfg.n_max)
+        b = np.ones(a.shape[0])
+        b[3] = bad
+        with pytest.raises(ValueError):
+            readout._nnls(qr, b)
 
 
 class TestDisambiguation:
@@ -152,6 +237,32 @@ class TestDisambiguation:
         for k in (-3, -1, 1):
             assert rec[k] < 0.02
 
+    @pytest.mark.parametrize("weights, sign", [
+        ({1: 4.0 / 6.0, 3: 1.0 / 6.0, -1: 1.0 / 6.0, -3: 0.0}, 1),
+        ({1: 0.5, -3: 0.5, -1: 0.0, 3: 0.0}, -1),
+        ({2: 0.3, 0: 0.1, -2: 0.6, 1: 0.0, -1: 0.0}, 1),
+    ])
+    def test_matches_scipy_nnls(self, profiles, weights, sign):
+        k_values = sorted(weights)
+        rng = np.random.default_rng(len(k_values))
+        q = [self.mixture(profiles, weights, shift) + rng.normal(0.0, 1e-3, 64)
+             for shift in (0, sign, -sign)]
+        rec, residual = readout.disambiguate_positions(*q, profiles, k_values, shift_sign=sign)
+        padded = {k: np.pad(prof, (0, 64 - prof.size)) for k, prof in profiles.items()}
+        a = np.vstack([np.column_stack([padded[abs(k + shift)] for k in k_values])
+                       for shift in (0, sign, -sign)])
+        y = np.concatenate(q)
+        w = nnls(a, y)[0]
+        assert max(abs(rec[k] - wk / w.sum()) for k, wk in zip(k_values, w)) <= 1e-12
+        assert residual == pytest.approx(np.linalg.norm(a @ w - y) / math.sqrt(y.size), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distribution_rejected(self, profiles, bad):
+        q = [self.mixture(profiles, {1: 0.5, -1: 0.5}, shift) for shift in (0, 1, -1)]
+        q[1][5] = bad
+        with pytest.raises(ValueError):
+            readout.disambiguate_positions(*q, profiles, [-1, 1], shift_sign=1)
+
     def test_opposite_branch_shift_sign(self, profiles):
         # an H-type branch moves down under the shift; same planted weights
         weights = {1: 0.5, -3: 0.5, -1: 0.0, 3: 0.0}
@@ -172,7 +283,26 @@ def test_default_config_rejects_bad_model_before_numerics():
     with pytest.raises(ConfigError):
         readout.default_config(0.0, n_max=7)
     with pytest.raises(ConfigError):
+        readout.default_config(math.nan, n_max=7)
+    with pytest.raises(ConfigError):
         readout.default_config(ETA, n_max=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_grid", [0.0, math.nan, 2.0]), ("t_grid", [0.0, 1.0, math.inf]),
+    ("gamma", math.nan), ("gamma", math.inf), ("base_rabi", math.nan), ("base_rabi", math.inf),
+])
+def test_config_rejects_non_finite_values(field, value):
+    kwargs = {"t_grid": np.linspace(0.0, 1e-4, 50), "n_max": 3, field: value}
+    with pytest.raises(ConfigError):
+        readout.ReadoutConfig(**kwargs)
+
+
+def test_signal_rejects_nan_distribution(cfg):
+    p = np.full(8, 1.0 / 8.0)
+    p[2] = math.nan
+    with pytest.raises(ValueError):
+        readout.bsb_signal(p, cfg, ETA)
 
 
 def test_config_validation():
@@ -212,10 +342,11 @@ class TestDictionaryCache:
         assert np.array_equal(first, second)
 
     def test_cached_matrix_is_read_only(self, cfg):
-        a, _, _ = readout._dictionary(cfg, ETA, cfg.n_max)
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+        a, _, _, (h, tau) = readout._dictionary(cfg, ETA, cfg.n_max)
+        for m in (a, h, tau):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 0.0
 
     def test_each_model_gets_its_own_entry(self, cfg, cond_calls):
         variants = [
@@ -226,12 +357,13 @@ class TestDictionaryCache:
             (readout.ReadoutConfig(cfg.t_grid[:-1], 7), ETA, 7),
         ]
         for c, eta, n_max in variants:
-            a, cond, slowest = readout._dictionary(c, eta, n_max)
+            a, cond, slowest, (h, tau) = readout._dictionary(c, eta, n_max)
             expected = uncached_dictionary(c, eta, n_max)
             omega = readout.rabi_frequencies(eta, n_max, c.base_rabi)
             assert np.array_equal(a, expected)
             assert cond == float(np.linalg.cond(expected))
             assert slowest == float(np.min(omega[omega > 0.0]))
+            assert all(map(np.array_equal, (h, tau), np.linalg.qr(expected, mode="raw")))
         assert len(readout._DICTIONARY_CACHE) == len(variants)
 
     def test_ill_conditioned_dictionary_raises_every_call(self, cond_calls):
