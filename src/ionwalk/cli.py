@@ -142,10 +142,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         params = _params_from_options(opt).replace(level=level)
         t_d = params.t_half_turn if opt["t_d"] is None else float(opt["t_d"])
         program = pulses.PulseProgram(
-            tuple(pulses.combined_pulse(t_d, opt["wait_multiplier"])),
-            params,
-            opt["wait_multiplier"],
-        )
+            tuple(pulses.combined_pulse(t_d, opt["wait_multiplier"])), params)
         initial = dyn.ground_hybrid(params.dim, "TH")
         final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
         tab = dyn.trajectory_table(history)
@@ -258,9 +255,9 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
 
     shift_events = pulses.combined_pulse(t_d, m)
     up = pulses.run_program(
-        pulses.PulseProgram(tuple(shift_events), params, m), initial=final)
+        pulses.PulseProgram(tuple(shift_events), params), initial=final)
     down = pulses.run_program(
-        pulses.PulseProgram(tuple([pulses.wait(t_d)] + shift_events), params, m),
+        pulses.PulseProgram(tuple([pulses.wait(t_d)] + shift_events), params),
         initial=final)
 
     k_max = opt["n_steps"] + 1
@@ -498,16 +495,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="ionwalk",
         description="Trapped-ion quantum-walk simulator scenarios",
     )
-    parser.add_argument("scenario_pos", nargs="?", help="scenario name")
-    parser.add_argument("--scenario", help="scenario name (alternative to positional)")
+    parser.add_argument("scenario", nargs="?", help="scenario name")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a scenario option")
-    parser.add_argument("--step-size", type=float, help="walk-ideal lattice spacing")
-    parser.add_argument("--steps", type=int, help="walk-ideal step count")
-    parser.add_argument("--alpha-max", type=float, help="kick-threshold amplitude cap")
     parser.add_argument("--list", action="store_true", help="list scenarios and exit")
     try:
         args = parser.parse_args(argv)
@@ -533,19 +526,13 @@ def main(argv: list[str] | None = None) -> int:
             for key in ("scenario", "out"):
                 if not isinstance(config.get(key, ""), str):
                     raise ConfigError(f"config {key} must be a string")
-        scenario = args.scenario_pos or args.scenario or config.get("scenario")
+        scenario = args.scenario or config.get("scenario")
         if not scenario:
-            raise ConfigError("no scenario given (positional, --scenario or config)")
+            raise ConfigError("no scenario given (positional or config)")
         overrides = dict(config.get("overrides", {}))
         for text in args.overrides:
             key, value = _parse_override(text)
             overrides[key] = value
-        if args.step_size is not None:
-            overrides["step_size"] = args.step_size
-        if args.steps is not None:
-            overrides["steps"] = args.steps
-        if args.alpha_max is not None:
-            overrides["alpha_max"] = args.alpha_max
         out_dir = args.out or config.get("out")
         seed = args.seed if args.seed is not None else _coerce("seed", config.get("seed", 0), 0)
         ctx = run_scenario(scenario, overrides, out_dir, seed=seed)

@@ -17,8 +17,8 @@ The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
 H(t + T) = P H(t) P^dag with P = exp(i omega_z T n) = exp(i delta T n),
 so every whole period is the one-period propagator M = U(T, 0)
-conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  At
-phi0 = 0 the drive is also time-reversal symmetric, H(-t) = Pi H(t)* Pi
+conjugated by a power of P (Shirley, Phys. Rev. 138, B979 (1965)).  The
+drive is also time-reversal symmetric, H(-t) = Pi H(t)* Pi
 with Pi = (-1)^n, and so is the RK4 step: one RK4 run over half a period
 on all basis columns gives M = P Pi F^T Pi P^dag F, F = U(T/2, 0), and the
 snapshot table F_j = U(t_j, 0) at the SNAPSHOTS_PER_PERIOD - 1 interior
@@ -27,10 +27,7 @@ holding whole periods runs RK4 only to the next t_j (or period boundary),
 crosses the rest of that period with the transposed snapshot
 P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1, applies P^-1 M once per further
 period, applies the last F_i with t_i at or before the end, and runs RK4
-for the rest: each end takes at most T/8 of RK4.  A drive with phase phi0
-is the phi0 = 0 drive shifted in time by t_s = phi0/(omega_z - delta) and
-conjugated by exp(i omega_z t_s n), so it runs the same way on the
-shifted clock.
+for the rest: each end takes at most T/8 of RK4.
 Sampled pulses, pulses holding no whole period and the single-rate LDA
 and RWA drives (for which any time shift is an exact symmetry of the RK4
 grid) take every step.
@@ -41,6 +38,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,17 +170,23 @@ def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.nd
     return 1j * eta * np.sqrt(np.arange(1.0, dim))
 
 
-def _build_stencil(params: SimParams) -> DriveStencil:
-    """Band decomposition of the interaction Hamiltonian at params.level."""
-    eta, dim = params.eta, params.dim
-    wz, delta, phi0 = params.omega_z, params.delta, params.phi0
-    eip = cmath.exp(1j * phi0)
-    linear = params.level == LDA
-    if params.level in (LDA, RWA):
-        bands = {1: ((eip,), (delta,)), -1: ((-eip.conjugate(),), (-delta,))}
+def _stencil_key(params: SimParams) -> tuple:
+    return (params.level, params.eta, params.dim, params.omega_z, params.delta)
+
+
+def drive_stencil(params: SimParams) -> DriveStencil:
+    return _stencil(*_stencil_key(params))
+
+
+@functools.cache
+def _stencil(level: str, eta: float, dim: int, wz: float, delta: float) -> DriveStencil:
+    """Band decomposition of the interaction Hamiltonian at ``level``."""
+    linear = level == LDA
+    if level in (LDA, RWA):
+        bands = {1: ((1,), (delta,)), -1: ((-1,), (-delta,))}
     else:
         bands = {
-            s: ((eip, (-1) ** abs(s) * eip.conjugate()), ((s - 1) * wz + delta, (s + 1) * wz - delta))
+            s: ((1, (-1) ** abs(s)), ((s - 1) * wz + delta, (s + 1) * wz - delta))
             for s in range(-3, 4)
         }
     reach = max(bands)
@@ -210,33 +214,12 @@ def apply_drive(
     return np.einsum("jm,bmj->bm", factors[:, None] * stencil.elements, windows, out=out)
 
 
-_STENCIL_CACHE: dict[tuple, DriveStencil] = {}
-
-
-def _stencil_key(params: SimParams) -> tuple:
-    return (params.level, params.eta, params.dim, params.omega_z, params.delta, params.phi0)
-
-
-def drive_stencil(params: SimParams) -> DriveStencil:
-    key = _stencil_key(params)
-    stencil = _STENCIL_CACHE.get(key)
-    if stencil is None:
-        stencil = _build_stencil(params)
-        _STENCIL_CACHE[key] = stencil
-    return stencil
-
-
 def drive_period(params: SimParams) -> float | None:
     """Period T = 2 pi/|omega_z - delta| after which a two-rate (3SB) drive
     repeats up to the phase exp(i delta T n); None for single-rate drives."""
     if drive_stencil(params).amps.shape[1] < 2 or params.omega_z == params.delta:
         return None
     return 2.0 * math.pi / abs(params.omega_z - params.delta)
-
-
-# (P^-1 U(T, 0), U(t_j, 0) table) per coin row, keyed by the stencil key
-# plus the row scales.
-_PERIOD_MAP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
@@ -252,8 +235,8 @@ def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
 
 def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-period maps (2, dim, dim) and snapshot table
-    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows of a
-    drive with phi0 = 0.
+    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows of the
+    drive.
 
     ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of
     ``HybridState.amps``, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
@@ -262,31 +245,31 @@ def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step shares,
     gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
     """
-    if params.phi0:
-        raise ValueError("period_map is built for phi0 = 0")
-    key = (*_stencil_key(params), params.omega_d, params.force_ratio)
-    cached = _PERIOD_MAP_CACHE.get(key)
-    if cached is None:
-        dim = params.dim
-        steps, _ = _snapshot_steps(params)
-        half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
-        snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
-        record = dict(zip(steps[:half], snapshots.reshape(len(steps), 2 * dim, dim)))
-        # the top basis columns reach the guard band by construction: no leakage check
-        rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                       drive_period(params) / 2.0, record=record, n_steps=steps[half])
-        snapshots[half] = rows.reshape(2, dim, dim)
-        # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
-        parity = (-1.0) ** np.arange(dim)
-        reflect = _period_phase(params, -1) * parity  # P^-1 Pi
-        maps = (snapshots[half] * reflect) @ snapshots[half].transpose(0, 2, 1) * parity
-        rhs = parity[:, None] * maps.transpose(0, 2, 1)
-        for j in range(1, half + 1):  # F(T - t_j) = P Pi (F_j^T)^-1 Pi P^-1 M
-            snapshots[-j] = np.linalg.solve(snapshots[j - 1], rhs).transpose(0, 2, 1) * reflect.conj()
-        maps.setflags(write=False)
-        snapshots.setflags(write=False)
-        cached = _PERIOD_MAP_CACHE[key] = maps, snapshots
-    return cached
+    return _period_map(*_stencil_key(params), params.omega_d, params.force_ratio)
+
+
+@functools.cache
+def _period_map(level: str, eta: float, dim: int, omega_z: float, delta: float,
+                omega_d: float, force_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    params = SimParams(omega_z, delta, omega_d, eta, dim=dim, level=level, force_ratio=force_ratio)
+    steps, _ = _snapshot_steps(params)
+    half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
+    snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
+    record = dict(zip(steps[:half], snapshots.reshape(len(steps), 2 * dim, dim)))
+    # the top basis columns reach the guard band by construction: no leakage check
+    rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+                   drive_period(params) / 2.0, record=record, n_steps=steps[half])
+    snapshots[half] = rows.reshape(2, dim, dim)
+    # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
+    parity = (-1.0) ** np.arange(dim)
+    reflect = _period_phase(params, -1) * parity  # P^-1 Pi
+    maps = (snapshots[half] * reflect) @ snapshots[half].transpose(0, 2, 1) * parity
+    rhs = parity[:, None] * maps.transpose(0, 2, 1)
+    for j in range(1, half + 1):  # F(T - t_j) = P Pi (F_j^T)^-1 Pi P^-1 M
+        snapshots[-j] = np.linalg.solve(snapshots[j - 1], rhs).transpose(0, 2, 1) * reflect.conj()
+    maps.setflags(write=False)
+    snapshots.setflags(write=False)
+    return maps, snapshots
 
 
 def _period_phase(params: SimParams, k: int) -> np.ndarray:
@@ -385,8 +368,8 @@ def propagate(
     drift beyond 1e-6 raises StepError; population reaching the guard band
     raises TruncationError.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError("duration must be finite and nonnegative")
     if state.dim != params.dim:
         raise ValueError("state dim does not match params.dim")
     if duration == 0.0 or params.omega_d == 0.0:
@@ -400,17 +383,12 @@ def propagate(
     period = drive_period(params) if sample_interval is None else None
     k0 = k1 = 0
     if period:
-        # H(t) = R H_0(t - t_s) R^dag, t_s = phi0/(omega_z - delta), R = exp(i omega_z t_s n)
-        shift = params.phi0 / (params.omega_z - params.delta)
         steps, h = _snapshot_steps(params)
         # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps
         # of k T: ends within ``snap`` of one count as on it
         snap = 1e-9 * h
-        k0, k1 = math.ceil((t0 - shift - snap) / period), math.floor((t1 - shift + snap) / period)
+        k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
     if k0 < k1:
-        if shift:
-            rot = np.exp(1j * params.omega_z * shift * np.arange(params.dim))
-            params, psi, t0, t1 = params.replace(phi0=0.0), psi * rot.conj(), t0 - shift, t1 - shift
         # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
         # and t_i the last at or before t1 - k1 T (t_0 = 0, F_0 = I):
         # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0)
@@ -434,8 +412,6 @@ def propagate(
         start = k1 * period + (times[i - 1] if i else 0.0)
         tail = t1 - start
         psi, samples = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)
-        if shift:
-            psi = psi * rot
     else:
         psi, samples = _rk4(params, psi, t0, duration, sample_interval)
 
@@ -488,12 +464,10 @@ def trajectory_table(history: list[HybridState]) -> dict[str, np.ndarray]:
 def lda_pulse_displacement(params: SimParams, t_start: float, duration: float) -> complex:
     """Full-force displacement of a drive pulse starting at ``t_start``."""
     g0 = params.eta * params.omega_d / 2.0
-    phase = cmath.exp(1j * params.phi0)
     if params.delta == 0.0:
-        return g0 * duration * phase
+        return complex(g0 * duration)
     return (
-        phase
-        * (-1j * g0 / params.delta)
+        (-1j * g0 / params.delta)
         * (cmath.exp(1j * params.delta * (t_start + duration)) - cmath.exp(1j * params.delta * t_start))
     )
 

@@ -9,6 +9,7 @@ instead of silently wrapping truncation artifacts into the physics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,27 +63,29 @@ class SimParams:
     delta: float
     omega_d: float
     eta: float
-    phi0: float = 0.0
     z0: float = 10e-9
     dim: int = 128
     level: str = THREE_SB
     force_ratio: float = -2.0 / 3.0
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ConfigError("eta must be positive")
+        # every test is written so that NaN fails it
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and positive")
         if self.dim < 16:
             raise ConfigError("dim must be at least 16")
-        if self.omega_z <= 0.0:
-            raise ConfigError("omega_z must be positive")
-        if abs(self.force_ratio) > 1.0:
+        if not 0.0 < self.omega_z < math.inf:
+            raise ConfigError("omega_z must be finite and positive")
+        if not abs(self.delta) < math.inf:
+            raise ConfigError("delta must be finite")
+        if not abs(self.force_ratio) <= 1.0:
             raise ConfigError("|force_ratio| must not exceed 1")
         if self.level not in LEVELS:
             raise ConfigError(f"level must be one of {LEVELS}")
-        if self.omega_d < 0.0:
-            raise ConfigError("omega_d must be nonnegative")
-        if self.z0 <= 0.0:
-            raise ConfigError("z0 must be positive")
+        if not 0.0 <= self.omega_d < math.inf:
+            raise ConfigError("omega_d must be finite and nonnegative")
+        if not 0.0 < self.z0 < math.inf:
+            raise ConfigError("z0 must be finite and positive")
 
     def replace(self, **changes) -> "SimParams":
         return dataclasses.replace(self, **changes)
@@ -91,7 +94,7 @@ class SimParams:
     def t_half_turn(self) -> float:
         """Drive duration pi/delta after which the detuned force reverses."""
         if self.delta == 0.0:
-            return math.inf
+            raise ConfigError("delta = 0: a resonant force never reverses (no half turn pi/delta)")
         return math.pi / abs(self.delta)
 
 
@@ -210,19 +213,12 @@ def coupling_thresholds(eta: float) -> tuple[int, int]:
     return g1, n
 
 
-# Cache: the Hermitian tridiagonal i(a^dag - a) diagonalized once per dim,
-# shared by every D(alpha) build.
-_DISP_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+# The Hermitian tridiagonal i(a^dag - a) diagonalized once per dim, shared by
+# every D(alpha) build.
+@functools.cache
 def _displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _DISP_EIG_CACHE.get(dim)
-    if cached is None:
-        herm = 1j * (raising_op(dim) - lowering_op(dim))
-        vals, vecs = np.linalg.eigh(herm)
-        cached = (vals, vecs)
-        _DISP_EIG_CACHE[dim] = cached
-    return cached
+    herm = 1j * (raising_op(dim) - lowering_op(dim))
+    return np.linalg.eigh(herm)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:

@@ -14,6 +14,7 @@ of the trap (imaginary alpha).  Kicks act on the coin rows (T, H) of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +54,13 @@ class KickParams:
     dim: int
 
     def __post_init__(self):
-        if self.t_p <= MIN_PULSE:
-            raise ConfigError(f"t_p must exceed {MIN_PULSE:.0e} s")
-        if self.eta <= 0.0:
-            raise ConfigError("eta must be positive")
-        if self.omega_z < 0.0:
-            raise ConfigError("omega_z must be nonnegative")
+        # every test is written so that NaN fails it
+        if not MIN_PULSE < self.t_p < math.inf:
+            raise ConfigError(f"t_p must be finite and exceed {MIN_PULSE:.0e} s")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and positive")
+        if not 0.0 <= self.omega_z < math.inf:
+            raise ConfigError("omega_z must be finite and nonnegative")
         if self.dim < 16:
             raise ConfigError("dim must be at least 16")
 
@@ -71,21 +73,20 @@ def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
-# D(i eta d) per (d * eta, dim), built once and kept read-only; shared by
-# every kick, ideal kick and fidelity evaluation of a threshold search.
-_KICK_DISP_CACHE: dict[tuple[float, int], np.ndarray] = {}
-
-
 def _kick_displacement(kp: KickParams, direction: int) -> np.ndarray:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    key = (direction * kp.eta, kp.dim)
-    cached = _KICK_DISP_CACHE.get(key)
-    if cached is None:
-        cached = displacement_matrix(1j * key[0], kp.dim)
-        cached.setflags(write=False)
-        _KICK_DISP_CACHE[key] = cached
-    return cached
+    return _i_eta_displacement(direction * kp.eta, kp.dim)
+
+
+# D(i eta) per (eta, dim), eta signed by the kick direction, built once and
+# kept read-only; shared by every kick, ideal kick and fidelity evaluation of
+# a threshold search.
+@functools.cache
+def _i_eta_displacement(eta: float, dim: int) -> np.ndarray:
+    d = displacement_matrix(1j * eta, dim)
+    d.setflags(write=False)
+    return d
 
 
 def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:

@@ -63,13 +63,10 @@ def wait(duration: float) -> PulseEvent:
 class PulseProgram:
     events: tuple[PulseEvent, ...]
     params: SimParams
-    wait_multiplier: float = 2.0
 
     def __post_init__(self):
         if not self.events:
             raise ValueError("a program needs at least one event")
-        if self.wait_multiplier not in (2.0, 4.0):
-            raise ValueError("wait_multiplier must be 2 or 4")
         object.__setattr__(self, "events", tuple(self.events))
 
     def to_json_dict(self) -> dict:
@@ -85,7 +82,6 @@ class PulseProgram:
             rows.append(row)
             t += e.duration
         return {
-            "wait_multiplier": self.wait_multiplier,
             "params": asdict(self.params),
             "events": rows,
         }
@@ -110,6 +106,8 @@ def combined_pulse(
     """
     if t_d <= 0.0:
         raise ValueError("t_d must be positive")
+    if wait_multiplier not in (2.0, 4.0):
+        raise ValueError("wait_multiplier must be 2 or 4")
     return [
         dipole(t_d),
         rf(math.pi, phi_rf),
@@ -142,7 +140,7 @@ def walk_program(
             coin_phi = phi_rf + math.pi / 2.0
         events.append(rf(math.pi / 2.0, coin_phi))
         events.extend(combined_pulse(t_d, wait_multiplier, phi_rf))
-    return PulseProgram(tuple(events), params, wait_multiplier)
+    return PulseProgram(tuple(events), params)
 
 
 def run_program(
@@ -278,9 +276,7 @@ def calibrate_positions(
     state = ground_hybrid(params.dim)
     ladder = [state]
     for _ in range(k_max):
-        program = PulseProgram(
-            tuple(combined_pulse(t_d, wait_multiplier)), params, wait_multiplier
-        )
+        program = PulseProgram(tuple(combined_pulse(t_d, wait_multiplier)), params)
         state = run_program(program, initial=state)
         ladder.append(state)
     # the T branch carries the full weight throughout (no coins applied)

@@ -15,6 +15,7 @@ would square a condition number of up to ``MAX_CONDITION``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,25 +88,24 @@ def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.nda
     return 0.5 * (1.0 + _dictionary(cfg, eta, p.size - 1)[0] @ p)
 
 
-_DICTIONARY_CACHE: dict[tuple, tuple] = {}
-
-
 def _dictionary(cfg: ReadoutConfig, eta: float, n_max: int) -> tuple:
     """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest
     Omega_n > 0, its QR factors in ``np.linalg.qr``'s raw form), built once
     per grid and model; the arrays are read-only."""
-    key = (cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, eta)
-    cached = _DICTIONARY_CACHE.get(key)
-    if cached is None:
-        omega = rabi_frequencies(eta, n_max, cfg.base_rabi)
-        damp = np.exp(-cfg.gamma * cfg.t_grid)[:, None]
-        a = np.cos(np.outer(cfg.t_grid, omega)) * damp
-        qr = np.linalg.qr(a, mode="raw")
-        for m in (a, *qr):
-            m.setflags(write=False)
-        cached = (a, float(np.linalg.cond(a)), float(np.min(omega[omega > 0.0], initial=np.inf)), qr)
-        _DICTIONARY_CACHE[key] = cached
-    return cached
+    return _dictionary_for(cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, eta)
+
+
+@functools.cache
+def _dictionary_for(t_bytes: bytes, n_max: int, gamma: float, base_rabi: float,
+                    eta: float) -> tuple:
+    t_grid = np.frombuffer(t_bytes)
+    omega = rabi_frequencies(eta, n_max, base_rabi)
+    damp = np.exp(-gamma * t_grid)[:, None]
+    a = np.cos(np.outer(t_grid, omega)) * damp
+    qr = np.linalg.qr(a, mode="raw")
+    for m in (a, *qr):
+        m.setflags(write=False)
+    return a, float(np.linalg.cond(a)), float(np.min(omega[omega > 0.0], initial=np.inf)), qr
 
 
 def _nnls(qr: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ def read_bytes(path):
 class TestWalkIdeal:
     def test_writes_artifacts_and_manifest(self, tmp_path):
         out = str(tmp_path / "walk")
-        assert run(["walk-ideal", "--out", out, "--step-size", "4", "--steps", "60"]) == 0
+        assert run(["walk-ideal", "--out", out, "--set", "step_size=4", "--set", "steps=60"]) == 0
         header, rows = read_csv(os.path.join(out, "positions.csv"))
         assert header == ["k", "p"]
         odd = [float(p) for k, p in rows if int(k) % 2 != 0]
@@ -46,7 +46,7 @@ class TestWalkIdeal:
         assert "numpy" in manifest["versions"]
 
     @pytest.mark.parametrize("args", [
-        ["walk-ideal", "--step-size", "2", "--steps", "50"],
+        ["walk-ideal", "--set", "step_size=2", "--set", "steps=50"],
         ["combined-pulse", "--set", 'levels=["LDA"]', "--set", "dim=32"],
         ["readout-roundtrip"],
         ["scan-td", "--set", 'level="LDA"', "--set", "points=3", "--set", "n_steps=1"],
@@ -139,7 +139,7 @@ class TestConfigHandling:
         ["walk-ideal", "--set", "steps=-3"],
         ["walk-ideal", "--set", 'steps="ten"'],
         ["calibrate", "--set", "dim=8"],
-        ["walk-ideal", "--steps", "10"],
+        ["walk-ideal", "--set", "steps=10"],
         ["readout-roundtrip", "--set", "eta=0"],
         ["readout-roundtrip", "--set", "n_max=-1"],
         ["readout-roundtrip", "--set", "support=0"],
@@ -156,6 +156,10 @@ class TestConfigHandling:
         ["calibrate", "--set", "k_max=-1"],
         ["readout-roundtrip", "--set", "trials=0"],
         ["scan-td", "--workers", "2"],
+        ["walk-ideal", "--step-size", "2"],
+        ["walk-ideal", "--steps", "50"],
+        ["kick-threshold", "--alpha-max", "1"],
+        ["--scenario", "walk-ideal"],
         ["walk-ideal", "--seed", "x"],
         ["resonant", "--set", "duration=-1e-6"],
         ["trajectory", "--set", "duration=-1e-6"],
@@ -175,6 +179,11 @@ class TestConfigHandling:
         ["walk-ideal", "--set", "scaling_step_sizes=[]"],
         ["kick-threshold", "--set", "alphas=[0.0,1.0,2.0,3.0,4.0]", "--set", "alpha_max=4.0"],
         ["kick-threshold", "--set", "alphas=[-2.0]"],
+        ["stepwise", "--set", "delta=0"],
+        ["combined-pulse", "--set", "delta=0"],
+        ["calibrate", "--set", "delta=0"],
+        ["scan-td", "--set", "delta=0"],
+        ["walk-positions", "--set", "delta=0"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
@@ -275,7 +284,7 @@ class TestScenarioOutputs:
 
     def test_kick_threshold_reference_mode(self, tmp_path):
         out = str(tmp_path / "k")
-        assert run(["kick-threshold", "--out", out, "--alpha-max", "1",
+        assert run(["kick-threshold", "--out", out, "--set", "alpha_max=1",
                     "--set", "dim=64"]) == 0
         fit = read_json(os.path.join(out, "fit.json"))
         assert fit["reference"]["alpha_200_center_s"] == pytest.approx(0.21e-9, abs=0.01e-9)

@@ -359,6 +359,16 @@ def test_wait_advances_drive_clock_exactly():
         assert delayed == pytest.approx(reference * np.exp(1j * p.delta * tau), abs=1e-12)
 
 
+@pytest.mark.parametrize("duration", [-1e-6, math.inf, math.nan])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_propagate_rejects_negative_or_non_finite_durations(duration, sampled):
+    # unchecked, an infinite duration reaches math.ceil in the RK4 grid (OverflowError)
+    p = fock.experimental_params(level="3SB", dim=32)
+    interval = 1e-7 if sampled else None
+    with pytest.raises(ValueError, match="duration must be finite and nonnegative"):
+        dyn.propagate(dyn.ground_hybrid(p.dim), p, duration, interval)
+
+
 # ---------------------------------------------------------------------------
 # Reference integrator: one band at a time, each with a scalar time factor
 # and a shifted-slice update. The stacked stencil must reproduce it.
@@ -406,18 +416,16 @@ def reference_band_elements(eta, s, dim, linearized):
 def reference_bands(params):
     eta, dim = params.eta, params.dim
     wz, delta = params.omega_z, params.delta
-    eip = cmath.exp(1j * params.phi0)
     if params.level in ("LDA", "RWA"):
         linear = params.level == "LDA"
         return (
-            ReferenceBand(1, reference_band_elements(eta, 1, dim, linear), (eip,), (delta,)),
-            ReferenceBand(-1, reference_band_elements(eta, -1, dim, linear),
-                          (-eip.conjugate(),), (-delta,)),
+            ReferenceBand(1, reference_band_elements(eta, 1, dim, linear), (1,), (delta,)),
+            ReferenceBand(-1, reference_band_elements(eta, -1, dim, linear), (-1,), (-delta,)),
         )
     return tuple(
         ReferenceBand(
             s, reference_band_elements(eta, s, dim, False),
-            (eip, (-1) ** abs(s) * eip.conjugate()),
+            (1, (-1) ** abs(s)),
             ((s - 1) * wz + delta, (s + 1) * wz - delta),
         )
         for s in range(-3, 4)
@@ -577,14 +585,15 @@ class TestStroboscopic:
         p = fock.experimental_params(level="3SB")
         assert dyn.drive_period(p) == 2.0 * math.pi / (p.omega_z - p.delta)
 
-    def test_period_map_cache(self, monkeypatch):
-        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+    def test_period_map_cache(self):
+        dyn._period_map.cache_clear()
         p = fock.experimental_params(level="3SB", dim=32)
         base, snapshots = dyn.period_map(p)
         assert base.shape == (2, 32, 32)
         assert snapshots.shape == (dyn.SNAPSHOTS_PER_PERIOD - 1, 2, 32, 32)
         assert dyn.period_map(p)[0] is base
-        (entry,) = dyn._PERIOD_MAP_CACHE.values()
+        assert dyn._period_map.cache_info().currsize == 1
+        entry = dyn._period_map(*dyn._stencil_key(p), p.omega_d, p.force_ratio)
         assert entry[0] is base and entry[1] is snapshots
         for table in (base, snapshots):
             assert not table.flags.writeable
@@ -595,12 +604,12 @@ class TestStroboscopic:
             assert not other.flags.writeable and not other_snapshots.flags.writeable
             assert np.max(np.abs(other[1] - base[1])) > 1e-3
             assert np.max(np.abs(other_snapshots[:, 1] - snapshots[:, 1])) > 1e-3
-        assert len(dyn._PERIOD_MAP_CACHE) == 3
+        assert dyn._period_map.cache_info().currsize == 3
 
-    def test_td_scan_builds_one_period_map(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+    def test_td_scan_builds_one_period_map(self, tmp_path):
+        dyn._period_map.cache_clear()
         cli.run_scenario("scan-td", {"points": 5}, out_dir=str(tmp_path))
-        assert len(dyn._PERIOD_MAP_CACHE) == 1
+        assert dyn._period_map.cache_info().currsize == 1
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_paths_that_keep_plain_rk4(self, level, monkeypatch):
@@ -632,7 +641,7 @@ class TestStroboscopic:
 
     @pytest.mark.parametrize("case", [
         *(pytest.param(j, id=f"inside-{j}") for j in range(8)),
-        "on-snapshot", "start-on-boundary", "end-on-boundary",
+        "on-snapshot", "start-on-boundary", "end-on-boundary", "start-before-zero",
     ])
     def test_snapshot_paths_match_plain_rk4(self, case):
         p = fig5_params("3SB", dim=48)
@@ -645,6 +654,7 @@ class TestStroboscopic:
                 "on-snapshot": steps[2] * h,  # in the first period: tau0 = t_3 exactly
                 "start-on-boundary": 2 * period,  # tau0 = T
                 "end-on-boundary": 2.3 * period,
+                "start-before-zero": -0.3 * period,
             }[case]
         # the inside-j tails end in sub-interval j + 5 (mod 8)
         t1 = 7 * period if case == "end-on-boundary" else t0 + 4.6 * period
@@ -719,21 +729,14 @@ class TestStroboscopic:
     def parity(dim):
         return (-1.0) ** np.arange(dim)
 
-    @pytest.mark.parametrize("phi0", [0.0, 0.7, -2.0])
-    def test_drive_is_a_time_reversed_shift_of_the_phi0_zero_drive(self, phi0):
-        # H_0(-t) = Pi H_0(t)* Pi, Pi = (-1)^n; H_phi0(t) = R H_0(t - t_s) R^dag
-        # with t_s = phi0/(omega_z - delta) and R = exp(i omega_z t_s n)
-        p = fock.experimental_params(level="3SB", dim=40, phi0=phi0)
-        p0 = p.replace(phi0=0.0)
-        t_s = phi0 / (p.omega_z - p.delta)
+    def test_drive_is_time_reversal_symmetric(self):
+        # H(-t) = Pi H(t)* Pi, Pi = (-1)^n
+        p = fock.experimental_params(level="3SB", dim=40)
         parity = np.tile(self.parity(p.dim), 2)
-        rot = np.tile(np.exp(1j * p.omega_z * t_s * np.arange(p.dim)), 2)
         for t in (0.0, 1.7e-7, 2.9e-6, 11.3e-6):
-            h_t = hamiltonian(p0, t)
+            h_t = hamiltonian(p, t)
             reversed_ = parity[:, None] * h_t.conj() * parity[None, :]
-            assert np.linalg.norm(hamiltonian(p0, -t) - reversed_) <= 1e-12 * np.linalg.norm(h_t)
-            shifted = rot[:, None] * hamiltonian(p0, t - t_s) * rot.conj()[None, :]
-            assert np.linalg.norm(hamiltonian(p, t) - shifted) <= 1e-12 * np.linalg.norm(h_t)
+            assert np.linalg.norm(hamiltonian(p, -t) - reversed_) <= 1e-12 * np.linalg.norm(h_t)
 
     @pytest.mark.parametrize("j", [1, 3, 4])
     def test_rk4_grid_map_is_reflected_by_time_reversal(self, j):
@@ -751,8 +754,8 @@ class TestStroboscopic:
 
     @pytest.mark.parametrize("dim", [32, 48])
     @pytest.mark.parametrize("setting", ["trap", "fig5"])
-    def test_period_map_matches_full_period_rk4(self, setting, dim, monkeypatch):
-        monkeypatch.setattr(dyn, "_PERIOD_MAP_CACHE", {})
+    def test_period_map_matches_full_period_rk4(self, setting, dim):
+        dyn._period_map.cache_clear()
         p = fock.experimental_params(level="3SB", dim=dim) if setting == "trap" else fig5_params("3SB", dim)
         maps, snapshots = dyn.period_map(p)
         # one RK4 run over the whole period, every snapshot recorded
@@ -768,25 +771,6 @@ class TestStroboscopic:
         assert np.max(np.abs(maps - full_maps)) <= 1e-14
         for j in range(len(steps)):
             assert np.max(np.abs(snapshots[j] - full[j])) <= 1e-14
-
-    def test_period_map_is_built_for_phi0_zero_only(self):
-        with pytest.raises(ValueError, match="phi0"):
-            dyn.period_map(fock.experimental_params(level="3SB", dim=32, phi0=0.7))
-
-    @pytest.mark.parametrize("phi0", [0.7, -2.0, 3.0])
-    @pytest.mark.parametrize("before_shift", [True, False])
-    def test_phase_shifted_drive_matches_plain_rk4(self, phi0, before_shift):
-        p = fig5_params("3SB", dim=48).replace(phi0=phi0)
-        period = dyn.drive_period(p)
-        t_s = phi0 / (p.omega_z - p.delta)
-        t0 = t_s - 0.3 * period if before_shift else t_s + 1.37 * period
-        assert (t0 - t_s < 0.0) == before_shift
-        state = random_hybrid(np.random.default_rng(31), p.dim, time=t0)
-        duration = 4.6 * period  # holds at least three whole periods
-        final = dyn.propagate(state, p, duration)
-        plain, _ = dyn.propagate(state, p, duration, 1.0)
-        assert final.time == plain.time
-        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
     def test_head_inside_a_period_makes_no_solve(self, monkeypatch):
         p = fig5_params("3SB", dim=48)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ionwalk import fock
-from ionwalk.errors import TruncationError
+from ionwalk.errors import ConfigError, TruncationError
 
 
 def test_ground_state_is_trivial():
@@ -166,3 +166,20 @@ def test_sim_params_validation():
         fock.SimParams(omega_z=1.0, delta=0.0, omega_d=1.0, eta=0.3, level="FULL")
     with pytest.raises(ValueError):
         fock.SimParams(omega_z=1.0, delta=0.0, omega_d=1.0, eta=0.3, force_ratio=-1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", math.nan), ("eta", math.inf), ("omega_z", math.nan), ("omega_z", math.inf),
+    ("delta", math.nan), ("delta", math.inf), ("delta", -math.inf),
+    ("omega_d", math.nan), ("omega_d", math.inf), ("force_ratio", math.nan),
+    ("z0", math.nan), ("z0", math.inf),
+])
+def test_sim_params_reject_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        fock.experimental_params(**{field: value})
+
+
+def test_half_turn_needs_a_detuning():
+    assert fock.experimental_params(delta=-2.0).t_half_turn == math.pi / 2.0
+    with pytest.raises(ConfigError, match="delta"):
+        fock.experimental_params(delta=0.0).t_half_turn

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from ionwalk import fock, kicks
 from ionwalk.dynamics import HybridState
-from ionwalk.errors import NoThreshold, TruncationError
+from ionwalk.errors import ConfigError, NoThreshold, TruncationError
 from oracles import kick_deviation
 
 WZ = 2 * math.pi * 2.13e6
@@ -161,6 +161,15 @@ def test_kick_params_validation():
         kicks.kick_fidelity(0.0, kicks.pi_pulse(1e-9, 0.25, WZ, 64), direction=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_p", math.nan), ("t_p", math.inf), ("eta", math.nan), ("eta", math.inf),
+    ("omega_z", math.nan), ("omega_z", math.inf),
+])
+def test_kick_params_reject_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        kicks.KickParams(**{"t_p": 1e-9, "eta": 0.25, "omega_z": WZ, "dim": 64, field: value})
+
+
 def reference_kick_rk4(state, kp, direction=1):
     """Fixed-step RK4 of the kick Hamiltonian (the integrator ``kick_full``
     used before it became exact); returns rows (T, H) as in ``HybridState.amps``."""
@@ -248,13 +257,15 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
-        monkeypatch.setattr(kicks, "_KICK_DISP_CACHE", {})
+        kicks._i_eta_displacement.cache_clear()
         monkeypatch.setattr(fock, "displacement_matrix", counting)
         monkeypatch.setattr(kicks, "displacement_matrix", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
         assert len(samples) > 5
         assert calls == [(1j * 0.31, 64)]
-        cached = kicks._KICK_DISP_CACHE[(0.31, 64)]
+        assert kicks._i_eta_displacement.cache_info().currsize == 1
+        cached = kicks._i_eta_displacement(0.31, 64)
+        assert len(calls) == 1
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0

@@ -322,7 +322,7 @@ def uncached_dictionary(cfg, eta, n_max):
 class TestDictionaryCache:
     @pytest.fixture
     def cond_calls(self, monkeypatch):
-        monkeypatch.setattr(readout, "_DICTIONARY_CACHE", {})
+        readout._dictionary_for.cache_clear()
         calls = []
         cond = np.linalg.cond
 
@@ -364,7 +364,7 @@ class TestDictionaryCache:
             assert cond == float(np.linalg.cond(expected))
             assert slowest == float(np.min(omega[omega > 0.0]))
             assert all(map(np.array_equal, (h, tau), np.linalg.qr(expected, mode="raw")))
-        assert len(readout._DICTIONARY_CACHE) == len(variants)
+        assert readout._dictionary_for.cache_info().currsize == len(variants)
 
     def test_ill_conditioned_dictionary_raises_every_call(self, cond_calls):
         omega = readout.rabi_frequencies(ETA, 16, 2 * math.pi * 1e5)
