@@ -413,19 +413,22 @@ def reference_band_elements(eta, s, dim, linearized):
     return (1j * eta) ** abs(s) * np.exp(log_fac - x / 2.0) * lag
 
 
-def reference_bands(params):
+def reference_bands(params, phi0=0.0):
+    """Bands of the drive of phase phi0; the library drives at phi0 = 0."""
     eta, dim = params.eta, params.dim
     wz, delta = params.omega_z, params.delta
+    eip = cmath.exp(1j * phi0)
     if params.level in ("LDA", "RWA"):
         linear = params.level == "LDA"
         return (
-            ReferenceBand(1, reference_band_elements(eta, 1, dim, linear), (1,), (delta,)),
-            ReferenceBand(-1, reference_band_elements(eta, -1, dim, linear), (-1,), (-delta,)),
+            ReferenceBand(1, reference_band_elements(eta, 1, dim, linear), (eip,), (delta,)),
+            ReferenceBand(-1, reference_band_elements(eta, -1, dim, linear),
+                          (-eip.conjugate(),), (-delta,)),
         )
     return tuple(
         ReferenceBand(
             s, reference_band_elements(eta, s, dim, False),
-            (1, (-1) ** abs(s)),
+            (eip, (-1) ** abs(s) * eip.conjugate()),
             ((s - 1) * wz + delta, (s + 1) * wz - delta),
         )
         for s in range(-3, 4)
@@ -729,14 +732,25 @@ class TestStroboscopic:
     def parity(dim):
         return (-1.0) ** np.arange(dim)
 
-    def test_drive_is_time_reversal_symmetric(self):
-        # H(-t) = Pi H(t)* Pi, Pi = (-1)^n
+    @pytest.mark.parametrize("phi0", [0.0, 0.7, -2.0])
+    def test_drive_is_a_time_reversed_shift_of_the_phi0_zero_drive(self, phi0):
+        # H(-t) = Pi H(t)* Pi, Pi = (-1)^n; the drive of phase phi0 is the
+        # shifted clock of README Conventions: H_phi0(t) = R H(t - t_s) R^dag
+        # with t_s = phi0/(omega_z - delta) and R = exp(i omega_z t_s n)
         p = fock.experimental_params(level="3SB", dim=40)
+        t_s = phi0 / (p.omega_z - p.delta)
         parity = np.tile(self.parity(p.dim), 2)
+        rot = np.tile(np.exp(1j * p.omega_z * t_s * np.arange(p.dim)), 2)
+        bands = reference_bands(p, phi0)
+        coin = np.diag([1.0, p.force_ratio]) * (p.omega_d / 2.0)
+        identity = np.eye(p.dim, dtype=complex)
         for t in (0.0, 1.7e-7, 2.9e-6, 11.3e-6):
             h_t = hamiltonian(p, t)
             reversed_ = parity[:, None] * h_t.conj() * parity[None, :]
             assert np.linalg.norm(hamiltonian(p, -t) - reversed_) <= 1e-12 * np.linalg.norm(h_t)
+            h_phi0 = np.kron(coin, reference_apply(bands, t, identity))
+            shifted = rot[:, None] * hamiltonian(p, t - t_s) * rot.conj()[None, :]
+            assert np.linalg.norm(h_phi0 - shifted) <= 1e-12 * np.linalg.norm(h_t)
 
     @pytest.mark.parametrize("j", [1, 3, 4])
     def test_rk4_grid_map_is_reflected_by_time_reversal(self, j):
