@@ -23,7 +23,7 @@ from . import __version__
 from . import dynamics as dyn
 from . import kicks, lattice, pulses, readout
 from .errors import ConfigError, IllConditioned, NoThreshold, StepError, TruncationError
-from .fock import SimParams, experimental_params, mean_a, mean_n
+from .fock import LEVELS, SimParams, experimental_params, mean_a, mean_n
 
 TWO_PI = 2.0 * math.pi
 # readout-roundtrip trials per invert_bsb stack (one stack of 4,000: ~20 MB more peak RSS)
@@ -288,9 +288,8 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
 
 def scenario_kick_threshold(ctx: RunContext) -> dict:
     opt = ctx.options
-    mags = [m for m in opt["alphas"] if m <= opt["alpha_max"]]
     rows = []
-    for mag in mags:
+    for mag in opt["alphas"]:
         for phase, alpha, arg in (("imag", 1j * mag, math.pi / 2.0), ("real", complex(mag), 0.0)):
             t_p, f_val, _ = kicks.fidelity_threshold(alpha, opt["f_min"], opt["eta"],
                                                      opt["omega_z"], dim=opt["dim"])
@@ -335,8 +334,9 @@ SCENARIOS = {
     ),
     "resonant": (
         scenario_resonant,
-        {**_TRAP, "omega_z": TWO_PI * 2.0e6, "delta": 0.0, "omega_d": TWO_PI * 2.0e6,
-         "eta": 0.3, "duration": 8e-6},
+        # resonant_excitation drives at delta = 0, so the scenario takes no delta
+        {"omega_z": TWO_PI * 2.0e6, "omega_d": TWO_PI * 2.0e6, "eta": 0.3,
+         "dim": _TRAP["dim"], "level": _TRAP["level"], "duration": 8e-6},
     ),
     "stepwise": (
         scenario_stepwise,
@@ -366,23 +366,23 @@ SCENARIOS = {
     ),
     "kick-threshold": (
         scenario_kick_threshold,
-        {"alphas": [1.0, 2.0, 5.0, 10.0], "alpha_max": 10.0, "f_min": 0.99,
+        {"alphas": [1.0, 2.0, 5.0, 10.0], "f_min": 0.99,
          "eta": _TRAP["eta"], "omega_z": _TRAP["omega_z"], "dim": None},
     ),
 }
 
 
 # Lower bounds of integer options, checked in every scenario that has them.
-_MINIMUM = {"samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, "trials": 1}
+_MINIMUM = {"steps": 40, "samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, "trials": 1}
 # The other checked options: (test of the value and all options, what it must be).
 _CHECKS = {
     "duration": (lambda v, o: v > 0.0, "positive"),
     "t_d": (lambda v, o: v is None or v > 0.0, "positive, or null for the default"),
     "dim": (lambda v, o: v is None or isinstance(v, int) and v >= 16, "null or an integer >= 16"),
-    **{k: (lambda v, o: len(v) > 0, "a nonempty list") for k in ("levels", "scaling_step_sizes")},
+    "levels": (lambda v, o: len(v) > 0 and set(v) <= set(LEVELS), f"a nonempty list from {LEVELS}"),
+    "scaling_step_sizes": (lambda v, o: len(v) > 0, "a nonempty list"),
     "alphas": (lambda v, o: len(v) > 0 and min(v) > 0.0, "a nonempty list of positive amplitudes"),
     "f_min": (lambda v, o: 0.0 < v < 1.0, "in (0, 1)"),
-    "alpha_max": (lambda v, o: any(a <= v for a in o["alphas"]), "at least the smallest alpha"),
     "mode": (lambda v, o: v in ("near", "extended"), "'near' or 'extended'"),
     "wait_multiplier": (lambda v, o: v in (2.0, 4.0), "2 or 4"),
     "support": (lambda v, o: 1 <= v <= o["n_max"] + 1, "in [1, n_max + 1]"),

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StepError
+from .errors import ConfigError, StepError
 from .fock import (
     LDA,
     RWA,
@@ -519,7 +519,7 @@ class ExcitationResult:
 def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
     """Drive at delta = 0 from the ground state; report <n>(t) and its variance."""
     if params.level == LDA:
-        raise ValueError("resonant excitation requires RWA or 3SB")
+        raise ConfigError("resonant excitation requires level RWA or 3SB")
     run = params.replace(delta=0.0)
     final, history = propagate(ground_hybrid(run.dim), run, duration, duration / 200.0)
     amps = np.stack([s.amps[0] for s in history])
@@ -553,7 +553,7 @@ def stepwise_excitation(
     each displacement follows the accumulated drive phase.
     """
     if params.level == LDA:
-        raise ValueError("stepwise excitation requires RWA or 3SB")
+        raise ConfigError("stepwise excitation requires level RWA or 3SB")
     if n_pulses < 0:
         raise ValueError("n_pulses must be nonnegative")
     state = ground_hybrid(params.dim)

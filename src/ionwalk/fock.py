@@ -72,8 +72,8 @@ class SimParams:
         # every test is written so that NaN fails it
         if not 0.0 < self.eta < math.inf:
             raise ConfigError("eta must be finite and positive")
-        if self.dim < 16:
-            raise ConfigError("dim must be at least 16")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 16:
+            raise ConfigError("dim must be an integer >= 16")
         if not 0.0 < self.omega_z < math.inf:
             raise ConfigError("omega_z must be finite and positive")
         if not abs(self.delta) < math.inf:

@@ -61,8 +61,8 @@ class KickParams:
             raise ConfigError("eta must be finite and positive")
         if not 0.0 <= self.omega_z < math.inf:
             raise ConfigError("omega_z must be finite and nonnegative")
-        if self.dim < 16:
-            raise ConfigError("dim must be at least 16")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 16:
+            raise ConfigError("dim must be an integer >= 16")
 
     @property
     def omega(self) -> float:

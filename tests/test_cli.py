@@ -163,7 +163,7 @@ class TestConfigHandling:
         ["walk-ideal", "--seed", "x"],
         ["resonant", "--set", "duration=-1e-6"],
         ["trajectory", "--set", "duration=-1e-6"],
-        ["kick-threshold", "--set", "f_min=2", "--set", "alpha_max=1"],
+        ["kick-threshold", "--set", "f_min=2"],
         ["kick-threshold", "--set", "alpha_max=-1"],
         ["scan-td", "--set", "mode=far"],
         ["calibrate", "--set", "wait_multiplier=3"],
@@ -177,18 +177,24 @@ class TestConfigHandling:
         ["kick-threshold", "--set", "dim=0"],
         ["kick-threshold", "--set", "dim=64.5"],
         ["walk-ideal", "--set", "scaling_step_sizes=[]"],
-        ["kick-threshold", "--set", "alphas=[0.0,1.0,2.0,3.0,4.0]", "--set", "alpha_max=4.0"],
+        ["kick-threshold", "--set", "alphas=[0.0,1.0,2.0,3.0,4.0]"],
         ["kick-threshold", "--set", "alphas=[-2.0]"],
         ["stepwise", "--set", "delta=0"],
         ["combined-pulse", "--set", "delta=0"],
         ["calibrate", "--set", "delta=0"],
         ["scan-td", "--set", "delta=0"],
         ["walk-positions", "--set", "delta=0"],
+        ["resonant", "--set", "delta=1e6"],
+        ["resonant", "--set", "level=LDA"],
+        ["stepwise", "--set", "level=LDA"],
+        ["trajectory", "--set", 'levels=["LDA","XX"]', "--set", "dim=64"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigError"
+        # option checks run before any numerics, so nothing is written
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".csv")]
 
     def test_overrides_take_the_type_of_their_default(self, tmp_path):
         ctx = cli.run_scenario("walk-ideal", {"steps": 40.0, "step_size": 2}, str(tmp_path))
@@ -206,7 +212,8 @@ class TestConfigHandling:
         for _, options in cli.SCENARIOS.values():
             if "level" in options:
                 built = cli._params_from_options(options)
-                assert {k: getattr(built, k) for k in cli._TRAP} == {k: options[k] for k in cli._TRAP}
+                trap = [k for k in cli._TRAP if k in options]
+                assert {k: getattr(built, k) for k in trap} == {k: options[k] for k in trap}
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # a basis too small for the requested excitation trips the guard
@@ -284,7 +291,7 @@ class TestScenarioOutputs:
 
     def test_kick_threshold_reference_mode(self, tmp_path):
         out = str(tmp_path / "k")
-        assert run(["kick-threshold", "--out", out, "--set", "alpha_max=1",
+        assert run(["kick-threshold", "--out", out, "--set", "alphas=[1.0]",
                     "--set", "dim=64"]) == 0
         fit = read_json(os.path.join(out, "fit.json"))
         assert fit["reference"]["alpha_200_center_s"] == pytest.approx(0.21e-9, abs=0.01e-9)
@@ -312,6 +319,18 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize alone adds ~0.35 s and ~23 MB to every command's start-up
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, ionwalk.cli; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lattice_import_loads_neither_scipy_nor_other_layers():
+    # the package root holds only __version__, so the ideal walk needs numpy alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, ionwalk.lattice; "
+            "layers = ('fock', 'dynamics', 'pulses', 'readout', 'kicks', 'cli'); "
+            "assert 'scipy' not in sys.modules; "
+            "assert not [m for m in layers if 'ionwalk.' + m in sys.modules]")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -172,7 +172,7 @@ def test_sim_params_validation():
     ("eta", math.nan), ("eta", math.inf), ("omega_z", math.nan), ("omega_z", math.inf),
     ("delta", math.nan), ("delta", math.inf), ("delta", -math.inf),
     ("omega_d", math.nan), ("omega_d", math.inf), ("force_ratio", math.nan),
-    ("z0", math.nan), ("z0", math.inf),
+    ("z0", math.nan), ("z0", math.inf), ("dim", 32.5),
 ])
 def test_sim_params_reject_non_finite_values(field, value):
     with pytest.raises(ConfigError, match=field):

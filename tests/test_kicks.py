@@ -163,7 +163,7 @@ def test_kick_params_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("t_p", math.nan), ("t_p", math.inf), ("eta", math.nan), ("eta", math.inf),
-    ("omega_z", math.nan), ("omega_z", math.inf),
+    ("omega_z", math.nan), ("omega_z", math.inf), ("dim", 32.5),
 ])
 def test_kick_params_reject_non_finite_values(field, value):
     with pytest.raises(ConfigError, match=field):
