@@ -23,7 +23,7 @@ from . import __version__
 from . import dynamics as dyn
 from . import kicks, lattice, pulses, readout
 from .errors import ConfigError, IllConditioned, NoThreshold, StepError, TruncationError
-from .fock import LEVELS, SimParams, experimental_params, mean_a, mean_n
+from .fock import SimParams, experimental_params, mean_a, mean_n
 
 TWO_PI = 2.0 * math.pi
 # readout-roundtrip trials per invert_bsb stack (one stack of 4,000: ~20 MB more peak RSS)
@@ -37,27 +37,24 @@ class RunContext:
     options: dict
     out_dir: str
     seed: int
-    artifacts: list = field(default_factory=list)
+    # artifact name -> file text; run_scenario writes them once the scenario returns
+    texts: dict = field(default_factory=dict)
 
-    def path(self, name: str) -> str:
-        full = os.path.join(self.out_dir, name)
-        self.artifacts.append(name)
-        return full
+    @property
+    def artifacts(self) -> list[str]:
+        return list(self.texts)
 
-    def write_csv(self, name: str, header: list[str], rows) -> str:
-        full = self.path(name)
-        with open(full, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        return full
+    def write_text(self, name: str, text: str) -> None:
+        self.texts[name] = text
 
-    def write_json(self, name: str, payload: dict) -> str:
-        full = self.path(name)
-        with open(full, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return full
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        self.write_text(name, "\n".join(lines) + "\n")
+
+    def write_json(self, name: str, payload: dict) -> None:
+        # numpy scalars that are not Python numbers (np.int64, np.float32) as Python numbers
+        text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.item())
+        self.write_text(name, text + "\n")
 
 
 def _fmt(value) -> str:
@@ -153,8 +150,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
             "alpha_h": [alpha_h.real, alpha_h.imag],
             "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, opt["wait_multiplier"])),
         }
-        with open(ctx.path(f"program_{level.lower()}.json"), "w") as fh:
-            fh.write(program.to_json())
+        ctx.write_text(f"program_{level.lower()}.json", program.to_json())
     ctx.write_json("summary.json", info)
     return info
 
@@ -372,19 +368,19 @@ SCENARIOS = {
 }
 
 
-# Lower bounds of integer options, checked in every scenario that has them.
-_MINIMUM = {"steps": 40, "samples": 1, "points": 2, "n_steps": 1, "n_pulses": 0, "k_max": 0, "trials": 1}
+# Option rules no library function checks (the library checks steps, n_steps,
+# n_pulses, t_d, wait_multiplier, dim and each level). Lower bounds of integer
+# options, checked in every scenario that has them:
+_MINIMUM = {"samples": 1, "points": 2, "k_max": 0, "trials": 1}
 # The other checked options: (test of the value and all options, what it must be).
 _CHECKS = {
     "duration": (lambda v, o: v > 0.0, "positive"),
-    "t_d": (lambda v, o: v is None or v > 0.0, "positive, or null for the default"),
-    "dim": (lambda v, o: v is None or isinstance(v, int) and v >= 16, "null or an integer >= 16"),
-    "levels": (lambda v, o: len(v) > 0 and set(v) <= set(LEVELS), f"a nonempty list from {LEVELS}"),
+    "levels": (lambda v, o: 0 < len(v) == len(set(v)), "a nonempty list without repeats"),
     "scaling_step_sizes": (lambda v, o: len(v) > 0, "a nonempty list"),
-    "alphas": (lambda v, o: len(v) > 0 and min(v) > 0.0, "a nonempty list of positive amplitudes"),
+    "alphas": (lambda v, o: 0 < len(v) == len(set(v)) and min(v) > 0.0,
+               "a nonempty list of distinct positive amplitudes"),
     "f_min": (lambda v, o: 0.0 < v < 1.0, "in (0, 1)"),
     "mode": (lambda v, o: v in ("near", "extended"), "'near' or 'extended'"),
-    "wait_multiplier": (lambda v, o: v in (2.0, 4.0), "2 or 4"),
     "support": (lambda v, o: 1 <= v <= o["n_max"] + 1, "in [1, n_max + 1]"),
     "noise_sigma": (lambda v, o: v >= 0.0, "nonnegative"),
 }
@@ -432,27 +428,21 @@ def run_scenario(
         "options": dict(options),
         "seed": ctx.seed,
         "runtime_s": time.time() - started,
-        "artifacts": ctx.artifacts,
+        "artifacts": ctx.artifacts + ["manifest.json"],
         "versions": {
             "ionwalk": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-        "summary": _jsonable(summary),
+        "summary": summary,
     }
     ctx.write_json("manifest.json", manifest)
+    # a failed scenario raises before this point and leaves no CSV or JSON
+    for name, text in ctx.texts.items():
+        with open(os.path.join(ctx.out_dir, name), "w") as fh:
+            fh.write(text)
     return ctx
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _coerce(key: str, value, default):

@@ -555,7 +555,7 @@ def stepwise_excitation(
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")
     if n_pulses < 0:
-        raise ValueError("n_pulses must be nonnegative")
+        raise ConfigError(f"n_pulses must be nonnegative, got {n_pulses!r}")
     state = ground_hybrid(params.dim)
     segments = []
     for _ in range(n_pulses):

@@ -73,10 +73,10 @@ def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
-def _kick_displacement(kp: KickParams, direction: int) -> np.ndarray:
+def _kick_displacement(eta: float, dim: int, direction: int) -> np.ndarray:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    return _i_eta_displacement(direction * kp.eta, kp.dim)
+    return _i_eta_displacement(direction * eta, dim)
 
 
 # D(i eta) per (eta, dim), eta signed by the kick direction, built once and
@@ -96,12 +96,12 @@ def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:
     coin state; the trap rotation is neglected.
     """
     n = 2 * kp.dim
-    return _apply_ideal(np.eye(n, dtype=complex).reshape(2, kp.dim, n), kp, direction).reshape(n, n)
+    return _apply_ideal(np.eye(n, dtype=complex).reshape(2, kp.dim, n), kp.eta, direction).reshape(n, n)
 
 
-def _apply_ideal(psi: np.ndarray, kp: KickParams, direction: int) -> np.ndarray:
+def _apply_ideal(psi: np.ndarray, eta: float, direction: int) -> np.ndarray:
     """The ideal kick applied to rows (T, H) of ``psi``, laid out as ``HybridState.amps``."""
-    d_up = _kick_displacement(kp, direction)
+    d_up = _kick_displacement(eta, psi.shape[1], direction)
     # sigma_plus = |T><H| carries D(i eta d); sigma_minus = |H><T| its inverse
     return -1j * np.stack([d_up @ psi[1], d_up.conj().T @ psi[0]])
 
@@ -130,7 +130,7 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
     coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k[:n_terms] % 4] * bessel[:n_terms]
     # 2 Ht; D^dag x = conj(conj(x) D) reads only the cached D
     diag = 2.0 * (rotation - centre) / radius
-    flip = (math.pi / radius) * _kick_displacement(kp, direction)
+    flip = (math.pi / radius) * _kick_displacement(kp.eta, kp.dim, direction)
 
     def double_scaled(x: np.ndarray) -> np.ndarray:
         out = diag * x
@@ -164,20 +164,21 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     comparison removes it; what remains is the genuine interference of the
     trap evolution with the kick, which depends on the oscillation phase.
     """
-    return _fidelity_against(*_ideal_pair(alpha, kp, direction), kp, direction)
-
-
-def _ideal_pair(alpha: complex, kp: KickParams, direction: int) -> tuple[HybridState, np.ndarray]:
-    """|H>|alpha> and its ideal kick; neither depends on t_p or omega_z."""
-    initial = coherent_hybrid(alpha, kp.dim, "H")
-    return initial, _apply_ideal(initial.amps, kp, direction)
-
-
-def _fidelity_against(initial: HybridState, psi_ideal: np.ndarray, kp: KickParams,
-                      direction: int) -> float:
+    initial, psi_ideal = _ideal_pair(alpha, kp.eta, kp.dim, direction)
     full = kick_full(initial, kp, direction)
     psi_full = _undo_free_rotation(full.amps, kp.omega_z, kp.t_p)
     return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
+
+
+# |H>|alpha> and its ideal kick per (alpha, eta, dim, direction), kept
+# read-only: neither depends on t_p or omega_z, so every fidelity evaluation
+# of a threshold search shares one pair.
+@functools.cache
+def _ideal_pair(alpha: complex, eta: float, dim: int, direction: int) -> tuple[HybridState, np.ndarray]:
+    initial = coherent_hybrid(alpha, dim, "H")
+    psi_ideal = _apply_ideal(initial.amps, eta, direction)
+    psi_ideal.setflags(write=False)
+    return initial, psi_ideal
 
 
 def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:
@@ -210,10 +211,9 @@ def fidelity_threshold(
         dim = required_dim(alpha)
 
     samples: list[tuple[float, float]] = []
-    initial, psi_ideal = _ideal_pair(alpha, pi_pulse(THRESHOLD_FLOOR, eta, omega_z, dim), 1)
 
     def f_at(t_p: float) -> float:
-        val = _fidelity_against(initial, psi_ideal, pi_pulse(t_p, eta, omega_z, dim), 1)
+        val = kick_fidelity(alpha, pi_pulse(t_p, eta, omega_z, dim))
         samples.append((t_p, val))
         return val
 
@@ -282,6 +282,6 @@ def kick_train(
     for j in range(n_kicks):
         direction = (-1) ** (j + 1) if alternate else 1
         state = kick_full(state, kp, direction)
-        psi_ideal = _apply_ideal(psi_ideal, kp, direction)
+        psi_ideal = _apply_ideal(psi_ideal, kp.eta, direction)
     psi_full = _undo_free_rotation(state.amps, kp.omega_z, n_kicks * kp.t_p)
     return state, float(abs(np.vdot(psi_ideal, psi_full)) ** 2)

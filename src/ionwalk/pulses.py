@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
+from .errors import ConfigError
 from .fock import SimParams, coherent_state, mean_a, mean_n
 from .lattice import rotate_coin
 
@@ -105,9 +106,9 @@ def combined_pulse(
     spans (2 + 2*wait_multiplier)*t_d.
     """
     if t_d <= 0.0:
-        raise ValueError("t_d must be positive")
+        raise ConfigError(f"t_d must be positive, got {t_d!r}")
     if wait_multiplier not in (2.0, 4.0):
-        raise ValueError("wait_multiplier must be 2 or 4")
+        raise ConfigError(f"wait_multiplier must be 2 or 4, got {wait_multiplier!r}")
     return [
         dipole(t_d),
         rf(math.pi, phi_rf),
@@ -132,7 +133,7 @@ def walk_program(
     all other RF pulses.
     """
     if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+        raise ConfigError(f"n_steps must be at least 1, got {n_steps!r}")
     events: list[PulseEvent] = []
     for step in range(n_steps):
         coin_phi = phi_rf
@@ -273,11 +274,11 @@ def calibrate_positions(
     """
     if t_d is None:
         t_d = params.t_half_turn
+    shift = PulseProgram(tuple(combined_pulse(t_d, wait_multiplier)), params)
     state = ground_hybrid(params.dim)
     ladder = [state]
     for _ in range(k_max):
-        program = PulseProgram(tuple(combined_pulse(t_d, wait_multiplier)), params)
-        state = run_program(program, initial=state)
+        state = run_program(shift, initial=state)
         ladder.append(state)
     # the T branch carries the full weight throughout (no coins applied)
     rows = [s.amps[0] for s in ladder]

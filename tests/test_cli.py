@@ -8,6 +8,7 @@ import pytest
 
 from ionwalk import cli, fock
 from ionwalk import dynamics as dyn
+from ionwalk.errors import StepError
 
 
 def run(args):
@@ -44,6 +45,7 @@ class TestWalkIdeal:
         assert manifest["options"]["step_size"] == 4
         assert manifest["options"]["steps"] == 60
         assert "numpy" in manifest["versions"]
+        assert manifest["artifacts"] == ["positions.csv", "sigma.csv", "scaling.csv", "manifest.json"]
 
     @pytest.mark.parametrize("args", [
         ["walk-ideal", "--set", "step_size=2", "--set", "steps=50"],
@@ -167,6 +169,7 @@ class TestConfigHandling:
         ["kick-threshold", "--set", "alpha_max=-1"],
         ["scan-td", "--set", "mode=far"],
         ["calibrate", "--set", "wait_multiplier=3"],
+        ["calibrate", "--set", "k_max=0", "--set", "wait_multiplier=3"],
         ["scan-td", "--set", "wait_multiplier=3"],
         ["combined-pulse", "--set", "t_d=-1e-6"],
         ["walk-positions", "--set", "t_d=-1e-6"],
@@ -188,13 +191,16 @@ class TestConfigHandling:
         ["resonant", "--set", "level=LDA"],
         ["stepwise", "--set", "level=LDA"],
         ["trajectory", "--set", 'levels=["LDA","XX"]', "--set", "dim=64"],
+        ["trajectory", "--set", 'levels=["RWA","RWA"]', "--set", "dim=64"],
+        ["kick-threshold", "--set", "alphas=[1.0,1.0]"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigError"
-        # option checks run before any numerics, so nothing is written
-        assert not [name for name in os.listdir(tmp_path) if name.endswith(".csv")]
+        # some rules are checked by the library mid-run; output is written
+        # only when the scenario returns, so a rejected run writes nothing
+        assert os.listdir(tmp_path) == []
 
     def test_overrides_take_the_type_of_their_default(self, tmp_path):
         ctx = cli.run_scenario("walk-ideal", {"steps": 40.0, "step_size": 2}, str(tmp_path))
@@ -216,14 +222,29 @@ class TestConfigHandling:
                 assert {k: getattr(built, k) for k in trap} == {k: options[k] for k in trap}
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
-        # a basis too small for the requested excitation trips the guard
-        code = run([
-            "trajectory", "--out", str(tmp_path / "t"),
-            "--set", "dim=16", "--set", 'levels=["RWA"]', "--set", "duration=6e-6",
-        ])
-        assert code == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == "TruncationError"
+        cases = [
+            # a basis too small for the requested excitation trips the guard
+            (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError"),
+            # the CSV is ready before the return-time fit finds no post-peak window
+            (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError"),
+        ]
+        for i, (args, error) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert run(["trajectory", "--out", str(out), "--set", 'levels=["RWA"]'] + args) == 3
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["error"] == error
+            assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+    def test_failed_run_writes_no_output(self, tmp_path, capsys, monkeypatch, scenario):
+        def writes_then_fails(ctx):
+            ctx.write_csv("partial.csv", ["k"], [(0,)])
+            raise StepError("failed after its first artifact")
+
+        monkeypatch.setitem(cli.SCENARIOS, scenario, (writes_then_fails, cli.SCENARIOS[scenario][1]))
+        assert run([scenario, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "StepError"
+        assert os.listdir(tmp_path / "o") == []
 
 
 class TestScenarioOutputs:

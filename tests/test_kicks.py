@@ -278,12 +278,26 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
+        kicks._ideal_pair.cache_clear()
         monkeypatch.setattr(kicks, "coherent_state", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
         assert calls == [(2j, 64)]
         monkeypatch.undo()
         for t_p, f in samples:
             assert f == kicks.kick_fidelity(2j, kicks.pi_pulse(t_p, 0.31, WZ, 64))
+
+    def test_threshold_search_samples_through_kick_fidelity(self, monkeypatch):
+        # one fidelity path: every sample is a kick_fidelity call
+        calls = []
+        evaluate = kicks.kick_fidelity
+
+        def counting(alpha, kp, direction=1):
+            calls.append((alpha, kp.t_p, direction))
+            return evaluate(alpha, kp, direction)
+
+        monkeypatch.setattr(kicks, "kick_fidelity", counting)
+        _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
+        assert calls == [(2j, t_p, 1) for t_p, _ in samples]
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("dim, alpha", [(16, 0.1 + 0.2j), (64, 2.0 - 1.0j), (256, 6.0 + 5.0j)])
@@ -301,7 +315,7 @@ class TestExactKick:
     def test_cached_kick_displacement_is_unitary(self, dim, eta):
         # ||K|| = 1, the spectral interval kick_full expands on, needs this
         for direction in (1, -1):
-            d = kicks._kick_displacement(kicks.pi_pulse(1e-9, eta, WZ, dim), direction)
+            d = kicks._kick_displacement(eta, dim, direction)
             assert np.max(np.abs(d.conj().T @ d - np.eye(dim))) <= 1e-13
 
     def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
