@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import dynamics as dyn
@@ -432,17 +431,30 @@ def run_scenario(
         "versions": {
             "ionwalk": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "summary": summary,
     }
     ctx.write_json("manifest.json", manifest)
     # a failed scenario raises before this point and leaves no CSV or JSON
+    _remove_listed_artifacts(ctx.out_dir)
     for name, text in ctx.texts.items():
         with open(os.path.join(ctx.out_dir, name), "w") as fh:
             fh.write(text)
     return ctx
+
+
+def _remove_listed_artifacts(out_dir: str) -> None:
+    """Delete the files that an earlier run's manifest in ``out_dir`` lists, and no others."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            names = json.load(fh)["artifacts"]
+    except (OSError, ValueError, KeyError, TypeError):  # no manifest, or not one of ours
+        return
+    for name in names:
+        path = os.path.join(out_dir, str(name))
+        if os.path.basename(path) == name and os.path.isfile(path):
+            os.remove(path)
 
 
 def _coerce(key: str, value, default):

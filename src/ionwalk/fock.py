@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError, TruncationError
 
@@ -27,6 +26,51 @@ LEVELS = (LDA, RWA, THREE_SB)
 GUARD_LEVELS = 10
 LEAK_TOL = 1e-6
 N_CAP = 10000  # highest Fock level ``coupling_thresholds`` searches
+
+# cephes lgam: its Stirling series in 1/x^2
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _log_factorial(n) -> np.ndarray:
+    """ln n! for integers n >= 0, bit for bit cephes lgam(n + 1) (S. L. Moshier)."""
+    return _log_factorial_table(1 << max(8, int(np.max(n, initial=0)).bit_length()))[n]
+
+
+@functools.cache
+def _log_factorial_table(size: int) -> np.ndarray:
+    # lgam(x), x = n + 1: the log of the exact product (x-1)! below 13, else Stirling plus
+    # the series (cephes's shorter series from x = 1000 on gives the same bits at every
+    # integer up to 2e6); math.log is libm's log, as in cephes (np.log differs)
+    x = np.arange(1.0, size + 1.0)
+    p = 1.0 / (x * x)
+    series = functools.reduce(lambda acc, c: acc * p + c, _LGAM_A[1:], _LGAM_A[0])
+    table = (x - 0.5) * np.array([math.log(v) for v in x.tolist()]) - x + 0.91893853320467274178
+    table += series / x
+    table[:12] = [math.log(math.factorial(m)) for m in range(12)]
+    return table
+
+
+def _genlaguerre(n, k: int, x: float) -> np.ndarray:
+    """L_n^(k)(x) for integers n >= 0 and 0 <= k < 20, bit for bit the integer-order
+    eval_genlaguerre: one forward recurrence up to max(n), p after step j being
+    L_{j+2} / binom(j+2+k, j+2), times binom by its integer-branch product."""
+    if not 0 <= k < 20:
+        raise ValueError(f"ladder offset {k}: Laguerre orders 0..19 only")
+    values = [1.0, -x + k + 1]
+    d = -x / (k + 1)
+    p = d + 1
+    for m in range(2, int(np.max(n, initial=0)) + 1):
+        d = -x / (m + k) * p + (m - 1) / (m + k) * d
+        p += d
+        # binom(m + k, m): symmetry-reduced to min(m, k) factors, rescaled past 1e50
+        num = den = 1.0
+        for i in range(1, min(m, k) + 1):
+            num, den = num * (i + max(m, k)), den * i
+            if abs(num) > 1e50:
+                num, den = num / den, 1.0
+        values.append(num / den * p)
+    return np.array(values)[n]
 
 
 def mean_n(amps: np.ndarray) -> np.ndarray:
@@ -134,27 +178,18 @@ def raising_op(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
 
 
-def coherent_truncated_norm_sq(alpha: complex, dim: int) -> float:
-    """Weight of |alpha> on the first ``dim`` Fock levels (Poisson partial sum)."""
-    x = abs(complex(alpha)) ** 2
-    if x == 0.0:
-        return 1.0
-    n = np.arange(dim)
-    log_p = -x + n * math.log(x) - gammaln(n + 1)
-    return float(np.sum(np.exp(log_p)))
-
-
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Read-only amplitudes of the coherent state |alpha> on the truncated
     basis, renormalized to one.
 
     Raises :class:`TruncationError` when the basis captures less than
-    ``1 - 1e-9`` of the untruncated norm.
+    ``1 - 1e-9`` of the untruncated norm (a Poisson partial sum).
     """
     alpha = complex(alpha)
     if dim < 1:
         raise ValueError("dim must be positive")
-    norm_sq = coherent_truncated_norm_sq(alpha, dim)
+    n, x = np.arange(dim), abs(alpha) ** 2
+    norm_sq = float(np.sum(np.exp(-x + n * math.log(x) - _log_factorial(n)))) if x else 1.0
     if norm_sq < 1.0 - 1e-9:
         raise TruncationError(
             f"coherent_state(|alpha|={abs(alpha):.3f}, dim={dim}) keeps only "
@@ -164,8 +199,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     if alpha == 0:
         amps[0] = 1.0
     else:
-        n = np.arange(dim)
-        log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+        log_mag = -x / 2.0 + n * math.log(abs(alpha)) - 0.5 * _log_factorial(n)
         phase = n * np.angle(alpha)
         amps = np.exp(log_mag + 1j * phase)
         amps /= math.sqrt(norm_sq)
@@ -185,8 +219,8 @@ def ladder_elements(alpha: complex, offset: int, n) -> np.ndarray:
     low = np.asarray(n) + min(offset, 0)
     x = abs(alpha) ** 2
     power = alpha**k if offset >= 0 else (-alpha.conjugate()) ** k
-    log_fac = 0.5 * (gammaln(low + 1) - gammaln(low + k + 1))
-    return power * np.exp(log_fac - x / 2.0) * eval_genlaguerre(low, k, x)
+    log_fac = 0.5 * (_log_factorial(low) - _log_factorial(low + k))
+    return power * np.exp(log_fac - x / 2.0) * _genlaguerre(low, k, x)
 
 
 def sideband_magnitudes(eta: float, n_max: int) -> np.ndarray:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .dynamics import HybridState
 from .errors import ConfigError, NoThreshold
@@ -125,7 +124,7 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
     radius = centre + math.pi / 2.0
     # |J_{R+m}(R)| < 1e-16 by m ~ 12 R^(1/3) (Airy tail), well inside this range
     k = np.arange(int(radius + 20.0 * np.cbrt(radius)) + 30)
-    bessel = special.jv(k, radius)
+    bessel = _bessel_j(len(k), radius)
     n_terms = k[(k > radius) & (np.abs(bessel) < 1e-16)][0]
     coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k[:n_terms] % 4] * bessel[:n_terms]
     # 2 Ht; D^dag x = conj(conj(x) D) reads only the cached D
@@ -145,6 +144,21 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
         psi += coeff * cur
     check_leakage(psi, "kick")
     return HybridState(np.exp(-1j * centre) * psi, state.time + kp.t_p)
+
+
+def _bessel_j(count: int, r: float) -> np.ndarray:
+    """J_0(r) .. J_{count-1}(r) by Miller's backward recurrence (Abramowitz &
+    Stegun 9.12; Numerical Recipes 6.5) from J_count = 0, J_{count-1} = 1,
+    rescaled past 1e250, normalised by J_0 + 2 sum_k J_2k = 1; accurate to
+    rounding while J_{count-1}(r) is negligible (below 1e-41 at kick_full's count)."""
+    vals = [0.0] * (count + 1)
+    vals[count - 1] = 1.0
+    for k in range(count - 1, 0, -1):
+        vals[k - 1] = 2.0 * k / r * vals[k] - vals[k + 1]
+        if abs(vals[k - 1]) > 1e250:
+            vals = [v * 1e-250 for v in vals]
+    out = np.array(vals[:count])
+    return out / (out[0] + 2.0 * out[2::2].sum())
 
 
 def coherent_hybrid(alpha: complex, dim: int, coin: str = "H") -> HybridState:

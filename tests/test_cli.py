@@ -310,6 +310,30 @@ class TestScenarioOutputs:
             program = read_json(os.path.join(out, f"program_{level}.json"))
             assert program["params"]["level"] == level.upper()
 
+    def test_rerun_into_the_same_out_leaves_only_its_own_artifacts(self, tmp_path):
+        out = str(tmp_path / "c")
+        cli.run_scenario("combined-pulse", {"levels": ["LDA"], "dim": 32}, out)
+        cli.run_scenario("combined-pulse", {"levels": ["3SB"], "dim": 64}, out)
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        assert "combined_pulse_3sb.csv" in manifest["artifacts"]
+        assert sorted(os.listdir(out)) == sorted(manifest["artifacts"])
+
+    @pytest.mark.parametrize("manifest,deleted", [
+        (json.dumps({"artifacts": ["listed.csv", "../outside.csv", "sub", "", 7]}), {"listed.csv"}),
+        ("not json", set()),
+        (json.dumps({"files": ["listed.csv"]}), set()),
+    ])
+    def test_rerun_deletes_only_what_an_earlier_manifest_lists(self, tmp_path, manifest, deleted):
+        out = tmp_path / "w"
+        (out / "sub").mkdir(parents=True)
+        for path in (out / "listed.csv", out / "mine.csv", tmp_path / "outside.csv"):
+            path.write_text("earlier\n")
+        (out / "manifest.json").write_text(manifest)
+        ctx = cli.run_scenario("walk-ideal", {"steps": 40}, str(out))
+        earlier = {"listed.csv", "mine.csv", "sub"} - deleted
+        assert set(os.listdir(out)) == earlier | set(ctx.artifacts)
+        assert (tmp_path / "outside.csv").exists()
+
     def test_kick_threshold_reference_mode(self, tmp_path):
         out = str(tmp_path / "k")
         assert run(["kick-threshold", "--out", out, "--set", "alphas=[1.0]",
@@ -336,13 +360,22 @@ class TestScenarioOutputs:
         assert "scan-td" in names and "kick-threshold" in names
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize alone adds ~0.35 s and ~23 MB to every command's start-up
+def test_scenarios_run_without_loading_scipy(tmp_path):
+    # importing scipy.special cost every command ~0.35 s and ~24 MB of start-up;
+    # running scenarios, not only importing, also catches a lazy import
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, ionwalk.cli; assert 'scipy.optimize' not in sys.modules"
+    code = (
+        "import sys; from ionwalk import cli; "
+        f"cli.run_scenario('kick-threshold', {{'alphas': [1.0]}}, {str(tmp_path / 'k')!r}); "
+        "cli.run_scenario('trajectory', {'levels': ['3SB'], 'dim': 32, 'duration': 2e-6, "
+        f"'samples': 10}}, {str(tmp_path / 't')!r}); "
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not loaded, loaded"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(tmp_path / "t" / "trajectory_3sb.csv")
 
 
 def test_lattice_import_loads_neither_scipy_nor_other_layers():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from ionwalk import fock
 from ionwalk.errors import ConfigError, TruncationError
@@ -108,6 +109,38 @@ def test_ladder_elements_match_dense_displacement(alpha):
         for m in (0, 7, 39):
             if m + offset >= 0:
                 assert complex(fock.ladder_elements(alpha, offset, m)) == elements[m - source[0]]
+
+
+def test_log_factorial_equals_gammaln_bit_for_bit():
+    n = np.arange(20003)
+    table = fock._log_factorial(n)
+    assert np.array_equal(table, gammaln(n + 1.0))  # gammaln of the integers 1..20,003
+    assert fock._log_factorial(13) == table[13]
+
+
+@pytest.mark.parametrize("x", [0.0, 0.01, 0.09, 0.0961, 1.0])
+@pytest.mark.parametrize("order", range(4))
+def test_laguerre_equals_eval_genlaguerre_bit_for_bit(order, x):
+    n = np.arange(600)
+    assert np.array_equal(fock._genlaguerre(n, order, x), eval_genlaguerre(n, order, x))
+
+
+def test_order_19_laguerre_equals_eval_genlaguerre_past_the_binomial_rescale():
+    # binom(n + 19, n) passes 1e50 mid-product from n ~ 400 on
+    n = np.arange(600)
+    assert np.array_equal(fock._genlaguerre(n, 19, 0.0961), eval_genlaguerre(n, 19, 0.0961))
+
+
+def test_first_order_laguerre_equals_eval_genlaguerre_up_to_n_cap():
+    # the sideband couplings coupling_thresholds searches
+    n, x = np.arange(fock.N_CAP + 1), abs(1j * 0.31) ** 2
+    assert np.array_equal(fock._genlaguerre(n, 1, x), eval_genlaguerre(n, 1, x))
+
+
+@pytest.mark.parametrize("offset", [20, -20, 25])
+def test_ladder_offsets_beyond_the_laguerre_port_raise(offset):
+    with pytest.raises(ValueError, match="Laguerre orders"):
+        fock.ladder_elements(0.3j, offset, np.arange(20, 30))
 
 
 def test_experimental_params_are_the_trap_values_plus_field_defaults():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from ionwalk import fock, kicks
 from ionwalk.dynamics import HybridState
@@ -338,3 +339,31 @@ class TestExactKick:
         assert fock.leakage(initial.amps[1]) < fock.LEAK_TOL
         with pytest.raises(TruncationError, match="kick: guard-band population"):
             kicks.kick_full(initial, kp)
+
+
+def _cheb_terms(r):
+    """kick_full's Bessel orders for radius r, and its term count on given values."""
+    k = np.arange(int(r + 20.0 * np.cbrt(r)) + 30)
+    return k, lambda values: k[(k > r) & (np.abs(values) < 1e-16)][0]
+
+
+@pytest.mark.parametrize("radii,bound", [
+    (np.linspace(math.pi / 2, 30.0, 300), 1e-15),
+    ([8700.0], 1e-12),
+])
+def test_miller_bessel_matches_jv(radii, bound):
+    for r in radii:
+        k, _ = _cheb_terms(r)
+        assert np.max(np.abs(kicks._bessel_j(k.size, r) - jv(k, r))) <= bound, r
+
+
+def test_miller_bessel_keeps_the_term_count_of_jv():
+    for r in np.geomspace(math.pi / 2, 2e4, 200):
+        k, n_terms = _cheb_terms(r)
+        assert n_terms(kicks._bessel_j(k.size, r)) == n_terms(jv(k, r)), r
+
+
+def test_miller_bessel_rescales_a_start_far_above_the_radius():
+    # J_399(2) ~ 1e-800: the recurrence grows past 1e250 on its way down
+    k = np.arange(400)
+    assert np.max(np.abs(kicks._bessel_j(k.size, 2.0) - jv(k, 2.0))) <= 1e-15
