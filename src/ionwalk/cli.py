@@ -100,7 +100,7 @@ def scenario_trajectory(ctx: RunContext) -> dict:
             (duration / opt["samples"], duration / dyn.RETURN_TIME_SAMPLES))
         tab = dyn.trajectory_table(csv_history)
         ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
-        t_ret, n_min, _ = dyn.return_time(params, duration, history=return_history)
+        t_ret, n_min = dyn.return_time(return_history)
         info[level] = {"return_time": t_ret, "min_n": n_min}
     ctx.write_json("returns.json", info)
     return info
@@ -207,14 +207,14 @@ def scenario_calibrate(ctx: RunContext) -> dict:
 def scenario_readout_roundtrip(ctx: RunContext) -> dict:
     opt = ctx.options
     rng = np.random.default_rng(ctx.seed)
-    eta, n_max, support = opt["eta"], opt["n_max"], opt["support"]
-    cfg = readout.default_config(eta, n_max=n_max)
+    n_max, support = opt["n_max"], opt["support"]
+    cfg = readout.ReadoutConfig(n_max, opt["eta"])
     example = np.zeros(n_max + 1)
     example[:support] = rng.random(support)
     example /= example.sum()
     ctx.write_csv(
         "example_signal.csv", ["t", "p_t"],
-        zip(cfg.t_grid, readout.bsb_signal(example, cfg, eta)),
+        zip(cfg.t_grid, readout.bsb_signal(example, cfg)),
     )
     rows = []
     for start in range(0, opt["trials"], READOUT_BLOCK):
@@ -224,9 +224,9 @@ def scenario_readout_roundtrip(ctx: RunContext) -> dict:
         for p, signal, noisy_signal in zip(probs, clean, noisy):
             p[:support] = rng.random(support)
             p /= p.sum()
-            signal[:] = readout.bsb_signal(p, cfg, eta)
+            signal[:] = readout.bsb_signal(p, cfg)
             noisy_signal[:] = signal + rng.normal(0.0, opt["noise_sigma"], signal.size)
-        errors = [np.max(np.abs(readout.invert_bsb(s, cfg, eta) - probs), axis=1) for s in (clean, noisy)]
+        errors = [np.max(np.abs(readout.invert_bsb(s, cfg) - probs), axis=1) for s in (clean, noisy)]
         rows += zip(range(start, start + probs.shape[0]), *(e.tolist() for e in errors))
     worst = np.max([row[1:] for row in rows], axis=0)
     ctx.write_csv("roundtrip.csv", ["trial", "err_noiseless", "err_noisy"], rows)
@@ -410,6 +410,8 @@ def run_scenario(
     for key, (valid, must) in _CHECKS.items():
         if key in options and not valid(options[key], options):
             raise ConfigError(f"option {key!r} must be {must}, got {options[key]!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed!r}")
     ctx = RunContext(
         scenario=scenario,
         options=options,

@@ -161,21 +161,18 @@ class DriveStencil:
 
 
 def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.ndarray:
-    """Matrix elements <j+offset| exp(i eta (a+a^dag)) |j> over valid j."""
+    """Matrix elements <j+offset| exp(i eta (a+a^dag)) |j>, j = 0..dim-1-offset,
+    for offset >= 0; the symmetric operator has the same elements at -offset,
+    <j|...|j+offset>."""
     if not linearized:
-        source = np.arange(max(0, -offset), dim - max(0, offset))
-        return ladder_elements(1j * eta, offset, source)
-    if offset not in (1, -1):
+        return ladder_elements(1j * eta, offset, np.arange(dim - offset))
+    if offset != 1:
         raise ValueError("linearized bands exist only for offset +-1")
     return 1j * eta * np.sqrt(np.arange(1.0, dim))
 
 
-def _stencil_key(params: SimParams) -> tuple:
-    return (params.level, params.eta, params.dim, params.omega_z, params.delta)
-
-
 def drive_stencil(params: SimParams) -> DriveStencil:
-    return _stencil(*_stencil_key(params))
+    return _stencil(params.level, params.eta, params.dim, params.omega_z, params.delta)
 
 
 @functools.cache
@@ -195,9 +192,11 @@ def _stencil(level: str, eta: float, dim: int, wz: float, delta: float) -> Drive
     amps = np.zeros((2 * reach + 1, n_terms), dtype=complex)
     rates = np.zeros((2 * reach + 1, n_terms))
     norm_weight = 0.0
+    # the -s band equals the +s band element for element: one evaluation per |s|
+    band_values = {k: _band_elements(eta, k, dim, linear) for k in {abs(s) for s in bands}}
     # bands in insertion order: the RK4 step size depends on this sum bitwise
     for s, (band_amps, band_rates) in bands.items():
-        values = _band_elements(eta, s, dim, linear)
+        values = band_values[abs(s)]
         elements[reach - s, max(0, s) : dim + min(0, s)] = values
         amps[reach - s] = band_amps
         rates[reach - s] = band_rates
@@ -245,13 +244,12 @@ def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step shares,
     gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
     """
-    return _period_map(*_stencil_key(params), params.omega_d, params.force_ratio)
+    return _period_map(params)
 
 
 @functools.cache
-def _period_map(level: str, eta: float, dim: int, omega_z: float, delta: float,
-                omega_d: float, force_ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    params = SimParams(omega_z, delta, omega_d, eta, dim=dim, level=level, force_ratio=force_ratio)
+def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    dim = params.dim
     steps, _ = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
     snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
@@ -565,22 +563,14 @@ def stepwise_excitation(
     return StepwiseResult(final=state, segments=segments)
 
 
-def return_time(params: SimParams, scan_duration: float,
-                history: list[HybridState] | None = None):
-    """Time of minimum <n> after the excitation peak (single-branch drive).
-
-    Searches ``history``, a ``propagate`` history from the ground state,
-    or else integrates one sampled every scan_duration / RETURN_TIME_SAMPLES.
-    Returns (t_return, min_n, history).
-    """
-    if history is None:
-        _, history = propagate(ground_hybrid(params.dim), params, scan_duration,
-                               scan_duration / RETURN_TIME_SAMPLES)
+def return_time(history: list[HybridState]) -> tuple[float, float]:
+    """(t, <n>) of the minimum <n> of the T branch after its excitation peak
+    in ``history``, a ``propagate`` history from the ground state."""
     times = np.array([s.time for s in history])
     n_vals = np.array([mean_n(s.amps[0]) for s in history])
     peak = int(np.argmax(n_vals))
     if peak >= len(n_vals) - 1:
-        raise ValueError("no post-peak window inside scan_duration")
+        raise ValueError("no post-peak window inside the history")
     rel = int(np.argmin(n_vals[peak:]))
     idx = peak + rel
-    return float(times[idx]), float(n_vals[idx]), history
+    return float(times[idx]), float(n_vals[idx])

@@ -72,18 +72,14 @@ def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
+# D(+-i eta), signed by the kick direction, built once per (eta, dim, direction)
+# and kept read-only; shared by every kick, ideal kick and fidelity evaluation
+# of a threshold search.
+@functools.cache
 def _kick_displacement(eta: float, dim: int, direction: int) -> np.ndarray:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    return _i_eta_displacement(direction * eta, dim)
-
-
-# D(i eta) per (eta, dim), eta signed by the kick direction, built once and
-# kept read-only; shared by every kick, ideal kick and fidelity evaluation of
-# a threshold search.
-@functools.cache
-def _i_eta_displacement(eta: float, dim: int) -> np.ndarray:
-    d = displacement_matrix(1j * eta, dim)
+    d = displacement_matrix(1j * (direction * eta), dim)
     d.setflags(write=False)
     return d
 

@@ -34,28 +34,39 @@ NNLS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Sampling grid and model constants of the sideband readout.
+    """Model constants and sampling grid of the sideband readout.
 
+    ``eta`` sets the sideband frequencies of levels 0..``n_max``;
     ``base_rabi`` scales the dimensionless sideband matrix elements to
     physical Rabi frequencies; ``gamma`` damps the oscillation contrast.
+    Without ``t_grid`` the grid is 200 times over 5 periods of the slowest
+    of those frequencies.
     """
 
-    t_grid: np.ndarray
     n_max: int
+    eta: float
     gamma: float = 0.0
     base_rabi: float = 2 * math.pi * 100e3
+    t_grid: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
-            raise ConfigError("t_grid must be finite and strictly increasing with >= 2 samples")
-        if not 0.0 <= self.gamma < math.inf:  # NaN fails these tests too
+        # every test is written so that NaN fails it
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and positive")
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
+            raise ConfigError("n_max must be a nonnegative integer")
+        if not 0.0 <= self.gamma < math.inf:
             raise ConfigError("gamma must be finite and nonnegative")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be nonnegative")
         if not 0.0 < self.base_rabi < math.inf:
             raise ConfigError("base_rabi must be finite and positive")
-        t = t.copy()
+        if self.t_grid is None:
+            omega = rabi_frequencies(self.eta, self.n_max, self.base_rabi)
+            slowest = float(np.min(omega[omega > 0.0], initial=np.inf))
+            t = np.linspace(0.0, 5.0 * 2.0 * math.pi / slowest, 200)
+        else:
+            t = np.array(self.t_grid, dtype=float)
+        if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise ConfigError("t_grid must be finite and strictly increasing with >= 2 samples")
         t.setflags(write=False)
         object.__setattr__(self, "t_grid", t)
 
@@ -65,34 +76,19 @@ def rabi_frequencies(eta: float, n_max: int, base_rabi: float) -> np.ndarray:
     return base_rabi * sideband_magnitudes(eta, n_max)
 
 
-def default_config(
-    eta: float,
-    n_max: int,
-    gamma: float = 0.0,
-) -> ReadoutConfig:
-    """200 times over 5 periods of the slowest dictionary frequency."""
-    if not eta > 0.0 or n_max < 0:  # NaN fails this test too
-        raise ConfigError("eta must be positive and n_max nonnegative")
-    omega = rabi_frequencies(eta, n_max, ReadoutConfig.base_rabi)
-    slowest = float(np.min(omega[omega > 0.0]))
-    t_end = 5.0 * 2.0 * math.pi / slowest
-    t = np.linspace(0.0, t_end, 200)
-    return ReadoutConfig(t_grid=t, n_max=n_max, gamma=gamma)
-
-
-def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray:
+def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig) -> np.ndarray:
     """Coin-state signal 0.5*(1 + sum_n p_n cos(Omega_n t) e^{-gamma t})."""
     p = np.asarray(fock_probs, dtype=float)
     if not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails this test too
         raise ValueError("fock_probs must sum to 1")
-    return 0.5 * (1.0 + _dictionary(cfg, eta, p.size - 1)[0] @ p)
+    return 0.5 * (1.0 + _dictionary(cfg, p.size - 1)[0] @ p)
 
 
-def _dictionary(cfg: ReadoutConfig, eta: float, n_max: int) -> tuple:
+def _dictionary(cfg: ReadoutConfig, n_max: int) -> tuple:
     """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest
     Omega_n > 0, its QR factors in ``np.linalg.qr``'s raw form), built once
     per grid and model; the arrays are read-only."""
-    return _dictionary_for(cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, eta)
+    return _dictionary_for(cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, cfg.eta)
 
 
 @functools.cache
@@ -155,7 +151,7 @@ def _nnls(qr: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     raise IllConditioned(f"NNLS did not converge in {NNLS_MAX_ITER} iterations")
 
 
-def invert_bsb(signal: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray:
+def invert_bsb(signal: np.ndarray, cfg: ReadoutConfig) -> np.ndarray:
     """Fock probabilities from a readout signal by non-negative LS fitting.
 
     ``signal`` may be a (k, n_t) stack; row i of the result is the
@@ -165,7 +161,7 @@ def invert_bsb(signal: np.ndarray, cfg: ReadoutConfig, eta: float) -> np.ndarray
     signal = np.asarray(signal, dtype=float)
     if signal.shape[-1:] != cfg.t_grid.shape:
         raise ValueError("signal and t_grid sizes differ")
-    _, cond, slowest, qr = _dictionary(cfg, eta, cfg.n_max)
+    _, cond, slowest, qr = _dictionary(cfg, cfg.n_max)
     span = cfg.t_grid[-1] - cfg.t_grid[0]
     if span < 3.0 * 2.0 * math.pi / slowest:
         raise ValueError(

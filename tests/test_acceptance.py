@@ -84,8 +84,15 @@ def test_criterion_05_return_time_departure():
             omega_z=TWO_PI * 2.13e6, delta=TWO_PI * 0.1e6,
             omega_d=TWO_PI * 1.2e6, eta=0.31, dim=128,
         )
-        t_rwa, _, _ = dyn.return_time(fock.SimParams(level="RWA", **base), 12e-6)
-        t_lda, _, _ = dyn.return_time(fock.SimParams(level="LDA", **base), 12e-6)
+
+        def return_time(level):
+            # sampled as the trajectory scenario samples its return-time history
+            params = fock.SimParams(level=level, **base)
+            _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, 12e-6,
+                                       12e-6 / dyn.RETURN_TIME_SAMPLES)
+            return dyn.return_time(history)[0]
+
+        t_rwa, t_lda = return_time("RWA"), return_time("LDA")
         assert t_rwa < 10e-6
         assert abs(t_lda - 10e-6) <= 0.01 * 10e-6
 
@@ -139,13 +146,13 @@ def test_criterion_07_position_calibration():
 def test_criterion_08_readout_roundtrip():
     with criterion(8, "readout inversion roundtrip", 60.0):
         eta = 0.31
-        cfg = readout.default_config(eta, n_max=7)
+        cfg = readout.ReadoutConfig(7, eta)
         rng = np.random.default_rng(2024)
         for _ in range(100):
             p = np.zeros(8)
             p[:6] = rng.random(6)
             p /= p.sum()
-            recovered = readout.invert_bsb(readout.bsb_signal(p, cfg, eta), cfg, eta)
+            recovered = readout.invert_bsb(readout.bsb_signal(p, cfg), cfg)
             assert np.max(np.abs(recovered - p)) < 1e-3
 
         profiles = {k: np.abs(fock.coherent_state(1.24 * k, 64)) ** 2 for k in range(5)}

@@ -105,6 +105,7 @@ class TestConfigHandling:
         pytest.param(lambda cfg: cfg.write_bytes(b"\xff\xfe{"), id="not-utf8"),
         pytest.param(lambda cfg: cfg.mkdir(), id="directory"),
         pytest.param(lambda cfg: None, id="missing"),
+        {"seed": -1},
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra):
         # a dict extends a valid config file; a callable makes the file itself
@@ -193,6 +194,8 @@ class TestConfigHandling:
         ["trajectory", "--set", 'levels=["LDA","XX"]', "--set", "dim=64"],
         ["trajectory", "--set", 'levels=["RWA","RWA"]', "--set", "dim=64"],
         ["kick-threshold", "--set", "alphas=[1.0,1.0]"],
+        ["readout-roundtrip", "--seed", "-1"],
+        ["walk-ideal", "--seed", "-1"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
@@ -283,11 +286,13 @@ class TestScenarioOutputs:
             params = cli._params_from_options({**cli.SCENARIOS["trajectory"][1], **opts})
             params = params.replace(level=level)
             _, history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6, 12e-6 / 1300)
+            _, return_history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6,
+                                              12e-6 / dyn.RETURN_TIME_SAMPLES)
             tab = dyn.trajectory_table(history)
             lines = [",".join(tab)] + [",".join(cli._fmt(v) for v in row) for row in zip(*tab.values())]
             expected = ("\n".join(lines) + "\n").encode()
             assert read_bytes(tmp_path / f"trajectory_{level.lower()}.csv") == expected
-            t_ret, n_min, _ = dyn.return_time(params, 12e-6)
+            t_ret, n_min = dyn.return_time(return_history)
             assert returns[level] == {"return_time": t_ret, "min_n": n_min}
 
     def test_combined_pulse_scenario(self, tmp_path):
@@ -367,6 +372,7 @@ def test_scenarios_run_without_loading_scipy(tmp_path):
     code = (
         "import sys; from ionwalk import cli; "
         f"cli.run_scenario('kick-threshold', {{'alphas': [1.0]}}, {str(tmp_path / 'k')!r}); "
+        f"cli.run_scenario('readout-roundtrip', {{'trials': 2}}, {str(tmp_path / 'r')!r}); "
         "cli.run_scenario('trajectory', {'levels': ['3SB'], 'dim': 32, 'duration': 2e-6, "
         f"'samples': 10}}, {str(tmp_path / 't')!r}); "
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
@@ -376,6 +382,7 @@ def test_scenarios_run_without_loading_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(tmp_path / "t" / "trajectory_3sb.csv")
+    assert os.path.exists(tmp_path / "r" / "roundtrip.csv")
 
 
 def test_lattice_import_loads_neither_scipy_nor_other_layers():

@@ -180,22 +180,20 @@ class TestTrajectories:
             assert max(devs) < 0.15 * (2.0 * a)
 
 
+def scanned_return_time(params, duration=12e-6):
+    """``return_time`` of a history sampled as the trajectory scenario samples it."""
+    _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, duration,
+                               duration / dyn.RETURN_TIME_SAMPLES)
+    return dyn.return_time(history)
+
+
 class TestRegimeDeparture:
     def test_return_times_exact_vs_linear(self):
-        t_rwa, n_rwa, _ = dyn.return_time(fig5_params("RWA"), 12e-6)
-        t_lda, _, _ = dyn.return_time(fig5_params("LDA"), 12e-6)
+        t_rwa, n_rwa = scanned_return_time(fig5_params("RWA"))
+        t_lda, _ = scanned_return_time(fig5_params("LDA"))
         assert t_rwa < 10e-6
         assert t_lda == pytest.approx(10e-6, rel=0.01)
         assert n_rwa < 0.5
-
-    def test_return_time_searches_a_given_history(self):
-        p = fig5_params("RWA", dim=64)
-        _, history = dyn.propagate(dyn.ground_hybrid(64), p, 12e-6, 12e-6 / dyn.RETURN_TIME_SAMPLES)
-        t_own, n_own, own = dyn.return_time(p, 12e-6)
-        t_given, n_given, given = dyn.return_time(p, 12e-6, history=history)
-        assert (t_given, n_given) == (t_own, n_own)
-        assert given is history
-        assert [s.time for s in own] == [s.time for s in history]
 
     def test_sampled_histories_of_an_empty_pulse(self):
         start = dyn.ground_hybrid(32)
@@ -532,6 +530,21 @@ class TestDriveStencil:
             assert not np.any(row[:lo]) and not np.any(row[hi:])
         assert stencil.norm_weight == reference_norm_weight(p)
 
+    @pytest.mark.parametrize("level, evaluated", [("LDA", []), ("RWA", [1]), ("3SB", [0, 1, 2, 3])])
+    def test_each_band_magnitude_is_evaluated_once(self, level, evaluated, monkeypatch):
+        # the -s band of the symmetric D(i eta) equals the +s band element for element
+        offsets = []
+        evaluate = fock.ladder_elements
+
+        def counting(alpha, offset, n):
+            offsets.append(offset)
+            return evaluate(alpha, offset, n)
+
+        monkeypatch.setattr(dyn, "ladder_elements", counting)
+        dyn._stencil.cache_clear()
+        dyn.drive_stencil(fock.experimental_params(level=level, dim=40))
+        assert sorted(offsets) == evaluated
+
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     @pytest.mark.parametrize("sampled", [False, True])
     def test_propagate_matches_reference_rk4(self, level, sampled):
@@ -596,7 +609,7 @@ class TestStroboscopic:
         assert snapshots.shape == (dyn.SNAPSHOTS_PER_PERIOD - 1, 2, 32, 32)
         assert dyn.period_map(p)[0] is base
         assert dyn._period_map.cache_info().currsize == 1
-        entry = dyn._period_map(*dyn._stencil_key(p), p.omega_d, p.force_ratio)
+        entry = dyn._period_map(p)
         assert entry[0] is base and entry[1] is snapshots
         for table in (base, snapshots):
             assert not table.flags.writeable

@@ -258,14 +258,14 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
-        kicks._i_eta_displacement.cache_clear()
+        kicks._kick_displacement.cache_clear()
         monkeypatch.setattr(fock, "displacement_matrix", counting)
         monkeypatch.setattr(kicks, "displacement_matrix", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
         assert len(samples) > 5
         assert calls == [(1j * 0.31, 64)]
-        assert kicks._i_eta_displacement.cache_info().currsize == 1
-        cached = kicks._i_eta_displacement(0.31, 64)
+        assert kicks._kick_displacement.cache_info().currsize == 1
+        cached = kicks._kick_displacement(0.31, 64, 1)
         assert len(calls) == 1
         assert not cached.flags.writeable
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ ETA = 0.31
 
 @pytest.fixture(scope="module")
 def cfg():
-    return readout.default_config(ETA, n_max=7)
+    return readout.ReadoutConfig(7, ETA)
 
 
 def random_distribution(rng, support, n_levels):
@@ -27,7 +27,7 @@ class TestSignal:
     def test_ground_state_single_cosine(self, cfg):
         p = np.zeros(8)
         p[0] = 1.0
-        signal = readout.bsb_signal(p, cfg, ETA)
+        signal = readout.bsb_signal(p, cfg)
         omega = readout.rabi_frequencies(ETA, 0, cfg.base_rabi)[0]
         expected = 0.5 * (1.0 + np.cos(omega * cfg.t_grid))
         assert np.max(np.abs(signal - expected)) < 1e-12
@@ -35,30 +35,30 @@ class TestSignal:
     def test_unity_at_time_zero(self, cfg):
         rng = np.random.default_rng(1)
         p = random_distribution(rng, 6, 8)
-        assert readout.bsb_signal(p, cfg, ETA)[0] == pytest.approx(1.0, abs=1e-12)
+        assert readout.bsb_signal(p, cfg)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_damping_flattens_toward_half(self):
         omega = readout.rabi_frequencies(ETA, 0, 2 * math.pi * 1e5)[0]
-        cfg = readout.default_config(ETA, n_max=7, gamma=omega / 4.0)
+        cfg = readout.ReadoutConfig(7, ETA, gamma=omega / 4.0)
         rng = np.random.default_rng(2)
         p = random_distribution(rng, 8, 8)
-        signal = readout.bsb_signal(p, cfg, ETA)
+        signal = readout.bsb_signal(p, cfg)
         assert np.max(np.abs(signal[-20:] - 0.5)) < 0.05
 
     def test_rejects_unnormalized_input(self, cfg):
         with pytest.raises(ValueError):
-            readout.bsb_signal(np.ones(4), cfg, ETA)
+            readout.bsb_signal(np.ones(4), cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.1, 0.9))
     def test_signal_linear_in_distribution(self, seed, weight):
-        cfg = readout.default_config(ETA, n_max=7)
+        cfg = readout.ReadoutConfig(7, ETA)
         rng = np.random.default_rng(seed)
         p1 = random_distribution(rng, 8, 8)
         p2 = random_distribution(rng, 8, 8)
         mixed = weight * p1 + (1.0 - weight) * p2
-        lhs = readout.bsb_signal(mixed, cfg, ETA)
-        rhs = weight * readout.bsb_signal(p1, cfg, ETA) + (1.0 - weight) * readout.bsb_signal(p2, cfg, ETA)
+        lhs = readout.bsb_signal(mixed, cfg)
+        rhs = weight * readout.bsb_signal(p1, cfg) + (1.0 - weight) * readout.bsb_signal(p2, cfg)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -67,7 +67,7 @@ class TestInversion:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_distribution(rng, 6, 8)
-            rec = readout.invert_bsb(readout.bsb_signal(p, cfg, ETA), cfg, ETA)
+            rec = readout.invert_bsb(readout.bsb_signal(p, cfg), cfg)
             assert np.max(np.abs(rec - p)) < 1e-3
             assert np.all(rec >= 0.0)
             assert rec.sum() == pytest.approx(1.0, abs=1e-6)
@@ -76,42 +76,42 @@ class TestInversion:
         rng = np.random.default_rng(4)
         for _ in range(30):
             p = random_distribution(rng, 6, 8)
-            noisy = readout.bsb_signal(p, cfg, ETA) + rng.normal(0.0, 0.02, cfg.t_grid.size)
-            rec = readout.invert_bsb(noisy, cfg, ETA)
+            noisy = readout.bsb_signal(p, cfg) + rng.normal(0.0, 0.02, cfg.t_grid.size)
+            rec = readout.invert_bsb(noisy, cfg)
             assert np.max(np.abs(rec - p)) < 0.05
 
     def test_stack_equals_single_calls_bit_for_bit(self, cfg):
         rng = np.random.default_rng(8)
         signals = np.array([
-            readout.bsb_signal(random_distribution(rng, support, 8), cfg, ETA)
+            readout.bsb_signal(random_distribution(rng, support, 8), cfg)
             + rng.normal(0.0, sigma, cfg.t_grid.size)
             for support in (1, 3, 6, 8) for sigma in (0.0, 0.02, 0.2)
         ])
-        stacked = readout.invert_bsb(signals, cfg, ETA)
+        stacked = readout.invert_bsb(signals, cfg)
         assert stacked.shape == (12, 8)
-        assert np.array_equal(stacked, [readout.invert_bsb(s, cfg, ETA) for s in signals])
+        assert np.array_equal(stacked, [readout.invert_bsb(s, cfg) for s in signals])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_signal_rejected(self, cfg, bad):
-        signal = readout.bsb_signal(random_distribution(np.random.default_rng(9), 6, 8), cfg, ETA)
+        signal = readout.bsb_signal(random_distribution(np.random.default_rng(9), 6, 8), cfg)
         signal[17] = bad
         for s in (signal, np.array([signal + 0.0, signal])):
             with pytest.raises(ValueError):
-                readout.invert_bsb(s, cfg, ETA)
+                readout.invert_bsb(s, cfg)
 
     def test_short_grid_rejected(self):
-        cfg = readout.ReadoutConfig(t_grid=np.linspace(0.0, 1e-6, 16), n_max=3)
+        cfg = readout.ReadoutConfig(3, ETA, t_grid=np.linspace(0.0, 1e-6, 16))
         with pytest.raises(ValueError):
-            readout.invert_bsb(np.ones(16), cfg, ETA)
+            readout.invert_bsb(np.ones(16), cfg)
 
     def test_degenerate_dictionary_rejected(self):
         # frequencies nearly repeat on both sides of the coupling peak, so a
         # wide level range is numerically singular even on a long grid
         omega = readout.rabi_frequencies(ETA, 16, 2 * math.pi * 1e5)
         t = np.linspace(0.0, 4 * 2 * math.pi / omega[omega > 0].min(), 120)
-        cfg = readout.ReadoutConfig(t_grid=t, n_max=16)
+        cfg = readout.ReadoutConfig(16, ETA, t_grid=t)
         with pytest.raises(IllConditioned):
-            readout.invert_bsb(np.full(120, 0.5), cfg, ETA)
+            readout.invert_bsb(np.full(120, 0.5), cfg)
 
 
 def roundtrip_rhs(a, seed, count=100):
@@ -131,7 +131,7 @@ class TestNNLS:
     @pytest.mark.parametrize("n_max, bound", [(7, 1e-12), (9, 1e-10), (10, 1e-10), (11, 1e-10)])
     def test_matches_scipy_nnls(self, n_max, bound):
         # condition numbers 24 (the scenario's dictionary), 8.2e4, 2.3e6 and 2.6e7
-        a, cond, _, qr = readout._dictionary(readout.default_config(ETA, n_max), ETA, n_max)
+        a, cond, _, qr = readout._dictionary(readout.ReadoutConfig(n_max, ETA), n_max)
         assert cond <= readout.MAX_CONDITION
         b = roundtrip_rhs(a, seed=n_max)
         expected = np.array([nnls(a, row)[0] for row in b])
@@ -152,7 +152,7 @@ class TestNNLS:
         assert np.all(grad[x == 0.0] >= -tol)
 
     def test_backup_rule_ends_full_exchange_cycles(self, cfg, monkeypatch):
-        a, _, _, qr = readout._dictionary(cfg, ETA, cfg.n_max)
+        a, _, _, qr = readout._dictionary(cfg, cfg.n_max)
         rng = np.random.default_rng(0)
         p = np.zeros((250, 8))
         p[:, :6] = rng.random((250, 6))
@@ -168,11 +168,11 @@ class TestNNLS:
         monkeypatch.setattr(readout, "NNLS_MAX_ITER", 1)
         p = random_distribution(np.random.default_rng(10), 6, 8)
         with pytest.raises(IllConditioned):
-            readout.invert_bsb(readout.bsb_signal(p, cfg, ETA), cfg, ETA)
+            readout.invert_bsb(readout.bsb_signal(p, cfg), cfg)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_input_rejected(self, cfg, bad):
-        a, _, _, qr = readout._dictionary(cfg, ETA, cfg.n_max)
+        a, _, _, qr = readout._dictionary(cfg, cfg.n_max)
         b = np.ones(a.shape[0])
         b[3] = bad
         with pytest.raises(ValueError):
@@ -279,13 +279,30 @@ class TestDisambiguation:
         assert rec[-3] == pytest.approx(0.5, abs=0.02)
 
 
-def test_default_config_rejects_bad_model_before_numerics():
-    with pytest.raises(ConfigError):
-        readout.default_config(0.0, n_max=7)
-    with pytest.raises(ConfigError):
-        readout.default_config(math.nan, n_max=7)
-    with pytest.raises(ConfigError):
-        readout.default_config(ETA, n_max=-1)
+def test_config_rejects_bad_model_before_numerics(monkeypatch):
+    def no_numerics(*args):
+        raise AssertionError("sideband frequencies computed for a rejected model")
+
+    monkeypatch.setattr(readout, "sideband_magnitudes", no_numerics)
+    for n_max, eta in [(7, 0.0), (7, -1.0), (7, math.nan), (7, math.inf), (-1, ETA), (7.5, ETA)]:
+        with pytest.raises(ConfigError):
+            readout.ReadoutConfig(n_max, eta)
+
+
+def test_default_grid_is_five_periods_of_the_slowest_frequency():
+    cfg = readout.ReadoutConfig(7, ETA)
+    omega = readout.rabi_frequencies(ETA, 7, cfg.base_rabi)
+    expected = np.linspace(0.0, 10.0 * math.pi / omega[omega > 0.0].min(), 200)
+    assert np.array_equal(cfg.t_grid.view(np.uint64), expected.view(np.uint64))
+    assert not cfg.t_grid.flags.writeable
+
+
+def test_signal_follows_the_config_eta():
+    # one grid, two models: the dictionary cache must key on eta
+    p = random_distribution(np.random.default_rng(12), 6, 8)
+    low = readout.ReadoutConfig(7, 0.30)
+    high = readout.ReadoutConfig(7, 0.31, t_grid=low.t_grid)
+    assert np.max(np.abs(readout.bsb_signal(p, low) - readout.bsb_signal(p, high))) > 1e-3
 
 
 @pytest.mark.parametrize("field, value", [
@@ -293,7 +310,7 @@ def test_default_config_rejects_bad_model_before_numerics():
     ("gamma", math.nan), ("gamma", math.inf), ("base_rabi", math.nan), ("base_rabi", math.inf),
 ])
 def test_config_rejects_non_finite_values(field, value):
-    kwargs = {"t_grid": np.linspace(0.0, 1e-4, 50), "n_max": 3, field: value}
+    kwargs = {"t_grid": np.linspace(0.0, 1e-4, 50), "n_max": 3, "eta": ETA, field: value}
     with pytest.raises(ConfigError):
         readout.ReadoutConfig(**kwargs)
 
@@ -302,20 +319,20 @@ def test_signal_rejects_nan_distribution(cfg):
     p = np.full(8, 1.0 / 8.0)
     p[2] = math.nan
     with pytest.raises(ValueError):
-        readout.bsb_signal(p, cfg, ETA)
+        readout.bsb_signal(p, cfg)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        readout.ReadoutConfig(t_grid=np.array([0.0]), n_max=3)
+        readout.ReadoutConfig(3, ETA, t_grid=np.array([0.0]))
     with pytest.raises(ValueError):
-        readout.ReadoutConfig(t_grid=np.array([0.0, -1.0]), n_max=3)
+        readout.ReadoutConfig(3, ETA, t_grid=np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
-        readout.ReadoutConfig(t_grid=np.array([0.0, 1.0]), n_max=3, gamma=-1.0)
+        readout.ReadoutConfig(3, ETA, t_grid=np.array([0.0, 1.0]), gamma=-1.0)
 
 
-def uncached_dictionary(cfg, eta, n_max):
-    omega = readout.rabi_frequencies(eta, n_max, cfg.base_rabi)
+def uncached_dictionary(cfg, n_max):
+    omega = readout.rabi_frequencies(cfg.eta, n_max, cfg.base_rabi)
     return np.cos(np.outer(cfg.t_grid, omega)) * np.exp(-cfg.gamma * cfg.t_grid)[:, None]
 
 
@@ -335,14 +352,14 @@ class TestDictionaryCache:
 
     def test_second_inversion_reuses_condition_number(self, cfg, cond_calls):
         p = random_distribution(np.random.default_rng(6), 6, 8)
-        signal = readout.bsb_signal(p, cfg, ETA)
-        first = readout.invert_bsb(signal, cfg, ETA)
-        second = readout.invert_bsb(signal, cfg, ETA)
+        signal = readout.bsb_signal(p, cfg)
+        first = readout.invert_bsb(signal, cfg)
+        second = readout.invert_bsb(signal, cfg)
         assert len(cond_calls) == 1
         assert np.array_equal(first, second)
 
     def test_cached_matrix_is_read_only(self, cfg):
-        a, _, _, (h, tau) = readout._dictionary(cfg, ETA, cfg.n_max)
+        a, _, _, (h, tau) = readout._dictionary(cfg, cfg.n_max)
         for m in (a, h, tau):
             assert not m.flags.writeable
             with pytest.raises(ValueError):
@@ -350,16 +367,16 @@ class TestDictionaryCache:
 
     def test_each_model_gets_its_own_entry(self, cfg, cond_calls):
         variants = [
-            (cfg, ETA, 7),
-            (readout.ReadoutConfig(cfg.t_grid, 7, gamma=1e3), ETA, 7),
-            (cfg, 0.2, 7),
-            (cfg, ETA, 5),
-            (readout.ReadoutConfig(cfg.t_grid[:-1], 7), ETA, 7),
+            (cfg, 7),
+            (readout.ReadoutConfig(7, ETA, gamma=1e3, t_grid=cfg.t_grid), 7),
+            (readout.ReadoutConfig(7, 0.2, t_grid=cfg.t_grid), 7),
+            (cfg, 5),
+            (readout.ReadoutConfig(7, ETA, t_grid=cfg.t_grid[:-1]), 7),
         ]
-        for c, eta, n_max in variants:
-            a, cond, slowest, (h, tau) = readout._dictionary(c, eta, n_max)
-            expected = uncached_dictionary(c, eta, n_max)
-            omega = readout.rabi_frequencies(eta, n_max, c.base_rabi)
+        for c, n_max in variants:
+            a, cond, slowest, (h, tau) = readout._dictionary(c, n_max)
+            expected = uncached_dictionary(c, n_max)
+            omega = readout.rabi_frequencies(c.eta, n_max, c.base_rabi)
             assert np.array_equal(a, expected)
             assert cond == float(np.linalg.cond(expected))
             assert slowest == float(np.min(omega[omega > 0.0]))
@@ -369,18 +386,18 @@ class TestDictionaryCache:
     def test_ill_conditioned_dictionary_raises_every_call(self, cond_calls):
         omega = readout.rabi_frequencies(ETA, 16, 2 * math.pi * 1e5)
         t = np.linspace(0.0, 4 * 2 * math.pi / omega[omega > 0].min(), 120)
-        cfg16 = readout.ReadoutConfig(t_grid=t, n_max=16)
+        cfg16 = readout.ReadoutConfig(16, ETA, t_grid=t)
         for _ in range(2):
             with pytest.raises(IllConditioned):
-                readout.invert_bsb(np.full(120, 0.5), cfg16, ETA)
+                readout.invert_bsb(np.full(120, 0.5), cfg16)
         assert len(cond_calls) == 1
 
     @pytest.mark.parametrize("n_levels, gamma", [(8, 0.0), (5, 2e4), (11, 0.0)])
     def test_signal_matches_direct_formula_bit_for_bit(self, n_levels, gamma):
-        c = readout.default_config(ETA, n_max=7, gamma=gamma)
+        c = readout.ReadoutConfig(7, ETA, gamma=gamma)
         p = random_distribution(np.random.default_rng(n_levels), n_levels, n_levels)
         omega = readout.rabi_frequencies(ETA, p.size - 1, c.base_rabi)
         phases = np.outer(c.t_grid, omega)
         damp = np.exp(-c.gamma * c.t_grid)[:, None]
         expected = 0.5 * (1.0 + (np.cos(phases) * damp) @ p)
-        assert np.array_equal(readout.bsb_signal(p, c, ETA), expected)
+        assert np.array_equal(readout.bsb_signal(p, c), expected)
