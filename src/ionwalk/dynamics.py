@@ -30,7 +30,9 @@ period, applies the last F_i with t_i at or before the end, and runs RK4
 for the rest: each end takes at most T/8 of RK4.
 Sampled pulses, pulses holding no whole period and the single-rate LDA
 and RWA drives (for which any time shift is an exact symmetry of the RK4
-grid) take every step.
+grid) take every step.  Stepwise excitation whose pulse + wait spans whole
+periods samples all its pulses in one RK4 run on their stacked rows.  One
+period map is kept.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ from .fock import (
 STEPS_PER_PERIOD = 50
 RETURN_TIME_SAMPLES = 2000
 SNAPSHOTS_PER_PERIOD = 8
+# times that miss a snapshot time or a period boundary by at most this
+# fraction of the snapshot grid's step (a few ulps of k T) count as on it
+_SNAP = 1e-9
 COINS = "TH"  # the coin state of each row of HybridState.amps
 
 
@@ -247,8 +252,14 @@ def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     return _period_map(params)
 
 
-@functools.cache
+# one entry: every scenario propagates under one two-rate parameter set, and
+# a dim-128 map with its snapshots holds ~4 MB
+@functools.lru_cache(maxsize=1)
 def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    # a miss: drop the resident map first, so that it is not held through the
+    # build (lru_cache evicts only once the new entry is in); this also zeroes
+    # the hit and miss counts of cache_info()
+    _period_map.cache_clear()
     dim = params.dim
     steps, _ = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
@@ -376,15 +387,13 @@ def propagate(
             return final, [state, final]
         return final
     psi = state.amps
-    norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     t0, t1 = state.time, state.time + duration
     period = drive_period(params) if sample_interval is None else None
     k0 = k1 = 0
     if period:
         steps, h = _snapshot_steps(params)
-        # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps
-        # of k T: ends within ``snap`` of one count as on it
-        snap = 1e-9 * h
+        # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps of k T
+        snap = _SNAP * h
         k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
     if k0 < k1:
         # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
@@ -412,17 +421,33 @@ def propagate(
         psi, samples = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)
     else:
         psi, samples = _rk4(params, psi, t0, duration, sample_interval)
+    final = _end_state(psi, state, duration)
+    if sample_interval is not None:
+        return final, [state, *samples, final]
+    return final
 
-    norm1 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    drift = abs(norm1 - norm0)
+
+def _end_state(psi: np.ndarray, start: HybridState, duration: float) -> HybridState:
+    """The state of rows psi, propagated from ``start`` for ``duration``.
+    Norm drift beyond 1e-6 raises StepError; population reaching the guard
+    band raises TruncationError."""
+    drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+                - math.sqrt(float(np.sum(np.abs(start.amps) ** 2))))
     if drift > 1e-6:
         raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
     check_leakage(psi[0], "propagate (T branch)")
     check_leakage(psi[1], "propagate (H branch)")
-    final = HybridState(psi, state.time + duration)
-    if sample_interval is not None:
-        return final, [state, *samples, final]
-    return final
+    return HybridState(psi, start.time + duration)
+
+
+def _whole_periods(params: SimParams, span: float) -> int | None:
+    """The number m of drive periods T in ``span`` if m T lies within the
+    snapshot tolerance of it; None otherwise and for single-rate drives."""
+    period = drive_period(params)
+    if period is None or not math.isfinite(span):
+        return None
+    m = round(span / period)
+    return m if abs(span - m * period) <= _SNAP * _snapshot_steps(params)[1] else None
 
 
 def sampled_histories(state: HybridState, params: SimParams, duration: float,
@@ -545,22 +570,53 @@ def stepwise_excitation(
     pulse_duration: float,
     wait_duration: float,
 ) -> StepwiseResult:
-    """Alternate drive pulses and free waits from the ground state.
+    """Alternate drive pulses and free waits from the ground state; each
+    pulse is sampled about every ``pulse_duration / 50``.
 
     The drive clock keeps running during the waits, so the direction of
-    each displacement follows the accumulated drive phase.
+    each displacement follows the accumulated drive phase.  When pulse +
+    wait spans m whole drive periods, pulse k starts at t_k = t_0 + k m T
+    and U(t_k + t, t_k) = P^(k m) U(t_0 + t, t_0) P^(-k m) (see
+    ``period_map``): the start states come from unsampled ``propagate``,
+    and one RK4 run integrates every pulse, row k entering as
+    P^(-k m) psi_k and leaving times P^(k m).
     """
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")
     if n_pulses < 0:
         raise ConfigError(f"n_pulses must be nonnegative, got {n_pulses!r}")
     state = ground_hybrid(params.dim)
+    interval = pulse_duration / 50.0
+    m = _whole_periods(params, pulse_duration + wait_duration)
+    if n_pulses < 2 or not pulse_duration > 0.0 or params.omega_d == 0.0 or m is None:
+        segments = []
+        for _ in range(n_pulses):
+            state, history = propagate(state, params, pulse_duration, interval)
+            segments.append(history)
+            state = state.with_time(state.time + wait_duration)
+        return StepwiseResult(final=state, segments=segments)
+
+    starts = [state]
+    for _ in range(n_pulses - 1):
+        end = propagate(starts[-1], params, pulse_duration)
+        starts.append(end.with_time(end.time + wait_duration))
+    phases = np.stack([_period_phase(params, k * m) for k in range(n_pulses)])
+    # rows: the n T-branch states, then the n H-branch states
+    psi = (np.stack([s.amps for s in starts], axis=1) * phases.conj()).reshape(2 * n_pulses, -1)
+    n_steps, h = _rk4_grid(params, pulse_duration)
+    stride = max(1, round(interval / h))
+    sample_steps = range(stride, n_steps, stride)
+    samples = np.empty((len(sample_steps), *psi.shape), dtype=complex)
+    psi, _ = _rk4(params, psi, starts[0].time, pulse_duration, record=dict(zip(sample_steps, samples)))
     segments = []
-    for _ in range(n_pulses):
-        state, history = propagate(state, params, pulse_duration, pulse_duration / 50.0)
+    for k, (start, phase) in enumerate(zip(starts, phases)):
+        history = [start]
+        history += [HybridState(rows[k::n_pulses] * phase, start.time + s * h)
+                    for s, rows in zip(sample_steps, samples)]
+        history.append(_end_state(psi[k::n_pulses] * phase, start, pulse_duration))
         segments.append(history)
-        state = state.with_time(state.time + wait_duration)
-    return StepwiseResult(final=state, segments=segments)
+    end = segments[-1][-1]
+    return StepwiseResult(final=end.with_time(end.time + wait_duration), segments=segments)
 
 
 def return_time(history: list[HybridState]) -> tuple[float, float]:

@@ -10,6 +10,7 @@ independent of any Fock truncation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -210,8 +211,8 @@ def scaling_factor(step_size: float, n_max: int = 100) -> float:
     N in [n_max/2, n_max]."""
     if n_max < 40:
         raise ConfigError("n_max must be at least 40 for a stable slope fit")
-    sigmas = sigma_series(step_size, n_max)
     lo = n_max // 2
+    late = itertools.islice(_walk_states(WalkSpec(n_max, step_size)), lo, None)
     n = np.arange(lo, n_max + 1, dtype=float)
-    slope, _ = np.polyfit(n, sigmas[lo:], 1)
+    slope, _ = np.polyfit(n, [std_dev(state) for state in late], 1)
     return float(slope)

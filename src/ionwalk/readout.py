@@ -62,6 +62,10 @@ class ReadoutConfig:
         if self.t_grid is None:
             omega = rabi_frequencies(self.eta, self.n_max, self.base_rabi)
             slowest = float(np.min(omega[omega > 0.0], initial=np.inf))
+            if slowest == math.inf:
+                raise ConfigError(
+                    f"eta={self.eta!r} leaves no nonzero sideband frequency for levels "
+                    f"0..{self.n_max}, so there is no default grid: give a t_grid")
             t = np.linspace(0.0, 5.0 * 2.0 * math.pi / slowest, 200)
         else:
             t = np.array(self.t_grid, dtype=float)

@@ -1,5 +1,6 @@
 """Reference forms the tests check the library against: the dense drive
-Hamiltonian, the linear-drive arc radius and the kick deviation."""
+Hamiltonian, the linear-drive arc radius, the pulse-by-pulse stepwise
+excitation and the kick deviation."""
 
 import math
 
@@ -36,6 +37,19 @@ def lda_radius(params) -> float:
     if params.delta == 0.0:
         return math.inf
     return params.eta * params.omega_d / (2.0 * abs(params.delta))
+
+
+def sequential_stepwise(params, n_pulses: int, pulse_duration: float,
+                        wait_duration: float) -> dyn.StepwiseResult:
+    """``stepwise_excitation`` one pulse at a time: a sampled ``propagate``
+    from the end of the previous pulse, advanced by the wait."""
+    state = dyn.ground_hybrid(params.dim)
+    segments = []
+    for _ in range(n_pulses):
+        state, history = dyn.propagate(state, params, pulse_duration, pulse_duration / 50.0)
+        segments.append(history)
+        state = state.with_time(state.time + wait_duration)
+    return dyn.StepwiseResult(final=state, segments=segments)
 
 
 def kick_deviation(alpha: complex, kp: kicks.KickParams, direction: int = 1) -> float:

@@ -196,6 +196,7 @@ class TestConfigHandling:
         ["kick-threshold", "--set", "alphas=[1.0,1.0]"],
         ["readout-roundtrip", "--seed", "-1"],
         ["walk-ideal", "--seed", "-1"],
+        ["readout-roundtrip", "--set", "eta=39"],
     ])
     def test_invalid_option_value_exits_2(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

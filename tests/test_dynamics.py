@@ -10,7 +10,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from ionwalk import dynamics as dyn
 from ionwalk import cli, fock, pulses
 from ionwalk.errors import TruncationError
-from oracles import hamiltonian, lda_radius, stencil_offsets
+from oracles import hamiltonian, lda_radius, sequential_stepwise, stencil_offsets
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,6 +309,60 @@ class TestStepwiseExcitation:
 
         assert turn(result.segments[0]) > 0.0
         assert turn(result.segments[-1]) < 0.0
+
+    # -- 3SB: pulse + wait spanning whole drive periods run as one batch
+
+    @staticmethod
+    def three_sb(params, omega_z_over_delta):
+        return params.replace(level="3SB", dim=64, omega_z=omega_z_over_delta * params.delta)
+
+    # pulse + wait = 2 pi/delta = 19 T, where P^19 = I, and 10 T, where it is not
+    @pytest.mark.parametrize("wait_periods", [9.5, 0.5])
+    def test_batched_pulses_equal_the_sequential_loop(self, fig7_params, wait_periods):
+        p = self.three_sb(fig7_params, 20.0)  # pulse = pi/delta = 9.5 T
+        wait = wait_periods * dyn.drive_period(p)
+        assert dyn._whole_periods(p, p.t_half_turn + wait) == round(9.5 + wait_periods)
+        result = dyn.stepwise_excitation(p, 3, p.t_half_turn, wait)
+        oracle = sequential_stepwise(p, 3, p.t_half_turn, wait)
+        assert len(result.segments) == len(oracle.segments) == 3
+        for segment, expected in zip(result.segments, oracle.segments):
+            assert [s.time for s in segment] == [s.time for s in expected]
+            for state, ref in zip(segment, expected):
+                assert np.max(np.abs(state.amps - ref.amps)) <= 1e-8
+        # the sequential loop starts each pulse where the last one ended
+        for before, after in zip(result.segments, result.segments[1:]):
+            assert np.max(np.abs(after[0].amps - before[-1].amps)) <= 1e-8
+        assert result.final.time == oracle.final.time
+        assert np.max(np.abs(result.final.amps - oracle.final.amps)) <= 1e-8
+
+    def test_pulses_off_the_period_grid_keep_the_sequential_loop(self, fig7_params):
+        p = self.three_sb(fig7_params, 20.5)  # pulse + wait = 19.5 T
+        assert dyn._whole_periods(p, 2 * p.t_half_turn) is None
+        result = dyn.stepwise_excitation(p, 3, p.t_half_turn, p.t_half_turn)
+        oracle = sequential_stepwise(p, 3, p.t_half_turn, p.t_half_turn)
+        for segment, expected in zip(result.segments, oracle.segments):
+            assert [s.time for s in segment] == [s.time for s in expected]
+            assert np.array_equal(np.stack([s.amps for s in segment]),
+                                  np.stack([s.amps for s in expected]))
+        assert result.final.time == oracle.final.time
+        assert np.array_equal(result.final.amps, oracle.final.amps)
+
+    def test_batched_pulses_integrate_one_pulse_of_rk4(self, fig7_params, monkeypatch):
+        p = self.three_sb(fig7_params, 20.0)
+        calls = []
+        apply_drive = dyn.apply_drive
+
+        def counting(*args):
+            calls.append(None)
+            return apply_drive(*args)
+
+        monkeypatch.setattr(dyn, "apply_drive", counting)
+        dyn._period_map.cache_clear()
+        dyn.stepwise_excitation(p, 3, p.t_half_turn, p.t_half_turn)
+        steps, _ = dyn._snapshot_steps(p)
+        map_build = 4 * steps[len(steps) // 2]  # one RK4 run over half a period
+        pulse = 4 * dyn._rk4_grid(p, p.t_half_turn)[0]
+        assert len(calls) <= pulse + map_build
 
 
 class TestHybridState:
@@ -620,12 +674,40 @@ class TestStroboscopic:
             assert not other.flags.writeable and not other_snapshots.flags.writeable
             assert np.max(np.abs(other[1] - base[1])) > 1e-3
             assert np.max(np.abs(other_snapshots[:, 1] - snapshots[:, 1])) > 1e-3
-        assert dyn._period_map.cache_info().currsize == 3
+        # one map stays resident; an evicted one is rebuilt element for element
+        assert dyn._period_map.cache_info().currsize == 1
+        rebuilt, rebuilt_snapshots = dyn.period_map(p)
+        assert rebuilt is not base
+        assert np.array_equal(rebuilt, base) and np.array_equal(rebuilt_snapshots, snapshots)
 
-    def test_td_scan_builds_one_period_map(self, tmp_path):
+    def test_a_new_period_map_is_built_with_none_resident(self, monkeypatch):
+        p = fock.experimental_params(level="3SB", dim=32)
+        dyn.period_map(p)
+        resident = []
+        snapshot_steps = dyn._snapshot_steps
+
+        def recording(params):  # the first call of a map build
+            resident.append(dyn._period_map.cache_info().currsize)
+            return snapshot_steps(params)
+
+        monkeypatch.setattr(dyn, "_snapshot_steps", recording)
+        dyn.period_map(p.replace(omega_d=1.5 * p.omega_d))
+        assert resident and resident[0] == 0
+
+    def test_td_scan_builds_one_period_map(self, tmp_path, monkeypatch):
         dyn._period_map.cache_clear()
+        builds = []
+        rk4 = dyn._rk4
+
+        def recording(params, psi, *args, **kwargs):
+            if len(psi) == 2 * params.dim:  # the map build's RK4 on all basis columns
+                builds.append(params)
+            return rk4(params, psi, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "_rk4", recording)
         cli.run_scenario("scan-td", {"points": 5}, out_dir=str(tmp_path))
         assert dyn._period_map.cache_info().currsize == 1
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_paths_that_keep_plain_rk4(self, level, monkeypatch):

@@ -297,6 +297,15 @@ def test_default_grid_is_five_periods_of_the_slowest_frequency():
     assert not cfg.t_grid.flags.writeable
 
 
+def test_eta_without_a_nonzero_sideband_frequency_needs_a_grid():
+    # at eta = 39 every sideband frequency of levels 0..7 underflows to 0
+    assert not np.any(readout.rabi_frequencies(39.0, 7, 1.0) > 0.0)
+    with pytest.raises(ConfigError, match="eta=39.0 leaves no nonzero sideband frequency.*t_grid"):
+        readout.ReadoutConfig(7, 39.0)
+    cfg = readout.ReadoutConfig(7, 39.0, t_grid=np.linspace(0.0, 1e-4, 50))
+    assert cfg.t_grid.size == 50
+
+
 def test_signal_follows_the_config_eta():
     # one grid, two models: the dictionary cache must key on eta
     p = random_distribution(np.random.default_rng(12), 6, 8)
