@@ -76,7 +76,7 @@ def scenario_walk_ideal(ctx: RunContext) -> dict:
     opt = ctx.options
     spec = lattice.WalkSpec(opt["steps"], opt["step_size"], opt["phi"])
     sigmas = []
-    for state in lattice._walk_states(spec):
+    for state in lattice.walk_states(spec):
         sigmas.append(lattice.std_dev(state))
     ks, probs = lattice.position_probabilities(state)
     ctx.write_csv("positions.csv", ["k", "p"], zip(ks.tolist(), probs))
@@ -137,8 +137,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
     for level in opt["levels"]:
         params = _params_from_options(opt).replace(level=level)
         t_d = params.t_half_turn if opt["t_d"] is None else float(opt["t_d"])
-        program = pulses.PulseProgram(
-            tuple(pulses.combined_pulse(t_d, opt["wait_multiplier"])), params)
+        program = pulses.PulseProgram(pulses.combined_pulse(t_d, opt["wait_multiplier"]), params)
         initial = dyn.ground_hybrid(params.dim, "TH")
         final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
         tab = dyn.trajectory_table(history)
@@ -249,11 +248,9 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
     final = pulses.run_program(program)
 
     shift_events = pulses.combined_pulse(t_d, m)
-    up = pulses.run_program(
-        pulses.PulseProgram(tuple(shift_events), params), initial=final)
+    up = pulses.run_program(pulses.PulseProgram(shift_events, params), initial=final)
     down = pulses.run_program(
-        pulses.PulseProgram(tuple([pulses.wait(t_d)] + shift_events), params),
-        initial=final)
+        pulses.PulseProgram([pulses.wait(t_d)] + shift_events, params), initial=final)
 
     k_max = opt["n_steps"] + 1
     cal = pulses.calibrate_positions(k_max, params, t_d=t_d, wait_multiplier=m)

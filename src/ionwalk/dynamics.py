@@ -288,9 +288,13 @@ def _period_phase(params: SimParams, k: int) -> np.ndarray:
 
 
 def rk4_step_size(params: SimParams, duration: float) -> float:
-    """Fixed RK4 step: resolve the fastest rotating term, the drive rate,
-    and the coupling's spectral radius (the linearized elements grow with
-    sqrt(n), so the drive rate alone under-resolves large bases)."""
+    """Fixed RK4 step: STEPS_PER_PERIOD steps per period of 3 omega_z + |delta|
+    (3SB) or |delta| (LDA, RWA), of the drive rate, and of the coupling's
+    spectral radius (the linearized elements grow with sqrt(n), so the drive
+    rate alone under-resolves large bases).  The 3SB rate is not the
+    stencil's fastest: its s = +-3 bands rotate at 4 omega_z - delta, which
+    gets 38.5 steps per period at the trap values.  ROADMAP.md item 9
+    measures what that costs before the rule changes."""
     if params.level == THREE_SB:
         omega_fast = 3.0 * params.omega_z + abs(params.delta)
     else:

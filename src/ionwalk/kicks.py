@@ -157,15 +157,6 @@ def _bessel_j(count: int, r: float) -> np.ndarray:
     return out / (out[0] + 2.0 * out[2::2].sum())
 
 
-def coherent_hybrid(alpha: complex, dim: int, coin: str = "H") -> HybridState:
-    """|coin> (x) |alpha> on the truncated basis."""
-    return HybridState.product(coin, coherent_state(alpha, dim))
-
-
-def _undo_free_rotation(psi: np.ndarray, omega_z: float, elapsed: float) -> np.ndarray:
-    return psi * np.exp(1j * omega_z * np.arange(psi.shape[1]) * elapsed)
-
-
 def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     """Fidelity of the full kick against an instantaneous kick plus free flight.
 
@@ -175,8 +166,8 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     trap evolution with the kick, which depends on the oscillation phase.
     """
     initial, psi_ideal = _ideal_pair(alpha, kp.eta, kp.dim, direction)
-    full = kick_full(initial, kp, direction)
-    psi_full = _undo_free_rotation(full.amps, kp.omega_z, kp.t_p)
+    undo_rotation = np.exp(1j * kp.omega_z * np.arange(kp.dim) * kp.t_p)
+    psi_full = kick_full(initial, kp, direction).amps * undo_rotation
     return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
 
 
@@ -185,7 +176,7 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
 # of a threshold search shares one pair.
 @functools.cache
 def _ideal_pair(alpha: complex, eta: float, dim: int, direction: int) -> tuple[HybridState, np.ndarray]:
-    initial = coherent_hybrid(alpha, dim, "H")
+    initial = HybridState.product("H", coherent_state(alpha, dim))
     psi_ideal = _apply_ideal(initial.amps, eta, direction)
     psi_ideal.setflags(write=False)
     return initial, psi_ideal
@@ -269,29 +260,3 @@ def predict_threshold(coeffs, alpha_mag: float) -> float:
     la = math.log(alpha_mag)
     return math.exp(c0 + c1 * la + c2 * la * la)
 
-
-def kick_train(
-    n_kicks: int,
-    alternate: bool,
-    kp: KickParams,
-    initial: HybridState | None = None,
-) -> tuple[HybridState, float]:
-    """Repeated kicks, optionally alternating the effective wave vector.
-
-    Returns the final state and its fidelity against the composition of
-    ideal kicks (free flight removed, as in :func:`kick_fidelity`).
-    Alternating trains accumulate the per-kick displacement into a net
-    shift; same-direction pairs cancel.
-    """
-    if n_kicks < 0:
-        raise ValueError("n_kicks must be nonnegative")
-    if initial is None:
-        initial = coherent_hybrid(0.0, kp.dim, "H")
-    state = initial
-    psi_ideal = initial.amps
-    for j in range(n_kicks):
-        direction = (-1) ** (j + 1) if alternate else 1
-        state = kick_full(state, kp, direction)
-        psi_ideal = _apply_ideal(psi_ideal, kp.eta, direction)
-    psi_full = _undo_free_rotation(state.amps, kp.omega_z, n_kicks * kp.t_p)
-    return state, float(abs(np.vdot(psi_ideal, psi_full)) ** 2)

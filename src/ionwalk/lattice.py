@@ -117,22 +117,20 @@ def apply_shift(state: LatticeState, direction: int = 1) -> LatticeState:
     return LatticeState(amps, state.step_size, n)
 
 
-def _walk_states(spec: WalkSpec) -> Iterator[LatticeState]:
-    """States after 0..n_steps steps from |T>|0>; a symmetric walk adds pi/2
-    to phi after step one."""
+def coin_phases(n_steps: int, phi: float, symmetric: bool) -> list[float]:
+    """Phase of each step's pi/2 coin: ``phi`` throughout, except that a
+    symmetric walk adds pi/2 to the first coin, so its first shift starts
+    from (|T> + i e^{i phi}|H>)/sqrt(2)."""
+    return [phi + math.pi / 2.0 if symmetric and step == 0 else phi for step in range(n_steps)]
+
+
+def walk_states(spec: WalkSpec) -> Iterator[LatticeState]:
+    """States after 0..n_steps steps from |T>|0>, coins by ``coin_phases``."""
     state = initial_state(spec.step_size)
     yield state
-    for step in range(spec.n_steps):
-        phi = spec.phi + math.pi / 2.0 if spec.symmetric and step > 0 else spec.phi
+    for phi in coin_phases(spec.n_steps, spec.phi, spec.symmetric):
         state = apply_shift(apply_coin(state, math.pi / 2.0, phi))
         yield state
-
-
-def run_walk(spec: WalkSpec) -> LatticeState:
-    """Run the full walk from |T>|0> with the configured coin phases."""
-    for state in _walk_states(spec):
-        pass
-    return state
 
 
 def _overlap_band(step_size: float, reach: int) -> np.ndarray:
@@ -199,20 +197,13 @@ def std_dev(state: LatticeState) -> float:
     return math.sqrt(var)
 
 
-def sigma_series(step_size: float, n_max: int) -> np.ndarray:
-    """sigma_N for N = 0..n_max of one walk from |T>|0> (coin phase 0),
-    computed incrementally."""
-    spec = WalkSpec(n_max, step_size)
-    return np.asarray([std_dev(state) for state in _walk_states(spec)])
-
-
 def scaling_factor(step_size: float, n_max: int = 100) -> float:
     """Slope of sigma_N vs N (coin phase 0) fitted over the late half
     N in [n_max/2, n_max]."""
     if n_max < 40:
         raise ConfigError("n_max must be at least 40 for a stable slope fit")
     lo = n_max // 2
-    late = itertools.islice(_walk_states(WalkSpec(n_max, step_size)), lo, None)
+    late = itertools.islice(walk_states(WalkSpec(n_max, step_size)), lo, None)
     n = np.arange(lo, n_max + 1, dtype=float)
     slope, _ = np.polyfit(n, [std_dev(state) for state in late], 1)
     return float(slope)

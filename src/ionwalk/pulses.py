@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import HybridState, ground_hybrid, lda_pulse_displacement, propagate
 from .errors import ConfigError
 from .fock import SimParams, coherent_state, mean_a, mean_n
-from .lattice import rotate_coin
+from .lattice import coin_phases, rotate_coin
 
 HBAR = 1.054571817e-34  # J s
 
@@ -70,7 +70,7 @@ class PulseProgram:
             raise ValueError("a program needs at least one event")
         object.__setattr__(self, "events", tuple(self.events))
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         rows = []
         t = 0.0
         for e in self.events:
@@ -82,13 +82,7 @@ class PulseProgram:
                 row["duration"] = e.duration
             rows.append(row)
             t += e.duration
-        return {
-            "params": asdict(self.params),
-            "events": rows,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps({"params": asdict(self.params), "events": rows}, indent=2)
 
 
 def combined_pulse(
@@ -127,21 +121,14 @@ def walk_program(
     phi_rf: float = 0.0,
     wait_multiplier: float = 2.0,
 ) -> PulseProgram:
-    """Coin-plus-shift sequence for an n-step walk.
-
-    The symmetric variant offsets the first coin phase by pi/2 relative to
-    all other RF pulses.
-    """
+    """Coin-plus-shift sequence for an n-step walk; the coin phases are
+    ``lattice.coin_phases``, as in the lattice walk."""
     if n_steps < 1:
         raise ConfigError(f"n_steps must be at least 1, got {n_steps!r}")
     events: list[PulseEvent] = []
-    for step in range(n_steps):
-        coin_phi = phi_rf
-        if symmetric and step == 0:
-            coin_phi = phi_rf + math.pi / 2.0
-        events.append(rf(math.pi / 2.0, coin_phi))
-        events.extend(combined_pulse(t_d, wait_multiplier, phi_rf))
-    return PulseProgram(tuple(events), params)
+    for coin_phi in coin_phases(n_steps, phi_rf, symmetric):
+        events += [rf(math.pi / 2.0, coin_phi), *combined_pulse(t_d, wait_multiplier, phi_rf)]
+    return PulseProgram(events, params)
 
 
 def run_program(
@@ -274,7 +261,7 @@ def calibrate_positions(
     """
     if t_d is None:
         t_d = params.t_half_turn
-    shift = PulseProgram(tuple(combined_pulse(t_d, wait_multiplier)), params)
+    shift = PulseProgram(combined_pulse(t_d, wait_multiplier), params)
     state = ground_hybrid(params.dim)
     ladder = [state]
     for _ in range(k_max):

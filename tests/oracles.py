@@ -1,13 +1,13 @@
 """Reference forms the tests check the library against: the dense drive
 Hamiltonian, the linear-drive arc radius, the pulse-by-pulse stepwise
-excitation and the kick deviation."""
+excitation, the kick deviation and the Fock-space kick train."""
 
 import math
 
 import numpy as np
 
 from ionwalk import dynamics as dyn
-from ionwalk import kicks
+from ionwalk import fock, kicks
 
 
 def stencil_offsets(stencil: dyn.DriveStencil) -> np.ndarray:
@@ -54,6 +54,22 @@ def sequential_stepwise(params, n_pulses: int, pulse_duration: float,
 
 def kick_deviation(alpha: complex, kp: kicks.KickParams, direction: int = 1) -> float:
     """Norm of (U - U0) applied to |H>|alpha>, U the full kick and U0 the ideal one."""
-    initial = kicks.coherent_hybrid(alpha, kp.dim, "H")
+    initial = dyn.HybridState.product("H", fock.coherent_state(alpha, kp.dim))
     psi_ideal = kicks.kick_ideal(kp, direction) @ initial.amps.ravel()
     return float(np.linalg.norm(kicks.kick_full(initial, kp, direction).amps.ravel() - psi_ideal))
+
+
+def kick_train(n_kicks: int, alternate: bool, kp: kicks.KickParams) -> tuple[dyn.HybridState, float]:
+    """``n_kicks`` full kicks from |H>|0>, every other one reversed when
+    ``alternate``: the final state and its fidelity against the product of
+    dense ideal kicks, with the free flight removed as in ``kick_fidelity``.
+    Alternating trains add up the per-kick displacement; same-direction
+    pairs cancel."""
+    state = dyn.HybridState.product("H", fock.coherent_state(0.0, kp.dim))
+    psi_ideal = state.amps.ravel()
+    for j in range(n_kicks):
+        direction = (-1) ** (j + 1) if alternate else 1
+        state = kicks.kick_full(state, kp, direction)
+        psi_ideal = kicks.kick_ideal(kp, direction) @ psi_ideal
+    undo_rotation = np.exp(1j * kp.omega_z * np.arange(kp.dim) * n_kicks * kp.t_p)
+    return state, float(abs(np.vdot(psi_ideal, (state.amps * undo_rotation).ravel())) ** 2)

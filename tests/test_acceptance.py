@@ -29,11 +29,11 @@ def criterion(number, name, limit_s):
 
 def test_criterion_01_coin_ratio_closed_form():
     with criterion(1, "three-step coin ratio", 1.0):
-        state = lattice.run_walk(lattice.WalkSpec(3, 1.0))
+        *_, state = lattice.walk_states(lattice.WalkSpec(3, 1.0))
         p_t, p_h = lattice.coin_probabilities(state)
         expected = (1.0 + math.exp(-8.0)) / (3.0 - math.exp(-8.0))
         assert abs(p_h / p_t - expected) < 1e-10
-        wide = lattice.run_walk(lattice.WalkSpec(3, 4.0))
+        *_, wide = lattice.walk_states(lattice.WalkSpec(3, 4.0))
         p_t, p_h = lattice.coin_probabilities(wide)
         assert abs(p_h / p_t - 1.0 / 3.0) < 1e-6
 
@@ -210,7 +210,7 @@ def test_criterion_10_lattice_vs_fock_oracle():
                     new_h = c * psi_h + s * psi_t
                     new_t = -s * psi_h + c * psi_t
                     psi_t, psi_h = d_up @ new_t, d_dn @ new_h
-                state = lattice.run_walk(lattice.WalkSpec(n_steps, step_size))
+                *_, state = lattice.walk_states(lattice.WalkSpec(n_steps, step_size))
                 ks, probs = lattice.position_probabilities(state, normalize=False)
                 for k, p_lattice in zip(ks, probs):
                     site = fock.coherent_state(float(k) * step_size, dim)

@@ -8,7 +8,7 @@ from scipy.special import jv
 from ionwalk import fock, kicks
 from ionwalk.dynamics import HybridState
 from ionwalk.errors import ConfigError, NoThreshold, TruncationError
-from oracles import kick_deviation
+from oracles import kick_deviation, kick_train
 
 WZ = 2 * math.pi * 2.13e6
 
@@ -16,7 +16,7 @@ WZ = 2 * math.pi * 2.13e6
 def test_ideal_kick_flips_coin_and_displaces():
     kp = kicks.pi_pulse(1e-9, 0.25, WZ, 64)
     u = kicks.kick_ideal(kp, 1)
-    initial = kicks.coherent_hybrid(0.0, 64, "H")
+    initial = HybridState.product("H", fock.coherent_state(0.0, 64))
     out = u @ initial.amps.ravel()
     assert np.linalg.norm(out[64:]) < 1e-12  # H branch emptied
     target = fock.coherent_state(1j * 0.25, 64)
@@ -129,7 +129,7 @@ def test_reference_coefficients_at_walk_scale():
 class TestKickTrain:
     def test_eight_alternating_kicks_build_full_step(self):
         kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
-        final, fidelity = kicks.kick_train(8, True, kp)
+        final, fidelity = kick_train(8, True, kp)
         assert fidelity >= 1.0 - 1e-8
         # even kick count returns the coin; displacement magnitude 8 * eta
         row = 1 if np.linalg.norm(final.amps[1]) > 0.5 else 0
@@ -137,19 +137,19 @@ class TestKickTrain:
 
     def test_same_direction_train_goes_nowhere(self):
         kp = kicks.KickParams(t_p=1e-9, eta=0.25, omega_z=0.0, dim=64)
-        final, fidelity = kicks.kick_train(8, False, kp)
+        final, fidelity = kick_train(8, False, kp)
         assert fidelity >= 1.0 - 1e-8
         assert abs(fock.mean_a(final.amps[1])) < 1e-6
 
     def test_single_kick_train_equals_kick_full(self):
         kp = kicks.pi_pulse(2e-10, 0.25, WZ, 64)
-        final, _ = kicks.kick_train(1, False, kp)
-        direct = kicks.kick_full(kicks.coherent_hybrid(0.0, 64, "H"), kp, 1)
+        final, _ = kick_train(1, False, kp)
+        direct = kicks.kick_full(HybridState.product("H", fock.coherent_state(0.0, 64)), kp, 1)
         assert np.max(np.abs(final.amps[0] - direct.amps[0])) < 1e-12
 
     def test_train_with_trap_on_tracks_ideal_composition(self):
         kp = kicks.pi_pulse(5e-11, 0.25, WZ, 64)
-        _, fidelity = kicks.kick_train(4, True, kp)
+        _, fidelity = kick_train(4, True, kp)
         assert fidelity > 0.999
 
 
@@ -229,7 +229,8 @@ class TestExactKick:
         for direction, phase in kicks_run:
             if direction not in propagators:
                 propagators[direction] = dense_kick_propagator(kp, direction)
-            initial = kicks.coherent_hybrid(mag if phase == "real" else 1j * mag, dim, "H")
+            alpha = mag if phase == "real" else 1j * mag
+            initial = HybridState.product("H", fock.coherent_state(alpha, dim))
             got = kicks.kick_full(initial, kp, direction)
             expected = (propagators[direction] @ initial.amps.ravel()).reshape(2, dim)
             assert np.max(np.abs(got.amps - expected)) <= 1e-10, (direction, phase)
@@ -243,7 +244,7 @@ class TestExactKick:
     ])
     def test_kick_fidelity_matches_rk4_reference(self, alpha, dim, t_p):
         kp = kicks.pi_pulse(t_p, 0.31, WZ, dim)
-        initial = kicks.coherent_hybrid(alpha, dim, "H")
+        initial = HybridState.product("H", fock.coherent_state(alpha, dim))
         psi = reference_kick_rk4(initial, kp)
         psi *= np.exp(1j * kp.omega_z * np.arange(dim) * t_p)  # undo the free rotation
         ideal = kicks.kick_ideal(kp) @ initial.amps.ravel()
@@ -321,7 +322,7 @@ class TestExactKick:
 
     def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
         kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
-        initial = kicks.coherent_hybrid(10j, 256, "H")
+        initial = HybridState.product("H", fock.coherent_state(10j, 256))
         np.random.seed(1)
         first = kicks.kick_full(initial, kp).amps
         after_first = np.random.random()
@@ -335,7 +336,7 @@ class TestExactKick:
         # clear of the guard band before the kick, not after it: the kick
         # displaces |0.5i> to |0.81i>
         kp = kicks.pi_pulse(1e-9, 0.31, WZ, 16)
-        initial = kicks.coherent_hybrid(0.5j, 16, "H")
+        initial = HybridState.product("H", fock.coherent_state(0.5j, 16))
         assert fock.leakage(initial.amps[1]) < fock.LEAK_TOL
         with pytest.raises(TruncationError, match="kick: guard-band population"):
             kicks.kick_full(initial, kp)

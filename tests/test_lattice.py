@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionwalk import lattice
+from ionwalk import cli, lattice
 
 
 def three_step_state(step_size=1.0):
-    return lattice.run_walk(lattice.WalkSpec(3, step_size))
+    *_, state = lattice.walk_states(lattice.WalkSpec(3, step_size))
+    return state
 
 
 def test_coin_identity_at_zero_angle():
@@ -78,7 +79,7 @@ def test_three_step_amplitudes():
 
 
 def test_norm_preserved_over_hundred_steps():
-    state = lattice.run_walk(lattice.WalkSpec(100, 2.0))
+    *_, state = lattice.walk_states(lattice.WalkSpec(100, 2.0))
     assert state.lattice_norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,14 +117,14 @@ def test_orthogonal_limit_probabilities_match_coefficients():
 def test_odd_positions_suppressed_at_wide_spacing():
     # residual odd-site weight comes from neighboring-state overlap and
     # shrinks with the spacing; at |step| = 4 it is numerically gone
-    state = lattice.run_walk(lattice.WalkSpec(100, 2.0))
+    *_, state = lattice.walk_states(lattice.WalkSpec(100, 2.0))
     ks, probs = lattice.position_probabilities(state)
     odd = probs[ks % 2 != 0]
     even_peak = probs[ks % 2 == 0].max()
     assert odd.max() < 2e-3
     assert odd.max() < 0.05 * even_peak
 
-    state4 = lattice.run_walk(lattice.WalkSpec(100, 4.0))
+    *_, state4 = lattice.walk_states(lattice.WalkSpec(100, 4.0))
     ks4, probs4 = lattice.position_probabilities(state4)
     assert probs4[ks4 % 2 != 0].max() < 1e-6
 
@@ -133,12 +134,12 @@ def test_std_dev_trivial_cases():
     # index spread; it is numerically gone by spacing 4
     assert lattice.std_dev(lattice.initial_state(2.0)) < 0.2
     assert lattice.std_dev(lattice.initial_state(4.0)) < 0.05
-    one = lattice.run_walk(lattice.WalkSpec(1, 4.0))
+    *_, one = lattice.walk_states(lattice.WalkSpec(1, 4.0))
     assert lattice.std_dev(one) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_small_spacing_spread_and_late_linearity():
-    sigmas = lattice.sigma_series(0.1, 100)
+    sigmas = np.array([lattice.std_dev(s) for s in lattice.walk_states(lattice.WalkSpec(100, 0.1))])
     assert sigmas[0] > 0.5  # initial state already spread over many sites
     late = sigmas[60:]
     n = np.arange(60, 101)
@@ -162,7 +163,7 @@ def test_scaling_factor_requires_enough_steps():
 
 
 def test_symmetric_walk_is_symmetric():
-    state = lattice.run_walk(lattice.WalkSpec(15, 2.0, phi=0.7, symmetric=True))
+    *_, state = lattice.walk_states(lattice.WalkSpec(15, 2.0, phi=0.7, symmetric=True))
     _, probs = lattice.position_probabilities(state)
     assert np.max(np.abs(probs - probs[::-1])) < 1e-9
 
@@ -184,7 +185,7 @@ def test_walk_preserves_lattice_norm(n_steps, step_size, phi, theta):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 5), st.floats(0.5, 3.0))
 def test_unnormalized_probabilities_bounded_by_one(n_steps, step_size):
-    state = lattice.run_walk(lattice.WalkSpec(n_steps, step_size))
+    *_, state = lattice.walk_states(lattice.WalkSpec(n_steps, step_size))
     _, probs = lattice.position_probabilities(state, normalize=False)
     assert np.all(probs <= 1.0 + 1e-9)
     assert np.all(probs >= 0.0)
@@ -227,7 +228,7 @@ def l_value_sets(state, rng):
 @pytest.mark.parametrize("n_steps", [0, 1, 4, 17, 60])
 @pytest.mark.parametrize("step_size", [0.01, 0.1, 0.5, 1.0, 2.0, 4.5, 10.0, 40.0])
 def test_banded_overlap_matches_dense_kernel(step_size, n_steps):
-    state = lattice.run_walk(lattice.WalkSpec(n_steps, step_size, phi=0.4, symmetric=True))
+    *_, state = lattice.walk_states(lattice.WalkSpec(n_steps, step_size, phi=0.4, symmetric=True))
     rng = np.random.default_rng(n_steps + int(100 * step_size))
     for name, l_values in l_value_sets(state, rng).items():
         for normalize in (False, True):
@@ -253,7 +254,7 @@ def test_tiny_step_kernel_is_capped_by_requested_offsets(monkeypatch):
         return kernel
 
     monkeypatch.setattr(lattice, "_overlap_band", spy)
-    state = lattice.run_walk(lattice.WalkSpec(5, 1e-4))
+    *_, state = lattice.walk_states(lattice.WalkSpec(5, 1e-4))
     _, probs = lattice.position_probabilities(state)
     _, wide = lattice.position_probabilities(state, np.array([30, -7]), normalize=False)
     p_t, _ = lattice.coin_probabilities(state)
@@ -263,8 +264,13 @@ def test_tiny_step_kernel_is_capped_by_requested_offsets(monkeypatch):
     assert abs(p_t - dense_coin_probabilities(state)[0]) <= 1e-13
 
 
-def test_sigma_series_follows_run_walk():
-    spec = lattice.WalkSpec(6, 1.5)
-    sigmas = lattice.sigma_series(1.5, 6)
-    assert sigmas.shape == (7,)
-    assert sigmas[-1] == lattice.std_dev(lattice.run_walk(spec))
+def test_walk_ideal_csvs_follow_walk_states(tmp_path):
+    options = {"steps": 40, "step_size": 1.5, "phi": 0.3, "scaling_step_sizes": [4.0]}
+    cli.run_scenario("walk-ideal", options, out_dir=str(tmp_path))
+    states = list(lattice.walk_states(lattice.WalkSpec(40, 1.5, 0.3)))
+    sigma_rows = [f"{n},{lattice.std_dev(s):.12g}" for n, s in enumerate(states)]
+    ks, probs = lattice.position_probabilities(states[-1])
+    position_rows = [f"{k},{p:.12g}" for k, p in zip(ks, probs)]
+    for name, rows in (("sigma.csv", ["n,sigma"] + sigma_rows),
+                       ("positions.csv", ["k,p"] + position_rows)):
+        assert (tmp_path / name).read_text().splitlines() == rows, name

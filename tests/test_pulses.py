@@ -16,7 +16,7 @@ def lda_params(dim=96):
 
 def run_combined(params, t_d=None, m=2.0, initial=None):
     t_d = t_d if t_d is not None else params.t_half_turn
-    program = pulses.PulseProgram(tuple(pulses.combined_pulse(t_d, m)), params)
+    program = pulses.PulseProgram(pulses.combined_pulse(t_d, m), params)
     if initial is None:
         initial = dyn.ground_hybrid(params.dim, "TH")
     return pulses.run_program(program, initial)
@@ -103,18 +103,23 @@ class TestWalkProgram:
         assert p_t == pytest.approx(0.75, abs=1e-3)
         assert p_h == pytest.approx(0.25, abs=1e-3)
 
-    def test_lattice_amplitudes_match_ideal_walk(self):
+    @pytest.mark.parametrize("phi_rf", [0.0, 0.7])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+    def test_lattice_amplitudes_match_ideal_walk(self, n_steps, symmetric, phi_rf):
+        # complex coefficients on the sites k * step of both coin rows, up to
+        # one global phase, to criterion 10's bound
         p = lda_params()
-        final = pulses.run_program(pulses.walk_program(3, p.t_half_turn, p))
+        program = pulses.walk_program(n_steps, p.t_half_turn, p, symmetric=symmetric, phi_rf=phi_rf)
+        final = pulses.run_program(program)
         step = pulses.combined_pulse_step(p)
-        sites = [fock.coherent_state(k * step, p.dim) for k in range(-3, 4)]
+        sites = [fock.coherent_state(k * step, p.dim) for k in range(-n_steps, n_steps + 1)]
         gram = np.array([[np.vdot(a, b) for b in sites] for a in sites])
-        ideal = lattice.run_walk(lattice.WalkSpec(3, abs(step)))
-        for row, amps in enumerate(final.amps):
-            proj = np.array([np.vdot(site, amps) for site in sites])
-            coeffs = np.linalg.solve(gram, proj)
-            expected = [abs(ideal.coeff(k)[row]) for k in range(-3, 4)]
-            assert np.max(np.abs(np.abs(coeffs) - expected)) < 1e-3
+        coeffs = np.array([np.linalg.solve(gram, [np.vdot(site, amps) for site in sites])
+                           for amps in final.amps])
+        *_, ideal = lattice.walk_states(lattice.WalkSpec(n_steps, abs(step), phi_rf, symmetric))
+        overlap = np.vdot(ideal.amps, coeffs)
+        assert np.max(np.abs(coeffs - overlap / abs(overlap) * ideal.amps)) <= 1e-6
 
     def test_symmetric_variant_offsets_first_coin(self):
         p = lda_params(dim=32)
