@@ -170,8 +170,6 @@ def scenario_scan_td(ctx: RunContext) -> dict:
         (best[0] - spacing, best[0] + spacing),
         n_steps=opt["n_steps"],
         wait_multiplier=opt["wait_multiplier"],
-        tol=1e-9,
-        max_iter=18,
     )
     info = {
         "t_d_optimal": t_opt,

@@ -221,7 +221,7 @@ def apply_drive(
 def drive_period(params: SimParams) -> float | None:
     """Period T = 2 pi/|omega_z - delta| after which a two-rate (3SB) drive
     repeats up to the phase exp(i delta T n); None for single-rate drives."""
-    if drive_stencil(params).amps.shape[1] < 2 or params.omega_z == params.delta:
+    if params.level != THREE_SB or params.omega_z == params.delta:
         return None
     return 2.0 * math.pi / abs(params.omega_z - params.delta)
 

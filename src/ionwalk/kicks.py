@@ -63,10 +63,6 @@ class KickParams:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 16:
             raise ConfigError("dim must be an integer >= 16")
 
-    @property
-    def omega(self) -> float:
-        return math.pi / self.t_p
-
 
 def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)

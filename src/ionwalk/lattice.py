@@ -66,12 +66,6 @@ class LatticeState:
     def positions(self) -> np.ndarray:
         return np.arange(-self.n_steps, self.n_steps + 1)
 
-    def coeff(self, k: int) -> tuple[complex, complex]:
-        idx = k + self.n_steps
-        if not 0 <= idx < self.amps.shape[1]:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        return complex(self.amps[0, idx]), complex(self.amps[1, idx])
-
     def lattice_norm(self) -> float:
         return float(np.sum(np.abs(self.amps[0]) ** 2 + np.abs(self.amps[1]) ** 2))
 
@@ -101,20 +95,17 @@ def apply_coin(state: LatticeState, theta: float, phi: float) -> LatticeState:
     return LatticeState(rotate_coin(state.amps, theta, phi), state.step_size, state.n_steps)
 
 
-def apply_shift(state: LatticeState, direction: int = 1) -> LatticeState:
+def apply_shift(state: LatticeState) -> LatticeState:
     """Move the T component one site up and the H component one site down.
 
-    ``direction=-1`` applies the inverse shift.  Collinear displacements
-    compose without extra phases, so the lattice bookkeeping is exact.
+    Collinear displacements compose without extra phases, so the lattice
+    bookkeeping is exact.
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    n = state.n_steps + 1
-    size = 2 * n + 1
-    amps = np.zeros((2, size), dtype=complex)
-    for row, shift in ((0, direction), (1, -direction)):
-        amps[row, 1 + shift : size - 1 + shift] = state.amps[row]
-    return LatticeState(amps, state.step_size, n)
+    n = state.n_steps
+    amps = np.zeros((2, 2 * n + 3), dtype=complex)
+    amps[0, 2:] = state.amps[0]
+    amps[1, :-2] = state.amps[1]
+    return LatticeState(amps, state.step_size, n + 1)
 
 
 def coin_phases(n_steps: int, phi: float, symmetric: bool) -> list[float]:

@@ -23,6 +23,10 @@ from .lattice import coin_phases, rotate_coin
 
 HBAR = 1.054571817e-34  # J s
 
+# the golden-section t_d search stops at a bracket of OPTIMUM_TOL s or after OPTIMUM_MAX_ITER cuts
+OPTIMUM_TOL = 1e-9
+OPTIMUM_MAX_ITER = 18
+
 RF = "rf"
 DIPOLE = "dipole"
 WAIT = "wait"
@@ -204,8 +208,6 @@ def find_optimal_td(
     window: tuple[float, float],
     n_steps: int = 3,
     wait_multiplier: float = 2.0,
-    tol: float = 1e-9,
-    max_iter: int = 40,
 ) -> tuple[float, float, float]:
     """Golden-section maximum of P_T/P_H inside ``window``.
 
@@ -223,8 +225,8 @@ def find_optimal_td(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = ratio(c), ratio(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(OPTIMUM_MAX_ITER):
+        if b - a < OPTIMUM_TOL:
             break
         if fc[0] > fd[0]:
             b, d, fd = d, c, fc

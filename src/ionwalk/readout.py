@@ -81,18 +81,21 @@ def rabi_frequencies(eta: float, n_max: int, base_rabi: float) -> np.ndarray:
 
 
 def bsb_signal(fock_probs: np.ndarray, cfg: ReadoutConfig) -> np.ndarray:
-    """Coin-state signal 0.5*(1 + sum_n p_n cos(Omega_n t) e^{-gamma t})."""
+    """Coin-state signal 0.5*(1 + sum_n p_n cos(Omega_n t) e^{-gamma t}) of
+    levels n = 0..``cfg.n_max``."""
     p = np.asarray(fock_probs, dtype=float)
+    if p.shape != (cfg.n_max + 1,):
+        raise ValueError(f"fock_probs must hold n_max + 1 = {cfg.n_max + 1} levels")
     if not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails this test too
         raise ValueError("fock_probs must sum to 1")
-    return 0.5 * (1.0 + _dictionary(cfg, p.size - 1)[0] @ p)
+    return 0.5 * (1.0 + _dictionary(cfg)[0] @ p)
 
 
-def _dictionary(cfg: ReadoutConfig, n_max: int) -> tuple:
+def _dictionary(cfg: ReadoutConfig) -> tuple:
     """(cos(Omega_n t) e^{-gamma t}, its condition number, the slowest
     Omega_n > 0, its QR factors in ``np.linalg.qr``'s raw form), built once
     per grid and model; the arrays are read-only."""
-    return _dictionary_for(cfg.t_grid.tobytes(), n_max, cfg.gamma, cfg.base_rabi, cfg.eta)
+    return _dictionary_for(cfg.t_grid.tobytes(), cfg.n_max, cfg.gamma, cfg.base_rabi, cfg.eta)
 
 
 @functools.cache
@@ -165,7 +168,7 @@ def invert_bsb(signal: np.ndarray, cfg: ReadoutConfig) -> np.ndarray:
     signal = np.asarray(signal, dtype=float)
     if signal.shape[-1:] != cfg.t_grid.shape:
         raise ValueError("signal and t_grid sizes differ")
-    _, cond, slowest, qr = _dictionary(cfg, cfg.n_max)
+    _, cond, slowest, qr = _dictionary(cfg)
     span = cfg.t_grid[-1] - cfg.t_grid[0]
     if span < 3.0 * 2.0 * math.pi / slowest:
         raise ValueError(

@@ -109,7 +109,7 @@ def test_criterion_06_interference_scan():
         spacing = 0.005 * t_half
         t_opt, p_t, p_h = pulses.find_optimal_td(
             params, (best[0] - spacing, best[0] + spacing),
-            wait_multiplier=m, tol=1e-9, max_iter=15,
+            wait_multiplier=m,
         )
         assert p_t / p_h >= 2.9
         assert abs(t_opt - t_half) <= 0.02 * t_half

@@ -178,8 +178,8 @@ def reference_kick_rk4(state, kp, direction=1):
     d_up = fock.displacement_matrix(1j * direction * kp.eta, dim)
     d_dn = d_up.conj().T
     n_diag = np.arange(dim)
-    half_omega = kp.omega / 2.0
-    fast = max(kp.omega, kp.omega_z * dim)
+    half_omega = math.pi / kp.t_p / 2.0
+    fast = max(math.pi / kp.t_p, kp.omega_z * dim)
     n_steps = max(1, math.ceil(max(200.0, kp.t_p * fast * 100.0 / (2.0 * math.pi))))
     h = kp.t_p / n_steps
     psi_t, psi_h = state.amps
@@ -205,8 +205,8 @@ def dense_kick_propagator(kp, direction):
     d_up = fock.displacement_matrix(1j * direction * kp.eta, dim)
     rotation = np.diag(kp.omega_z * np.arange(dim).astype(complex))
     ham = np.block([
-        [rotation, (kp.omega / 2.0) * d_up],
-        [(kp.omega / 2.0) * d_up.conj().T, rotation],
+        [rotation, (math.pi / kp.t_p / 2.0) * d_up],
+        [(math.pi / kp.t_p / 2.0) * d_up.conj().T, rotation],
     ])
     return expm(-1j * kp.t_p * ham)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls  # oracle only: the package does not import it
 
-from ionwalk import fock, readout
+from ionwalk import cli, fock, readout
 from ionwalk.errors import ConfigError, IllConditioned
 
 ETA = 0.31
@@ -46,8 +46,15 @@ class TestSignal:
         assert np.max(np.abs(signal[-20:] - 0.5)) < 0.05
 
     def test_rejects_unnormalized_input(self, cfg):
-        with pytest.raises(ValueError):
-            readout.bsb_signal(np.ones(4), cfg)
+        with pytest.raises(ValueError, match="sum to 1"):
+            readout.bsb_signal(np.ones(8), cfg)
+
+    @pytest.mark.parametrize("n_levels", [7, 9])
+    def test_rejects_a_distribution_of_another_length(self, cfg, n_levels):
+        # the level count comes from cfg.n_max, as in invert_bsb
+        p = random_distribution(np.random.default_rng(n_levels), n_levels, n_levels)
+        with pytest.raises(ValueError, match="n_max \\+ 1 = 8 levels"):
+            readout.bsb_signal(p, cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.1, 0.9))
@@ -131,7 +138,7 @@ class TestNNLS:
     @pytest.mark.parametrize("n_max, bound", [(7, 1e-12), (9, 1e-10), (10, 1e-10), (11, 1e-10)])
     def test_matches_scipy_nnls(self, n_max, bound):
         # condition numbers 24 (the scenario's dictionary), 8.2e4, 2.3e6 and 2.6e7
-        a, cond, _, qr = readout._dictionary(readout.ReadoutConfig(n_max, ETA), n_max)
+        a, cond, _, qr = readout._dictionary(readout.ReadoutConfig(n_max, ETA))
         assert cond <= readout.MAX_CONDITION
         b = roundtrip_rhs(a, seed=n_max)
         expected = np.array([nnls(a, row)[0] for row in b])
@@ -152,7 +159,7 @@ class TestNNLS:
         assert np.all(grad[x == 0.0] >= -tol)
 
     def test_backup_rule_ends_full_exchange_cycles(self, cfg, monkeypatch):
-        a, _, _, qr = readout._dictionary(cfg, cfg.n_max)
+        a, _, _, qr = readout._dictionary(cfg)
         rng = np.random.default_rng(0)
         p = np.zeros((250, 8))
         p[:, :6] = rng.random((250, 6))
@@ -172,7 +179,7 @@ class TestNNLS:
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_input_rejected(self, cfg, bad):
-        a, _, _, qr = readout._dictionary(cfg, cfg.n_max)
+        a, _, _, qr = readout._dictionary(cfg)
         b = np.ones(a.shape[0])
         b[3] = bad
         with pytest.raises(ValueError):
@@ -340,8 +347,8 @@ def test_config_validation():
         readout.ReadoutConfig(3, ETA, t_grid=np.array([0.0, 1.0]), gamma=-1.0)
 
 
-def uncached_dictionary(cfg, n_max):
-    omega = readout.rabi_frequencies(cfg.eta, n_max, cfg.base_rabi)
+def uncached_dictionary(cfg):
+    omega = readout.rabi_frequencies(cfg.eta, cfg.n_max, cfg.base_rabi)
     return np.cos(np.outer(cfg.t_grid, omega)) * np.exp(-cfg.gamma * cfg.t_grid)[:, None]
 
 
@@ -368,7 +375,7 @@ class TestDictionaryCache:
         assert np.array_equal(first, second)
 
     def test_cached_matrix_is_read_only(self, cfg):
-        a, _, _, (h, tau) = readout._dictionary(cfg, cfg.n_max)
+        a, _, _, (h, tau) = readout._dictionary(cfg)
         for m in (a, h, tau):
             assert not m.flags.writeable
             with pytest.raises(ValueError):
@@ -376,21 +383,28 @@ class TestDictionaryCache:
 
     def test_each_model_gets_its_own_entry(self, cfg, cond_calls):
         variants = [
-            (cfg, 7),
-            (readout.ReadoutConfig(7, ETA, gamma=1e3, t_grid=cfg.t_grid), 7),
-            (readout.ReadoutConfig(7, 0.2, t_grid=cfg.t_grid), 7),
-            (cfg, 5),
-            (readout.ReadoutConfig(7, ETA, t_grid=cfg.t_grid[:-1]), 7),
+            cfg,
+            readout.ReadoutConfig(7, ETA, gamma=1e3, t_grid=cfg.t_grid),
+            readout.ReadoutConfig(7, 0.2, t_grid=cfg.t_grid),
+            readout.ReadoutConfig(5, ETA, t_grid=cfg.t_grid),
+            readout.ReadoutConfig(7, ETA, t_grid=cfg.t_grid[:-1]),
         ]
-        for c, n_max in variants:
-            a, cond, slowest, (h, tau) = readout._dictionary(c, n_max)
-            expected = uncached_dictionary(c, n_max)
-            omega = readout.rabi_frequencies(c.eta, n_max, c.base_rabi)
+        for c in variants:
+            a, cond, slowest, (h, tau) = readout._dictionary(c)
+            expected = uncached_dictionary(c)
+            omega = readout.rabi_frequencies(c.eta, c.n_max, c.base_rabi)
             assert np.array_equal(a, expected)
             assert cond == float(np.linalg.cond(expected))
             assert slowest == float(np.min(omega[omega > 0.0]))
             assert all(map(np.array_equal, (h, tau), np.linalg.qr(expected, mode="raw")))
         assert readout._dictionary_for.cache_info().currsize == len(variants)
+
+    def test_readout_roundtrip_builds_one_dictionary(self, tmp_path, cond_calls):
+        # the example signal, the trial signals and both inversions of two
+        # trial blocks share the model of one ReadoutConfig
+        cli.run_scenario("readout-roundtrip", {"trials": cli.READOUT_BLOCK + 10}, str(tmp_path),
+                         seed=3)
+        assert readout._dictionary_for.cache_info().currsize == 1
 
     def test_ill_conditioned_dictionary_raises_every_call(self, cond_calls):
         omega = readout.rabi_frequencies(ETA, 16, 2 * math.pi * 1e5)
@@ -403,7 +417,7 @@ class TestDictionaryCache:
 
     @pytest.mark.parametrize("n_levels, gamma", [(8, 0.0), (5, 2e4), (11, 0.0)])
     def test_signal_matches_direct_formula_bit_for_bit(self, n_levels, gamma):
-        c = readout.ReadoutConfig(7, ETA, gamma=gamma)
+        c = readout.ReadoutConfig(n_levels - 1, ETA, gamma=gamma)
         p = random_distribution(np.random.default_rng(n_levels), n_levels, n_levels)
         omega = readout.rabi_frequencies(ETA, p.size - 1, c.base_rabi)
         phases = np.outer(c.t_grid, omega)
