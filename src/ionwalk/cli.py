@@ -121,7 +121,7 @@ def scenario_resonant(ctx: RunContext) -> dict:
 def scenario_stepwise(ctx: RunContext) -> dict:
     opt = ctx.options
     params = _params_from_options(opt)
-    result = dyn.stepwise_excitation(params, opt["n_pulses"], params.t_half_turn, params.t_half_turn)
+    result = dyn.stepwise_excitation(params, opt["n_pulses"])
     rows = []
     for i, segment in enumerate(result.segments):
         tab = dyn.trajectory_table(segment)

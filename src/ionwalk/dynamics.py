@@ -30,9 +30,9 @@ period, applies the last F_i with t_i at or before the end, and runs RK4
 for the rest: each end takes at most T/8 of RK4.
 Sampled pulses, pulses holding no whole period and the single-rate LDA
 and RWA drives (for which any time shift is an exact symmetry of the RK4
-grid) take every step.  Stepwise excitation whose pulse + wait spans whole
-periods samples all its pulses in one RK4 run on their stacked rows.  One
-period map is kept.
+grid) take every step.  A stepwise pulse + wait, 2 pi/|delta|, that holds
+m whole periods has P^m = I: one RK4 run on the pulses' stacked rows
+samples them all.  One period map is kept.
 """
 
 from __future__ import annotations
@@ -263,12 +263,13 @@ def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     dim = params.dim
     steps, _ = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
-    snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
-    record = dict(zip(steps[:half], snapshots.reshape(len(steps), 2 * dim, dim)))
     # the top basis columns reach the guard band by construction: no leakage check
-    rows, _ = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                   drive_period(params) / 2.0, record=record, n_steps=steps[half])
-    snapshots[half] = rows.reshape(2, dim, dim)
+    rows, samples = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+                         drive_period(params) / 2.0, every=steps[0], n_steps=steps[half])
+    # the table is allocated once the run has freed its stage buffers
+    snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
+    np.concatenate([*samples, rows], out=snapshots[: half + 1].reshape(-1, dim))
+    del rows, samples  # copied into the table
     # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
     parity = (-1.0) ** np.arange(dim)
     reflect = _period_phase(params, -1) * parity  # P^-1 Pi
@@ -287,19 +288,19 @@ def _period_phase(params: SimParams, k: int) -> np.ndarray:
     return np.exp(1j * params.delta * drive_period(params) * (k * np.arange(params.dim)))
 
 
-def rk4_step_size(params: SimParams, duration: float) -> float:
+def rk4_step_size(params: SimParams) -> float:
     """Fixed RK4 step: STEPS_PER_PERIOD steps per period of 3 omega_z + |delta|
     (3SB) or |delta| (LDA, RWA), of the drive rate, and of the coupling's
     spectral radius (the linearized elements grow with sqrt(n), so the drive
-    rate alone under-resolves large bases).  The 3SB rate is not the
-    stencil's fastest: its s = +-3 bands rotate at 4 omega_z - delta, which
-    gets 38.5 steps per period at the trap values.  ROADMAP.md item 9
-    measures what that costs before the rule changes."""
+    rate alone under-resolves large bases); infinite if all three are 0.  The
+    3SB rate is not the stencil's fastest: its s = +-3 bands rotate at
+    4 omega_z - delta, which gets 38.5 steps per period at the trap values.
+    ROADMAP.md item 9 measures what that costs before the rule changes."""
     if params.level == THREE_SB:
         omega_fast = 3.0 * params.omega_z + abs(params.delta)
     else:
         omega_fast = abs(params.delta)
-    candidates = [duration]
+    candidates = [math.inf]
     if omega_fast > 0.0:
         candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * omega_fast))
     if params.omega_d > 0.0:
@@ -312,26 +313,24 @@ def rk4_step_size(params: SimParams, duration: float) -> float:
 
 def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
     """(n_steps, h): the fewest equal steps no longer than ``rk4_step_size``."""
-    n_steps = max(1, math.ceil(duration / rk4_step_size(params, duration)))
+    n_steps = max(1, math.ceil(duration / rk4_step_size(params)))
     return n_steps, duration / n_steps
 
 
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         sample_interval: float | None = None, record: dict[int, np.ndarray] | None = None,
-         n_steps: int | None = None) -> tuple[np.ndarray, list[HybridState]]:
+         every: int | None = None, n_steps: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on
     ``n_steps`` equal steps) from ``t0``, for rows psi that stack equally
     many T-branch then H-branch states.
 
-    Returns the final rows and, with ``sample_interval``, the states
-    after every round(sample_interval / h)-th step before the last.  With
-    ``record``, the rows after step count s are written into ``record[s]``.
+    Returns the final rows and, with ``every``, the rows after every
+    ``every``-th step before the last (arrays of their own: each step
+    builds a new psi).
     """
     if duration <= 0.0:
         return psi, []
     stencil = drive_stencil(params)
     n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
-    stride = None if sample_interval is None else max(1, round(sample_interval / h))
     # band factors at each step's stage times t, t + h/2 and t + h
     starts = t0 + np.arange(n_steps) * h
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
@@ -360,11 +359,29 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         stage += psi
         deriv(f[2], k4)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record and step + 1 in record:
-            record[step + 1][:] = psi
-        if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
-            samples.append(HybridState(psi, t0 + (step + 1) * h))
+        if every is not None and (step + 1) % every == 0 and step + 1 < n_steps:
+            samples.append(psi)
     return psi, samples
+
+
+def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
+                  sample_interval: float) -> list[list[HybridState]]:
+    """The ``propagate`` history of each of ``starts`` over ``duration``,
+    from one RK4 run on their stacked rows that starts at ``starts[0].time``."""
+    n = len(starts)
+    n_steps, h = _rk4_grid(params, duration)
+    every = max(1, round(sample_interval / h))
+    # rows: the n T-branch states, then the n H-branch states
+    psi = np.stack([s.amps for s in starts], axis=1).reshape(2 * n, -1)
+    psi, samples = _rk4(params, psi, starts[0].time, duration, every, n_steps)
+    histories = [[start] for start in starts]
+    for i in range(len(samples)):
+        rows, samples[i] = samples[i], None  # a history is never held twice
+        for k, (start, history) in enumerate(zip(starts, histories)):
+            history.append(HybridState(rows[k::n], start.time + (i + 1) * every * h))
+    for k, (start, history) in enumerate(zip(starts, histories)):
+        history.append(_end_state(psi[k::n], start, duration))
+    return histories
 
 
 def propagate(
@@ -390,9 +407,12 @@ def propagate(
         if sample_interval is not None:
             return final, [state, final]
         return final
+    if sample_interval is not None:
+        history = _sampled_runs(params, [state], duration, sample_interval)[0]
+        return history[-1], history
     psi = state.amps
     t0, t1 = state.time, state.time + duration
-    period = drive_period(params) if sample_interval is None else None
+    period = drive_period(params)
     k0 = k1 = 0
     if period:
         steps, h = _snapshot_steps(params)
@@ -422,13 +442,10 @@ def propagate(
             psi = np.matmul(psi[:, None], snapshots[i - 1])[:, 0]
         start = k1 * period + (times[i - 1] if i else 0.0)
         tail = t1 - start
-        psi, samples = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)
+        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)[0]
     else:
-        psi, samples = _rk4(params, psi, t0, duration, sample_interval)
-    final = _end_state(psi, state, duration)
-    if sample_interval is not None:
-        return final, [state, *samples, final]
-    return final
+        psi = _rk4(params, psi, t0, duration)[0]
+    return _end_state(psi, state, duration)
 
 
 def _end_state(psi: np.ndarray, start: HybridState, duration: float) -> HybridState:
@@ -448,7 +465,7 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
     """The number m of drive periods T in ``span`` if m T lies within the
     snapshot tolerance of it; None otherwise and for single-rate drives."""
     period = drive_period(params)
-    if period is None or not math.isfinite(span):
+    if period is None:
         return None
     m = round(span / period)
     return m if abs(span - m * period) <= _SNAP * _snapshot_steps(params)[1] else None
@@ -568,59 +585,40 @@ class StepwiseResult:
     segments: list  # one state history per drive pulse
 
 
-def stepwise_excitation(
-    params: SimParams,
-    n_pulses: int,
-    pulse_duration: float,
-    wait_duration: float,
-) -> StepwiseResult:
-    """Alternate drive pulses and free waits from the ground state; each
-    pulse is sampled about every ``pulse_duration / 50``.
+def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
+    """Alternate drive pulses and free waits, each lasting ``t_half_turn``
+    = pi/|delta|, from the ground state; each pulse is sampled about every
+    1/50 of its length.
 
     The drive clock keeps running during the waits, so the direction of
     each displacement follows the accumulated drive phase.  When pulse +
-    wait spans m whole drive periods, pulse k starts at t_k = t_0 + k m T
-    and U(t_k + t, t_k) = P^(k m) U(t_0 + t, t_0) P^(-k m) (see
-    ``period_map``): the start states come from unsampled ``propagate``,
-    and one RK4 run integrates every pulse, row k entering as
-    P^(-k m) psi_k and leaving times P^(k m).
+    wait = 2 pi/|delta| spans m whole drive periods, delta m T = +-2 pi, so
+    P^m = I (see ``period_map``) and every pulse k, starting at
+    t_k = t_0 + k m T, has U(t_k + t, t_k) = U(t_0 + t, t_0): the start
+    states come from unsampled ``propagate``, and one RK4 run integrates
+    every pulse on their stacked rows.
     """
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")
     if n_pulses < 0:
         raise ConfigError(f"n_pulses must be nonnegative, got {n_pulses!r}")
+    span = params.t_half_turn
     state = ground_hybrid(params.dim)
-    interval = pulse_duration / 50.0
-    m = _whole_periods(params, pulse_duration + wait_duration)
-    if n_pulses < 2 or not pulse_duration > 0.0 or params.omega_d == 0.0 or m is None:
+    if n_pulses < 2 or params.omega_d == 0.0 or _whole_periods(params, 2.0 * span) is None:
         segments = []
         for _ in range(n_pulses):
-            state, history = propagate(state, params, pulse_duration, interval)
+            state, history = propagate(state, params, span, span / 50.0)
             segments.append(history)
-            state = state.with_time(state.time + wait_duration)
+            state = state.with_time(state.time + span)
         return StepwiseResult(final=state, segments=segments)
 
     starts = [state]
     for _ in range(n_pulses - 1):
-        end = propagate(starts[-1], params, pulse_duration)
-        starts.append(end.with_time(end.time + wait_duration))
-    phases = np.stack([_period_phase(params, k * m) for k in range(n_pulses)])
-    # rows: the n T-branch states, then the n H-branch states
-    psi = (np.stack([s.amps for s in starts], axis=1) * phases.conj()).reshape(2 * n_pulses, -1)
-    n_steps, h = _rk4_grid(params, pulse_duration)
-    stride = max(1, round(interval / h))
-    sample_steps = range(stride, n_steps, stride)
-    samples = np.empty((len(sample_steps), *psi.shape), dtype=complex)
-    psi, _ = _rk4(params, psi, starts[0].time, pulse_duration, record=dict(zip(sample_steps, samples)))
-    segments = []
-    for k, (start, phase) in enumerate(zip(starts, phases)):
-        history = [start]
-        history += [HybridState(rows[k::n_pulses] * phase, start.time + s * h)
-                    for s, rows in zip(sample_steps, samples)]
-        history.append(_end_state(psi[k::n_pulses] * phase, start, pulse_duration))
-        segments.append(history)
+        end = propagate(starts[-1], params, span)
+        starts.append(end.with_time(end.time + span))
+    segments = _sampled_runs(params, starts, span, span / 50.0)
     end = segments[-1][-1]
-    return StepwiseResult(final=end.with_time(end.time + wait_duration), segments=segments)
+    return StepwiseResult(final=end.with_time(end.time + span), segments=segments)
 
 
 def return_time(history: list[HybridState]) -> tuple[float, float]:

@@ -30,10 +30,10 @@ class WalkSpec:
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.n_steps < 0:
-            raise ConfigError("n_steps must be nonnegative")
-        if self.step_size <= 0.0:
-            raise ConfigError("step_size must be positive")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
+            raise ConfigError("n_steps must be a nonnegative integer")
+        if not 0.0 < self.step_size < math.inf:  # NaN fails this test too
+            raise ConfigError("step_size must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class LatticeState:
         amps = np.array(self.amps, dtype=complex)
         if amps.shape != (2, 2 * self.n_steps + 1):
             raise ValueError("amps must have shape (2, 2*n_steps + 1)")
-        if self.step_size <= 0.0:
-            raise ConfigError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigError("step_size must be finite and positive")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         total = self.lattice_norm()

@@ -48,8 +48,8 @@ class PulseEvent:
     def __post_init__(self):
         if self.kind not in (RF, DIPOLE, WAIT):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.duration < 0.0:
-            raise ValueError("durations must be nonnegative")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("durations must be finite and nonnegative")
 
 
 def rf(theta: float, phi: float) -> PulseEvent:
@@ -103,8 +103,8 @@ def combined_pulse(
     keeps consecutive shifts collinear at the nominal duration, so one step
     spans (2 + 2*wait_multiplier)*t_d.
     """
-    if t_d <= 0.0:
-        raise ConfigError(f"t_d must be positive, got {t_d!r}")
+    if not 0.0 < t_d < math.inf:
+        raise ConfigError(f"t_d must be finite and positive, got {t_d!r}")
     if wait_multiplier not in (2.0, 4.0):
         raise ConfigError(f"wait_multiplier must be 2 or 4, got {wait_multiplier!r}")
     return [

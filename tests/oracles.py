@@ -39,16 +39,17 @@ def lda_radius(params) -> float:
     return params.eta * params.omega_d / (2.0 * abs(params.delta))
 
 
-def sequential_stepwise(params, n_pulses: int, pulse_duration: float,
-                        wait_duration: float) -> dyn.StepwiseResult:
+def sequential_stepwise(params, n_pulses: int) -> dyn.StepwiseResult:
     """``stepwise_excitation`` one pulse at a time: a sampled ``propagate``
-    from the end of the previous pulse, advanced by the wait."""
+    from the end of the previous pulse, advanced by the wait; pulse and
+    wait last ``t_half_turn``."""
+    span = params.t_half_turn
     state = dyn.ground_hybrid(params.dim)
     segments = []
     for _ in range(n_pulses):
-        state, history = dyn.propagate(state, params, pulse_duration, pulse_duration / 50.0)
+        state, history = dyn.propagate(state, params, span, span / 50.0)
         segments.append(history)
-        state = state.with_time(state.time + wait_duration)
+        state = state.with_time(state.time + span)
     return dyn.StepwiseResult(final=state, segments=segments)
 
 

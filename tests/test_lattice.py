@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionwalk import cli, lattice
+from ionwalk.errors import ConfigError
 
 
 def three_step_state(step_size=1.0):
@@ -42,10 +43,22 @@ def test_double_pi_coin_is_minus_identity():
     (np.array([[1.0], [0.0]]), 0.0, 0),
     (np.array([[1.0], [0.5]]), 1.0, 0),  # norm deviates from 1
     (np.array([[np.nan], [0.0]]), 1.0, 0),
+    (np.array([[1.0], [0.0]]), math.inf, 0),
+    (np.array([[1.0], [0.0]]), math.nan, 0),
 ])
 def test_lattice_state_rejects_bad_input(amps, step_size, n_steps):
     with pytest.raises(ValueError):
         lattice.LatticeState(amps, step_size, n_steps)
+
+
+@pytest.mark.parametrize("n_steps, step_size", [
+    (3, math.inf),  # walks, then gives NaN probabilities
+    (3, math.nan),
+    (2.5, 1.0),  # not a whole number of steps
+])
+def test_walk_spec_rejects_bad_input(n_steps, step_size):
+    with pytest.raises(ConfigError):
+        lattice.WalkSpec(n_steps, step_size)
 
 
 def test_lattice_amps_is_a_read_only_copy():

@@ -8,6 +8,7 @@ import pytest
 
 from ionwalk import dynamics as dyn
 from ionwalk import fock, lattice, pulses
+from ionwalk.errors import ConfigError
 
 
 def lda_params(dim=96):
@@ -231,6 +232,12 @@ def test_event_validation():
         pulses.PulseEvent("laser")
     with pytest.raises(ValueError):
         pulses.dipole(-1e-6)
+    for duration in (math.nan, math.inf):  # each would fail only inside propagate
+        for event in (pulses.dipole, pulses.wait):
+            with pytest.raises(ValueError, match="finite"):
+                event(duration)
+        with pytest.raises(ConfigError, match="t_d"):
+            pulses.combined_pulse(duration)
     with pytest.raises(ValueError):
         pulses.PulseProgram((), fock.experimental_params())
     with pytest.raises(ValueError, match="wait_multiplier"):
