@@ -83,7 +83,11 @@ def scenario_walk_ideal(ctx: RunContext) -> dict:
     ctx.write_csv("sigma.csv", ["n", "sigma"], enumerate(sigmas))
     scaling_rows = []
     for s in opt["scaling_step_sizes"]:
-        scaling_rows.append((s, lattice.scaling_factor(s, spec.n_steps)))
+        if s == spec.step_size and spec.phi == 0.0:  # this walk is scaling_factor's
+            v = lattice.late_slope(sigmas[spec.n_steps // 2 :], spec.n_steps)
+        else:
+            v = lattice.scaling_factor(s, spec.n_steps)
+        scaling_rows.append((s, v))
     ctx.write_csv("scaling.csv", ["step_size", "v"], scaling_rows)
     p_t, p_h = lattice.coin_probabilities(state)
     return {"p_t": p_t, "p_h": p_h, "sigma_final": float(sigmas[-1])}

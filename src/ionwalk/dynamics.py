@@ -11,7 +11,9 @@ approximation levels are supported:
 
 Propagation is fixed-step RK4 on the Schrodinger equation; the free
 evolution (drive off) is the identity in this frame, so waits only
-advance the drive clock.
+advance the drive clock.  RK4 holds its rows level-major, as a
+(dim, rows) array, so that one batched matmul over target levels applies
+the band stencil to every row at once.
 
 The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
@@ -129,11 +131,12 @@ def ground_hybrid(dim: int, coin: str = "T") -> HybridState:
 
 @dataclass(frozen=True)
 class DriveStencil:
-    """The drive's ladder bands |n+s><n|, s = P..-P, stacked by target level.
+    """The drive's ladder bands |n+s><n|, s = P..-P, stored level-major.
 
-    Row ``j`` holds offset ``s = P - j``: ``elements[j, m]`` couples source
-    level ``m - s`` to target ``m`` (zero where the source lies outside the
-    basis), and its time factor is sum_k amps[j, k] * exp(i * rates[j, k] * t).
+    Column ``j`` holds offset ``s = P - j``: ``elements[m, j]`` couples
+    source level ``m - s`` to target ``m`` (zero where the source lies
+    outside the basis), and its time factor is
+    sum_k amps[j, k] * exp(i * rates[j, k] * t).
     ``norm_weight`` is sum over bands of max|element| * sum|amps|.
     """
 
@@ -144,7 +147,7 @@ class DriveStencil:
 
     @property
     def reach(self) -> int:
-        return (self.elements.shape[0] - 1) // 2
+        return (self.elements.shape[1] - 1) // 2
 
     def factors(self, times) -> np.ndarray:
         """Band time factors at every time: shape ``times.shape + (2P+1,)``."""
@@ -154,15 +157,16 @@ class DriveStencil:
         return terms.sum(axis=-1)
 
     def window_buffer(self, rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """(interior, windows) of a zeroed (rows, dim + 2P) padded buffer.
+        """(interior, windows) of a zeroed level-major (dim + 2P, rows)
+        padded buffer.
 
-        States written into the rows of ``interior`` show in
-        ``windows[:, m, j]`` as the source amplitudes psi[m - s] that
-        stencil row j couples to target level m.
+        States written into the columns of ``interior`` (dim, rows) show in
+        ``windows[m, :, j]`` (shape (dim, rows, 2P+1)) as the source
+        amplitudes psi[m - s] that stencil column j couples to target m.
         """
-        reach, dim = self.reach, self.elements.shape[1]
-        padded = np.zeros((rows, dim + 2 * reach), dtype=complex)
-        return padded[:, reach : reach + dim], sliding_window_view(padded, 2 * reach + 1, axis=1)
+        reach, dim = self.reach, self.elements.shape[0]
+        padded = np.zeros((dim + 2 * reach, rows), dtype=complex)
+        return padded[reach : reach + dim], sliding_window_view(padded, 2 * reach + 1, axis=0)
 
 
 def _band_elements(eta: float, offset: int, dim: int, linearized: bool) -> np.ndarray:
@@ -193,7 +197,7 @@ def _stencil(level: str, eta: float, dim: int, wz: float, delta: float) -> Drive
         }
     reach = max(bands)
     n_terms = len(bands[reach][0])
-    elements = np.zeros((2 * reach + 1, dim), dtype=complex)
+    elements = np.zeros((dim, 2 * reach + 1), dtype=complex)
     amps = np.zeros((2 * reach + 1, n_terms), dtype=complex)
     rates = np.zeros((2 * reach + 1, n_terms))
     norm_weight = 0.0
@@ -202,7 +206,7 @@ def _stencil(level: str, eta: float, dim: int, wz: float, delta: float) -> Drive
     # bands in insertion order: the RK4 step size depends on this sum bitwise
     for s, (band_amps, band_rates) in bands.items():
         values = band_values[abs(s)]
-        elements[reach - s, max(0, s) : dim + min(0, s)] = values
+        elements[max(0, s) : dim + min(0, s), reach - s] = values
         amps[reach - s] = band_amps
         rates[reach - s] = band_rates
         norm_weight += float(np.max(np.abs(values))) * sum(abs(a) for a in band_amps)
@@ -212,10 +216,12 @@ def _stencil(level: str, eta: float, dim: int, wz: float, delta: float) -> Drive
 def apply_drive(
     stencil: DriveStencil, factors: np.ndarray, windows: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """out[b] = W(t) @ psi[b] for each row b of psi, given the band
-    ``factors`` at t and the stencil ``windows`` of psi (see
-    ``DriveStencil.window_buffer``)."""
-    return np.einsum("jm,bmj->bm", factors[:, None] * stencil.elements, windows, out=out)
+    """out[:, b] = W(t) @ psi[:, b] for each column b of the level-major
+    (dim, rows) psi, given the band ``factors`` at t and the stencil
+    ``windows`` of psi (see ``DriveStencil.window_buffer``): one batched
+    matmul over target levels, (rows, 2P+1) @ (2P+1, 1) per level."""
+    np.matmul(windows, (stencil.elements * factors)[:, :, None], out=out[:, :, None])
+    return out
 
 
 def drive_period(params: SimParams) -> float | None:
@@ -324,8 +330,9 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     many T-branch then H-branch states.
 
     Returns the final rows and, with ``every``, the rows after every
-    ``every``-th step before the last (arrays of their own: each step
-    builds a new psi).
+    ``every``-th step before the last, each a (rows, dim) array of its own.
+    In between, one level-major (dim, rows) copy of the rows is updated in
+    place.
     """
     if duration <= 0.0:
         return psi, []
@@ -335,8 +342,9 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     starts = t0 + np.arange(n_steps) * h
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
     scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
-    coef = np.repeat(-1j * scale, len(psi) // 2)[:, None]
+    coef = np.repeat(-1j * scale, len(psi) // 2)
     stage, windows = stencil.window_buffer(len(psi))
+    psi = psi.T.copy()
     k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
     samples = []
 
@@ -358,10 +366,10 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         np.multiply(k3, h, out=stage)
         stage += psi
         deriv(f[2], k4)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if every is not None and (step + 1) % every == 0 and step + 1 < n_steps:
-            samples.append(psi)
-    return psi, samples
+            samples.append(psi.T.copy())
+    return psi.T.copy(), samples
 
 
 def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,

@@ -52,6 +52,8 @@ class LatticeState:
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
+            raise ConfigError("n_steps must be a nonnegative integer")
         if amps.shape != (2, 2 * self.n_steps + 1):
             raise ValueError("amps must have shape (2, 2*n_steps + 1)")
         if not 0.0 < self.step_size < math.inf:
@@ -188,13 +190,16 @@ def std_dev(state: LatticeState) -> float:
     return math.sqrt(var)
 
 
-def scaling_factor(step_size: float, n_max: int = 100) -> float:
-    """Slope of sigma_N vs N (coin phase 0) fitted over the late half
-    N in [n_max/2, n_max]."""
+def late_slope(late_sigmas: list[float], n_max: int) -> float:
+    """Slope of sigma_N vs N fitted over the late half N in [n_max/2, n_max],
+    given ``late_sigmas`` = sigma_N on that range."""
     if n_max < 40:
         raise ConfigError("n_max must be at least 40 for a stable slope fit")
-    lo = n_max // 2
-    late = itertools.islice(walk_states(WalkSpec(n_max, step_size)), lo, None)
-    n = np.arange(lo, n_max + 1, dtype=float)
-    slope, _ = np.polyfit(n, [std_dev(state) for state in late], 1)
+    slope, _ = np.polyfit(np.arange(n_max // 2, n_max + 1, dtype=float), late_sigmas, 1)
     return float(slope)
+
+
+def scaling_factor(step_size: float, n_max: int = 100) -> float:
+    """``late_slope`` of the walk of ``step_size`` at coin phase 0."""
+    late = itertools.islice(walk_states(WalkSpec(n_max, step_size)), n_max // 2, None)
+    return late_slope([std_dev(state) for state in late], n_max)

@@ -11,8 +11,8 @@ from ionwalk import fock, kicks
 
 
 def stencil_offsets(stencil: dyn.DriveStencil) -> np.ndarray:
-    """Level offset s = P - j of each stencil row j."""
-    return stencil.reach - np.arange(stencil.elements.shape[0])
+    """Level offset s = P - j of each stencil column j."""
+    return stencil.reach - np.arange(stencil.elements.shape[1])
 
 
 def hamiltonian(params, t: float) -> np.ndarray:
@@ -23,11 +23,11 @@ def hamiltonian(params, t: float) -> np.ndarray:
     """
     dim = params.dim
     stencil = dyn.drive_stencil(params)
-    rows = np.broadcast_to(np.arange(dim), stencil.elements.shape)
-    cols = rows - stencil_offsets(stencil)[:, None]
+    rows = np.broadcast_to(np.arange(dim)[:, None], stencil.elements.shape)
+    cols = rows - stencil_offsets(stencil)
     inside = (cols >= 0) & (cols < dim)
     w = np.zeros((dim, dim), dtype=complex)
-    w[rows[inside], cols[inside]] = (stencil.factors(t)[:, None] * stencil.elements)[inside]
+    w[rows[inside], cols[inside]] = (stencil.elements * stencil.factors(t))[inside]
     coin = np.diag([1.0, params.force_ratio]) * (params.omega_d / 2.0)
     return np.kron(coin, w)
 

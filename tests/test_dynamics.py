@@ -554,13 +554,48 @@ class TestDriveStencil:
         out = np.empty_like(stage)
         for t in (0.0, 3.3e-7, 1.1e-6, 4.9e-6, 37.3e-6):
             psi = rng.normal(size=(2, p.dim)) + 1j * rng.normal(size=(2, p.dim))
-            stage[:] = psi  # rows T, H
+            stage[:] = psi.T  # level-major: columns T, H
             dyn.apply_drive(stencil, stencil.factors(t), windows, out)
             dense = (hamiltonian(p, t) @ psi.ravel()).reshape(2, p.dim)
             expected = dense / (np.array([[1.0], [p.force_ratio]]) * (p.omega_d / 2.0))
-            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(out.T - expected) <= 1e-12 * np.linalg.norm(expected)
             reference = reference_apply(reference_bands(p), t, psi.T).T
+            assert np.linalg.norm(out.T - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    @pytest.mark.parametrize("rows", [16, "2dim"])  # the stepwise batch, the period-map basis
+    def test_apply_drive_matches_dense_hamiltonian_on_many_rows(self, level, rows):
+        p = fock.experimental_params(level=level, dim=40)
+        rows = 2 * p.dim if rows == "2dim" else rows
+        stencil = dyn.drive_stencil(p)
+        rng = np.random.default_rng(11)
+        stage, windows = stencil.window_buffer(rows)
+        out = np.empty_like(stage)
+        for t in (0.0, 1.1e-6, 37.3e-6):
+            psi = rng.normal(size=(p.dim, rows)) + 1j * rng.normal(size=(p.dim, rows))
+            stage[:] = psi
+            dyn.apply_drive(stencil, stencil.factors(t), windows, out)
+            # the T block of the dense Hamiltonian, over the drive scale
+            expected = hamiltonian(p, t)[: p.dim, : p.dim] @ psi / (p.omega_d / 2.0)
+            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+            reference = reference_apply(reference_bands(p), t, psi)
             assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_batched_rk4_equals_each_state_alone(self, level):
+        p = fock.experimental_params(level=level, dim=40)
+        rng = np.random.default_rng(5)
+        states = [random_hybrid(rng, p.dim).amps for _ in range(3)]
+        # stacked as the batch runs them: the T branches, then the H branches
+        batch = np.stack(states, axis=1).reshape(6, p.dim)
+        duration = 0.3 * p.t_half_turn
+        rows, samples = dyn._rk4(p, batch, 1.3e-6, duration, every=7)
+        assert samples
+        for k, amps in enumerate(states):
+            alone, alone_samples = dyn._rk4(p, amps, 1.3e-6, duration, every=7)
+            assert np.max(np.abs(rows[k::3] - alone)) <= 1e-13
+            for sample, expected in zip(samples, alone_samples, strict=True):
+                assert np.max(np.abs(sample[k::3] - expected)) <= 1e-13
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_step_size_norm_bound_unchanged(self, level):
@@ -576,7 +611,7 @@ class TestDriveStencil:
         p = fock.experimental_params(level=level, dim=dim, eta=eta)
         stencil = dyn.drive_stencil(p)
         bands = {b.offset: b.elements for b in reference_bands(p)}
-        for s, row in zip(stencil_offsets(stencil), stencil.elements):
+        for s, row in zip(stencil_offsets(stencil), stencil.elements.T):
             lo, hi = max(0, s), dim + min(0, s)
             expected = bands.get(s, np.zeros(hi - lo))
             assert np.array_equal(row[lo:hi], expected)

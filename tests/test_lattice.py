@@ -45,6 +45,7 @@ def test_double_pi_coin_is_minus_identity():
     (np.array([[np.nan], [0.0]]), 1.0, 0),
     (np.array([[1.0], [0.0]]), math.inf, 0),
     (np.array([[1.0], [0.0]]), math.nan, 0),
+    (np.ones((2, 6)) / math.sqrt(12.0), 1.0, 2.5),  # (2, 6) == (2, 2 * 2.5 + 1)
 ])
 def test_lattice_state_rejects_bad_input(amps, step_size, n_steps):
     with pytest.raises(ValueError):
