@@ -43,17 +43,14 @@ class RunContext:
     def artifacts(self) -> list[str]:
         return list(self.texts)
 
-    def write_text(self, name: str, text: str) -> None:
-        self.texts[name] = text
-
     def write_csv(self, name: str, header: list[str], rows) -> None:
         lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-        self.write_text(name, "\n".join(lines) + "\n")
+        self.texts[name] = "\n".join(lines) + "\n"
 
     def write_json(self, name: str, payload: dict) -> None:
         # numpy scalars that are not Python numbers (np.int64, np.float32) as Python numbers
         text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.item())
-        self.write_text(name, text + "\n")
+        self.texts[name] = text + "\n"
 
 
 def _fmt(value) -> str:
@@ -102,9 +99,9 @@ def scenario_trajectory(ctx: RunContext) -> dict:
         csv_history, return_history = dyn.sampled_histories(
             dyn.ground_hybrid(params.dim), params, duration,
             (duration / opt["samples"], duration / dyn.RETURN_TIME_SAMPLES))
-        tab = dyn.trajectory_table(csv_history)
+        tab = dyn.trajectory_table(*csv_history)
         ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
-        t_ret, n_min = dyn.return_time(return_history)
+        t_ret, n_min = dyn.return_time(*return_history)
         info[level] = {"return_time": t_ret, "min_n": n_min}
     ctx.write_json("returns.json", info)
     return info
@@ -128,9 +125,8 @@ def scenario_stepwise(ctx: RunContext) -> dict:
     result = dyn.stepwise_excitation(params, opt["n_pulses"])
     rows = []
     for i, segment in enumerate(result.segments):
-        tab = dyn.trajectory_table(segment)
-        for j in range(tab["t"].size):
-            rows.append((i, tab["t"][j], tab["re_alpha_t"][j], tab["im_alpha_t"][j], tab["n_t"][j]))
+        tab = dyn.trajectory_table(*segment)
+        rows += zip([i] * tab["t"].size, tab["t"], tab["re_alpha_t"], tab["im_alpha_t"], tab["n_t"])
     ctx.write_csv("stepwise.csv", ["pulse", "t", "re_alpha", "im_alpha", "mean_n"], rows)
     return {"final_mean_n": float(mean_n(result.final.amps[0]))}
 
@@ -143,8 +139,8 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
         t_d = params.t_half_turn if opt["t_d"] is None else float(opt["t_d"])
         program = pulses.PulseProgram(pulses.combined_pulse(t_d, opt["wait_multiplier"]), params)
         initial = dyn.ground_hybrid(params.dim, "TH")
-        final, history = pulses.run_program(program, initial, sample_interval=t_d / 40)
-        tab = dyn.trajectory_table(history)
+        final, times, amps = pulses.run_program(program, initial, sample_interval=t_d / 40)
+        tab = dyn.trajectory_table(times, amps)
         ctx.write_csv(f"combined_pulse_{level.lower()}.csv", list(tab), zip(*tab.values()))
         alpha_t, alpha_h = mean_a(final.amps)
         info[level] = {
@@ -152,7 +148,7 @@ def scenario_combined_pulse(ctx: RunContext) -> dict:
             "alpha_h": [alpha_h.real, alpha_h.imag],
             "step_prediction_linear": abs(pulses.combined_pulse_step(params, t_d, opt["wait_multiplier"])),
         }
-        ctx.write_text(f"program_{level.lower()}.json", program.to_json())
+        ctx.write_json(f"program_{level.lower()}.json", program.to_dict())
     ctx.write_json("summary.json", info)
     return info
 

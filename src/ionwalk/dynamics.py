@@ -52,12 +52,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, StepError
 from .fock import (
     LDA,
+    LEAK_TOL,
     RWA,
     THREE_SB,
     SimParams,
     check_leakage,
     displacement_matrix,
     ladder_elements,
+    leakage,
     mean_a,
     mean_n,
 )
@@ -85,8 +87,6 @@ class HybridState:
             raise ValueError("amps must have shape (2, dim) with dim >= 1")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amps must be finite")
-        # Constructors produce unit norm; integrator snapshots may carry a
-        # small drift before readout renormalization.
         norms_sq = [float(np.vdot(row, row).real) for row in amps]
         if max(norms_sq) > 1.0 + 1e-6:
             raise ValueError(f"branch norm^2 {max(norms_sq)} exceeds 1")
@@ -270,12 +270,12 @@ def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     steps, _ = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
     # the top basis columns reach the guard band by construction: no leakage check
-    rows, samples = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                         drive_period(params) / 2.0, every=steps[0], n_steps=steps[half])
+    run = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+               drive_period(params) / 2.0, every=steps[0], n_steps=steps[half])
     # the table is allocated once the run has freed its stage buffers
     snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
-    np.concatenate([*samples, rows], out=snapshots[: half + 1].reshape(-1, dim))
-    del rows, samples  # copied into the table
+    snapshots[: half + 1] = run[1:].reshape(half + 1, 2, dim, dim)
+    del run  # copied into the table
     # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
     parity = (-1.0) ** np.arange(dim)
     reflect = _period_phase(params, -1) * parity  # P^-1 Pi
@@ -324,18 +324,18 @@ def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
 
 
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         every: int | None = None, n_steps: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+         every: int | None = None, n_steps: int | None = None) -> np.ndarray:
     """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on
     ``n_steps`` equal steps) from ``t0``, for rows psi that stack equally
     many T-branch then H-branch states.
 
-    Returns the final rows and, with ``every``, the rows after every
-    ``every``-th step before the last, each a (rows, dim) array of its own.
-    In between, one level-major (dim, rows) copy of the rows is updated in
-    place.
+    Returns one (samples, rows, dim) array: the rows at the start, after
+    every ``every``-th step before the last (none without ``every``), and
+    at the end.  In between, one level-major (dim, rows) copy of the rows
+    is updated in place.
     """
     if duration <= 0.0:
-        return psi, []
+        return psi[None]
     stencil = drive_stencil(params)
     n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
     # band factors at each step's stage times t, t + h/2 and t + h
@@ -343,10 +343,12 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
     scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
     coef = np.repeat(-1j * scale, len(psi) // 2)
+    every = every or n_steps
+    run = np.empty(((n_steps - 1) // every + 2, *psi.shape), dtype=complex)
+    run[0] = psi
     stage, windows = stencil.window_buffer(len(psi))
     psi = psi.T.copy()
     k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
-    samples = []
 
     def deriv(f: np.ndarray, k: np.ndarray) -> None:
         # k = -i H(t) @ (the rows written into ``stage``)
@@ -366,29 +368,43 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         np.multiply(k3, h, out=stage)
         stage += psi
         deriv(f[2], k4)
-        psi += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if every is not None and (step + 1) % every == 0 and step + 1 < n_steps:
-            samples.append(psi.T.copy())
-    return psi.T.copy(), samples
+        # psi += h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, in place
+        k1 += np.multiply(k2, 2.0, out=k2)
+        k1 += np.multiply(k3, 2.0, out=k3)
+        k1 += k4
+        psi += np.multiply(k1, h / 6.0, out=k1)
+        if (step + 1) % every == 0 and step + 1 < n_steps:
+            run[(step + 1) // every] = psi.T
+    run[-1] = psi.T
+    return run
+
+
+def _stride(sample_interval: float, h: float) -> int:
+    """The RK4 steps of size h between samples about ``sample_interval``
+    apart; ValueError unless the interval is finite and positive."""
+    if not 0.0 < sample_interval < math.inf:
+        raise ValueError(f"sample_interval must be finite and positive, got {sample_interval!r}")
+    return max(1, round(sample_interval / h))
 
 
 def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
-                  sample_interval: float) -> list[list[HybridState]]:
-    """The ``propagate`` history of each of ``starts`` over ``duration``,
-    from one RK4 run on their stacked rows that starts at ``starts[0].time``."""
+                  sample_interval: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``propagate`` history (times, amps) of each of ``starts`` over
+    ``duration``, from one RK4 run on their stacked rows that starts at
+    ``starts[0].time``: each amps is a view of the run's one read-only array."""
     n = len(starts)
     n_steps, h = _rk4_grid(params, duration)
-    every = max(1, round(sample_interval / h))
+    every = _stride(sample_interval, h)
     # rows: the n T-branch states, then the n H-branch states
     psi = np.stack([s.amps for s in starts], axis=1).reshape(2 * n, -1)
-    psi, samples = _rk4(params, psi, starts[0].time, duration, every, n_steps)
-    histories = [[start] for start in starts]
-    for i in range(len(samples)):
-        rows, samples[i] = samples[i], None  # a history is never held twice
-        for k, (start, history) in enumerate(zip(starts, histories)):
-            history.append(HybridState(rows[k::n], start.time + (i + 1) * every * h))
-    for k, (start, history) in enumerate(zip(starts, histories)):
-        history.append(_end_state(psi[k::n], start, duration))
+    run = _rk4(params, psi, starts[0].time, duration, every, n_steps)
+    run.setflags(write=False)
+    offsets = np.arange(len(run)) * every * h
+    offsets[-1] = duration
+    histories = [(start.time + offsets, run.reshape(len(run), 2, n, -1)[:, :, k])
+                 for k, start in enumerate(starts)]
+    for start, (times, amps) in zip(starts, histories):
+        _check_states(amps, start, times)
     return histories
 
 
@@ -397,14 +413,15 @@ def propagate(
     params: SimParams,
     duration: float,
     sample_interval: float | None = None,
-) -> HybridState | tuple[HybridState, list[HybridState]]:
+) -> HybridState | tuple[HybridState, np.ndarray, np.ndarray]:
     """Evolve under the drive for ``duration`` starting at ``state.time``.
 
-    With ``sample_interval`` set, also returns snapshots roughly that far
-    apart (always including start and end).  Without it, whole drive
-    periods of a 3SB pulse go through the cached ``period_map``.  Norm
-    drift beyond 1e-6 raises StepError; population reaching the guard band
-    raises TruncationError.
+    With ``sample_interval`` (finite and positive) set, returns (final,
+    times, amps): the states about that far apart, start and end included,
+    as one read-only (samples, 2, dim) array in ``HybridState.amps`` row
+    order.  Without it, whole drive periods of a 3SB pulse go through the
+    cached ``period_map``.  Every state RK4 hands back, each sample and the
+    end, passes ``_check_states``.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError("duration must be finite and nonnegative")
@@ -412,12 +429,13 @@ def propagate(
         raise ValueError("state dim does not match params.dim")
     if duration == 0.0 or params.omega_d == 0.0:
         final = state.with_time(state.time + duration)
-        if sample_interval is not None:
-            return final, [state, final]
-        return final
+        if sample_interval is None:
+            return final
+        _stride(sample_interval, 1.0)  # checked as in every sampled run
+        return final, np.array([state.time, final.time]), np.broadcast_to(state.amps, (2, 2, state.dim))
     if sample_interval is not None:
-        history = _sampled_runs(params, [state], duration, sample_interval)[0]
-        return history[-1], history
+        [(times, amps)] = _sampled_runs(params, [state], duration, sample_interval)
+        return HybridState(amps[-1], float(times[-1])), times, amps
     psi = state.amps
     t0, t1 = state.time, state.time + duration
     period = drive_period(params)
@@ -439,7 +457,7 @@ def propagate(
         # t_j = T (j = len(times)): the head ends on the boundary k0 T
         start = (k0 - 1) * period + times[j] if j < len(times) else k0 * period
         head = start - t0
-        psi = _rk4(params, psi, t0, head if head > snap else 0.0)[0] * _period_phase(params, -k0)
+        psi = _rk4(params, psi, t0, head if head > snap else 0.0)[-1] * _period_phase(params, -k0)
         if j < len(times):  # rows hold transposes: F^T psi is snapshots @ psi
             parity = (-1.0) ** np.arange(params.dim)
             psi = np.matmul(snapshots[-1 - j], (psi * parity)[:, :, None])[:, :, 0] * parity
@@ -450,23 +468,27 @@ def propagate(
             psi = np.matmul(psi[:, None], snapshots[i - 1])[:, 0]
         start = k1 * period + (times[i - 1] if i else 0.0)
         tail = t1 - start
-        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)[0]
+        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)[-1]
     else:
-        psi = _rk4(params, psi, t0, duration)[0]
-    return _end_state(psi, state, duration)
+        psi = _rk4(params, psi, t0, duration)[-1]
+    _check_states(psi[None], state, [t1])
+    return HybridState(psi, t1)
 
 
-def _end_state(psi: np.ndarray, start: HybridState, duration: float) -> HybridState:
-    """The state of rows psi, propagated from ``start`` for ``duration``.
-    Norm drift beyond 1e-6 raises StepError; population reaching the guard
-    band raises TruncationError."""
-    drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-                - math.sqrt(float(np.sum(np.abs(start.amps) ** 2))))
-    if drift > 1e-6:
-        raise StepError(f"norm drift {drift:.3e} over {duration:.3e} s")
-    check_leakage(psi[0], "propagate (T branch)")
-    check_leakage(psi[1], "propagate (H branch)")
-    return HybridState(psi, start.time + duration)
+def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
+    """The one rule for every state RK4 hands back, at ``times`` from
+    ``start``: a norm drift beyond 1e-6 (or NaN) raises StepError, and
+    guard-band population reaching LEAK_TOL in a branch TruncationError."""
+    norm = math.sqrt(float(np.vdot(start.amps, start.amps).real))
+    # one state at a time: a whole-history |amps|^2 would be the peak
+    drift = np.array([abs(math.sqrt(float(np.vdot(psi, psi).real)) - norm) for psi in amps])
+    bad = ~(drift <= 1e-6) | np.any(leakage(amps) >= LEAK_TOL, axis=-1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not drift[i] <= 1e-6:
+            raise StepError(f"norm drift {drift[i]:.3e} at t = {times[i]:.3e} s")
+        for coin, row in zip(COINS, amps[i]):
+            check_leakage(row, f"propagate ({coin} branch, t = {times[i]:.3e} s)")
 
 
 def _whole_periods(params: SimParams, span: float) -> int | None:
@@ -480,28 +502,33 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
 
 
 def sampled_histories(state: HybridState, params: SimParams, duration: float,
-                      sample_intervals: tuple[float, ...]) -> list[list[HybridState]]:
-    """The ``propagate`` history of each sample interval, bit for bit, from
-    one integration sampled at the gcd of their strides."""
+                      sample_intervals: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``propagate`` history (times, amps) of each sample interval, bit
+    for bit, as rows of one integration sampled at the gcd of their strides:
+    views of it where the end lies on the stride, copies otherwise."""
     if duration <= 0.0:
-        return [propagate(state, params, duration, i)[1] for i in sample_intervals]
+        return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
     _, h = _rk4_grid(params, duration)
-    strides = [max(1, round(i / h)) for i in sample_intervals]
+    strides = [_stride(i, h) for i in sample_intervals]
     gcd = math.gcd(*strides)
-    _, history = propagate(state, params, duration, gcd * h)
-    return [history[:-1:stride // gcd] + history[-1:] for stride in strides]
+    _, times, amps = propagate(state, params, duration, gcd * h)
+    last = len(times) - 1
+    picks = [slice(None, None, k) if last % k == 0 else np.r_[0:last:k, last]
+             for k in (stride // gcd for stride in strides)]
+    return [(times[rows], amps[rows]) for rows in picks]
 
 
-def trajectory_table(history: list[HybridState]) -> dict[str, np.ndarray]:
-    """Arrays (t, re/im alpha per branch, mean n per branch) for export.
+def trajectory_table(times: np.ndarray, amps: np.ndarray) -> dict[str, np.ndarray]:
+    """Arrays (t, re/im alpha per branch, mean n per branch) for export of
+    the history ``times``, ``amps`` (samples, 2, dim).
 
     The simulation frame co-rotates at the trap frequency, so a branch's
     <a> is already its co-rotating phase-space alpha.
     """
-    # one state at a time: stacking the history would copy all of it
-    alpha = np.array([mean_a(s.amps) for s in history])
-    n = np.array([mean_n(s.amps) for s in history])
-    table = {"t": np.array([s.time for s in history])}
+    # one state at a time: a whole-history mean_a would copy amps twice over
+    alpha = np.array([mean_a(psi) for psi in amps])
+    n = np.array([mean_n(psi) for psi in amps])
+    table = {"t": np.asarray(times, dtype=float)}
     for row, coin in enumerate(COINS.lower()):
         table[f"re_alpha_{coin}"], table[f"im_alpha_{coin}"] = alpha[:, row].real, alpha[:, row].imag
     for row, coin in enumerate(COINS.lower()):
@@ -573,15 +600,14 @@ def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
     if params.level == LDA:
         raise ConfigError("resonant excitation requires level RWA or 3SB")
     run = params.replace(delta=0.0)
-    final, history = propagate(ground_hybrid(run.dim), run, duration, duration / 200.0)
-    amps = np.stack([s.amps[0] for s in history])
-    mean = mean_n(amps)
-    p = np.abs(amps) ** 2
+    final, times, amps = propagate(ground_hybrid(run.dim), run, duration, duration / 200.0)
+    mean = mean_n(amps[:, 0])
+    p = np.abs(amps[:, 0]) ** 2
     p /= p.sum(axis=-1, keepdims=True)
     levels = np.arange(run.dim)
     return ExcitationResult(
         final=final,
-        times=np.array([s.time for s in history]),
+        times=times,
         mean_n=mean,
         var_n=np.array([(levels - m) ** 2 @ row for m, row in zip(mean, p)]),
     )
@@ -590,7 +616,7 @@ def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
 @dataclass(frozen=True)
 class StepwiseResult:
     final: HybridState
-    segments: list  # one state history per drive pulse
+    segments: list  # one (times, amps) history per drive pulse
 
 
 def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
@@ -615,8 +641,8 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
     if n_pulses < 2 or params.omega_d == 0.0 or _whole_periods(params, 2.0 * span) is None:
         segments = []
         for _ in range(n_pulses):
-            state, history = propagate(state, params, span, span / 50.0)
-            segments.append(history)
+            state, times, amps = propagate(state, params, span, span / 50.0)
+            segments.append((times, amps))
             state = state.with_time(state.time + span)
         return StepwiseResult(final=state, segments=segments)
 
@@ -625,15 +651,14 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
         end = propagate(starts[-1], params, span)
         starts.append(end.with_time(end.time + span))
     segments = _sampled_runs(params, starts, span, span / 50.0)
-    end = segments[-1][-1]
-    return StepwiseResult(final=end.with_time(end.time + span), segments=segments)
+    times, amps = segments[-1]
+    return StepwiseResult(final=HybridState(amps[-1], float(times[-1]) + span), segments=segments)
 
 
-def return_time(history: list[HybridState]) -> tuple[float, float]:
+def return_time(times: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     """(t, <n>) of the minimum <n> of the T branch after its excitation peak
-    in ``history``, a ``propagate`` history from the ground state."""
-    times = np.array([s.time for s in history])
-    n_vals = np.array([mean_n(s.amps[0]) for s in history])
+    in the ``propagate`` history ``times``, ``amps`` from the ground state."""
+    n_vals = np.array([mean_n(psi[0]) for psi in amps])
     peak = int(np.argmax(n_vals))
     if peak >= len(n_vals) - 1:
         raise ValueError("no post-peak window inside the history")

@@ -154,15 +154,16 @@ def experimental_params(**overrides) -> SimParams:
     return SimParams(**{**trap, **overrides})
 
 
-def leakage(amps: np.ndarray) -> float:
-    """Population inside the guard band at the top of the basis, summed
-    over the rows of a (T, H) array laid out as ``HybridState.amps``."""
-    guard = np.asarray(amps)[..., -GUARD_LEVELS:]
-    return float(np.sum(np.abs(guard) ** 2))
+def leakage(amps: np.ndarray) -> np.ndarray:
+    """Population inside the guard band at the top of the basis of each
+    amplitude vector along the last axis of ``amps``."""
+    return np.sum(np.abs(amps[..., -GUARD_LEVELS:]) ** 2, axis=-1)
 
 
 def check_leakage(amps: np.ndarray, context: str = "evolution") -> None:
-    leak = leakage(amps)
+    """TruncationError if the guard-band population of ``amps``, summed over
+    its vectors, reaches LEAK_TOL."""
+    leak = float(np.sum(leakage(amps)))
     if leak >= LEAK_TOL:
         raise TruncationError(
             f"{context}: guard-band population {leak:.3e} >= {LEAK_TOL:.0e}; "

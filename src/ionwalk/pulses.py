@@ -10,7 +10,6 @@ direction of the next displacement by delta * wait.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -74,7 +73,9 @@ class PulseProgram:
             raise ValueError("a program needs at least one event")
         object.__setattr__(self, "events", tuple(self.events))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """``params`` (every SimParams field) and ``events`` with their
+        absolute start times, for the JSON writer."""
         rows = []
         t = 0.0
         for e in self.events:
@@ -86,7 +87,7 @@ class PulseProgram:
                 row["duration"] = e.duration
             rows.append(row)
             t += e.duration
-        return json.dumps({"params": asdict(self.params), "events": rows}, indent=2)
+        return {"params": asdict(self.params), "events": rows}
 
 
 def combined_pulse(
@@ -139,27 +140,31 @@ def run_program(
     program: PulseProgram,
     initial: HybridState | None = None,
     sample_interval: float | None = None,
-) -> HybridState | tuple[HybridState, list[HybridState]]:
-    """Execute a program event by event from ``initial`` (default |T>|0>)."""
+) -> HybridState | tuple[HybridState, np.ndarray, np.ndarray]:
+    """Execute a program event by event from ``initial`` (default |T>|0>).
+
+    With ``sample_interval``, returns (final, times, amps) as a sampled
+    ``propagate`` does: the start, each dipole pulse's samples after its
+    start and the state after each wait."""
     params = program.params
     state = initial if initial is not None else ground_hybrid(params.dim)
-    history: list[HybridState] = [state] if sample_interval is not None else []
+    history = [([state.time], state.amps[None])]
     for event in program.events:
         if event.kind == RF:
             state = HybridState(rotate_coin(state.amps, event.theta, event.phi), state.time)
-        elif event.kind == DIPOLE:
-            if sample_interval is not None:
-                state, chunk = propagate(state, params, event.duration, sample_interval)
-                history.extend(chunk[1:])
-            else:
-                state = propagate(state, params, event.duration)
-        else:
+        elif event.kind == WAIT:
             state = state.with_time(state.time + event.duration)
-            if sample_interval is not None:
-                history.append(state)
-    if sample_interval is not None:
-        return state, history
-    return state
+            history.append(([state.time], state.amps[None]))
+        elif sample_interval is None:
+            state = propagate(state, params, event.duration)
+        else:
+            state, times, amps = propagate(state, params, event.duration, sample_interval)
+            history.append((times[1:], amps[1:]))
+    if sample_interval is None:
+        return state
+    times, amps = (np.concatenate(parts) for parts in zip(*history))
+    amps.setflags(write=False)
+    return state, times, amps
 
 
 def combined_pulse_step(params: SimParams, t_d: float | None = None,

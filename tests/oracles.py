@@ -47,8 +47,8 @@ def sequential_stepwise(params, n_pulses: int) -> dyn.StepwiseResult:
     state = dyn.ground_hybrid(params.dim)
     segments = []
     for _ in range(n_pulses):
-        state, history = dyn.propagate(state, params, span, span / 50.0)
-        segments.append(history)
+        state, times, amps = dyn.propagate(state, params, span, span / 50.0)
+        segments.append((times, amps))
         state = state.with_time(state.time + span)
     return dyn.StepwiseResult(final=state, segments=segments)
 

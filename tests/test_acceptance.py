@@ -88,9 +88,9 @@ def test_criterion_05_return_time_departure():
         def return_time(level):
             # sampled as the trajectory scenario samples its return-time history
             params = fock.SimParams(level=level, **base)
-            _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, 12e-6,
-                                       12e-6 / dyn.RETURN_TIME_SAMPLES)
-            return dyn.return_time(history)[0]
+            _, times, amps = dyn.propagate(dyn.ground_hybrid(params.dim), params, 12e-6,
+                                           12e-6 / dyn.RETURN_TIME_SAMPLES)
+            return dyn.return_time(times, amps)[0]
 
         t_rwa, t_lda = return_time("RWA"), return_time("LDA")
         assert t_rwa < 10e-6

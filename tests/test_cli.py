@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ionwalk import cli, fock
+from ionwalk import cli, fock, pulses
 from ionwalk import dynamics as dyn
 from ionwalk.errors import StepError
 
@@ -229,6 +229,8 @@ class TestConfigHandling:
         cases = [
             # a basis too small for the requested excitation trips the guard
             (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError"),
+            # samples reach the guard band (up to 7.4e-4 at t = 4.08 us); the end does not
+            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError"),
             # the CSV is ready before the return-time fit finds no post-peak window
             (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError"),
         ]
@@ -286,14 +288,14 @@ class TestScenarioOutputs:
         for level in opts["levels"]:
             params = cli._params_from_options({**cli.SCENARIOS["trajectory"][1], **opts})
             params = params.replace(level=level)
-            _, history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6, 12e-6 / 1300)
-            _, return_history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6,
-                                              12e-6 / dyn.RETURN_TIME_SAMPLES)
-            tab = dyn.trajectory_table(history)
+            _, *history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6, 12e-6 / 1300)
+            _, *return_history = dyn.propagate(dyn.ground_hybrid(64), params, 12e-6,
+                                               12e-6 / dyn.RETURN_TIME_SAMPLES)
+            tab = dyn.trajectory_table(*history)
             lines = [",".join(tab)] + [",".join(cli._fmt(v) for v in row) for row in zip(*tab.values())]
             expected = ("\n".join(lines) + "\n").encode()
             assert read_bytes(tmp_path / f"trajectory_{level.lower()}.csv") == expected
-            t_ret, n_min = dyn.return_time(return_history)
+            t_ret, n_min = dyn.return_time(*return_history)
             assert returns[level] == {"return_time": t_ret, "min_n": n_min}
 
     def test_combined_pulse_scenario(self, tmp_path):
@@ -315,6 +317,12 @@ class TestScenarioOutputs:
         for level in ("lda", "3sb"):
             program = read_json(os.path.join(out, f"program_{level}.json"))
             assert program["params"]["level"] == level.upper()
+            # written by the one JSON writer: sorted keys, a final newline
+            expected = json.dumps(program, indent=2, sort_keys=True) + "\n"
+            assert read_bytes(os.path.join(out, f"program_{level}.json")) == expected.encode()
+            params = fock.SimParams(**program["params"])
+            events = pulses.combined_pulse(params.t_half_turn)
+            assert program == pulses.PulseProgram(events, params).to_dict()
 
     def test_rerun_into_the_same_out_leaves_only_its_own_artifacts(self, tmp_path):
         out = str(tmp_path / "c")

@@ -9,7 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from ionwalk import dynamics as dyn
 from ionwalk import cli, fock, pulses
-from ionwalk.errors import TruncationError
+from ionwalk.errors import StepError, TruncationError
 from oracles import hamiltonian, lda_radius, sequential_stepwise, stencil_offsets
 
 TWO_PI = 2.0 * math.pi
@@ -122,22 +122,23 @@ class TestLinearRegime:
 
 class TestTrajectories:
     def test_ground_state_sits_at_origin(self):
-        tab = dyn.trajectory_table([dyn.ground_hybrid(32)])
+        tab = dyn.trajectory_table([0.0], dyn.ground_hybrid(32).amps[None])
         assert tab["re_alpha_t"][0] == 0.0 and tab["im_alpha_t"][0] == 0.0
 
     @pytest.mark.parametrize("coin", ["TH", "T"])
     def test_table_matches_per_branch_motional_states(self, coin):
         p = fig5_params("3SB", dim=48)
-        _, history = dyn.propagate(dyn.ground_hybrid(48, coin), p, 1e-6, sample_interval=2e-8)
+        _, times, amps = dyn.propagate(dyn.ground_hybrid(48, coin), p, 1e-6, sample_interval=2e-8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tab = dyn.trajectory_table(history)
+            tab = dyn.trajectory_table(times, amps)
+        assert np.array_equal(tab["t"], times)
         for row, c in enumerate("th"):
-            alpha = np.array([complex(fock.mean_a(s.amps[row])) for s in history])
+            alpha = np.array([complex(fock.mean_a(psi[row])) for psi in amps])
             assert np.array_equal(tab[f"re_alpha_{c}"], alpha.real)
             assert np.array_equal(tab[f"im_alpha_{c}"], alpha.imag)
-            assert np.array_equal(tab[f"n_{c}"], [float(fock.mean_n(s.amps[row])) for s in history])
-        assert len(history) > 40 and tab["n_t"][-1] > 0.1
+            assert np.array_equal(tab[f"n_{c}"], [float(fock.mean_n(psi[row])) for psi in amps])
+        assert len(amps) > 40 and tab["n_t"][-1] > 0.1
         if coin == "T":  # the empty H branch sits at 0
             assert not np.any(tab["re_alpha_h"]) and not np.any(tab["im_alpha_h"])
             assert not np.any(tab["n_h"])
@@ -152,13 +153,13 @@ class TestTrajectories:
     def test_driven_ground_state_traces_drive_circle(self):
         p = fock.experimental_params(level="LDA", dim=64)
         full_turn = 2.0 * p.t_half_turn
-        _, history = dyn.propagate(
+        _, _, amps = dyn.propagate(
             dyn.ground_hybrid(64), p, full_turn, sample_interval=full_turn / 40
         )
         a = lda_radius(p)
         center = 1j * a * math.copysign(1.0, p.delta)
-        for state in history:
-            alpha = fock.mean_a(state.amps[0])
+        for psi in amps:
+            alpha = fock.mean_a(psi[0])
             assert abs(abs(alpha - center) - a) < 1e-6
 
     def test_exact_trajectories_stay_near_linear_prediction_at_low_drive(self):
@@ -167,13 +168,13 @@ class TestTrajectories:
         for level in ("RWA", "3SB"):
             p = fock.experimental_params(level=level, dim=64)
             full_turn = 2.0 * p.t_half_turn
-            _, history = dyn.propagate(
+            _, times, amps = dyn.propagate(
                 dyn.ground_hybrid(64), p, full_turn, sample_interval=full_turn / 60
             )
             a = lda_radius(p)
             devs = [
-                abs(fock.mean_a(s.amps[0]) - (-1j * a * (np.exp(1j * p.delta * s.time) - 1.0)))
-                for s in history
+                abs(fock.mean_a(psi[0]) - (-1j * a * (np.exp(1j * p.delta * t) - 1.0)))
+                for t, psi in zip(times, amps)
             ]
             quarter = len(devs) // 4
             assert max(devs[:quarter]) < 0.05
@@ -182,9 +183,9 @@ class TestTrajectories:
 
 def scanned_return_time(params, duration=12e-6):
     """``return_time`` of a history sampled as the trajectory scenario samples it."""
-    _, history = dyn.propagate(dyn.ground_hybrid(params.dim), params, duration,
-                               duration / dyn.RETURN_TIME_SAMPLES)
-    return dyn.return_time(history)
+    _, times, amps = dyn.propagate(dyn.ground_hybrid(params.dim), params, duration,
+                                   duration / dyn.RETURN_TIME_SAMPLES)
+    return dyn.return_time(times, amps)
 
 
 class TestRegimeDeparture:
@@ -197,17 +198,16 @@ class TestRegimeDeparture:
 
     def test_sampled_histories_of_an_empty_pulse(self):
         start = dyn.ground_hybrid(32)
-        for history in dyn.sampled_histories(start, fig5_params("RWA", dim=32), 0.0, (1e-7, 1e-8)):
-            assert history[0] is start
-            assert [s.time for s in history] == [0.0, 0.0]
-            assert np.array_equal(history[1].amps, start.amps)
+        for times, amps in dyn.sampled_histories(start, fig5_params("RWA", dim=32), 0.0, (1e-7, 1e-8)):
+            assert list(times) == [0.0, 0.0]
+            assert np.array_equal(amps, [start.amps, start.amps])
 
     def test_3sb_trajectory_carries_high_frequency_bands(self):
         spectra = {}
         for level in ("3SB", "RWA"):
             p = fig5_params(level)
-            _, history = dyn.propagate(dyn.ground_hybrid(128), p, 4e-6, sample_interval=8e-9)
-            tab = dyn.trajectory_table(history)
+            _, *history = dyn.propagate(dyn.ground_hybrid(128), p, 4e-6, sample_interval=8e-9)
+            tab = dyn.trajectory_table(*history)
             x = tab["re_alpha_t"] - tab["re_alpha_t"].mean()
             freqs = np.fft.rfftfreq(x.size, tab["t"][1] - tab["t"][0])
             spectra[level] = (freqs, np.abs(np.fft.rfft(x * np.hanning(x.size))))
@@ -232,6 +232,83 @@ class TestRegimeDeparture:
         p = fig5_params("RWA", dim=16)
         with pytest.raises(TruncationError):
             dyn.propagate(dyn.ground_hybrid(16), p, 6e-6)
+
+
+class TestSampledHistory:
+    def test_guard_band_between_samples_raises_truncation_error(self):
+        # dim 24 is too small for the trajectory scenario's RWA run: samples
+        # between start and end reach the guard band, the end state does not
+        p, start = fig5_params("RWA", dim=24), dyn.ground_hybrid(24)
+        final = dyn.propagate(start, p, 1e-5)
+        assert fock.leakage(final.amps).max() < fock.LEAK_TOL
+        with pytest.raises(TruncationError, match="propagate"):
+            dyn.propagate(start, p, 1e-5, 1e-5 / 600)
+
+    def test_norm_drift_between_samples_raises_step_error(self, monkeypatch):
+        rk4 = dyn._rk4
+
+        def drifting(*args, **kwargs):
+            run = rk4(*args, **kwargs)
+            run[len(run) // 2] *= 1.0 + 1e-5
+            return run
+
+        monkeypatch.setattr(dyn, "_rk4", drifting)
+        p = fig5_params("RWA", dim=32)
+        with pytest.raises(StepError, match="norm drift"):
+            dyn.propagate(dyn.ground_hybrid(32), p, 1e-6, 1e-7)
+
+    @pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1e-7])
+    @pytest.mark.parametrize("duration", [0.0, 1e-6])
+    def test_sample_interval_must_be_finite_and_positive(self, interval, duration):
+        p = fig5_params("RWA", dim=32)
+        start = dyn.ground_hybrid(32)
+        with pytest.raises(ValueError, match="sample_interval"):
+            dyn.propagate(start, p, duration, interval)
+        with pytest.raises(ValueError, match="sample_interval"):
+            dyn.sampled_histories(start, p, duration, (1e-7, interval))
+        program = pulses.PulseProgram([pulses.dipole(duration)], p)
+        with pytest.raises(ValueError, match="sample_interval"):
+            pulses.run_program(program, start, interval)
+
+    def test_one_read_only_array_and_one_state_object(self, monkeypatch):
+        # the samples are rows of one array; only the end becomes a HybridState
+        built = []
+        post_init = dyn.HybridState.__post_init__
+
+        def counting(self):
+            built.append(None)
+            post_init(self)
+
+        p = fig5_params("3SB", dim=32)
+        start = dyn.ground_hybrid(32)
+        n_steps, h = dyn._rk4_grid(p, 1e-6)
+        monkeypatch.setattr(dyn.HybridState, "__post_init__", counting)
+        result = dyn.propagate(start, p, 1e-6, 5 * h)
+        final, times, amps = result
+        assert len(built) == 1
+        # perfbench's tracer counts len(result[1]) as the sampled states
+        assert len(result[1]) == len(amps) == (n_steps - 1) // 5 + 2
+        assert amps.shape == (len(times), 2, 32)
+        assert not amps.flags.writeable
+        assert times[0] == start.time and times[-1] == final.time == 1e-6
+        assert np.array_equal(amps[0], start.amps) and np.array_equal(amps[-1], final.amps)
+
+    def test_sampled_histories_are_rows_of_separate_runs(self):
+        p = fig5_params("3SB", dim=32)
+        start = dyn.ground_hybrid(32)
+        duration = 1e-6
+        n_steps, h = dyn._rk4_grid(p, duration)
+        strides = (1, 2, 3, 7)
+        # the end lies on some strides (a view of the run) and off others (a copy)
+        assert {n_steps % k == 0 for k in strides} == {True, False}
+        intervals = tuple(k * h for k in strides)
+        histories = dyn.sampled_histories(start, p, duration, intervals)
+        run = histories[0][1]  # stride 1: the whole run
+        for k, interval, (times, amps) in zip(strides, intervals, histories, strict=True):
+            _, expected_times, expected_amps = dyn.propagate(start, p, duration, interval)
+            assert np.array_equal(times, expected_times)
+            assert np.array_equal(amps, expected_amps)
+            assert np.shares_memory(amps, run) == (n_steps % k == 0)
 
 
 class TestResonantExcitation:
@@ -263,10 +340,10 @@ class TestResonantExcitation:
             omega_z=TWO_PI * 2.0e6, delta=0.0, omega_d=TWO_PI * 0.2e6,
             eta=0.3, dim=64, level="LDA",
         )
-        _, history = dyn.propagate(dyn.ground_hybrid(64), params, 3e-6, sample_interval=1e-6)
+        _, times, amps = dyn.propagate(dyn.ground_hybrid(64), params, 3e-6, sample_interval=1e-6)
         rate = params.eta * params.omega_d / 2.0
-        for state in history:
-            assert abs(fock.mean_a(state.amps[0])) == pytest.approx(rate * state.time, abs=1e-6)
+        for t, psi in zip(times, amps):
+            assert abs(fock.mean_a(psi[0])) == pytest.approx(rate * t, abs=1e-6)
 
     def test_resonant_rejects_linear_level(self):
         params = fock.experimental_params(level="LDA")
@@ -303,7 +380,7 @@ class TestStepwiseExcitation:
         assert fock.mean_n(result.final.amps[0]) > g1
 
         def turn(segment):
-            alphas = np.array([fock.mean_a(s.amps[0]) for s in segment])
+            alphas = np.array([fock.mean_a(psi[0]) for psi in segment[1]])
             steps = np.diff(alphas)
             return float(np.sum(np.imag(np.conj(steps[:-1]) * steps[1:])))
 
@@ -324,13 +401,13 @@ class TestStepwiseExcitation:
         result = dyn.stepwise_excitation(p, 3)
         oracle = sequential_stepwise(p, 3)
         assert len(result.segments) == len(oracle.segments) == 3
-        for segment, expected in zip(result.segments, oracle.segments):
-            assert [s.time for s in segment] == [s.time for s in expected]
-            for state, ref in zip(segment, expected):
-                assert np.max(np.abs(state.amps - ref.amps)) <= 1e-8
+        for (times, amps), (expected_times, expected_amps) in zip(result.segments, oracle.segments):
+            assert np.array_equal(times, expected_times)
+            assert amps.shape == expected_amps.shape
+            assert np.max(np.abs(amps - expected_amps)) <= 1e-8
         # the sequential loop starts each pulse where the last one ended
-        for before, after in zip(result.segments, result.segments[1:]):
-            assert np.max(np.abs(after[0].amps - before[-1].amps)) <= 1e-8
+        for (_, before), (_, after) in zip(result.segments, result.segments[1:]):
+            assert np.max(np.abs(after[0] - before[-1])) <= 1e-8
         assert result.final.time == oracle.final.time
         assert np.max(np.abs(result.final.amps - oracle.final.amps)) <= 1e-8
 
@@ -339,10 +416,9 @@ class TestStepwiseExcitation:
         assert dyn._whole_periods(p, 2 * p.t_half_turn) is None
         result = dyn.stepwise_excitation(p, 3)
         oracle = sequential_stepwise(p, 3)
-        for segment, expected in zip(result.segments, oracle.segments):
-            assert [s.time for s in segment] == [s.time for s in expected]
-            assert np.array_equal(np.stack([s.amps for s in segment]),
-                                  np.stack([s.amps for s in expected]))
+        for (times, amps), (expected_times, expected_amps) in zip(result.segments, oracle.segments):
+            assert np.array_equal(times, expected_times)
+            assert np.array_equal(amps, expected_amps)
         assert result.final.time == oracle.final.time
         assert np.array_equal(result.final.amps, oracle.final.amps)
 
@@ -589,13 +665,12 @@ class TestDriveStencil:
         # stacked as the batch runs them: the T branches, then the H branches
         batch = np.stack(states, axis=1).reshape(6, p.dim)
         duration = 0.3 * p.t_half_turn
-        rows, samples = dyn._rk4(p, batch, 1.3e-6, duration, every=7)
-        assert samples
+        run = dyn._rk4(p, batch, 1.3e-6, duration, every=7)
+        assert len(run) > 2  # start, samples and end
         for k, amps in enumerate(states):
-            alone, alone_samples = dyn._rk4(p, amps, 1.3e-6, duration, every=7)
-            assert np.max(np.abs(rows[k::3] - alone)) <= 1e-13
-            for sample, expected in zip(samples, alone_samples, strict=True):
-                assert np.max(np.abs(sample[k::3] - expected)) <= 1e-13
+            alone = dyn._rk4(p, amps, 1.3e-6, duration, every=7)
+            assert alone.shape == (len(run), 2, p.dim)
+            assert np.max(np.abs(run[:, k::3] - alone)) <= 1e-13
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_step_size_norm_bound_unchanged(self, level):
@@ -642,14 +717,15 @@ class TestDriveStencil:
         interval = duration / 7 if sampled else None
         expected = reference_propagate(start, p, duration, interval)
         if sampled:
-            final, history = dyn.propagate(start, p, duration, interval)
+            final, times, amps = dyn.propagate(start, p, duration, interval)
+            assert final.time == times[-1] and np.array_equal(final.amps, amps[-1])
         else:
             final = dyn.propagate(start, p, duration)
-            history, expected = [final], expected[-1:]
-        assert len(history) == len(expected)
-        for got, want in zip(history, expected):
-            assert got.time == want.time
-            assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
+            times, amps, expected = [final.time], [final.amps], expected[-1:]
+        assert len(times) == len(amps) == len(expected)
+        for t, psi, want in zip(times, amps, expected):
+            assert t == want.time
+            assert np.max(np.abs(psi - want.amps)) <= 1e-12
 
     def test_three_step_walk_coin_probabilities_pinned(self):
         p = fock.experimental_params(level="3SB", dim=96)
@@ -666,7 +742,7 @@ class TestDriveStencil:
 def plain_rk4_walk(program):
     """Run a program with every RK4 step taken: a sampled run never uses
     the period map, and its state sequence does not depend on sampling."""
-    final, _ = pulses.run_program(program, sample_interval=1.0)
+    final, *_ = pulses.run_program(program, sample_interval=1.0)
     return final
 
 
@@ -755,7 +831,7 @@ class TestStroboscopic:
         start = random_hybrid(np.random.default_rng(5), p.dim, time=0.37e-6)
         duration = 0.6e-6 if level == "3SB" else 3.1e-6  # 3SB: T = 0.49 us
         final = dyn.propagate(start, p, duration)
-        sampled, _ = dyn.propagate(start, p, duration, duration / 5)
+        sampled, *_ = dyn.propagate(start, p, duration, duration / 5)
         assert np.array_equal(final.amps, sampled.amps)
         assert final.time == sampled.time
 
@@ -767,7 +843,7 @@ class TestStroboscopic:
         assert math.ceil(start.time / period) > start.time / period
         assert math.floor((start.time + duration) / period) - math.ceil(start.time / period) >= 4
         final = dyn.propagate(start, p, duration)
-        plain, _ = dyn.propagate(start, p, duration, 1.0)
+        plain, *_ = dyn.propagate(start, p, duration, 1.0)
         assert final.time == plain.time
         assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
@@ -792,7 +868,7 @@ class TestStroboscopic:
         t1 = 7 * period if case == "end-on-boundary" else t0 + 4.6 * period
         state = random_hybrid(np.random.default_rng(17), p.dim, time=t0)
         final = dyn.propagate(state, p, t1 - t0)
-        plain, _ = dyn.propagate(state, p, t1 - t0, 1.0)
+        plain, *_ = dyn.propagate(state, p, t1 - t0, 1.0)
         assert final.time == plain.time
         assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
@@ -841,7 +917,7 @@ class TestStroboscopic:
             final = dyn.propagate(state, p, 3 * period)
             counts.append(len(calls))
         assert counts == [0, 0]
-        plain, _ = dyn.propagate(state, p, 3 * period, 1.0)
+        plain, *_ = dyn.propagate(state, p, 3 * period, 1.0)
         assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
 
     @pytest.mark.parametrize("ratio", [0.97, 1.00, 1.03])
@@ -888,8 +964,8 @@ class TestStroboscopic:
         steps, h = dyn._snapshot_steps(p)
         n, tau = steps[j - 1], steps[j - 1] * h
         basis = np.tile(np.eye(p.dim, dtype=complex), (2, 1))
-        forward = dyn._rk4(p, basis, 0.0, tau, n_steps=n)[0].reshape(2, p.dim, p.dim)
-        backward = dyn._rk4(p, basis, -tau, tau, n_steps=n)[0].reshape(2, p.dim, p.dim)
+        forward = dyn._rk4(p, basis, 0.0, tau, n_steps=n)[-1].reshape(2, p.dim, p.dim)
+        backward = dyn._rk4(p, basis, -tau, tau, n_steps=n)[-1].reshape(2, p.dim, p.dim)
         parity = self.parity(p.dim)
         # rows hold transposes: backward = (Pi F^T Pi)^T = Pi F Pi
         reflected = parity[:, None] * forward.transpose(0, 2, 1) * parity[None, :]
@@ -906,10 +982,10 @@ class TestStroboscopic:
         n_period = dyn.SNAPSHOTS_PER_PERIOD * steps[0]
         assert steps == [j * n_period // dyn.SNAPSHOTS_PER_PERIOD for j in range(1, dyn.SNAPSHOTS_PER_PERIOD)]
         assert n_period * h == pytest.approx(dyn.drive_period(p), rel=1e-15)
-        rows, samples = dyn._rk4(p, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                                 dyn.drive_period(p), every=steps[0], n_steps=n_period)
-        full = np.stack(samples).reshape(snapshots.shape)
-        full_maps = rows.reshape(2, dim, dim) * dyn._period_phase(p, -1)
+        run = dyn._rk4(p, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
+                       dyn.drive_period(p), every=steps[0], n_steps=n_period)
+        full = run[1:-1].reshape(snapshots.shape)
+        full_maps = run[-1].reshape(2, dim, dim) * dyn._period_phase(p, -1)
         assert np.max(np.abs(maps - full_maps)) <= 1e-14
         for j in range(len(steps)):
             assert np.max(np.abs(snapshots[j] - full[j])) <= 1e-14

@@ -1,6 +1,5 @@
 import cmath
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -132,7 +131,7 @@ class TestWalkProgram:
     def test_program_serialization_includes_start_times(self):
         p = lda_params(dim=32)
         program = pulses.walk_program(1, 5e-6, p, wait_multiplier=4.0)
-        data = json.loads(program.to_json())
+        data = program.to_dict()
         assert list(data) == ["params", "events"]
         starts = [e["start_time"] for e in data["events"]]
         assert starts == sorted(starts)
@@ -145,7 +144,7 @@ class TestWalkProgram:
     def test_program_params_round_trip(self):
         p = fock.experimental_params(level="RWA", dim=40, z0=12e-9, force_ratio=0.5)
         program = pulses.walk_program(1, 5e-6, p)
-        data = json.loads(program.to_json())
+        data = program.to_dict()
         assert list(data["params"]) == [f.name for f in dataclasses.fields(fock.SimParams)]
         assert fock.SimParams(**data["params"]) == program.params
 
