@@ -87,7 +87,7 @@ class HybridState:
             raise ValueError("amps must have shape (2, dim) with dim >= 1")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amps must be finite")
-        norms_sq = [float(np.vdot(row, row).real) for row in amps]
+        norms_sq = np.vecdot(amps, amps).real.tolist()
         if max(norms_sq) > 1.0 + 1e-6:
             raise ValueError(f"branch norm^2 {max(norms_sq)} exceeds 1")
         if abs(sum(norms_sq) - 1.0) > 5e-6:
@@ -480,8 +480,8 @@ def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
     ``start``: a norm drift beyond 1e-6 (or NaN) raises StepError, and
     guard-band population reaching LEAK_TOL in a branch TruncationError."""
     norm = math.sqrt(float(np.vdot(start.amps, start.amps).real))
-    # one state at a time: a whole-history |amps|^2 would be the peak
-    drift = np.array([abs(math.sqrt(float(np.vdot(psi, psi).real)) - norm) for psi in amps])
+    flat = amps.reshape(len(amps), -1)  # one sum over both rows of each state
+    drift = np.abs(np.sqrt(np.vecdot(flat, flat).real) - norm)
     bad = ~(drift <= 1e-6) | np.any(leakage(amps) >= LEAK_TOL, axis=-1)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -518,6 +518,16 @@ def sampled_histories(state: HybridState, params: SimParams, duration: float,
     return [(times[rows], amps[rows]) for rows in picks]
 
 
+# states per moment evaluation: mean_a's temporaries for a whole history
+# would copy it twice over and become the run's memory peak
+_BLOCK = 256
+
+
+def _blockwise(moment, amps: np.ndarray) -> np.ndarray:
+    """``moment`` (``mean_a`` or ``mean_n``) of each state of a history, _BLOCK at a time."""
+    return np.concatenate([moment(amps[i : i + _BLOCK]) for i in range(0, len(amps), _BLOCK)])
+
+
 def trajectory_table(times: np.ndarray, amps: np.ndarray) -> dict[str, np.ndarray]:
     """Arrays (t, re/im alpha per branch, mean n per branch) for export of
     the history ``times``, ``amps`` (samples, 2, dim).
@@ -525,9 +535,7 @@ def trajectory_table(times: np.ndarray, amps: np.ndarray) -> dict[str, np.ndarra
     The simulation frame co-rotates at the trap frequency, so a branch's
     <a> is already its co-rotating phase-space alpha.
     """
-    # one state at a time: a whole-history mean_a would copy amps twice over
-    alpha = np.array([mean_a(psi) for psi in amps])
-    n = np.array([mean_n(psi) for psi in amps])
+    alpha, n = _blockwise(mean_a, amps), _blockwise(mean_n, amps)
     table = {"t": np.asarray(times, dtype=float)}
     for row, coin in enumerate(COINS.lower()):
         table[f"re_alpha_{coin}"], table[f"im_alpha_{coin}"] = alpha[:, row].real, alpha[:, row].imag
@@ -604,13 +612,8 @@ def resonant_excitation(params: SimParams, duration: float) -> ExcitationResult:
     mean = mean_n(amps[:, 0])
     p = np.abs(amps[:, 0]) ** 2
     p /= p.sum(axis=-1, keepdims=True)
-    levels = np.arange(run.dim)
-    return ExcitationResult(
-        final=final,
-        times=times,
-        mean_n=mean,
-        var_n=np.array([(levels - m) ** 2 @ row for m, row in zip(mean, p)]),
-    )
+    var_n = np.vecdot((np.arange(run.dim) - mean[:, None]) ** 2, p)
+    return ExcitationResult(final=final, times=times, mean_n=mean, var_n=var_n)
 
 
 @dataclass(frozen=True)
@@ -658,10 +661,10 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
 def return_time(times: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     """(t, <n>) of the minimum <n> of the T branch after its excitation peak
     in the ``propagate`` history ``times``, ``amps`` from the ground state."""
-    n_vals = np.array([mean_n(psi[0]) for psi in amps])
+    n_vals = _blockwise(mean_n, amps[:, 0])
     peak = int(np.argmax(n_vals))
     if peak >= len(n_vals) - 1:
-        raise ValueError("no post-peak window inside the history")
-    rel = int(np.argmin(n_vals[peak:]))
-    idx = peak + rel
+        raise ValueError(f"T-branch <n> still rises at the last sample, t = {times[-1]:.3e} s: "
+                         "the history must be longer (raise duration) to hold a post-peak window")
+    idx = peak + int(np.argmin(n_vals[peak:]))
     return float(times[idx]), float(n_vals[idx])

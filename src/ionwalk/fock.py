@@ -77,9 +77,7 @@ def mean_n(amps: np.ndarray) -> np.ndarray:
     """<n> of each amplitude vector along the last axis of ``amps``,
     normalized to its weight (0 for a zero vector)."""
     p = np.abs(amps) ** 2
-    levels = np.arange(p.shape[-1])
-    # a 1-d dot per vector: a batched matmul sums in another order
-    num = np.array([levels @ row for row in p.reshape(-1, p.shape[-1])]).reshape(p.shape[:-1])
+    num = np.vecdot(p, np.arange(p.shape[-1]))
     total = p.sum(axis=-1)
     return np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
 
@@ -87,8 +85,7 @@ def mean_n(amps: np.ndarray) -> np.ndarray:
 def mean_a(amps: np.ndarray) -> np.ndarray:
     """<a> of each amplitude vector along the last axis of ``amps``,
     normalized to its weight (0 for a zero vector)."""
-    total = np.array([np.vdot(row, row).real for row in amps.reshape(-1, amps.shape[-1])])
-    total = total.reshape(amps.shape[:-1])
+    total = np.vecdot(amps, amps).real
     n = np.arange(1, amps.shape[-1])
     num = np.sum(np.conj(amps[..., :-1]) * np.sqrt(n) * amps[..., 1:], axis=-1)
     return np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)

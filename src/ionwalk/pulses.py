@@ -275,15 +275,14 @@ def calibrate_positions(
         state = run_program(shift, initial=state)
         ladder.append(state)
     # the T branch carries the full weight throughout (no coins applied)
-    rows = [s.amps[0] for s in ladder]
-    branches = [row / float(np.linalg.norm(row)) for row in rows]
-    n_values = [float(mean_n(b)) for b in branches]
-    overlaps = [
-        abs(complex(np.vdot(branches[k], branches[k + 1]))) ** 2 for k in range(k_max)
-    ]
+    branches = [s.amps[0] / float(np.linalg.norm(s.amps[0])) for s in ladder]
+    stack = np.array(branches)
+    n_values = mean_n(stack).tolist()
+    # np.hypot rounds |z| as abs(complex) does (np.abs may differ in the last bit)
+    overlap = np.vecdot(stack[:-1], stack[1:])
+    overlaps = (np.hypot(overlap.real, overlap.imag) ** 2).tolist()
     fidelities = []
-    for b, n in zip(branches, n_values):
-        alpha = complex(mean_a(b))
+    for b, n, alpha in zip(branches, n_values, mean_a(stack).tolist()):
         direction = cmath.phase(alpha) if abs(alpha) > 1e-12 else 0.0
         target = coherent_state(math.sqrt(n) * cmath.exp(1j * direction), params.dim)
         fidelities.append(abs(complex(np.vdot(b, target))) ** 2)

@@ -228,17 +228,19 @@ class TestConfigHandling:
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         cases = [
             # a basis too small for the requested excitation trips the guard
-            (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError"),
+            (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError", "increase dim"),
             # samples reach the guard band (up to 7.4e-4 at t = 4.08 us); the end does not
-            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError"),
+            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError", "t = 2.267e-06 s"),
             # the CSV is ready before the return-time fit finds no post-peak window
-            (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError"),
+            (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError",
+             "T-branch <n> still rises at the last sample, t = 1.000e-06 s: "
+             "the history must be longer (raise duration)"),
         ]
-        for i, (args, error) in enumerate(cases):
+        for i, (args, error, message) in enumerate(cases):
             out = tmp_path / str(i)
             assert run(["trajectory", "--out", str(out), "--set", 'levels=["RWA"]'] + args) == 3
             payload = json.loads(capsys.readouterr().out)
-            assert payload["error"] == error
+            assert payload["error"] == error and message in payload["message"]
             assert os.listdir(out) == []
 
     @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))

@@ -128,7 +128,8 @@ class TestTrajectories:
     @pytest.mark.parametrize("coin", ["TH", "T"])
     def test_table_matches_per_branch_motional_states(self, coin):
         p = fig5_params("3SB", dim=48)
-        _, times, amps = dyn.propagate(dyn.ground_hybrid(48, coin), p, 1e-6, sample_interval=2e-8)
+        # more samples than one block of the moment evaluation
+        _, times, amps = dyn.propagate(dyn.ground_hybrid(48, coin), p, 1e-6, sample_interval=3e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tab = dyn.trajectory_table(times, amps)
@@ -138,7 +139,7 @@ class TestTrajectories:
             assert np.array_equal(tab[f"re_alpha_{c}"], alpha.real)
             assert np.array_equal(tab[f"im_alpha_{c}"], alpha.imag)
             assert np.array_equal(tab[f"n_{c}"], [float(fock.mean_n(psi[row])) for psi in amps])
-        assert len(amps) > 40 and tab["n_t"][-1] > 0.1
+        assert len(amps) > dyn._BLOCK and tab["n_t"][-1] > 0.1
         if coin == "T":  # the empty H branch sits at 0
             assert not np.any(tab["re_alpha_h"]) and not np.any(tab["im_alpha_h"])
             assert not np.any(tab["n_h"])
@@ -182,10 +183,16 @@ class TestTrajectories:
 
 
 def scanned_return_time(params, duration=12e-6):
-    """``return_time`` of a history sampled as the trajectory scenario samples it."""
+    """``return_time`` of a history sampled as the trajectory scenario samples it,
+    checked against the argmax/argmin of a per-state <n> loop."""
     _, times, amps = dyn.propagate(dyn.ground_hybrid(params.dim), params, duration,
                                    duration / dyn.RETURN_TIME_SAMPLES)
-    return dyn.return_time(times, amps)
+    n = np.array([float(fock.mean_n(psi[0])) for psi in amps])
+    peak = int(np.argmax(n))
+    idx = peak + int(np.argmin(n[peak:]))
+    found = dyn.return_time(times, amps)
+    assert len(amps) > dyn._BLOCK and found == (times[idx], n[idx])
+    return found
 
 
 class TestRegimeDeparture:

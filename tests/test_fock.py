@@ -170,18 +170,31 @@ def test_threshold_scaling_with_smaller_eta():
 
 def test_means_match_per_vector_loop():
     rng = np.random.default_rng(11)
-    amps = rng.normal(size=(5, 2, 40)) + 1j * rng.normal(size=(5, 2, 40))
-    amps /= np.linalg.norm(amps, axis=-1, keepdims=True) * 2.0
+
+    def stack(*shape):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return amps / (np.linalg.norm(amps, axis=-1, keepdims=True) * 2.0)
+
+    amps = stack(5, 2, 40)
     amps[2, 1] = 0.0
+    stacks = [
+        amps,
+        stack(20, 2, 40)[::3],  # a strided view
+        stack(7, 2, 3, 40)[:, :, 1],  # one pulse of a batched (samples, 2, pulses, dim) run
+        stack(6, 40),  # one branch of a history
+        stack(300, 2, 40),
+    ]
     n = np.arange(40)
-    for idx in np.ndindex(5, 2):
-        a = amps[idx]
-        p = np.abs(a) ** 2
-        total = float(np.vdot(a, a).real)
-        want_n = float(n @ p / p.sum()) if total > 0.0 else 0.0
-        want_a = complex(np.sum(np.conj(a[:-1]) * np.sqrt(n[1:]) * a[1:]) / total) if total > 0.0 else 0j
-        assert fock.mean_n(amps)[idx] == want_n and fock.mean_n(a) == want_n
-        assert fock.mean_a(amps)[idx] == want_a and fock.mean_a(a) == want_a
+    for amps in stacks:
+        mean_n, mean_a = fock.mean_n(amps), fock.mean_a(amps)
+        for idx in np.ndindex(amps.shape[:-1]):
+            a = amps[idx]
+            p = np.abs(a) ** 2
+            total = float(np.vdot(a, a).real)
+            want_n = float(n @ p / p.sum()) if total > 0.0 else 0.0
+            want_a = complex(np.sum(np.conj(a[:-1]) * np.sqrt(n[1:]) * a[1:]) / total) if total > 0.0 else 0j
+            assert mean_n[idx] == want_n and fock.mean_n(a) == want_n
+            assert mean_a[idx] == want_a and fock.mean_a(a) == want_a
 
 
 def test_states_are_immutable():
