@@ -103,6 +103,7 @@ def scenario_trajectory(ctx: RunContext) -> dict:
         ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
         t_ret, n_min = dyn.return_time(*return_history)
         info[level] = {"return_time": t_ret, "min_n": n_min}
+        del csv_history, return_history  # free this level's run before the next one's
     ctx.write_json("returns.json", info)
     return info
 

@@ -9,11 +9,15 @@ approximation levels are supported:
 * ``RWA``  - bands s = +-1 with exact sideband matrix elements;
 * ``3SB``  - all bands |s| <= 3 with both rotating terms retained.
 
-Propagation is fixed-step RK4 on the Schrodinger equation; the free
-evolution (drive off) is the identity in this frame, so waits only
-advance the drive clock.  RK4 holds its rows level-major, as a
-(dim, rows) array, so that one batched matmul over target levels applies
-the band stencil to every row at once.
+The free evolution (drive off) is the identity in this frame, so waits
+only advance the drive clock.  The single-rate LDA and RWA drives do not
+depend on time in the frame exp(i delta n t): coin row b evolves exactly
+as exp(i delta n t) exp(-i K_b (t - t0)) exp(-i delta n t0), with K_b
+tridiagonal (real symmetric in the basis diag(i^n)), from one cached
+eigendecomposition per parameter set.  The two-rate 3SB drive is
+integrated by fixed-step RK4 on the Schrodinger equation.  RK4 holds its
+rows level-major, as a (dim, rows) array, so that one batched matmul over
+target levels applies the band stencil to every row at once.
 
 The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
@@ -30,11 +34,10 @@ crosses the rest of that period with the transposed snapshot
 P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1, applies P^-1 M once per further
 period, applies the last F_i with t_i at or before the end, and runs RK4
 for the rest: each end takes at most T/8 of RK4.
-Sampled pulses, pulses holding no whole period and the single-rate LDA
-and RWA drives (for which any time shift is an exact symmetry of the RK4
-grid) take every step.  A stepwise pulse + wait, 2 pi/|delta|, that holds
-m whole periods has P^m = I: one RK4 run on the pulses' stacked rows
-samples them all.  One period map is kept.
+Sampled 3SB pulses and those holding no whole period take every step.
+A stepwise pulse + wait, 2 pi/|delta|, that holds m whole periods has
+P^m = I: one RK4 run on the pulses' stacked rows samples them all.  One
+period map is kept.
 """
 
 from __future__ import annotations
@@ -301,7 +304,11 @@ def rk4_step_size(params: SimParams) -> float:
     rate alone under-resolves large bases); infinite if all three are 0.  The
     3SB rate is not the stencil's fastest: its s = +-3 bands rotate at
     4 omega_z - delta, which gets 38.5 steps per period at the trap values.
-    ROADMAP.md item 9 measures what that costs before the rule changes."""
+    ROADMAP.md item 9 measures what that costs before the rule changes.
+
+    LDA and RWA take no RK4 step (``_exact``): for them this step only sets
+    the sample grid, kept as it was so that every sampled history keeps its
+    times and the CSV t columns their bytes."""
     if params.level == THREE_SB:
         omega_fast = 3.0 * params.omega_z + abs(params.delta)
     else:
@@ -379,8 +386,82 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     return run
 
 
+def _generator(params: SimParams) -> np.ndarray:
+    """Q^dag K_b Q, (2, dim, dim), in the basis Q = diag(i^n), where
+    K_b = c_b W(0) + delta n, c_b = (omega_d/2) (1, force_ratio), is coin
+    row b's single-rate (LDA, RWA) Hamiltonian in the frame exp(i delta n t),
+    as exp(-i delta n t) W(t) exp(i delta n t) = W(0).  The elements of the
+    bands s = +-1 are imaginary, so Q^dag K_b Q is real symmetric tridiagonal."""
+    stencil = drive_stencil(params)
+    w0 = stencil.elements * stencil.factors(0.0)  # bands s = +1, 0, -1
+    # <n+1|Q^dag W(0) Q|n> = -i W(0)[n+1, n] and <n|Q^dag W(0) Q|n+1> = i W(0)[n, n+1]
+    w = np.diag((-1j * w0[1:, 0]).real, -1) + np.diag((1j * w0[:-1, 2]).real, 1)
+    scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
+    return scale[:, None, None] * w + np.diag(params.delta * np.arange(params.dim))
+
+
+# one entry: a scenario drives one single-rate parameter set at a time
+@functools.lru_cache(maxsize=1)
+def _eigen(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues (2, dim) and real eigenvectors (2, dim, dim) of ``_generator``."""
+    values, vectors = np.linalg.eigh(_generator(params))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
+
+
+# samples per block of ``_exact``: its temporaries stay small
+_EXACT_BLOCK = 32
+
+
+def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
+           every: int | None = None, n_steps: int | None = None) -> np.ndarray:
+    """``_rk4``'s run, on its sample grid, for a single-rate drive from the
+    exact U_b(t, t0) = exp(i delta n t) Q V_b exp(-i lambda_b (t - t0))
+    V_b^T Q^dag exp(-i delta n t0), with (lambda_b, V_b) = ``_eigen``.  The
+    phases at sample lo + j of each _EXACT_BLOCK are those at lo times those
+    at j; the end is evaluated on its own, so it does not depend on ``every``."""
+    if duration <= 0.0:
+        return psi[None]
+    n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
+    every = every or n_steps
+    values, vectors = _eigen(params)
+    dim, rows, levels = params.dim, len(psi) // 2, np.arange(params.dim)
+    q = np.array([1.0, 1j, -1.0, -1j])[levels % 4]  # the diagonal of Q
+    coef = (psi * (q.conj() * np.exp(-1j * params.delta * t0 * levels))).reshape(2, rows, dim) @ vectors
+    run = np.empty(((n_steps - 1) // every + 2, *psi.shape), dtype=complex)
+    run[0] = psi
+
+    def phases(tau: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # exp(-i lambda_b tau) (2, samples, dim) and exp(i delta n t) (samples, dim)
+        return (np.exp(-1j * tau[:, None] * values[:, None]),
+                np.exp(1j * params.delta * np.multiply.outer(t, levels)))
+
+    def evaluate(k: int, spectral: np.ndarray, frame: np.ndarray) -> None:
+        # run[k : k + len(frame)], one matmul by V_b per coin row b
+        left = (frame * q)[:, None]
+        for b in range(2):
+            out = (coef[b] * spectral[b][:, None]).reshape(-1, dim) @ vectors[b].T
+            run[k : k + len(frame), b * rows : (b + 1) * rows] = out.reshape(len(frame), rows, dim) * left
+
+    last, step = len(run) - 1, every * h
+    offsets = np.arange(min(_EXACT_BLOCK, last - 1)) * step
+    spectral, frame = phases(offsets, offsets)
+    for lo in range(1, last, _EXACT_BLOCK):
+        n = min(_EXACT_BLOCK, last - lo)
+        at_lo = phases(np.array([lo * step]), np.array([t0 + lo * step]))
+        evaluate(lo, at_lo[0] * spectral[:, :n], at_lo[1] * frame[:n])
+    evaluate(last, *phases(np.array([duration]), np.array([t0 + duration])))
+    return run
+
+
+def _runner(params: SimParams):
+    """``_rk4`` for the two-rate 3SB drive, ``_exact`` for the single-rate ones."""
+    return _rk4 if params.level == THREE_SB else _exact
+
+
 def _stride(sample_interval: float, h: float) -> int:
-    """The RK4 steps of size h between samples about ``sample_interval``
+    """The grid steps of size h between samples about ``sample_interval``
     apart; ValueError unless the interval is finite and positive."""
     if not 0.0 < sample_interval < math.inf:
         raise ValueError(f"sample_interval must be finite and positive, got {sample_interval!r}")
@@ -390,14 +471,14 @@ def _stride(sample_interval: float, h: float) -> int:
 def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
                   sample_interval: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``propagate`` history (times, amps) of each of ``starts`` over
-    ``duration``, from one RK4 run on their stacked rows that starts at
+    ``duration``, from one run on their stacked rows that starts at
     ``starts[0].time``: each amps is a view of the run's one read-only array."""
     n = len(starts)
     n_steps, h = _rk4_grid(params, duration)
     every = _stride(sample_interval, h)
     # rows: the n T-branch states, then the n H-branch states
     psi = np.stack([s.amps for s in starts], axis=1).reshape(2 * n, -1)
-    run = _rk4(params, psi, starts[0].time, duration, every, n_steps)
+    run = _runner(params)(params, psi, starts[0].time, duration, every, n_steps)
     run.setflags(write=False)
     offsets = np.arange(len(run)) * every * h
     offsets[-1] = duration
@@ -420,8 +501,8 @@ def propagate(
     times, amps): the states about that far apart, start and end included,
     as one read-only (samples, 2, dim) array in ``HybridState.amps`` row
     order.  Without it, whole drive periods of a 3SB pulse go through the
-    cached ``period_map``.  Every state RK4 hands back, each sample and the
-    end, passes ``_check_states``.
+    cached ``period_map``.  Every state a run hands back, each sample and
+    the end, passes ``_check_states``.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError("duration must be finite and nonnegative")
@@ -470,13 +551,13 @@ def propagate(
         tail = t1 - start
         psi = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)[-1]
     else:
-        psi = _rk4(params, psi, t0, duration)[-1]
+        psi = _runner(params)(params, psi, t0, duration)[-1]
     _check_states(psi[None], state, [t1])
     return HybridState(psi, t1)
 
 
 def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
-    """The one rule for every state RK4 hands back, at ``times`` from
+    """The one rule for every state a run hands back, at ``times`` from
     ``start``: a norm drift beyond 1e-6 (or NaN) raises StepError, and
     guard-band population reaching LEAK_TOL in a branch TruncationError."""
     norm = math.sqrt(float(np.vdot(start.amps, start.amps).real))

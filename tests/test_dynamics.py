@@ -252,17 +252,20 @@ class TestSampledHistory:
             dyn.propagate(start, p, 1e-5, 1e-5 / 600)
 
     def test_norm_drift_between_samples_raises_step_error(self, monkeypatch):
-        rk4 = dyn._rk4
+        def drifting(runner):
+            def run_with_drift(*args, **kwargs):
+                run = runner(*args, **kwargs)
+                run[len(run) // 2] *= 1.0 + 1e-5
+                return run
+            return run_with_drift
 
-        def drifting(*args, **kwargs):
-            run = rk4(*args, **kwargs)
-            run[len(run) // 2] *= 1.0 + 1e-5
-            return run
-
-        monkeypatch.setattr(dyn, "_rk4", drifting)
-        p = fig5_params("RWA", dim=32)
-        with pytest.raises(StepError, match="norm drift"):
-            dyn.propagate(dyn.ground_hybrid(32), p, 1e-6, 1e-7)
+        # the single-rate drive's exact run and the 3SB drive's RK4 run
+        for name in ("_exact", "_rk4"):
+            monkeypatch.setattr(dyn, name, drifting(getattr(dyn, name)))
+        for level in ("RWA", "3SB"):
+            p = fig5_params(level, dim=32)
+            with pytest.raises(StepError, match="norm drift"):
+                dyn.propagate(dyn.ground_hybrid(32), p, 1e-6, 1e-7)
 
     @pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1e-7])
     @pytest.mark.parametrize("duration", [0.0, 1e-6])
@@ -672,12 +675,14 @@ class TestDriveStencil:
         # stacked as the batch runs them: the T branches, then the H branches
         batch = np.stack(states, axis=1).reshape(6, p.dim)
         duration = 0.3 * p.t_half_turn
-        run = dyn._rk4(p, batch, 1.3e-6, duration, every=7)
-        assert len(run) > 2  # start, samples and end
-        for k, amps in enumerate(states):
-            alone = dyn._rk4(p, amps, 1.3e-6, duration, every=7)
-            assert alone.shape == (len(run), 2, p.dim)
-            assert np.max(np.abs(run[:, k::3] - alone)) <= 1e-13
+        # the exact runner evaluates only the single-rate drives
+        for runner in (dyn._rk4, dyn._exact) if level != "3SB" else (dyn._rk4,):
+            run = runner(p, batch, 1.3e-6, duration, every=7)
+            assert len(run) > 2  # start, samples and end
+            for k, amps in enumerate(states):
+                alone = runner(p, amps, 1.3e-6, duration, every=7)
+                assert alone.shape == (len(run), 2, p.dim)
+                assert np.max(np.abs(run[:, k::3] - alone)) <= 1e-13
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_step_size_norm_bound_unchanged(self, level):
@@ -717,7 +722,10 @@ class TestDriveStencil:
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     @pytest.mark.parametrize("sampled", [False, True])
-    def test_propagate_matches_reference_rk4(self, level, sampled):
+    def test_propagate_matches_reference_rk4(self, level, sampled, monkeypatch):
+        # propagate evaluates the single-rate drives exactly
+        # (TestExactSingleRate); here it runs them through the RK4 kernel
+        monkeypatch.setattr(dyn, "_exact", dyn._rk4)
         p = fig5_params(level, dim=48)
         start = random_hybrid(np.random.default_rng(3), p.dim, time=0.37e-6)
         duration = 0.6e-6
@@ -740,6 +748,67 @@ class TestDriveStencil:
         p_t, p_h = pulses.run_program(program).coin_probabilities()
         assert abs(p_t - 0.7399464039676478) <= 1e-12
         assert abs(p_h - 0.26005359603235234) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Single-rate drives: exact propagation in the frame exp(i delta n t)
+
+
+class TestExactSingleRate:
+    @pytest.mark.parametrize("level", ["LDA", "RWA"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_frame_makes_the_drive_time_independent(self, level, sign):
+        # psi = exp(i delta n t) phi turns i psi' = H(t) psi into i phi' = K phi,
+        # K = exp(-i delta n t) H(t) exp(i delta n t) + delta n, the same K at every t;
+        # the generator holds Q^dag K Q, Q = diag(i^n), per coin row
+        p = fock.experimental_params(level=level, dim=40)
+        p = p.replace(delta=sign * p.delta)
+        generator = dyn._generator(p)
+        assert generator.dtype == float
+        q = np.tile(1j ** np.arange(p.dim), 2)
+        expected = np.zeros((2 * p.dim, 2 * p.dim), dtype=complex)
+        expected[: p.dim, : p.dim], expected[p.dim :, p.dim :] = generator
+        expected = q[:, None] * expected * q.conj()[None, :]  # K, Hermitian and tridiagonal
+        scale = np.linalg.norm(expected)
+        assert np.linalg.norm(expected - expected.conj().T) <= 1e-15 * scale
+        levels = np.tile(np.arange(p.dim), 2)
+        for t in (0.0, 3.3e-7, 1.1e-6, 4.9e-6, 37.3e-6):
+            frame = np.exp(1j * p.delta * levels * t)
+            framed = frame.conj()[:, None] * hamiltonian(p, t) * frame[None, :] + np.diag(p.delta * levels)
+            assert np.linalg.norm(framed - expected) <= 1e-12 * scale
+        assert np.array_equal(generator, generator.transpose(0, 2, 1))
+        assert not np.any(np.triu(generator, 2)) and not np.any(np.tril(generator, -2))
+        # the cached eigenpairs are those of the generator, row by row
+        values, vectors = dyn._eigen(p)
+        rebuilt = (vectors * values[:, None, :]) @ vectors.transpose(0, 2, 1)
+        assert np.linalg.norm(rebuilt - generator) <= 1e-12 * scale
+
+    def test_exact_run_matches_closed_form(self):
+        # criterion 04's setting and durations, from two start times
+        p = fock.experimental_params(level="LDA", dim=128)
+        for t0 in (0.0, 0.37e-6):
+            initial = dyn.ground_hybrid(128, "TH").with_time(t0)
+            for fraction in (0.25, 0.5, 0.75, 1.0):
+                duration = fraction * 2.0 * p.t_half_turn
+                final = dyn.propagate(initial, p, duration)
+                analytic = dyn.lda_propagate(initial, p, duration)
+                assert final.time == analytic.time
+                assert np.max(np.abs(final.amps - analytic.amps)) <= 1e-12
+
+    @pytest.mark.parametrize("level", ["LDA", "RWA"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fine_rk4_matches_the_exact_run(self, level, sign, monkeypatch):
+        # RK4 at 4x the production steps per period against the exact run,
+        # sample by sample on one grid, from a start time off 0
+        p = fig5_params(level, dim=64)
+        p = p.replace(delta=sign * p.delta)
+        # random amplitudes on levels 0-15 of dim 64
+        psi = np.pad(random_hybrid(np.random.default_rng(13), 32).amps, ((0, 0), (0, 32)))
+        monkeypatch.setattr(dyn, "STEPS_PER_PERIOD", 200)
+        exact = dyn._exact(p, psi, 0.37e-6, 3.1e-6, every=25)
+        fine = dyn._rk4(p, psi, 0.37e-6, 3.1e-6, every=25)
+        assert len(exact) == len(fine) > 2
+        assert np.max(np.abs(exact - fine)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +897,15 @@ class TestStroboscopic:
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_paths_that_keep_plain_rk4(self, level, monkeypatch):
-        # single-rate drives, and 3SB pulses holding no whole period, take
-        # every RK4 step: bit-equal to the sampled run, and no map is built
-        def no_map(params):
-            raise AssertionError("period map used")
+        # 3SB pulses holding no whole period take every RK4 step, and the
+        # single-rate drives no RK4 step: the end is bit-equal to the
+        # sampled run's, and no map is built
+        def unused(*args, **kwargs):
+            raise AssertionError("period map or RK4 used")
 
-        monkeypatch.setattr(dyn, "period_map", no_map)
+        monkeypatch.setattr(dyn, "period_map", unused)
+        if level != "3SB":
+            monkeypatch.setattr(dyn, "_rk4", unused)
         p = fock.experimental_params(level=level, dim=48)
         start = random_hybrid(np.random.default_rng(5), p.dim, time=0.37e-6)
         duration = 0.6e-6 if level == "3SB" else 3.1e-6  # 3SB: T = 0.49 us
