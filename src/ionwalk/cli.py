@@ -364,11 +364,12 @@ SCENARIOS = {
 
 
 # Option rules no library function checks (the library checks steps, n_steps,
-# n_pulses, t_d, wait_multiplier, dim and each level). Lower bounds of integer
-# options, checked in every scenario that has them:
-_MINIMUM = {"samples": 1, "points": 2, "k_max": 0, "trials": 1}
-# The other checked options: (test of the value and all options, what it must be).
+# n_pulses, t_d, wait_multiplier, dim and each level), in every scenario that
+# has the option: (test of the value and all options, what it must be).  The
+# lower bounds of integer options come first.
 _CHECKS = {
+    **{key: (lambda v, o, low=low: v >= low, f"at least {low}")
+       for key, low in {"samples": 1, "points": 2, "k_max": 0, "trials": 1}.items()},
     "duration": (lambda v, o: v > 0.0, "positive"),
     "levels": (lambda v, o: 0 < len(v) == len(set(v)), "a nonempty list without repeats"),
     "scaling_step_sizes": (lambda v, o: len(v) > 0, "a nonempty list"),
@@ -400,9 +401,6 @@ def run_scenario(
         if key not in defaults:
             raise ConfigError(f"unknown option {key!r} for scenario {scenario!r}")
         options[key] = _coerce(key, value, defaults[key])
-    for key, low in _MINIMUM.items():
-        if key in options and options[key] < low:
-            raise ConfigError(f"option {key!r} must be at least {low}, got {options[key]!r}")
     for key, (valid, must) in _CHECKS.items():
         if key in options and not valid(options[key], options):
             raise ConfigError(f"option {key!r} must be {must}, got {options[key]!r}")

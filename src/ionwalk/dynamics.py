@@ -15,9 +15,11 @@ depend on time in the frame exp(i delta n t): coin row b evolves exactly
 as exp(i delta n t) exp(-i K_b (t - t0)) exp(-i delta n t0), with K_b
 tridiagonal (real symmetric in the basis diag(i^n)), from one cached
 eigendecomposition per parameter set.  The two-rate 3SB drive is
-integrated by fixed-step RK4 on the Schrodinger equation.  RK4 holds its
-rows level-major, as a (dim, rows) array, so that one batched matmul over
-target levels applies the band stencil to every row at once.
+integrated by fixed-step RK4 on the Schrodinger equation.  The RK4 step,
+``rk4_step_size``, depends on the trap only, and every level samples its
+history on that one grid.  RK4 holds its rows level-major, as a
+(dim, rows) array, so that one batched matmul over target levels applies
+the band stencil to every row at once.
 
 The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
@@ -298,30 +300,18 @@ def _period_phase(params: SimParams, k: int) -> np.ndarray:
 
 
 def rk4_step_size(params: SimParams) -> float:
-    """Fixed RK4 step: STEPS_PER_PERIOD steps per period of 3 omega_z + |delta|
-    (3SB) or |delta| (LDA, RWA), of the drive rate, and of the coupling's
-    spectral radius (the linearized elements grow with sqrt(n), so the drive
-    rate alone under-resolves large bases); infinite if all three are 0.  The
-    3SB rate is not the stencil's fastest: its s = +-3 bands rotate at
-    4 omega_z - delta, which gets 38.5 steps per period at the trap values.
-    ROADMAP.md item 9 measures what that costs before the rule changes.
-
-    LDA and RWA take no RK4 step (``_exact``): for them this step only sets
-    the sample grid, kept as it was so that every sampled history keeps its
-    times and the CSV t columns their bytes."""
-    if params.level == THREE_SB:
-        omega_fast = 3.0 * params.omega_z + abs(params.delta)
-    else:
-        omega_fast = abs(params.delta)
-    candidates = [math.inf]
-    if omega_fast > 0.0:
-        candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * omega_fast))
-    if params.omega_d > 0.0:
-        candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * params.omega_d))
-        norm_bound = 0.5 * params.omega_d * drive_stencil(params).norm_weight
-        if norm_bound > 0.0:
-            candidates.append(2.0 * math.pi / (STEPS_PER_PERIOD * norm_bound))
-    return min(candidates)
+    """Fixed step of the 3SB RK4 run and of every level's sample grid:
+    STEPS_PER_PERIOD steps per period of the fastest of 3 omega_z + |delta|,
+    the drive rate and the 3SB coupling's spectral-radius bound
+    (omega_d/2) norm_weight.  It depends on the trap, not on the level, so
+    LDA, RWA and 3SB histories share their sample times; LDA and RWA take
+    no RK4 step (``_exact``).  The 3SB rate is not the stencil's fastest:
+    its s = +-3 bands rotate at 4 omega_z - delta, which gets 38.5 steps per
+    period at the trap values.  ROADMAP.md item 9 measures what that costs
+    before the rule changes."""
+    norm_weight = _stencil(THREE_SB, params.eta, params.dim, params.omega_z, params.delta).norm_weight
+    rate = max(3.0 * params.omega_z + abs(params.delta), params.omega_d, 0.5 * params.omega_d * norm_weight)
+    return 2.0 * math.pi / (STEPS_PER_PERIOD * rate)
 
 
 def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
@@ -498,11 +488,13 @@ def propagate(
     """Evolve under the drive for ``duration`` starting at ``state.time``.
 
     With ``sample_interval`` (finite and positive) set, returns (final,
-    times, amps): the states about that far apart, start and end included,
-    as one read-only (samples, 2, dim) array in ``HybridState.amps`` row
-    order.  Without it, whole drive periods of a 3SB pulse go through the
-    cached ``period_map``.  Every state a run hands back, each sample and
-    the end, passes ``_check_states``.
+    times, amps): the states about that far apart on the ``rk4_step_size``
+    grid, start and end included, as one read-only (samples, 2, dim) array
+    in ``HybridState.amps`` row order.  Samples are never closer than one
+    grid step: ``_stride`` rounds a shorter interval up.  Without it, whole
+    drive periods of a 3SB pulse go through the cached ``period_map``.
+    Every state a run hands back, each sample and the end, passes
+    ``_check_states``.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError("duration must be finite and nonnegative")
@@ -585,9 +577,11 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
 def sampled_histories(state: HybridState, params: SimParams, duration: float,
                       sample_intervals: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``propagate`` history (times, amps) of each sample interval, bit
-    for bit, as rows of one integration sampled at the gcd of their strides:
-    views of it where the end lies on the stride, copies otherwise."""
-    if duration <= 0.0:
+    for bit.  For 3SB they are rows of one RK4 integration sampled at the
+    gcd of their strides: views of it where the end lies on the stride,
+    copies otherwise.  An exact (LDA, RWA) row depends at rounding level on
+    how ``_exact`` blocks its samples, so each interval runs on its own."""
+    if duration <= 0.0 or params.level != THREE_SB:
         return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
     _, h = _rk4_grid(params, duration)
     strides = [_stride(i, h) for i in sample_intervals]

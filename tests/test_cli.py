@@ -229,8 +229,8 @@ class TestConfigHandling:
         cases = [
             # a basis too small for the requested excitation trips the guard
             (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError", "increase dim"),
-            # samples reach the guard band (up to 7.4e-4 at t = 4.08 us); the end does not
-            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError", "t = 2.267e-06 s"),
+            # samples reach the guard band (up to 7.4e-4 at t = 4.10 us); the end does not
+            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError", "t = 2.264e-06 s"),
             # the CSV is ready before the return-time fit finds no post-peak window
             (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError",
              "T-branch <n> still rises at the last sample, t = 1.000e-06 s: "
@@ -281,9 +281,26 @@ class TestScenarioOutputs:
         assert header == ["t", "mean_n", "var_n", "fano"]
         assert len(rows) > 50
 
+    def test_every_level_samples_on_one_grid(self, tmp_path):
+        # the grid follows the trap, not the level: at dim 512 the linearized
+        # coupling's spectral radius exceeds every 3SB rate, and once gave
+        # LDA a grid of its own
+        defaults = cli.SCENARIOS["trajectory"][1]
+        interval = defaults["duration"] / defaults["samples"]
+        for dim in (128, 512):
+            params = cli._params_from_options({**defaults, "dim": dim})
+            grids = [dyn.propagate(dyn.ground_hybrid(dim), params.replace(level=level), 1e-6,
+                                   interval)[1].tolist() for level in defaults["levels"]]
+            assert len(grids[0]) > 2 and grids[0] == grids[1] == grids[2]
+        cli.run_scenario("trajectory", {}, out_dir=str(tmp_path))
+        columns = [[row[0] for row in read_csv(tmp_path / f"trajectory_{level.lower()}.csv")[1]]
+                   for level in defaults["levels"]]
+        assert columns[0] == columns[1] == columns[2]
+
     def test_trajectory_matches_separate_integrations(self, tmp_path):
-        # one integration at the gcd stride (3SB: gcd 1 of CSV stride 3 and
-        # return-time stride 2) gives the bytes of one integration per grid
+        # 3SB: one integration at the gcd stride (gcd 1 of CSV stride 3 and
+        # return-time stride 2) gives the bytes of one integration per grid;
+        # RWA runs each grid on its own, on the same grid
         opts = {"levels": ["RWA", "3SB"], "duration": 12e-6, "samples": 1300, "dim": 64}
         cli.run_scenario("trajectory", opts, out_dir=str(tmp_path))
         returns = read_json(tmp_path / "returns.json")

@@ -303,22 +303,28 @@ class TestSampledHistory:
         assert times[0] == start.time and times[-1] == final.time == 1e-6
         assert np.array_equal(amps[0], start.amps) and np.array_equal(amps[-1], final.amps)
 
-    def test_sampled_histories_are_rows_of_separate_runs(self):
-        p = fig5_params("3SB", dim=32)
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    def test_sampled_histories_are_rows_of_separate_runs(self, level):
+        p = fig5_params(level, dim=32)
         start = dyn.ground_hybrid(32)
         duration = 1e-6
         n_steps, h = dyn._rk4_grid(p, duration)
-        strides = (1, 2, 3, 7)
-        # the end lies on some strides (a view of the run) and off others (a copy)
+        strides = (1, 2, 3, 7, 200)
+        # the end lies on some strides (a view of the 3SB run) and off others (a copy)
         assert {n_steps % k == 0 for k in strides} == {True, False}
+        # an exact run's samples between start and end, in blocks of
+        # _EXACT_BLOCK: stride 200 leaves a block of one sample
+        assert {(n_steps - 1) // k % dyn._EXACT_BLOCK for k in strides} >= {1}
         intervals = tuple(k * h for k in strides)
         histories = dyn.sampled_histories(start, p, duration, intervals)
-        run = histories[0][1]  # stride 1: the whole run
+        run = histories[0][1]  # stride 1: the whole 3SB run
         for k, interval, (times, amps) in zip(strides, intervals, histories, strict=True):
             _, expected_times, expected_amps = dyn.propagate(start, p, duration, interval)
             assert np.array_equal(times, expected_times)
             assert np.array_equal(amps, expected_amps)
-            assert np.shares_memory(amps, run) == (n_steps % k == 0)
+            # an exact run's rows depend at rounding level on its blocking:
+            # each interval of LDA and RWA runs on its own
+            assert np.shares_memory(amps, run) == (n_steps % k == 0 and (level == "3SB" or k == 1))
 
 
 class TestResonantExcitation:
@@ -1005,7 +1011,7 @@ class TestStroboscopic:
         program = pulses.walk_program(3, ratio * p.t_half_turn, p, wait_multiplier=4.0)
         p_strobo = pulses.run_program(program).coin_probabilities()[0]
         p_plain = plain_rk4_walk(program).coin_probabilities()[0]
-        monkeypatch.setattr(dyn, "STEPS_PER_PERIOD", 400)
+        monkeypatch.setattr(dyn, "STEPS_PER_PERIOD", 100)
         p_ref = plain_rk4_walk(program).coin_probabilities()[0]
         assert abs(p_strobo - p_plain) <= 1e-9
         assert abs(p_strobo - p_ref) <= abs(p_plain - p_ref) + 1e-10
