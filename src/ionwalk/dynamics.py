@@ -30,21 +30,20 @@ drive is also time-reversal symmetric, H(-t) = Pi H(t)* Pi
 with Pi = (-1)^n, and so is the RK4 step: one RK4 run over half a period
 on all basis columns gives M = P Pi F^T Pi P^dag F, F = U(T/2, 0), and the
 snapshot table F_j = U(t_j, 0) at the SNAPSHOTS_PER_PERIOD - 1 interior
-points t_j = j T/8 of the grid, cached with M.  An unsampled 3SB pulse
-holding whole periods runs RK4 only to the next t_j (or period boundary),
-crosses the rest of that period with the transposed snapshot
-P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1, applies P^-1 M once per further
-period, applies the last F_i with t_i at or before the end, and runs RK4
-for the rest: each end takes at most T/8 of RK4.
-Sampled 3SB pulses and those holding no whole period take every step.
-A stepwise pulse + wait, 2 pi/|delta|, that holds m whole periods has
-P^m = I: one RK4 run on the pulses' stacked rows samples them all.  One
-period map is kept.
+points t_j = j T/8 of the grid, cached with M.  Each end of a 3SB pulse
+holding whole periods runs RK4 to its nearest anchor, a t_j or a period
+boundary, ahead of it or behind it (RK4 runs backward too): at most T/16
+of RK4 per end.  The table carries the rest: the transposed snapshot
+P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 to the next boundary, P^-1 M once
+per period and F_i after the last one.  Every level samples on the period
+grid T/n_T of the trap's 3SB drive.  A sampled 3SB pulse takes the table's
+period starts psi(t0 + k T) as the stacked rows P^-k psi(t0 + k T) of one
+RK4 run over at most one period; each sample is P^k times its row.  Only
+pulses holding no whole period take every step.  One period map is kept.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import copy
 import functools
@@ -272,11 +271,11 @@ def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     # the hit and miss counts of cache_info()
     _period_map.cache_clear()
     dim = params.dim
-    steps, _ = _snapshot_steps(params)
+    steps, h = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
     # the top basis columns reach the guard band by construction: no leakage check
     run = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-               drive_period(params) / 2.0, every=steps[0], n_steps=steps[half])
+               drive_period(params) / 2.0, every=steps[0], h=h)
     # the table is allocated once the run has freed its stage buffers
     snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
     snapshots[: half + 1] = run[1:].reshape(half + 1, 2, dim, dim)
@@ -293,7 +292,7 @@ def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     return maps, snapshots
 
 
-def _period_phase(params: SimParams, k: int) -> np.ndarray:
+def _period_phase(params: SimParams, k: int | np.ndarray) -> np.ndarray:
     """The diagonal of P^k: exp(i k delta T n), which equals exp(i k omega_z T n)
     because (omega_z - delta) T = +-2 pi, but is rounded from a small phase."""
     return np.exp(1j * params.delta * drive_period(params) * (k * np.arange(params.dim)))
@@ -315,26 +314,35 @@ def rk4_step_size(params: SimParams) -> float:
 
 
 def _rk4_grid(params: SimParams, duration: float) -> tuple[int, float]:
-    """(n_steps, h): the fewest equal steps no longer than ``rk4_step_size``."""
-    n_steps = max(1, math.ceil(duration / rk4_step_size(params)))
+    """(n_steps, h): the fewest equal steps no longer than ``rk4_step_size``, signed as ``duration``."""
+    n_steps = max(1, math.ceil(abs(duration) / rk4_step_size(params)))
     return n_steps, duration / n_steps
 
 
+def _sample_grid(params: SimParams, duration: float) -> tuple[int, float]:
+    """(n_steps, h): every level's sample step, the period grid T/n_T of the
+    trap's 3SB drive (``rk4_step_size`` without a period), and the fewest
+    steps of it that reach ``duration`` up to the snapshot tolerance."""
+    trap = params.replace(level=THREE_SB)
+    h = _snapshot_steps(trap)[1] if drive_period(trap) else rk4_step_size(params)
+    return max(1, math.ceil(duration / h - _SNAP)), h
+
+
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         every: int | None = None, n_steps: int | None = None) -> np.ndarray:
-    """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on
-    ``n_steps`` equal steps) from ``t0``, for rows psi that stack equally
-    many T-branch then H-branch states.
+         every: int | None = None, h: float | None = None, record=None) -> np.ndarray:
+    """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on the
+    whole number of steps ``h`` in it) from ``t0``, backward if negative,
+    for rows psi that stack equally many T-branch then H-branch states.
 
     Returns one (samples, rows, dim) array: the rows at the start, after
     every ``every``-th step before the last (none without ``every``), and
     at the end.  In between, one level-major (dim, rows) copy of the rows
-    is updated in place.
+    is updated in place, and ``record(step, rows)`` sees it after each step.
     """
-    if duration <= 0.0:
+    if duration == 0.0:
         return psi[None]
     stencil = drive_stencil(params)
-    n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
+    n_steps, h = _rk4_grid(params, duration) if h is None else (round(duration / h), h)
     # band factors at each step's stage times t, t + h/2 and t + h
     starts = t0 + np.arange(n_steps) * h
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
@@ -372,6 +380,8 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
         psi += np.multiply(k1, h / 6.0, out=k1)
         if (step + 1) % every == 0 and step + 1 < n_steps:
             run[(step + 1) // every] = psi.T
+        if record is not None:
+            record(step + 1, psi)
     run[-1] = psi.T
     return run
 
@@ -405,7 +415,7 @@ _EXACT_BLOCK = 32
 
 
 def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-           every: int | None = None, n_steps: int | None = None) -> np.ndarray:
+           every: int | None = None, h: float | None = None) -> np.ndarray:
     """``_rk4``'s run, on its sample grid, for a single-rate drive from the
     exact U_b(t, t0) = exp(i delta n t) Q V_b exp(-i lambda_b (t - t0))
     V_b^T Q^dag exp(-i delta n t0), with (lambda_b, V_b) = ``_eigen``.  The
@@ -413,7 +423,7 @@ def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     at j; the end is evaluated on its own, so it does not depend on ``every``."""
     if duration <= 0.0:
         return psi[None]
-    n_steps, h = _rk4_grid(params, duration) if n_steps is None else (n_steps, duration / n_steps)
+    n_steps, h = _rk4_grid(params, duration) if h is None else (round(duration / h), h)
     every = every or n_steps
     values, vectors = _eigen(params)
     dim, rows, levels = params.dim, len(psi) // 2, np.arange(params.dim)
@@ -461,21 +471,46 @@ def _stride(sample_interval: float, h: float) -> int:
 def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
                   sample_interval: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``propagate`` history (times, amps) of each of ``starts`` over
-    ``duration``, from one run on their stacked rows that starts at
-    ``starts[0].time``: each amps is a view of the run's one read-only array."""
-    n = len(starts)
-    n_steps, h = _rk4_grid(params, duration)
+    ``duration`` on the ``_sample_grid``, each amps a view of one read-only
+    array whose end is the unsampled result, bit for bit.  Several starts
+    lie whole 3SB periods m_i T after t0 = ``starts[0].time``.  Sample
+    k n_T + r of start i is P^n U(t0 + r h, t0) P^-n psi(t0 + n T), n = m_i + k:
+    one RK4 run from t0 over at most a period, on the stacked rows
+    P^-n psi(t0 + n T) that the period map gives, takes every 3SB sample,
+    copying out only the rows that own one at a step."""
+    n, dim = len(starts), params.dim
+    n_steps, h = _sample_grid(params, duration)
     every = _stride(sample_interval, h)
-    # rows: the n T-branch states, then the n H-branch states
-    psi = np.stack([s.amps for s in starts], axis=1).reshape(2 * n, -1)
-    run = _runner(params)(params, psi, starts[0].time, duration, every, n_steps)
-    run.setflags(write=False)
-    offsets = np.arange(len(run)) * every * h
+    last = (n_steps - 1) // every + 1  # the index of the end
+    t0, period = starts[0].time, drive_period(params)
+    if period is None:  # one start: no 3SB period to stack
+        amps = _runner(params)(params, starts[0].amps, t0, n_steps * h, every, h)[None]
+    else:
+        amps = np.empty((n, last + 1, 2, dim), dtype=complex)
+        periods, steps = np.divmod(np.arange(last) * every, round(period / h))
+        count = int(periods[-1]) + 1
+        # psi(t0 + n T), (n, count, 2, dim)
+        firsts = np.array([[_evolve(s, params, k * period) for k in range(count)] for s in starts])
+        phase = _period_phase(params, np.add.outer([round((s.time - t0) / period) for s in starts],
+                                                   np.arange(count))[..., None])  # P^n
+
+        def record(step: int, rows: np.ndarray) -> None:  # rows: level-major (dim, 2 n count)
+            owned = np.flatnonzero(steps == step)
+            k = periods[owned]
+            picked = rows.reshape(dim, 2, n, count)[..., k].transpose(2, 3, 1, 0)
+            amps[:, owned] = picked * phase[:, k, None]
+
+        # row (b n + i) count + k: P^-n psi(t0 + n T), T branches then H branches
+        psi = (firsts * phase.conj()[:, :, None]).transpose(2, 0, 1, 3).reshape(-1, dim)
+        record(0, psi.T)  # the samples on period starts
+        _rk4(params, psi, t0, int(steps.max()) * h, h=h, record=record)
+    amps[:, -1] = [_evolve(s, params, duration) for s in starts]
+    amps.setflags(write=False)
+    offsets = np.arange(last + 1) * every * h
     offsets[-1] = duration
-    histories = [(start.time + offsets, run.reshape(len(run), 2, n, -1)[:, :, k])
-                 for k, start in enumerate(starts)]
-    for start, (times, amps) in zip(starts, histories):
-        _check_states(amps, start, times)
+    histories = [(start.time + offsets, amps[i]) for i, start in enumerate(starts)]
+    for start, (times, history) in zip(starts, histories):
+        _check_states(history, start, times)
     return histories
 
 
@@ -488,11 +523,12 @@ def propagate(
     """Evolve under the drive for ``duration`` starting at ``state.time``.
 
     With ``sample_interval`` (finite and positive) set, returns (final,
-    times, amps): the states about that far apart on the ``rk4_step_size``
-    grid, start and end included, as one read-only (samples, 2, dim) array
-    in ``HybridState.amps`` row order.  Samples are never closer than one
-    grid step: ``_stride`` rounds a shorter interval up.  Without it, whole
-    drive periods of a 3SB pulse go through the cached ``period_map``.
+    times, amps): the states about that far apart on the ``_sample_grid``,
+    start and end included, as one read-only (samples, 2, dim) array in
+    ``HybridState.amps`` row order.  Samples are never closer than one grid
+    step: ``_stride`` rounds a shorter interval up.  The end is the
+    unsampled result, bit for bit, and whole drive periods of a 3SB pulse
+    go through the cached ``period_map`` (``_evolve``, ``_sampled_runs``).
     Every state a run hands back, each sample and the end, passes
     ``_check_states``.
     """
@@ -509,6 +545,11 @@ def propagate(
     if sample_interval is not None:
         [(times, amps)] = _sampled_runs(params, [state], duration, sample_interval)
         return HybridState(amps[-1], float(times[-1])), times, amps
+    return HybridState(_evolve(state, params, duration), state.time + duration)
+
+
+def _evolve(state: HybridState, params: SimParams, duration: float) -> np.ndarray:
+    """The checked amps of ``state`` after ``duration``; whole 3SB periods go through ``period_map``."""
     psi = state.amps
     t0, t1 = state.time, state.time + duration
     period = drive_period(params)
@@ -519,33 +560,32 @@ def propagate(
         snap = _SNAP * h
         k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
     if k0 < k1:
-        # F_j = U(t_j, 0), t_j the first snapshot at or after t0 - (k0 - 1) T
-        # and t_i the last at or before t1 - k1 T (t_0 = 0, F_0 = I):
+        # F_j = U(t_j, 0) at the anchors t_j = j T/8 (F_0 = I); q T + t_j is
+        # the nearest to t0 and k1 T + t_i to t1, ahead or behind, and k0 is
+        # q + 1 (q where t_j = 0 is the boundary q T):
         # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0)
-        #             Pi F_(8-j)^T Pi P^-k0 U((k0 - 1) T + t_j, t0)
+        #             Pi F_(8-j)^T Pi P^-k0 U(q T + t_j, t0)
         # with P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 (see ``period_map``)
         maps, snapshots = period_map(params)
-        times = [s * h for s in steps]
-        j = bisect.bisect_left(times, t0 - (k0 - 1) * period - snap)
-        # t_j = T (j = len(times)): the head ends on the boundary k0 T
-        start = (k0 - 1) * period + times[j] if j < len(times) else k0 * period
-        head = start - t0
-        psi = _rk4(params, psi, t0, head if head > snap else 0.0)[-1] * _period_phase(params, -k0)
-        if j < len(times):  # rows hold transposes: F^T psi is snapshots @ psi
+        anchors = [0.0, *(s * h for s in steps)]
+        (q, j), (k1, i) = (divmod(round(t * SNAPSHOTS_PER_PERIOD / period), SNAPSHOTS_PER_PERIOD)
+                           for t in (t0, t1))
+        k0, head = q + (j > 0), q * period + anchors[j] - t0
+        psi = _rk4(params, psi, t0, head if abs(head) > snap else 0.0)[-1] * _period_phase(params, -k0)
+        if j:  # rows hold transposes: F^T psi is snapshots @ psi
             parity = (-1.0) ** np.arange(params.dim)
-            psi = np.matmul(snapshots[-1 - j], (psi * parity)[:, :, None])[:, :, 0] * parity
+            psi = np.matmul(snapshots[-j], (psi * parity)[:, :, None])[:, :, 0] * parity
         for _ in range(k1 - k0):
             psi = np.matmul(psi[:, None], maps)[:, 0]
-        i = bisect.bisect_right(times, t1 - k1 * period + snap)
         if i:
             psi = np.matmul(psi[:, None], snapshots[i - 1])[:, 0]
-        start = k1 * period + (times[i - 1] if i else 0.0)
+        start = k1 * period + anchors[i]
         tail = t1 - start
-        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if tail > snap else 0.0)[-1]
+        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if abs(tail) > snap else 0.0)[-1]
     else:
         psi = _runner(params)(params, psi, t0, duration)[-1]
     _check_states(psi[None], state, [t1])
-    return HybridState(psi, t1)
+    return psi
 
 
 def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
@@ -577,13 +617,13 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
 def sampled_histories(state: HybridState, params: SimParams, duration: float,
                       sample_intervals: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``propagate`` history (times, amps) of each sample interval, bit
-    for bit.  For 3SB they are rows of one RK4 integration sampled at the
-    gcd of their strides: views of it where the end lies on the stride,
-    copies otherwise.  An exact (LDA, RWA) row depends at rounding level on
-    how ``_exact`` blocks its samples, so each interval runs on its own."""
+    for bit.  For 3SB they are rows of one sampled run at the gcd of their
+    strides: views of it where the end lies on the stride, copies otherwise.
+    An exact (LDA, RWA) row depends at rounding level on how ``_exact``
+    blocks its samples, so each interval runs on its own."""
     if duration <= 0.0 or params.level != THREE_SB:
         return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
-    _, h = _rk4_grid(params, duration)
+    _, h = _sample_grid(params, duration)
     strides = [_stride(i, h) for i in sample_intervals]
     gcd = math.gcd(*strides)
     _, times, amps = propagate(state, params, duration, gcd * h)
@@ -704,11 +744,11 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
 
     The drive clock keeps running during the waits, so the direction of
     each displacement follows the accumulated drive phase.  When pulse +
-    wait = 2 pi/|delta| spans m whole drive periods, delta m T = +-2 pi, so
-    P^m = I (see ``period_map``) and every pulse k, starting at
-    t_k = t_0 + k m T, has U(t_k + t, t_k) = U(t_0 + t, t_0): the start
-    states come from unsampled ``propagate``, and one RK4 run integrates
-    every pulse on their stacked rows.
+    wait spans whole 3SB drive periods, the start states come from
+    unsampled ``propagate``, and one RK4 run over at most one period on the
+    stacked period starts of every pulse samples them all
+    (``_sampled_runs``).  Otherwise, and at RWA, whose exact runs take no
+    RK4 step, the pulses run one at a time.
     """
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")

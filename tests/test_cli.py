@@ -229,8 +229,8 @@ class TestConfigHandling:
         cases = [
             # a basis too small for the requested excitation trips the guard
             (["--set", "dim=16", "--set", "duration=6e-6"], "TruncationError", "increase dim"),
-            # samples reach the guard band (up to 7.4e-4 at t = 4.10 us); the end does not
-            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError", "t = 2.264e-06 s"),
+            # samples reach the guard band (up to 7.4e-4 at t = 4.09 us); the end does not
+            (["--set", "dim=24", "--set", "duration=1e-5"], "TruncationError", "t = 2.263e-06 s"),
             # the CSV is ready before the return-time fit finds no post-peak window
             (["--set", "dim=64", "--set", "duration=1e-6"], "ValueError",
              "T-branch <n> still rises at the last sample, t = 1.000e-06 s: "

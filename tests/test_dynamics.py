@@ -214,7 +214,8 @@ class TestRegimeDeparture:
         for level in ("3SB", "RWA"):
             p = fig5_params(level)
             _, *history = dyn.propagate(dyn.ground_hybrid(128), p, 4e-6, sample_interval=8e-9)
-            tab = dyn.trajectory_table(*history)
+            # the samples before the end are evenly spaced; the end need not be
+            tab = dyn.trajectory_table(*(column[:-1] for column in history))
             x = tab["re_alpha_t"] - tab["re_alpha_t"].mean()
             freqs = np.fft.rfftfreq(x.size, tab["t"][1] - tab["t"][0])
             spectra[level] = (freqs, np.abs(np.fft.rfft(x * np.hanning(x.size))))
@@ -252,16 +253,22 @@ class TestSampledHistory:
             dyn.propagate(start, p, 1e-5, 1e-5 / 600)
 
     def test_norm_drift_between_samples_raises_step_error(self, monkeypatch):
-        def drifting(runner):
-            def run_with_drift(*args, **kwargs):
-                run = runner(*args, **kwargs)
-                run[len(run) // 2] *= 1.0 + 1e-5
-                return run
-            return run_with_drift
+        exact, rk4 = dyn._exact, dyn._rk4
 
-        # the single-rate drive's exact run and the 3SB drive's RK4 run
-        for name in ("_exact", "_rk4"):
-            monkeypatch.setattr(dyn, name, drifting(getattr(dyn, name)))
+        def drifting_exact(*args, **kwargs):
+            run = exact(*args, **kwargs)
+            run[len(run) // 2] *= 1.0 + 1e-5
+            return run
+
+        def drifting_rk4(*args, record=None, **kwargs):
+            # every row the stacked 3SB run records drifts
+            def drifted(step, rows):
+                record(step, rows * (1.0 + 1e-5))
+            return rk4(*args, record=drifted if record else None, **kwargs)
+
+        # the single-rate drive's exact run and the 3SB drive's stacked RK4 run
+        monkeypatch.setattr(dyn, "_exact", drifting_exact)
+        monkeypatch.setattr(dyn, "_rk4", drifting_rk4)
         for level in ("RWA", "3SB"):
             p = fig5_params(level, dim=32)
             with pytest.raises(StepError, match="norm drift"):
@@ -291,24 +298,48 @@ class TestSampledHistory:
 
         p = fig5_params("3SB", dim=32)
         start = dyn.ground_hybrid(32)
-        n_steps, h = dyn._rk4_grid(p, 1e-6)
+        # the period grid: 1 us holds two whole periods of T = n_T h
+        n_steps, h = dyn._sample_grid(p, 1e-6)
+        assert n_steps > 2 * dyn.drive_period(p) / h
         monkeypatch.setattr(dyn.HybridState, "__post_init__", counting)
         result = dyn.propagate(start, p, 1e-6, 5 * h)
         final, times, amps = result
         assert len(built) == 1
         # perfbench's tracer counts len(result[1]) as the sampled states
         assert len(result[1]) == len(amps) == (n_steps - 1) // 5 + 2
+        assert np.array_equal(times[:-1], np.arange(len(times) - 1) * 5 * h)
         assert amps.shape == (len(times), 2, 32)
         assert not amps.flags.writeable
         assert times[0] == start.time and times[-1] == final.time == 1e-6
         assert np.array_equal(amps[0], start.amps) and np.array_equal(amps[-1], final.amps)
+        # the end is the unsampled result, bit for bit
+        monkeypatch.undo()
+        assert np.array_equal(final.amps, dyn.propagate(start, p, 1e-6).amps)
+
+    @pytest.mark.parametrize("periods", [0, 2])
+    def test_stacked_period_run_equals_plain_rk4_on_the_period_grid(self, periods):
+        # samples k n_T + r come from one RK4 run over a period on the period
+        # starts, which the map gives; one plain run takes every step instead
+        p = fig5_params("3SB", dim=48)
+        period = dyn.drive_period(p)
+        start = random_hybrid(np.random.default_rng(31), p.dim, time=periods * period)
+        duration = 4.3 * period
+        n_steps, h = dyn._sample_grid(p, duration)
+        assert h == dyn._snapshot_steps(p)[1]
+        final, times, amps = dyn.propagate(start, p, duration, 3 * h)
+        last = len(times) - 1
+        assert last == (n_steps - 1) // 3 + 1
+        plain = dyn._rk4(p, start.amps, start.time, (last - 1) * 3 * h, every=3, h=h)
+        assert len(plain) == last
+        assert np.max(np.abs(amps[:-1] - plain)) <= 1e-12
+        assert np.max(np.abs(final.amps - plain_rk4(start, p, duration))) <= 1e-9
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_sampled_histories_are_rows_of_separate_runs(self, level):
         p = fig5_params(level, dim=32)
         start = dyn.ground_hybrid(32)
         duration = 1e-6
-        n_steps, h = dyn._rk4_grid(p, duration)
+        n_steps, h = dyn._sample_grid(p, duration)  # the period grid of every level
         strides = (1, 2, 3, 7, 200)
         # the end lies on some strides (a view of the 3SB run) and off others (a copy)
         assert {n_steps % k == 0 for k in strides} == {True, False}
@@ -438,7 +469,7 @@ class TestStepwiseExcitation:
         assert result.final.time == oracle.final.time
         assert np.array_equal(result.final.amps, oracle.final.amps)
 
-    def test_batched_pulses_integrate_one_pulse_of_rk4(self, fig7_params, monkeypatch):
+    def test_batched_pulses_integrate_one_period_of_rk4(self, fig7_params, monkeypatch):
         p = self.three_sb(fig7_params, 20.0)
         calls = []
         apply_drive = dyn.apply_drive
@@ -452,8 +483,9 @@ class TestStepwiseExcitation:
         dyn.stepwise_excitation(p, 3)
         steps, _ = dyn._snapshot_steps(p)
         map_build = 4 * steps[len(steps) // 2]  # one RK4 run over half a period
-        pulse = 4 * dyn._rk4_grid(p, p.t_half_turn)[0]
-        assert len(calls) <= pulse + map_build
+        # pulses start on boundaries and end on the half-period snapshot
+        period = 4 * dyn.SNAPSHOTS_PER_PERIOD * steps[0]
+        assert len(calls) <= period + map_build
 
 
 class TestHybridState:
@@ -604,30 +636,43 @@ def reference_norm_bound(params):
 
 
 def reference_propagate(state, params, duration, sample_interval=None):
+    """RK4 states of ``propagate``: the end from a run on the fewest equal
+    steps no longer than ``rk4_step_size``; with ``sample_interval``, the
+    start and samples before the end from a run on the period grid h =
+    T/n_T, T = 2 pi/|omega_z - delta|, with n_T that step count for T rounded
+    up to a multiple of the 8 snapshots."""
     bands = reference_bands(params)
-    h = dyn.rk4_step_size(params)
-    n_steps = max(1, math.ceil(duration / h))
-    h = duration / n_steps
-    stride = None if sample_interval is None else max(1, round(sample_interval / h))
-    samples = [state]
-    psi = state.amps.T
     scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
 
     def deriv(t, y):
         return -1j * scale[None, :] * reference_apply(bands, t, y)
 
-    t = state.time
-    for step in range(n_steps):
-        k1 = deriv(t, psi)
-        k2 = deriv(t + h / 2.0, psi + (h / 2.0) * k1)
-        k3 = deriv(t + h / 2.0, psi + (h / 2.0) * k2)
-        k4 = deriv(t + h, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = state.time + (step + 1) * h
-        if stride is not None and (step + 1) % stride == 0 and step + 1 < n_steps:
-            samples.append(dyn.HybridState(psi.T, t))
-    samples.append(dyn.HybridState(psi.T, state.time + duration))
-    return samples
+    def run(n_steps, h, stride):
+        samples = [state]
+        psi = state.amps.T
+        t = state.time
+        for step in range(n_steps):
+            k1 = deriv(t, psi)
+            k2 = deriv(t + h / 2.0, psi + (h / 2.0) * k1)
+            k3 = deriv(t + h / 2.0, psi + (h / 2.0) * k2)
+            k4 = deriv(t + h, psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = state.time + (step + 1) * h
+            if (step + 1) % stride == 0:
+                samples.append(dyn.HybridState(psi.T, t))
+        return samples
+
+    h_max = dyn.rk4_step_size(params)
+    n_steps = max(1, math.ceil(duration / h_max))
+    end = run(n_steps, duration / n_steps, n_steps)[-1].amps
+    samples = [state]
+    if sample_interval is not None:
+        period = 2.0 * math.pi / abs(params.omega_z - params.delta)
+        h = period / (-(-math.ceil(period / h_max) // 8) * 8)
+        stride = max(1, round(sample_interval / h))
+        n_grid = math.ceil(duration / h - 1e-9)
+        samples = run((n_grid - 1) // stride * stride, h, stride)
+    return [*samples, dyn.HybridState(end, state.time + duration)]
 
 
 def random_hybrid(rng, dim, time=0.0):
@@ -734,7 +779,8 @@ class TestDriveStencil:
         monkeypatch.setattr(dyn, "_exact", dyn._rk4)
         p = fig5_params(level, dim=48)
         start = random_hybrid(np.random.default_rng(3), p.dim, time=0.37e-6)
-        duration = 0.6e-6
+        # under one 3SB period (0.49 us): a sampled 3SB run takes every step
+        duration = 0.45e-6
         interval = duration / 7 if sampled else None
         expected = reference_propagate(start, p, duration, interval)
         if sampled:
@@ -821,11 +867,17 @@ class TestExactSingleRate:
 # Stroboscopic propagation: whole drive periods through the cached period map
 
 
+def plain_rk4(state, params, duration):
+    """The end of one RK4 run over the whole pulse, no period map."""
+    return dyn._rk4(params, state.amps, state.time, duration)[-1]
+
+
 def plain_rk4_walk(program):
-    """Run a program with every RK4 step taken: a sampled run never uses
-    the period map, and its state sequence does not depend on sampling."""
-    final, *_ = pulses.run_program(program, sample_interval=1.0)
-    return final
+    """Run a program with every RK4 step taken: with no drive period, no
+    pulse goes through the period map."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyn, "drive_period", lambda params: None)
+        return pulses.run_program(program)
 
 
 class TestStroboscopic:
@@ -888,18 +940,51 @@ class TestStroboscopic:
 
     def test_td_scan_builds_one_period_map(self, tmp_path, monkeypatch):
         dyn._period_map.cache_clear()
-        builds = []
+        builds, two_row_steps = [], []
         rk4 = dyn._rk4
 
-        def recording(params, psi, *args, **kwargs):
+        def recording(params, psi, t0, duration, *args, **kwargs):
             if len(psi) == 2 * params.dim:  # the map build's RK4 on all basis columns
                 builds.append(params)
-            return rk4(params, psi, *args, **kwargs)
+            elif duration != 0.0:  # a pulse end's RK4 on the two coin rows
+                assert len(psi) == 2 and not args and not kwargs
+                two_row_steps.append(dyn._rk4_grid(params, duration)[0])
+            return rk4(params, psi, t0, duration, *args, **kwargs)
 
         monkeypatch.setattr(dyn, "_rk4", recording)
-        cli.run_scenario("scan-td", {"points": 5}, out_dir=str(tmp_path))
+        # the perfbench td-scan workload: 19 three-step walks at dim 96
+        cli.run_scenario("scan-td", {"mode": "near", "points": 5, "dim": 96, "level": "3SB",
+                                     "n_steps": 3, "wait_multiplier": 4.0}, out_dir=str(tmp_path))
         assert dyn._period_map.cache_info().currsize == 1
         assert len(builds) == 1
+        # each end integrates to its nearest anchor: 1,068 steps (2,223 when
+        # every end ran forward to the next one)
+        assert sum(two_row_steps) <= 1100
+
+    def test_trajectory_3sb_integrates_one_period(self, tmp_path, monkeypatch):
+        # the default trajectory's 3SB history: one RK4 run of under one
+        # period on its 25 period starts, the end's tail and one map build
+        dyn._period_map.cache_clear()
+        runs = []
+        rk4 = dyn._rk4
+
+        def recording(params, psi, t0, duration, every=None, h=None, record=None):
+            if duration != 0.0:
+                n_steps = dyn._rk4_grid(params, duration)[0] if h is None else round(duration / h)
+                runs.append((len(psi), n_steps))
+            return rk4(params, psi, t0, duration, every, h, record)
+
+        monkeypatch.setattr(dyn, "_rk4", recording)
+        cli.run_scenario("trajectory", {"levels": ["3SB"]}, out_dir=str(tmp_path))
+        options = cli.SCENARIOS["trajectory"][1]
+        p = cli._params_from_options(options)
+        steps, _ = dyn._snapshot_steps(p)
+        n_period = dyn.SNAPSHOTS_PER_PERIOD * steps[0]
+        build, stacked, tail = runs
+        assert build == (2 * p.dim, steps[len(steps) // 2])
+        whole = math.floor(options["duration"] / dyn.drive_period(p))
+        assert stacked[0] == 2 * (whole + 1) and stacked[1] < n_period
+        assert tail[0] == 2 and tail[1] <= n_period / 16 + 1
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_paths_that_keep_plain_rk4(self, level, monkeypatch):
@@ -928,38 +1013,46 @@ class TestStroboscopic:
         assert math.ceil(start.time / period) > start.time / period
         assert math.floor((start.time + duration) / period) - math.ceil(start.time / period) >= 4
         final = dyn.propagate(start, p, duration)
-        plain, *_ = dyn.propagate(start, p, duration, 1.0)
-        assert final.time == plain.time
-        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
+        assert final.time == start.time + duration
+        assert np.max(np.abs(final.amps - plain_rk4(start, p, duration))) <= 1e-9
 
     @pytest.mark.parametrize("case", [
         *(pytest.param(j, id=f"inside-{j}") for j in range(8)),
         "on-snapshot", "start-on-boundary", "end-on-boundary", "start-before-zero",
+        "head-to-previous-boundary", "tail-to-next-boundary", "tail-to-next-snapshot",
     ])
     def test_snapshot_paths_match_plain_rk4(self, case):
         p = fig5_params("3SB", dim=48)
         period = dyn.drive_period(p)
         steps, h = dyn._snapshot_steps(p)
         if isinstance(case, int):
-            t0 = 2 * period + (case + 0.37) / 8 * period  # in sub-interval j
+            # in sub-interval j, nearest its start: the head runs back to t_j,
+            # and the tail, 4.6 periods on, back to t_(j+5 mod 8)
+            t0 = 2 * period + (case + 0.37) / 8 * period
+            t1 = t0 + 4.6 * period
         else:
-            t0 = {
-                "on-snapshot": steps[2] * h,  # in the first period: tau0 = t_3 exactly
-                "start-on-boundary": 2 * period,  # tau0 = T
-                "end-on-boundary": 2.3 * period,
-                "start-before-zero": -0.3 * period,
+            t0, t1 = {
+                "on-snapshot": (steps[2] * h, None),  # in the first period: tau0 = t_3 exactly
+                "start-on-boundary": (2 * period, None),  # tau0 = T
+                "end-on-boundary": (2.3 * period, 7 * period),
+                "start-before-zero": (-0.3 * period, None),
+                # 0.03 T past 2 T: the head runs back to the boundary 2 T
+                "head-to-previous-boundary": (2.03 * period, None),
+                # 0.03 T before 7 T: the tail runs back from the boundary 7 T
+                "tail-to-next-boundary": (2.3 * period, 6.97 * period),
+                # 0.015 T before t_3 of its period: the tail runs back from t_3
+                "tail-to-next-snapshot": (2.3 * period, 6.36 * period),
             }[case]
-        # the inside-j tails end in sub-interval j + 5 (mod 8)
-        t1 = 7 * period if case == "end-on-boundary" else t0 + 4.6 * period
+            t1 = t0 + 4.6 * period if t1 is None else t1
         state = random_hybrid(np.random.default_rng(17), p.dim, time=t0)
         final = dyn.propagate(state, p, t1 - t0)
-        plain, *_ = dyn.propagate(state, p, t1 - t0, 1.0)
-        assert final.time == plain.time
-        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
+        assert final.time == t0 + (t1 - t0)
+        assert np.max(np.abs(final.amps - plain_rk4(state, p, t1 - t0))) <= 1e-9
 
-    def test_rk4_spans_at_most_two_snapshot_intervals(self, monkeypatch):
-        # each end of a pulse holding whole periods integrates only up to
-        # the nearest snapshot: at most 2 T/8 of two-row RK4 per pulse
+    def test_rk4_spans_at_most_half_a_snapshot_interval_per_end(self, monkeypatch):
+        # each end of a pulse holding whole periods integrates only to its
+        # nearest snapshot or boundary, ahead or behind: at most T/16 of
+        # two-row RK4 per end, signed
         p = fig5_params("3SB", dim=48)
         period = dyn.drive_period(p)
         spans = []
@@ -977,7 +1070,8 @@ class TestStroboscopic:
             spans.clear()  # 5.3 periods from t0 hold at least 4 whole ones
             dyn.propagate(random_hybrid(rng, p.dim, time=t0), p, 5.3 * period)
             assert len(spans) == 2  # head and tail
-            assert sum(spans) <= 2 * period / 8 + h
+            assert all(abs(span) <= period / 16 + h for span in spans)
+        assert min(spans) < 0.0  # some ends run backward
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_ends_on_snapshots_of_later_periods_run_no_rk4(self, k, monkeypatch):
@@ -1002,8 +1096,7 @@ class TestStroboscopic:
             final = dyn.propagate(state, p, 3 * period)
             counts.append(len(calls))
         assert counts == [0, 0]
-        plain, *_ = dyn.propagate(state, p, 3 * period, 1.0)
-        assert np.max(np.abs(final.amps - plain.amps)) <= 1e-9
+        assert np.max(np.abs(final.amps - plain_rk4(state, p, 3 * period))) <= 1e-9
 
     @pytest.mark.parametrize("ratio", [0.97, 1.00, 1.03])
     def test_three_step_walk_against_converged_reference(self, ratio, monkeypatch):
@@ -1049,8 +1142,8 @@ class TestStroboscopic:
         steps, h = dyn._snapshot_steps(p)
         n, tau = steps[j - 1], steps[j - 1] * h
         basis = np.tile(np.eye(p.dim, dtype=complex), (2, 1))
-        forward = dyn._rk4(p, basis, 0.0, tau, n_steps=n)[-1].reshape(2, p.dim, p.dim)
-        backward = dyn._rk4(p, basis, -tau, tau, n_steps=n)[-1].reshape(2, p.dim, p.dim)
+        forward = dyn._rk4(p, basis, 0.0, tau, h=h)[-1].reshape(2, p.dim, p.dim)
+        backward = dyn._rk4(p, basis, -tau, tau, h=h)[-1].reshape(2, p.dim, p.dim)
         parity = self.parity(p.dim)
         # rows hold transposes: backward = (Pi F^T Pi)^T = Pi F Pi
         reflected = parity[:, None] * forward.transpose(0, 2, 1) * parity[None, :]
@@ -1068,7 +1161,7 @@ class TestStroboscopic:
         assert steps == [j * n_period // dyn.SNAPSHOTS_PER_PERIOD for j in range(1, dyn.SNAPSHOTS_PER_PERIOD)]
         assert n_period * h == pytest.approx(dyn.drive_period(p), rel=1e-15)
         run = dyn._rk4(p, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-                       dyn.drive_period(p), every=steps[0], n_steps=n_period)
+                       n_period * h, every=steps[0], h=h)
         full = run[1:-1].reshape(snapshots.shape)
         full_maps = run[-1].reshape(2, dim, dim) * dyn._period_phase(p, -1)
         assert np.max(np.abs(maps - full_maps)) <= 1e-14
