@@ -36,10 +36,13 @@ boundary, ahead of it or behind it (RK4 runs backward too): at most T/16
 of RK4 per end.  The table carries the rest: the transposed snapshot
 P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 to the next boundary, P^-1 M once
 per period and F_i after the last one.  Every level samples on the period
-grid T/n_T of the trap's 3SB drive.  A sampled 3SB pulse takes the table's
-period starts psi(t0 + k T) as the stacked rows P^-k psi(t0 + k T) of one
-RK4 run over at most one period; each sample is P^k times its row.  Only
-pulses holding no whole period take every step.  One period map is kept.
+grid T/n_T of the trap's 3SB drive.  A sampled 3SB pulse gets its period
+starts psi(t0 + k T) from one head, the table and one RK4 run of at most
+T/16 back from the anchors, and stacks P^-k psi(t0 + k T) as the rows of
+one RK4 run over at most one period; each sample is P^k times its row.
+The table serves a pulse only where its plain RK4 would cost more than
+the map build; such pulses, and those holding no whole period, take every
+step.  One period map is kept.
 """
 
 from __future__ import annotations
@@ -473,11 +476,12 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
     """The ``propagate`` history (times, amps) of each of ``starts`` over
     ``duration`` on the ``_sample_grid``, each amps a view of one read-only
     array whose end is the unsampled result, bit for bit.  Several starts
-    lie whole 3SB periods m_i T after t0 = ``starts[0].time``.  Sample
-    k n_T + r of start i is P^n U(t0 + r h, t0) P^-n psi(t0 + n T), n = m_i + k:
-    one RK4 run from t0 over at most a period, on the stacked rows
-    P^-n psi(t0 + n T) that the period map gives, takes every 3SB sample,
-    copying out only the rows that own one at a step."""
+    lie whole 3SB periods m_i T after t0 = ``starts[0].time``, and as
+    H(t + m T) = P^m H(t) P^-m, one RK4 run from t0 on the stacked rows
+    P^-m_i psi_i takes every 3SB sample, copying out only the rows that own
+    one at a step.  Where the period map pays (``_tabled``), the rows are
+    the ``_period_starts`` P^-n psi(t0 + n T), n = m_i + k, the run spans at
+    most a period, and sample k n_T + r is P^n times its row at step r."""
     n, dim = len(starts), params.dim
     n_steps, h = _sample_grid(params, duration)
     every = _stride(sample_interval, h)
@@ -487,12 +491,14 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
         amps = _runner(params)(params, starts[0].amps, t0, n_steps * h, every, h)[None]
     else:
         amps = np.empty((n, last + 1, 2, dim), dtype=complex)
-        periods, steps = np.divmod(np.arange(last) * every, round(period / h))
+        fold = round(period / h) if _tabled(params, duration, 2 * n) else n_steps
+        periods, steps = np.divmod(np.arange(last) * every, fold)
         count = int(periods[-1]) + 1
-        # psi(t0 + n T), (n, count, 2, dim)
-        firsts = np.array([[_evolve(s, params, k * period) for k in range(count)] for s in starts])
-        phase = _period_phase(params, np.add.outer([round((s.time - t0) / period) for s in starts],
-                                                   np.arange(count))[..., None])  # P^n
+        shifts = [round((s.time - t0) / period) for s in starts]  # m_i
+        phase = _period_phase(params, np.add.outer(shifts, np.arange(count))[..., None])  # P^n
+        # P^-n psi(t0 + n T), (n, count, 2, dim)
+        firsts = np.array([_period_starts(s, params, count) * _period_phase(params, -m)
+                           for s, m in zip(starts, shifts)])
 
         def record(step: int, rows: np.ndarray) -> None:  # rows: level-major (dim, 2 n count)
             owned = np.flatnonzero(steps == step)
@@ -500,8 +506,8 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
             picked = rows.reshape(dim, 2, n, count)[..., k].transpose(2, 3, 1, 0)
             amps[:, owned] = picked * phase[:, k, None]
 
-        # row (b n + i) count + k: P^-n psi(t0 + n T), T branches then H branches
-        psi = (firsts * phase.conj()[:, :, None]).transpose(2, 0, 1, 3).reshape(-1, dim)
+        # row (b n + i) count + k: T branches then H branches
+        psi = firsts.transpose(2, 0, 1, 3).reshape(-1, dim)
         record(0, psi.T)  # the samples on period starts
         _rk4(params, psi, t0, int(steps.max()) * h, h=h, record=record)
     amps[:, -1] = [_evolve(s, params, duration) for s in starts]
@@ -528,7 +534,7 @@ def propagate(
     ``HybridState.amps`` row order.  Samples are never closer than one grid
     step: ``_stride`` rounds a shorter interval up.  The end is the
     unsampled result, bit for bit, and whole drive periods of a 3SB pulse
-    go through the cached ``period_map`` (``_evolve``, ``_sampled_runs``).
+    go through the cached ``period_map`` where it pays (``_tabled``).
     Every state a run hands back, each sample and the end, passes
     ``_check_states``.
     """
@@ -549,43 +555,86 @@ def propagate(
 
 
 def _evolve(state: HybridState, params: SimParams, duration: float) -> np.ndarray:
-    """The checked amps of ``state`` after ``duration``; whole 3SB periods go through ``period_map``."""
+    """The checked amps of ``state`` after ``duration``; whole 3SB periods go
+    through ``period_map`` where it pays (``_tabled``)."""
     psi = state.amps
     t0, t1 = state.time, state.time + duration
     period = drive_period(params)
     k0 = k1 = 0
     if period:
-        steps, h = _snapshot_steps(params)
+        snap = _SNAP * _snapshot_steps(params)[1]
         # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps of k T
-        snap = _SNAP * h
         k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
-    if k0 < k1:
-        # F_j = U(t_j, 0) at the anchors t_j = j T/8 (F_0 = I); q T + t_j is
-        # the nearest to t0 and k1 T + t_i to t1, ahead or behind, and k0 is
-        # q + 1 (q where t_j = 0 is the boundary q T):
-        # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i (P^-1 M)^(k1 - k0)
-        #             Pi F_(8-j)^T Pi P^-k0 U(q T + t_j, t0)
-        # with P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 (see ``period_map``)
-        maps, snapshots = period_map(params)
-        anchors = [0.0, *(s * h for s in steps)]
-        (q, j), (k1, i) = (divmod(round(t * SNAPSHOTS_PER_PERIOD / period), SNAPSHOTS_PER_PERIOD)
-                           for t in (t0, t1))
-        k0, head = q + (j > 0), q * period + anchors[j] - t0
-        psi = _rk4(params, psi, t0, head if abs(head) > snap else 0.0)[-1] * _period_phase(params, -k0)
-        if j:  # rows hold transposes: F^T psi is snapshots @ psi
-            parity = (-1.0) ** np.arange(params.dim)
-            psi = np.matmul(snapshots[-j], (psi * parity)[:, :, None])[:, :, 0] * parity
-        for _ in range(k1 - k0):
-            psi = np.matmul(psi[:, None], maps)[:, 0]
+    if k0 < k1 and _tabled(params, duration, len(psi)):
+        # with k1 T + t_i the anchor nearest t1, ahead or behind (F_0 = I):
+        # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i P^-k1 U(k1 T, t0)
+        k1, i, start = _nearest_anchor(params, t1)
+        psi = _boundary_states(params, psi, t0, k1)[-1][-1]
         if i:
-            psi = np.matmul(psi[:, None], snapshots[i - 1])[:, 0]
-        start = k1 * period + anchors[i]
+            psi = np.matmul(psi[:, None], period_map(params)[1][i - 1])[:, 0]
         tail = t1 - start
         psi = _rk4(params, psi * _period_phase(params, k1), start, tail if abs(tail) > snap else 0.0)[-1]
     else:
         psi = _runner(params)(params, psi, t0, duration)[-1]
     _check_states(psi[None], state, [t1])
     return psi
+
+
+# the fixed cost of an RK4 step (band factors, windows, Python) in rows: on
+# one core a step on 2 dim rows costs 10 and 15 two-row steps at dim 96 and
+# 128, and (2 dim + 16)/(2 + 16) gives 12 and 15
+_STEP_ROWS = 16
+
+
+def _tabled(params: SimParams, duration: float, rows: int) -> bool:
+    """Whether ``duration`` of RK4 on ``rows`` rows costs at least the map
+    build, half a period on 2 dim rows.  It sees no cache, so a pulse takes
+    one path in every run."""
+    return 2.0 * duration / drive_period(params) * (rows + _STEP_ROWS) >= 2 * params.dim + _STEP_ROWS
+
+
+def _nearest_anchor(params: SimParams, t: float) -> tuple[int, int, float]:
+    """(q, j, q T + t_j): the anchor nearest t, t_j = j T/8 on the snapshot grid (t_0 = 0)."""
+    period, (steps, h) = drive_period(params), _snapshot_steps(params)
+    q, j = divmod(round(t * SNAPSHOTS_PER_PERIOD / period), SNAPSHOTS_PER_PERIOD)
+    return q, j, q * period + (steps[j - 1] * h if j else 0.0)
+
+
+def _boundary_states(params: SimParams, psi: np.ndarray, t0: float,
+                     last: int) -> tuple[int, int, float, np.ndarray]:
+    """(q, j, head, chis): RK4 takes the rows psi the signed span ``head``
+    from t0 to its nearest anchor q T + t_j, and the table on to every
+    period boundary from k0 = q + (j > 0) to ``last``, chis[m - k0] =
+    P^-m psi(m T): first P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 (see
+    ``period_map``), then P^-1 M per period."""
+    maps, snapshots = period_map(params)
+    q, j, anchor = _nearest_anchor(params, t0)
+    head = anchor - t0 if abs(anchor - t0) > _SNAP * _snapshot_steps(params)[1] else 0.0
+    psi = _rk4(params, psi, t0, head)[-1] * _period_phase(params, -q - (j > 0))
+    if j:  # rows hold transposes: F^T psi is snapshots @ psi
+        parity = (-1.0) ** np.arange(params.dim)
+        psi = np.matmul(snapshots[-j], (psi * parity)[:, :, None])[:, :, 0] * parity
+    chis = [psi]
+    for _ in range(last - q - (j > 0)):
+        chis.append(np.matmul(chis[-1][:, None], maps)[:, 0])
+    return q, j, head, np.array(chis)
+
+
+def _period_starts(state: HybridState, params: SimParams, count: int) -> np.ndarray:
+    """(count, 2, dim): P^-k psi(t + k T), t = ``state.time``.  At t's
+    nearest anchor a = q T + t_j, P^-k psi(a + k T) = P^q F_j chi_(q+k) from
+    the ``_boundary_states``, and one RK4 run takes them all back to t, as
+    U(t + k T, a + k T) = P^k U(t, a) P^-k."""
+    if count == 1:
+        return state.amps[None]
+    q = _nearest_anchor(params, state.time)[0]
+    q, j, head, chis = _boundary_states(params, state.amps, state.time, q + count - 1)
+    ahead = chis[1 - count:]  # chi_(q + k), k = 1..count - 1
+    if j:
+        ahead = np.matmul(ahead[:, :, None], period_map(params)[1][j - 1])[:, :, 0]
+    rows = (ahead * _period_phase(params, q)).transpose(1, 0, 2).reshape(-1, params.dim)  # T, then H
+    back = _rk4(params, rows, state.time + head, -head)[-1].reshape(2, count - 1, -1)
+    return np.concatenate([state.amps[None], back.transpose(1, 0, 2)])
 
 
 def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
@@ -616,21 +665,8 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
 
 def sampled_histories(state: HybridState, params: SimParams, duration: float,
                       sample_intervals: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``propagate`` history (times, amps) of each sample interval, bit
-    for bit.  For 3SB they are rows of one sampled run at the gcd of their
-    strides: views of it where the end lies on the stride, copies otherwise.
-    An exact (LDA, RWA) row depends at rounding level on how ``_exact``
-    blocks its samples, so each interval runs on its own."""
-    if duration <= 0.0 or params.level != THREE_SB:
-        return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
-    _, h = _sample_grid(params, duration)
-    strides = [_stride(i, h) for i in sample_intervals]
-    gcd = math.gcd(*strides)
-    _, times, amps = propagate(state, params, duration, gcd * h)
-    last = len(times) - 1
-    picks = [slice(None, None, k) if last % k == 0 else np.r_[0:last:k, last]
-             for k in (stride // gcd for stride in strides)]
-    return [(times[rows], amps[rows]) for rows in picks]
+    """The ``propagate`` history (times, amps) of each sample interval."""
+    return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
 
 
 # states per moment evaluation: mean_a's temporaries for a whole history
@@ -745,10 +781,9 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
     The drive clock keeps running during the waits, so the direction of
     each displacement follows the accumulated drive phase.  When pulse +
     wait spans whole 3SB drive periods, the start states come from
-    unsampled ``propagate``, and one RK4 run over at most one period on the
-    stacked period starts of every pulse samples them all
-    (``_sampled_runs``).  Otherwise, and at RWA, whose exact runs take no
-    RK4 step, the pulses run one at a time.
+    unsampled ``propagate``, and one RK4 run on the stacked rows of every
+    pulse samples them all (``_sampled_runs``).  Otherwise, and at RWA,
+    whose exact runs take no RK4 step, the pulses run one at a time.
     """
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")

@@ -298,9 +298,8 @@ class TestScenarioOutputs:
         assert columns[0] == columns[1] == columns[2]
 
     def test_trajectory_matches_separate_integrations(self, tmp_path):
-        # 3SB: one integration at the gcd stride (gcd 1 of CSV stride 3 and
-        # return-time stride 2) gives the bytes of one integration per grid;
-        # RWA runs each grid on its own, on the same grid
+        # each level runs the CSV grid and the return-time grid on their own,
+        # on the one sample grid of the trap
         opts = {"levels": ["RWA", "3SB"], "duration": 12e-6, "samples": 1300, "dim": 64}
         cli.run_scenario("trajectory", opts, out_dir=str(tmp_path))
         returns = read_json(tmp_path / "returns.json")
