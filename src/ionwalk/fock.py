@@ -168,14 +168,6 @@ def check_leakage(amps: np.ndarray, context: str = "evolution") -> None:
         )
 
 
-def lowering_op(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
-def raising_op(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
-
-
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Read-only amplitudes of the coherent state |alpha> on the truncated
     basis, renormalized to one.
@@ -245,19 +237,33 @@ def coupling_thresholds(eta: float) -> tuple[int, int]:
     return g1, n
 
 
-# The Hermitian tridiagonal i(a^dag - a) diagonalized once per dim, shared by
+def quarter_turns(dim: int) -> np.ndarray:
+    """The diagonal of Q = diag(i^n), n < dim, exactly (no rounded cos or sin)."""
+    return np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
+
+
+# The real symmetric tridiagonal a + a^dag diagonalized once per dim, shared by
 # every D(alpha) build.
 @functools.cache
 def _displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    herm = 1j * (raising_op(dim) - lowering_op(dim))
-    return np.linalg.eigh(herm)
+    off = np.sqrt(np.arange(1.0, dim))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated basis, as
-    e^{i theta n} V e^{-i r lambda} V^dag e^{-i theta n} for alpha = r e^{i theta}."""
+    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated basis.
+
+    With alpha = r e^{i theta} and P = diag(e^{i theta n} i^n), P a P^dag =
+    -i e^{-i theta} a, so alpha a^dag - alpha* a = -i r P (a + a^dag) P^dag and
+    D(alpha) = P W e^{-i r mu} W^T P^dag for the real eigenpairs (mu, W) of
+    a + a^dag: two real products, W cos(r mu) W^T and W sin(r mu) W^T."""
     alpha = complex(alpha)
     vals, vecs = _displacement_eig(dim)
-    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
-    left = phase[:, None] * vecs
-    return (left * np.exp(-1j * abs(alpha) * vals)) @ left.conj().T
+    r = abs(alpha)
+    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim)) * quarter_turns(dim)
+    out = np.empty((dim, dim), dtype=complex)
+    out.real = (vecs * np.cos(r * vals)) @ vecs.T
+    out.imag = (vecs * -np.sin(r * vals)) @ vecs.T
+    out *= phase[:, None]
+    out *= phase.conj()
+    return out

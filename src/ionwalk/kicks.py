@@ -10,6 +10,13 @@ the oscillation phase at the moment of the kick: kicks at the turning
 point (real alpha) tolerate much longer pulses than kicks at the center
 of the trap (imaginary alpha).  Kicks act on the coin rows (T, H) of
 ``HybridState.amps``.
+
+Every kick runs on real arithmetic.  With Q = diag(i^n), Q a Q^dag = -i a, so
+i(a^dag - a) = Q (a + a^dag) Q^dag and D(i eta) = exp(i eta (a + a^dag)) =
+Q R Q^dag with R = D(eta) = exp(eta (a^dag - a)).  a^dag - a is a real
+antisymmetric matrix, so R is real and orthogonal; D(-i eta) = Q R^T Q^dag.
+The trap term omega_z n is real, diagonal and commutes with Q, so in the
+basis Q^dag psi the kick Hamiltonian is real.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .fock import (
     check_leakage,
     coherent_state,
     displacement_matrix,
+    quarter_turns,
 )
 
 # Pulse durations below this violate the adiabatic elimination behind the
@@ -68,16 +76,23 @@ def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
-# D(+-i eta), signed by the kick direction, built once per (eta, dim, direction)
-# and kept read-only; shared by every kick, ideal kick and fidelity evaluation
-# of a threshold search.
+# R = Q^dag D(i eta) Q = D(eta) with Q = diag(i^n): real orthogonal, built once
+# per (eta, dim) and kept read-only; D(i eta) = Q R Q^dag and D(-i eta) = Q R^T
+# Q^dag, so both kick directions and every kick, ideal kick and fidelity
+# evaluation of a threshold search share it.
 @functools.cache
-def _kick_displacement(eta: float, dim: int, direction: int) -> np.ndarray:
+def _real_kick_displacement(eta: float, dim: int) -> np.ndarray:
+    r = np.ascontiguousarray(displacement_matrix(eta, dim).real)
+    r.setflags(write=False)
+    return r
+
+
+def _directed(eta: float, dim: int, direction: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R_d, R_d^T) for the kick D(i eta d) = Q R_d Q^dag, d = ``direction``."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    d = displacement_matrix(1j * (direction * eta), dim)
-    d.setflags(write=False)
-    return d
+    r = _real_kick_displacement(eta, dim)
+    return (r, r.T) if direction == 1 else (r.T, r)
 
 
 def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:
@@ -86,15 +101,21 @@ def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:
     Flips the coin and displaces the motion by +- i eta depending on the
     coin state; the trap rotation is neglected.
     """
-    n = 2 * kp.dim
-    return _apply_ideal(np.eye(n, dtype=complex).reshape(2, kp.dim, n), kp.eta, direction).reshape(n, n)
+    up, down = _directed(kp.eta, kp.dim, direction)
+    q = quarter_turns(kp.dim)
+    u = np.zeros((2, kp.dim, 2, kp.dim), dtype=complex)
+    # sigma_plus = |T><H| carries D(i eta d); sigma_minus = |H><T| its inverse
+    u[0, :, 1] = -1j * q[:, None] * up * q.conj()
+    u[1, :, 0] = -1j * q[:, None] * down * q.conj()
+    return u.reshape(2 * kp.dim, 2 * kp.dim)
 
 
 def _apply_ideal(psi: np.ndarray, eta: float, direction: int) -> np.ndarray:
     """The ideal kick applied to rows (T, H) of ``psi``, laid out as ``HybridState.amps``."""
-    d_up = _kick_displacement(eta, psi.shape[1], direction)
-    # sigma_plus = |T><H| carries D(i eta d); sigma_minus = |H><T| its inverse
-    return -1j * np.stack([d_up @ psi[1], d_up.conj().T @ psi[0]])
+    up, down = _directed(eta, psi.shape[1], direction)
+    q = quarter_turns(psi.shape[1])
+    y = (psi * q.conj()).view(float).reshape(2, -1, 2)  # (re, im) pairs
+    return -1j * q * np.stack([up @ y[1], down @ y[0]]).view(complex)[..., 0]
 
 
 def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridState:
@@ -108,9 +129,15 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
     the Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
     J_k(R) falls monotonically once k > R: the sum stops at the first such k
     with |J_k(R)| < 1e-16.
+
+    The recurrence runs in the basis Q^dag psi, Q = diag(i^n): i(a^dag - a) =
+    Q (a + a^dag) Q^dag gives D(i eta) = Q D(eta) Q^dag, and D(eta), the
+    exponential of the real antisymmetric eta (a^dag - a), is real; each term is
+    two real products on the rows' (re, im) pairs.
     """
     if state.dim != kp.dim:
         raise ValueError("state dim does not match kick dim")
+    up, down = _directed(kp.eta, kp.dim, direction)
     rotation = kp.t_p * kp.omega_z * np.arange(kp.dim)
     centre = rotation[-1] / 2.0
     radius = centre + math.pi / 2.0
@@ -118,24 +145,32 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridS
     k = np.arange(int(radius + 20.0 * np.cbrt(radius)) + 30)
     bessel = _bessel_j(len(k), radius)
     n_terms = k[(k > radius) & (np.abs(bessel) < 1e-16)][0]
-    coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k[:n_terms] % 4] * bessel[:n_terms]
-    # 2 Ht; D^dag x = conj(conj(x) D) reads only the cached D
-    diag = 2.0 * (rotation - centre) / radius
-    flip = (math.pi / radius) * _kick_displacement(kp.eta, kp.dim, direction)
+    # (2 - delta_k0) (-i)^k J_k = w_k for even k and -i w_k for odd k
+    weights = 2.0 * np.array([1.0, 1.0, -1.0, -1.0])[k[:n_terms] % 4] * bessel[:n_terms]
+    weights[0] = bessel[0]
+    # 2 Ht = diag + (pi / R) K in the Q basis, on real (re, im) pairs
+    diag = (2.0 * (rotation - centre) / radius)[:, None]
+    flip = math.pi / radius
+    flipped = np.empty((2, kp.dim, 2))
 
-    def double_scaled(x: np.ndarray) -> np.ndarray:
-        out = diag * x
-        out[0] += flip @ x[1]
-        out[1] += np.conj(np.conj(x[0]) @ flip)
+    def double_scaled(y: np.ndarray) -> np.ndarray:
+        np.matmul(up, y[1], out=flipped[0])
+        np.matmul(down, y[0], out=flipped[1])
+        out = diag * y
+        out += flip * flipped
         return out
 
-    prev, cur = state.amps, 0.5 * double_scaled(state.amps)
-    psi = bessel[0] * prev + coeffs[1] * cur
-    for coeff in coeffs[2:]:
+    q = quarter_turns(kp.dim)
+    prev = (state.amps * q.conj()).view(float).reshape(2, kp.dim, 2)
+    cur = 0.5 * double_scaled(prev)
+    sums = [weights[0] * prev, weights[1] * cur]  # over even and odd k
+    for j, weight in enumerate(weights[2:].tolist(), start=2):
         prev, cur = cur, double_scaled(cur) - prev
-        psi += coeff * cur
+        sums[j % 2] += weight * cur
+    psi = sums[0].view(complex)[..., 0] - 1j * sums[1].view(complex)[..., 0]
+    psi *= np.exp(-1j * centre) * q
     check_leakage(psi, "kick")
-    return HybridState(np.exp(-1j * centre) * psi, state.time + kp.t_p)
+    return HybridState(psi, state.time + kp.t_p)
 
 
 def _bessel_j(count: int, r: float) -> np.ndarray:

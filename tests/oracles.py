@@ -1,5 +1,5 @@
-"""Reference forms the tests check the library against: the dense drive
-Hamiltonian, the linear-drive arc radius, the pulse-by-pulse stepwise
+"""Reference forms the tests check the library against: the dense ladder
+operators, the dense drive Hamiltonian, the linear-drive arc radius, the pulse-by-pulse stepwise
 excitation, the kick deviation and the Fock-space kick train."""
 
 import math
@@ -8,6 +8,16 @@ import numpy as np
 
 from ionwalk import dynamics as dyn
 from ionwalk import fock, kicks
+
+
+def lowering_op(dim: int) -> np.ndarray:
+    """The truncated annihilation operator a, <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+
+
+def raising_op(dim: int) -> np.ndarray:
+    """The truncated creation operator a^dag."""
+    return np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
 
 
 def stencil_offsets(stencil: dyn.DriveStencil) -> np.ndarray:

@@ -10,7 +10,14 @@ from scipy.special import eval_genlaguerre, gammaln
 from ionwalk import dynamics as dyn
 from ionwalk import cli, fock, pulses
 from ionwalk.errors import StepError, TruncationError
-from oracles import hamiltonian, lda_radius, sequential_stepwise, stencil_offsets
+from oracles import (
+    hamiltonian,
+    lda_radius,
+    lowering_op,
+    raising_op,
+    sequential_stepwise,
+    stencil_offsets,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +45,7 @@ class TestHamiltonianStructure:
         p = fock.experimental_params(level="LDA", dim=32)
         h = hamiltonian(p, 0.0)
         dim = p.dim
-        ladder = 1j * p.eta * (fock.raising_op(dim) - fock.lowering_op(dim))
+        ladder = 1j * p.eta * (raising_op(dim) - lowering_op(dim))
         t_block = h[:dim, :dim]
         assert np.max(np.abs(t_block - (p.omega_d / 2.0) * ladder)) < 1e-9
         h_block = h[dim:, dim:]

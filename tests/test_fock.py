@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from ionwalk import fock
 from ionwalk.errors import ConfigError, TruncationError
+from oracles import lowering_op, raising_op
 
 
 def test_ground_state_is_trivial():
@@ -50,7 +51,7 @@ def test_coherent_amplitudes_follow_poisson_weights(mag, angle):
 @pytest.mark.parametrize("dim", [16, 64, 128, 256, 384])
 @pytest.mark.parametrize("alpha", [0.0, 0.31j, -0.31j, 1.5 + 0.5j, -2.3 + 1.1j, 4.0])
 def test_displacement_matrix_matches_expm(dim, alpha):
-    gen = alpha * fock.raising_op(dim) - np.conj(alpha) * fock.lowering_op(dim)
+    gen = alpha * raising_op(dim) - np.conj(alpha) * lowering_op(dim)
     assert np.max(np.abs(fock.displacement_matrix(alpha, dim) - expm(gen))) <= 1e-12
 
 

@@ -252,6 +252,7 @@ class TestExactKick:
         assert abs(kicks.kick_fidelity(alpha, kp) - reference) <= 1e-7
 
     def test_threshold_search_builds_displacement_once(self, monkeypatch):
+        # one real R = Q^dag D(i eta) Q = D(eta) per (eta, dim) serves both directions
         calls = []
         build = fock.displacement_matrix
 
@@ -259,15 +260,19 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
-        kicks._kick_displacement.cache_clear()
+        kicks._real_kick_displacement.cache_clear()
         monkeypatch.setattr(fock, "displacement_matrix", counting)
         monkeypatch.setattr(kicks, "displacement_matrix", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
         assert len(samples) > 5
-        assert calls == [(1j * 0.31, 64)]
-        assert kicks._kick_displacement.cache_info().currsize == 1
-        cached = kicks._kick_displacement(0.31, 64, 1)
+        assert calls == [(0.31, 64)]
+        initial = HybridState.product("H", fock.coherent_state(2j, 64))
+        kicks.kick_full(initial, kicks.pi_pulse(1e-9, 0.31, WZ, 64), direction=-1)
+        assert calls == [(0.31, 64)]
+        assert kicks._real_kick_displacement.cache_info().currsize == 1
+        cached = kicks._real_kick_displacement(0.31, 64)
         assert len(calls) == 1
+        assert cached.dtype == np.float64
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
@@ -315,10 +320,20 @@ class TestExactKick:
     @pytest.mark.parametrize("eta", [0.25, 0.31])
     @pytest.mark.parametrize("dim", [16, 64, 256, 512])
     def test_cached_kick_displacement_is_unitary(self, dim, eta):
-        # ||K|| = 1, the spectral interval kick_full expands on, needs this
+        # ||K|| = 1, the spectral interval kick_full expands on, needs this; the
+        # kernel runs on the real R and drops D(eta)'s rounding-level imaginary part
+        built = fock.displacement_matrix(eta, dim)
+        assert np.max(np.abs(built.imag)) <= 1e-14
+        r = kicks._real_kick_displacement(eta, dim)
+        assert np.array_equal(r, built.real)
+        assert np.max(np.abs(r.T @ r - np.eye(dim))) <= 1e-13
+        q = fock.quarter_turns(dim)
         for direction in (1, -1):
-            d = kicks._kick_displacement(eta, dim, direction)
+            d = q[:, None] * (r if direction == 1 else r.T) * q.conj()
             assert np.max(np.abs(d.conj().T @ d - np.eye(dim))) <= 1e-13
+            # Q R Q^dag is D(i eta direction) itself
+            expected = fock.displacement_matrix(1j * direction * eta, dim)
+            assert np.max(np.abs(d - expected)) <= 1e-13
 
     def test_kick_is_bit_reproducible_and_leaves_global_rng_alone(self):
         kp = kicks.pi_pulse(1e-8, 0.31, WZ, 256)
