@@ -257,13 +257,28 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     -i e^{-i theta} a, so alpha a^dag - alpha* a = -i r P (a + a^dag) P^dag and
     D(alpha) = P W e^{-i r mu} W^T P^dag for the real eigenpairs (mu, W) of
     a + a^dag: two real products, W cos(r mu) W^T and W sin(r mu) W^T."""
-    alpha = complex(alpha)
+    r, phase = _polar_phase(alpha, dim)
     vals, vecs = _displacement_eig(dim)
-    r = abs(alpha)
-    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim)) * quarter_turns(dim)
     out = np.empty((dim, dim), dtype=complex)
     out.real = (vecs * np.cos(r * vals)) @ vecs.T
     out.imag = (vecs * -np.sin(r * vals)) @ vecs.T
     out *= phase[:, None]
     out *= phase.conj()
     return out
+
+
+def displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
+    """D(alpha) applied to each amplitude vector along the last axis of ``amps``:
+    displacement_matrix's factors P W e^{-i r mu} W^T P^dag without the matrix,
+    two real (dim x dim) products on each vector's (re, im) pairs."""
+    r, phase = _polar_phase(alpha, amps.shape[-1])
+    vals, vecs = _displacement_eig(amps.shape[-1])
+    pairs = np.ascontiguousarray(amps * phase.conj()).view(float).reshape(*amps.shape, 2)
+    rotated = (vecs.T @ pairs).view(complex)[..., 0] * np.exp(-1j * r * vals)
+    return (vecs @ rotated.view(float).reshape(pairs.shape)).view(complex)[..., 0] * phase
+
+
+def _polar_phase(alpha: complex, dim: int) -> tuple[float, np.ndarray]:
+    """r and the diagonal of P for alpha = r e^{i theta}, P = diag(e^{i theta n} i^n)."""
+    alpha = complex(alpha)
+    return abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim)) * quarter_turns(dim)

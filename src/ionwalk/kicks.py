@@ -11,16 +11,20 @@ point (real alpha) tolerate much longer pulses than kicks at the center
 of the trap (imaginary alpha).  Kicks act on the coin rows (T, H) of
 ``HybridState.amps``.
 
-Every kick runs on real arithmetic.  With Q = diag(i^n), Q a Q^dag = -i a, so
-i(a^dag - a) = Q (a + a^dag) Q^dag and D(i eta) = exp(i eta (a + a^dag)) =
-Q R Q^dag with R = D(eta) = exp(eta (a^dag - a)).  a^dag - a is a real
-antisymmetric matrix, so R is real and orthogonal; D(-i eta) = Q R^T Q^dag.
-The trap term omega_z n is real, diagonal and commutes with Q, so in the
-basis Q^dag psi the kick Hamiltonian is real.
+A kick runs in static frames displaced along the free orbit, psi = D(beta) chi,
+so that chi stays near the vacuum and one small basis serves any |alpha|:
+D(-beta) n D(beta) = n + beta* a + beta a^dag + |beta|^2 and D(-beta) D(i eta)
+D(beta) = e^{i theta} D(i eta), theta = 2 eta Re beta, which the coin phase
+diag(e^{i theta}, 1) takes out.  With Q = diag(i^n), Q a Q^dag = -i a, so
+D(i eta) = exp(i eta (a + a^dag)) = Q R Q^dag with R = D(eta), real and
+orthogonal as eta (a^dag - a) is real antisymmetric; D(-i eta) = Q R^T Q^dag.
+In the basis Q^dag chi the kick Hamiltonian is real but for the frame term
+Q^dag (beta* a + beta a^dag) Q = i beta* a - i beta a^dag, a tridiagonal.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from .errors import ConfigError, NoThreshold
 from .fock import (
     check_leakage,
     coherent_state,
+    displace,
     displacement_matrix,
     quarter_turns,
 )
@@ -49,6 +54,11 @@ TURNING_KICK_COEFFS = (-17.03, -0.02, -0.1)   # kick at the turning point (real 
 THRESHOLD_FLOOR = 1.2 * MIN_PULSE
 THRESHOLD_CEILING = 1e-5
 THRESHOLD_REL_TOL = 0.01
+
+# Displaced frames: the default basis of the threshold searches, and the
+# longest stretch of the orbit one static frame serves.
+FRAME_DIM = 32
+FRAME_ARC = 4.0
 
 
 @dataclass(frozen=True)
@@ -76,101 +86,113 @@ def pi_pulse(t_p: float, eta: float, omega_z: float, dim: int) -> KickParams:
     return KickParams(t_p=t_p, eta=eta, omega_z=omega_z, dim=dim)
 
 
-# R = Q^dag D(i eta) Q = D(eta) with Q = diag(i^n): real orthogonal, built once
-# per (eta, dim) and kept read-only; D(i eta) = Q R Q^dag and D(-i eta) = Q R^T
-# Q^dag, so both kick directions and every kick, ideal kick and fidelity
-# evaluation of a threshold search share it.
+# K = [[0, D], [D^dag, 0]] on the rows (T, H), D = D(i eta d) for d = direction,
+# in the basis Q^dag: the real symmetric [[0, R_d], [R_d^T, 0]], R_1 = R and
+# R_-1 = R^T, from one R per (eta, dim) for both directions; read-only.
 @functools.cache
-def _real_kick_displacement(eta: float, dim: int) -> np.ndarray:
-    r = np.ascontiguousarray(displacement_matrix(eta, dim).real)
-    r.setflags(write=False)
-    return r
-
-
-def _directed(eta: float, dim: int, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R_d, R_d^T) for the kick D(i eta d) = Q R_d Q^dag, d = ``direction``."""
-    if direction not in (1, -1):
+def _kick_block(eta: float, dim: int, direction: int) -> np.ndarray:
+    if direction == 1:
+        r = displacement_matrix(eta, dim).real
+        block = np.block([[np.zeros_like(r), r], [r.T, np.zeros_like(r)]])
+    elif direction == -1:  # the coin blocks of direction 1, swapped
+        block = np.roll(_kick_block(eta, dim, 1), dim, axis=(0, 1))
+    else:
         raise ValueError("direction must be +1 or -1")
-    r = _real_kick_displacement(eta, dim)
-    return (r, r.T) if direction == 1 else (r.T, r)
+    block.setflags(write=False)
+    return block
 
 
 def kick_ideal(kp: KickParams, direction: int = 1) -> np.ndarray:
     """Instantaneous-kick operator on coin (x) motion (blocks (T, H)).
 
     Flips the coin and displaces the motion by +- i eta depending on the
-    coin state; the trap rotation is neglected.
+    coin state; the trap rotation is neglected: at omega_z = 0 the pi pulse
+    exp(-i (pi/2) K) is -i K, since K^2 = 1.
     """
-    up, down = _directed(kp.eta, kp.dim, direction)
-    q = quarter_turns(kp.dim)
-    u = np.zeros((2, kp.dim, 2, kp.dim), dtype=complex)
-    # sigma_plus = |T><H| carries D(i eta d); sigma_minus = |H><T| its inverse
-    u[0, :, 1] = -1j * q[:, None] * up * q.conj()
-    u[1, :, 0] = -1j * q[:, None] * down * q.conj()
-    return u.reshape(2 * kp.dim, 2 * kp.dim)
+    q = np.tile(quarter_turns(kp.dim), 2)
+    return -1j * q[:, None] * _kick_block(kp.eta, kp.dim, direction) * q.conj()
 
 
-def _apply_ideal(psi: np.ndarray, eta: float, direction: int) -> np.ndarray:
-    """The ideal kick applied to rows (T, H) of ``psi``, laid out as ``HybridState.amps``."""
-    up, down = _directed(eta, psi.shape[1], direction)
-    q = quarter_turns(psi.shape[1])
-    y = (psi * q.conj()).view(float).reshape(2, -1, 2)  # (re, im) pairs
-    return -1j * q * np.stack([up @ y[1], down @ y[0]]).view(complex)[..., 0]
+def kick_full(state: HybridState, kp: KickParams, direction: int = 1, alpha: complex = 0j) -> HybridState:
+    """Exact kick including the trap term omega_z a^dag a, in frames displaced
+    along the free orbit alpha e^{-i omega_z t}.
 
-
-def kick_full(state: HybridState, kp: KickParams, direction: int = 1) -> HybridState:
-    """Exact kick including the trap term omega_z a^dag a.
-
-    On rows (T, H), t_p H = t_p omega_z n + (pi/2) K with K = [[0, D], [D^dag, 0]]
-    is Hermitian and time independent; D = D(i eta) is unitary, so ||K|| = 1 and
-    the spectrum lies in [-pi/2, t_p omega_z (dim - 1) + pi/2] (Weyl).  With c, R
-    that interval's centre and half-width and Ht = (t_p H - c) / R, the pulse is
-    exp(-i t_p H) = e^{-ic} sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(Ht), summed by
-    the Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-    J_k(R) falls monotonically once k > R: the sum stops at the first such k
-    with |J_k(R)| < 1e-16.
-
-    The recurrence runs in the basis Q^dag psi, Q = diag(i^n): i(a^dag - a) =
-    Q (a + a^dag) Q^dag gives D(i eta) = Q D(eta) Q^dag, and D(eta), the
-    exponential of the real antisymmetric eta (a^dag - a), is real; each term is
-    two real products on the rows' (re, im) pairs.
+    ``state`` holds chi of psi = D(alpha) chi, the result chi' of psi' =
+    D(alpha e^{-i omega_z t_p}) chi' up to a global phase (none at alpha = 0,
+    the kick in Fock space).  J = ceil(|alpha| omega_z t_p / FRAME_ARC)
+    segments of tau = t_p / J each run in the static frame of their midpoint
+    on the orbit, where tau H = tau omega_z (n + beta* a + beta a^dag) +
+    (pi tau / 2 t_p) K up to a constant, K = [[0, D], [D^dag, 0]].  D = D(i eta)
+    is unitary, ||K|| = 1, so the spectrum lies in tau omega_z [lo, hi] widened
+    by pi tau / 2 t_p (Weyl), lo and hi the extreme eigenvalues of the
+    truncated n + |alpha| (a + a^dag).  With c, R that interval's centre and
+    half-width and Ht = (tau H - c) / R, exp(-i tau H) = e^{-ic} sum_k
+    (2 - delta_k0) (-i)^k J_k(R) T_k(Ht) by the Chebyshev recurrence (Tal-Ezer
+    & Kosloff, J. Chem. Phys. 81, 3967 (1984)), up to the first k > R with
+    |J_k(R)| < 1e-16; in the basis Q^dag chi a term is one real symmetric
+    product on the rows' (re, im) pairs plus the frame term.  TruncationError
+    if a segment ends with guard-band population.
     """
     if state.dim != kp.dim:
         raise ValueError("state dim does not match kick dim")
-    up, down = _directed(kp.eta, kp.dim, direction)
-    rotation = kp.t_p * kp.omega_z * np.arange(kp.dim)
-    centre = rotation[-1] / 2.0
-    radius = centre + math.pi / 2.0
+    dim, turn = kp.dim, kp.omega_z * kp.t_p
+    segments = max(1, math.ceil(abs(alpha) * turn / FRAME_ARC))
+    scale, kick = turn / segments, math.pi / 2.0 / segments
+    lo, hi = _frame_spectrum(abs(alpha), dim)
+    centre = scale * (lo + hi) / 2.0
+    radius = scale * (hi - lo) / 2.0 + kick
     # |J_{R+m}(R)| < 1e-16 by m ~ 12 R^(1/3) (Airy tail), well inside this range
     k = np.arange(int(radius + 20.0 * np.cbrt(radius)) + 30)
     bessel = _bessel_j(len(k), radius)
-    n_terms = k[(k > radius) & (np.abs(bessel) < 1e-16)][0]
-    # (2 - delta_k0) (-i)^k J_k = w_k for even k and -i w_k for odd k
-    weights = 2.0 * np.array([1.0, 1.0, -1.0, -1.0])[k[:n_terms] % 4] * bessel[:n_terms]
-    weights[0] = bessel[0]
-    # 2 Ht = diag + (pi / R) K in the Q basis, on real (re, im) pairs
-    diag = (2.0 * (rotation - centre) / radius)[:, None]
-    flip = math.pi / radius
-    flipped = np.empty((2, kp.dim, 2))
+    n_terms = int(k[(k > radius) & (np.abs(bessel) < 1e-16)][0])
+    # e^{-ic} (2 - delta_k0) (-i)^k J_k(R)
+    coeffs = cmath.exp(-1j * centre) * np.array([2.0, -2j, -2.0, 2j])[k[:n_terms] % 4] * bessel[:n_terms]
+    coeffs[0] /= 2.0
+    # 2 Ht without the frame term: real symmetric
+    gen = 2.0 * kick / radius * _kick_block(kp.eta, dim, direction)
+    gen.flat[:: 2 * dim + 1] = np.tile(2.0 * (scale * np.arange(dim) - centre) / radius, 2)
+    # T_k(Ht) chi in a ring of flat (T, H) rows, also viewed as real (re, im)
+    # pairs; each filled ring is summed into psi with its coefficients
+    ring = min(n_terms, 64)
+    zs = np.empty((ring, 2 * dim), dtype=complex)
+    ys = list(zs.view(float).reshape(ring, 2 * dim, 2))
+    heads, tails = list(zs[:, :-1]), list(zs[:, 1:])
+    q = quarter_turns(dim)
+    chi, here = state.amps * q.conj(), alpha
+    for j in range(segments + 1):  # each segment in the frame of its midpoint, then the end
+        beta = alpha * cmath.exp(-1j * turn * min(1.0, (j + 0.5) / segments))
+        if beta != here:  # chi <- D(here - beta) chi, and Q^dag D(g) Q = D(-i g)
+            chi, here = displace(chi, 1j * (beta - here)), beta
+        if j == segments:
+            break
+        coin = np.array([[cmath.exp(2j * direction * kp.eta * beta.real)], [1.0]])
+        zs[0] = (chi * coin.conj()).ravel()
+        # the frame term, links[m] coupling m and m + 1 within each row
+        link = 2.0 * scale / radius * 1j * beta.conjugate() * np.sqrt(np.arange(1.0, dim))
+        links = np.concatenate([link, [0.0], link])
+        back = links.conj()
+        psi = np.zeros(2 * dim, dtype=complex)
+        for m in range(1, n_terms):
+            src, dst = (m - 1) % ring, m % ring
+            np.matmul(gen, ys[src], out=ys[dst])
+            if beta:
+                heads[dst] += links * tails[src]
+                tails[dst] += back * heads[src]
+            ys[dst] -= ys[(m - 2) % ring] if m > 1 else 0.5 * ys[dst]  # T_1 = Ht T_0
+            if dst == ring - 1 or m == n_terms - 1:
+                psi += coeffs[m - dst : m + 1] @ zs[: dst + 1]
+        chi = coin * psi.reshape(2, dim)
+        check_leakage(chi, "kick")
+    return HybridState(chi * q, state.time + kp.t_p)
 
-    def double_scaled(y: np.ndarray) -> np.ndarray:
-        np.matmul(up, y[1], out=flipped[0])
-        np.matmul(down, y[0], out=flipped[1])
-        out = diag * y
-        out += flip * flipped
-        return out
 
-    q = quarter_turns(kp.dim)
-    prev = (state.amps * q.conj()).view(float).reshape(2, kp.dim, 2)
-    cur = 0.5 * double_scaled(prev)
-    sums = [weights[0] * prev, weights[1] * cur]  # over even and odd k
-    for j, weight in enumerate(weights[2:].tolist(), start=2):
-        prev, cur = cur, double_scaled(cur) - prev
-        sums[j % 2] += weight * cur
-    psi = sums[0].view(complex)[..., 0] - 1j * sums[1].view(complex)[..., 0]
-    psi *= np.exp(-1j * centre) * q
-    check_leakage(psi, "kick")
-    return HybridState(psi, state.time + kp.t_p)
+@functools.cache
+def _frame_spectrum(mag: float, dim: int) -> tuple[float, float]:
+    """Extreme eigenvalues of the truncated n + mag (a + a^dag), those of
+    n + beta* a + beta a^dag at |beta| = mag (a phase rotation apart)."""
+    off = mag * np.sqrt(np.arange(1.0, dim))
+    vals = np.linalg.eigvalsh(np.diag(np.arange(float(dim))) + np.diag(off, 1) + np.diag(off, -1))
+    return float(vals[0]), float(vals[-1])
 
 
 def _bessel_j(count: int, r: float) -> np.ndarray:
@@ -195,32 +217,30 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     or without the kick and is absorbed by the co-rotating frame, so the
     comparison removes it; what remains is the genuine interference of the
     trap evolution with the kick, which depends on the oscillation phase.
+    |H>|alpha> is |H>|0> in the frame alpha, and its ideal kick plus free
+    flight is, in the frame alpha e^{-i omega_z t_p}, the rotated ideal kick of
+    |H>|0>: the comparison runs on ``kp.dim`` levels at any |alpha|.
     """
-    initial, psi_ideal = _ideal_pair(alpha, kp.eta, kp.dim, direction)
-    undo_rotation = np.exp(1j * kp.omega_z * np.arange(kp.dim) * kp.t_p)
-    psi_full = kick_full(initial, kp, direction).amps * undo_rotation
-    return float(abs(np.vdot(psi_ideal, psi_full)) ** 2)
+    start, ideal = _vacuum_pair(kp.eta, kp.dim, direction)
+    chi = kick_full(start, kp, direction, alpha).amps
+    undo_rotation = np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim))
+    return float(abs(np.vdot(ideal, chi * undo_rotation)) ** 2)
 
 
-# |H>|alpha> and its ideal kick per (alpha, eta, dim, direction), kept
-# read-only: neither depends on t_p or omega_z, so every fidelity evaluation
-# of a threshold search shares one pair.
+# |H>|0> and its ideal kick per (eta, dim, direction), kept read-only: every
+# fidelity evaluation of these shares them, at any alpha, t_p and omega_z.
 @functools.cache
-def _ideal_pair(alpha: complex, eta: float, dim: int, direction: int) -> tuple[HybridState, np.ndarray]:
-    initial = HybridState.product("H", coherent_state(alpha, dim))
-    psi_ideal = _apply_ideal(initial.amps, eta, direction)
-    psi_ideal.setflags(write=False)
-    return initial, psi_ideal
+def _vacuum_pair(eta: float, dim: int, direction: int) -> tuple[HybridState, np.ndarray]:
+    start = HybridState.product("H", coherent_state(0.0, dim))
+    ideal_kick = kick_ideal(KickParams(t_p=THRESHOLD_FLOOR, eta=eta, omega_z=0.0, dim=dim), direction)
+    ideal = (ideal_kick @ start.amps.ravel()).reshape(2, dim)
+    ideal.setflags(write=False)
+    return start, ideal
 
 
 def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:
     """First-order estimate of the kick error, t_p * omega_z * |alpha|^2."""
     return t_p * omega_z * abs(alpha) ** 2
-
-
-def required_dim(alpha: complex) -> int:
-    """Truncation heuristic for kick studies at motional amplitude alpha."""
-    return max(64, int(math.ceil((abs(alpha) + 6.0) ** 2)))
 
 
 def fidelity_threshold(
@@ -237,10 +257,11 @@ def fidelity_threshold(
     (t_p, fidelity at t_p, sampled (t_p, f) pairs), with (t_p, f) one of the
     samples (the ceiling if it still reaches ``f_min``).  Raises NoThreshold
     when even the shortest valid pulse falls below ``f_min``,
-    TruncationError when ``dim`` cannot hold |alpha>.
+    TruncationError when the ``dim``-level frame basis (FRAME_DIM by
+    default) cannot hold the kick.
     """
     if dim is None:
-        dim = required_dim(alpha)
+        dim = FRAME_DIM
 
     samples: list[tuple[float, float]] = []
 

@@ -1,7 +1,9 @@
 """Reference forms the tests check the library against: the dense ladder
 operators, the dense drive Hamiltonian, the linear-drive arc radius, the pulse-by-pulse stepwise
-excitation, the kick deviation and the Fock-space kick train."""
+excitation, the kick deviation, the Fock-space kick fidelity and the Fock-space kick train."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -68,6 +70,31 @@ def kick_deviation(alpha: complex, kp: kicks.KickParams, direction: int = 1) -> 
     initial = dyn.HybridState.product("H", fock.coherent_state(alpha, kp.dim))
     psi_ideal = kicks.kick_ideal(kp, direction) @ initial.amps.ravel()
     return float(np.linalg.norm(kicks.kick_full(initial, kp, direction).amps.ravel() - psi_ideal))
+
+
+def fock_kick_dim(alpha: complex) -> int:
+    """Fock levels that hold a kick of |alpha> without displaced frames."""
+    return max(64, math.ceil((abs(alpha) + 6.0) ** 2))
+
+
+def fock_kick_fidelity(alpha: complex, kp: kicks.KickParams, direction: int = 1) -> float:
+    """``kick_fidelity`` without frames: ``kick_full`` at beta = 0 on |H>|alpha>
+    in ``fock_kick_dim(alpha)`` levels (``kp.dim`` is ignored), against the
+    dense ideal kick, with the free flight removed."""
+    kp = dataclasses.replace(kp, dim=fock_kick_dim(alpha))
+    initial, psi_ideal = _fock_kick_pair(alpha, kp.eta, kp.dim, direction)
+    undo_rotation = np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim))
+    psi = kicks.kick_full(initial, kp, direction).amps * undo_rotation
+    return float(abs(np.vdot(psi_ideal, psi.ravel())) ** 2)
+
+
+@functools.cache
+def _fock_kick_pair(alpha: complex, eta: float, dim: int, direction: int):
+    """|H>|alpha> on ``dim`` levels and its dense ideal kick (t_p and omega_z
+    do not enter it)."""
+    initial = dyn.HybridState.product("H", fock.coherent_state(alpha, dim))
+    kp = kicks.KickParams(t_p=1e-9, eta=eta, omega_z=0.0, dim=dim)
+    return initial, kicks.kick_ideal(kp, direction) @ initial.amps.ravel()
 
 
 def kick_train(n_kicks: int, alternate: bool, kp: kicks.KickParams) -> tuple[dyn.HybridState, float]:

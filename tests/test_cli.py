@@ -243,6 +243,16 @@ class TestConfigHandling:
             assert payload["error"] == error and message in payload["message"]
             assert os.listdir(out) == []
 
+    def test_kick_basis_too_small_exits_3(self, tmp_path, capsys):
+        # dim sets the frame basis: 16 levels cannot hold a kick segment at |alpha| = 200
+        out = tmp_path / "k"
+        assert run(["kick-threshold", "--out", str(out), "--set", "dim=16",
+                    "--set", "alphas=[200.0]"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "TruncationError"
+        assert "kick: guard-band population" in payload["message"]
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
     def test_failed_run_writes_no_output(self, tmp_path, capsys, monkeypatch, scenario):
         def writes_then_fails(ctx):

@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from ionwalk import fock, kicks
+from ionwalk import cli, fock, kicks
 from ionwalk.dynamics import HybridState
 from ionwalk.errors import ConfigError, NoThreshold, TruncationError
-from oracles import kick_deviation, kick_train
+from oracles import fock_kick_dim, fock_kick_fidelity, kick_deviation, kick_train
 
 WZ = 2 * math.pi * 2.13e6
 
@@ -252,7 +252,9 @@ class TestExactKick:
         assert abs(kicks.kick_fidelity(alpha, kp) - reference) <= 1e-7
 
     def test_threshold_search_builds_displacement_once(self, monkeypatch):
-        # one real R = Q^dag D(i eta) Q = D(eta) per (eta, dim) serves both directions
+        # one real R = Q^dag D(i eta) Q = D(eta) per (eta, dim) serves both
+        # directions' blocks [[0, R_d], [R_d^T, 0]]; the frames re-centre with
+        # fock.displace, not a matrix
         calls = []
         build = fock.displacement_matrix
 
@@ -260,7 +262,7 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
-        kicks._real_kick_displacement.cache_clear()
+        kicks._kick_block.cache_clear()
         monkeypatch.setattr(fock, "displacement_matrix", counting)
         monkeypatch.setattr(kicks, "displacement_matrix", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
@@ -269,15 +271,21 @@ class TestExactKick:
         initial = HybridState.product("H", fock.coherent_state(2j, 64))
         kicks.kick_full(initial, kicks.pi_pulse(1e-9, 0.31, WZ, 64), direction=-1)
         assert calls == [(0.31, 64)]
-        assert kicks._real_kick_displacement.cache_info().currsize == 1
-        cached = kicks._real_kick_displacement(0.31, 64)
+        assert kicks._kick_block.cache_info().currsize == 2
+        r = build(0.31, 64).real
+        for direction, blocks in ((1, (r, r.T)), (-1, (r.T, r))):
+            cached = kicks._kick_block(0.31, 64, direction)
+            assert cached.dtype == np.float64
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+            assert np.array_equal(cached[:64, 64:], blocks[0])
+            assert np.array_equal(cached[64:, :64], blocks[1])
+            assert not cached[:64, :64].any() and not cached[64:, 64:].any()
         assert len(calls) == 1
-        assert cached.dtype == np.float64
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
 
     def test_threshold_search_builds_start_state_once(self, monkeypatch):
+        # every evaluation starts from the one cached |H>|0> of the frame alpha
         calls = []
         build = kicks.coherent_state
 
@@ -285,10 +293,10 @@ class TestExactKick:
             calls.append((alpha, dim))
             return build(alpha, dim)
 
-        kicks._ideal_pair.cache_clear()
+        kicks._vacuum_pair.cache_clear()
         monkeypatch.setattr(kicks, "coherent_state", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
-        assert calls == [(2j, 64)]
+        assert calls == [(0.0, 64)]
         monkeypatch.undo()
         for t_p, f in samples:
             assert f == kicks.kick_fidelity(2j, kicks.pi_pulse(t_p, 0.31, WZ, 64))
@@ -324,7 +332,7 @@ class TestExactKick:
         # kernel runs on the real R and drops D(eta)'s rounding-level imaginary part
         built = fock.displacement_matrix(eta, dim)
         assert np.max(np.abs(built.imag)) <= 1e-14
-        r = kicks._real_kick_displacement(eta, dim)
+        r = kicks._kick_block(eta, dim, 1)[:dim, dim:]
         assert np.array_equal(r, built.real)
         assert np.max(np.abs(r.T @ r - np.eye(dim))) <= 1e-13
         q = fock.quarter_turns(dim)
@@ -383,3 +391,112 @@ def test_miller_bessel_rescales_a_start_far_above_the_radius():
     # J_399(2) ~ 1e-800: the recurrence grows past 1e250 on its way down
     k = np.arange(400)
     assert np.max(np.abs(kicks._bessel_j(k.size, 2.0) - jv(k, 2.0))) <= 1e-15
+
+
+DEFAULT_ALPHAS = [m * phase for m in cli.SCENARIOS["kick-threshold"][1]["alphas"]
+                  for phase in (1j, 1.0)]
+
+
+class TestFrames:
+    def test_frame_kick_is_the_fock_kick_up_to_a_phase(self):
+        # psi = D(alpha) chi in: psi' = D(alpha e^{-i omega_z t_p}) chi' out, for
+        # a state on both coin rows, over two frames (J = 2)
+        d, dim, alpha, t_p = 32, 196, 5.0 + 3.0j, 6e-8
+        chi = np.stack([fock.coherent_state(0.4 - 0.2j, d), fock.coherent_state(-0.3j, d)])
+        chi /= math.sqrt(2.0)
+        out = kicks.kick_full(HybridState(chi, 0.0), kicks.pi_pulse(t_p, 0.31, WZ, d), -1, alpha)
+        embed = np.zeros((2, dim), dtype=complex)
+        embed[:, :d] = chi
+        psi = embed @ fock.displacement_matrix(alpha, dim).T
+        fock_out = kicks.kick_full(HybridState(psi, 0.0), kicks.pi_pulse(t_p, 0.31, WZ, dim), -1)
+        embed[:, :d] = out.amps
+        expected = embed @ fock.displacement_matrix(alpha * np.exp(-1j * WZ * t_p), dim).T
+        overlap = np.vdot(expected.ravel(), fock_out.amps.ravel())
+        assert abs(abs(overlap) - 1.0) <= 1e-12
+        assert np.max(np.abs(fock_out.amps - overlap * expected)) <= 1e-12
+        assert out.time == t_p
+
+    def test_frame_fidelity_matches_fock_space_at_every_default_sample(self):
+        # every sample of the default kick-threshold searches, both kick
+        # directions, against kick_full at beta = 0 on (|alpha| + 6)^2 levels
+        worst = 0.0
+        for alpha in DEFAULT_ALPHAS:
+            _, _, samples = kicks.fidelity_threshold(alpha, 0.99, 0.31, WZ)
+            for t_p, f in samples:
+                for direction in (1, -1):
+                    kp = kicks.pi_pulse(t_p, 0.31, WZ, kicks.FRAME_DIM)
+                    frame = kicks.kick_fidelity(alpha, kp, direction)
+                    if direction == 1:
+                        assert frame == f
+                    worst = max(worst, abs(frame - fock_kick_fidelity(alpha, kp, direction)))
+        assert worst <= 1e-12
+
+    def test_alpha_20_matches_fock_space_at_dim_676(self):
+        assert fock_kick_dim(20j) == 676
+        kp = kicks.pi_pulse(1.8768e-9, 0.31, WZ, kicks.FRAME_DIM)
+        assert abs(kicks.kick_fidelity(20j, kp) - fock_kick_fidelity(20j, kp)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [10j, 10.0, 200j, 200.0])
+    def test_frames_converge_in_basis_and_arc(self, alpha, monkeypatch):
+        for t_p in (1e-9, 1e-8, 1e-7):
+            kp = kicks.pi_pulse(t_p, 0.31, WZ, kicks.FRAME_DIM)
+            f = kicks.kick_fidelity(alpha, kp)
+            wider = kicks.kick_fidelity(alpha, kicks.pi_pulse(t_p, 0.31, WZ, kicks.FRAME_DIM + 16))
+            monkeypatch.setattr(kicks, "FRAME_ARC", kicks.FRAME_ARC / 2.0)
+            shorter = kicks.kick_fidelity(alpha, kp)
+            monkeypatch.undo()
+            assert abs(wider - f) <= 1e-12 and abs(shorter - f) <= 1e-12, t_p
+
+    @pytest.mark.parametrize("alpha, threshold", [
+        (20j, 1.8768e-9), (20.0, 1.6641e-8),
+        (50j, 7.5562e-10), (50.0, 1.0674e-8),
+        (200j, 1.8891e-10), (200.0, 5.3371e-9),
+    ])
+    def test_paper_regime_thresholds(self, alpha, threshold):
+        t_p, f_val, _ = kicks.fidelity_threshold(alpha, 0.99, 0.31, WZ)
+        assert t_p == pytest.approx(threshold, rel=1e-3)
+        assert f_val >= 0.99
+
+    def test_segment_too_long_for_the_basis_raises(self, monkeypatch):
+        # |alpha| omega_z t_p = 26.8 at |alpha| = 200, t_p = 10 ns: 7 segments of
+        # FRAME_ARC leave 16 levels, 4 segments of twice FRAME_ARC leave FRAME_DIM
+        kp = kicks.pi_pulse(1e-8, 0.31, WZ, kicks.FRAME_DIM)
+        assert kicks.kick_fidelity(200.0, kp) == pytest.approx(0.8841087824268, abs=1e-12)
+        with pytest.raises(TruncationError, match="kick: guard-band population"):
+            kicks.kick_fidelity(200.0, kicks.pi_pulse(1e-8, 0.31, WZ, 16))
+        monkeypatch.setattr(kicks, "FRAME_ARC", 2.0 * kicks.FRAME_ARC)
+        with pytest.raises(TruncationError, match="kick: guard-band population"):
+            kicks.kick_fidelity(200.0, kp)
+
+    def test_default_kick_threshold_stays_in_the_frame_basis(self, tmp_path, monkeypatch):
+        # the perfbench kick-thresholds workload: every state, displacement and
+        # spectral bound is built on FRAME_DIM levels, and each fidelity sample
+        # is one kick_full call
+        for cached in (kicks._kick_block, kicks._vacuum_pair, kicks._frame_spectrum,
+                       fock._displacement_eig):
+            cached.cache_clear()
+        dims, kicks_run = [], []
+
+        def recording(module, name, dim_of):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                dims.append(dim_of(*args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(kicks, "displacement_matrix", lambda alpha, dim: dim)
+        recording(kicks, "coherent_state", lambda alpha, dim: dim)
+        recording(kicks, "_frame_spectrum", lambda mag, dim: dim)
+        recording(fock, "_displacement_eig", lambda dim: dim)
+        full = kicks.kick_full
+
+        def counting(state, kp, direction=1, alpha=0j):
+            kicks_run.append((state.dim, kp.dim))
+            return full(state, kp, direction, alpha)
+
+        monkeypatch.setattr(kicks, "kick_full", counting)
+        cli.run_scenario("kick-threshold", {}, out_dir=str(tmp_path))
+        assert kicks_run == [(kicks.FRAME_DIM, kicks.FRAME_DIM)] * 123
+        assert dims and set(dims) == {kicks.FRAME_DIM}
