@@ -96,9 +96,9 @@ def scenario_trajectory(ctx: RunContext) -> dict:
     duration = opt["duration"]
     for level in opt["levels"]:
         params = _params_from_options(opt).replace(level=level)
-        csv_history, return_history = dyn.sampled_histories(
-            dyn.ground_hybrid(params.dim), params, duration,
-            (duration / opt["samples"], duration / dyn.RETURN_TIME_SAMPLES))
+        start = dyn.ground_hybrid(params.dim)
+        csv_history = dyn.propagate(start, params, duration, duration / opt["samples"])[1:]
+        return_history = dyn.propagate(start, params, duration, duration / dyn.RETURN_TIME_SAMPLES)[1:]
         tab = dyn.trajectory_table(*csv_history)
         ctx.write_csv(f"trajectory_{level.lower()}.csv", list(tab), zip(*tab.values()))
         t_ret, n_min = dyn.return_time(*return_history)

@@ -69,6 +69,7 @@ from .fock import (
     leakage,
     mean_a,
     mean_n,
+    quarter_turns,
 )
 
 STEPS_PER_PERIOD = 50
@@ -250,6 +251,9 @@ def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
     return [j * n_steps // SNAPSHOTS_PER_PERIOD for j in range(1, SNAPSHOTS_PER_PERIOD)], period / n_steps
 
 
+# one entry: every scenario propagates under one two-rate parameter set, and
+# a dim-128 map with its snapshots holds ~4 MB
+@functools.lru_cache(maxsize=1)
 def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-period maps (2, dim, dim) and snapshot table
     (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows of the
@@ -262,17 +266,10 @@ def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step shares,
     gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
     """
-    return _period_map(params)
-
-
-# one entry: every scenario propagates under one two-rate parameter set, and
-# a dim-128 map with its snapshots holds ~4 MB
-@functools.lru_cache(maxsize=1)
-def _period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     # a miss: drop the resident map first, so that it is not held through the
     # build (lru_cache evicts only once the new entry is in); this also zeroes
     # the hit and miss counts of cache_info()
-    _period_map.cache_clear()
+    period_map.cache_clear()
     dim = params.dim
     steps, h = _snapshot_steps(params)
     half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
@@ -430,7 +427,7 @@ def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     every = every or n_steps
     values, vectors = _eigen(params)
     dim, rows, levels = params.dim, len(psi) // 2, np.arange(params.dim)
-    q = np.array([1.0, 1j, -1.0, -1j])[levels % 4]  # the diagonal of Q
+    q = quarter_turns(params.dim)
     coef = (psi * (q.conj() * np.exp(-1j * params.delta * t0 * levels))).reshape(2, rows, dim) @ vectors
     run = np.empty(((n_steps - 1) // every + 2, *psi.shape), dtype=complex)
     run[0] = psi
@@ -661,12 +658,6 @@ def _whole_periods(params: SimParams, span: float) -> int | None:
         return None
     m = round(span / period)
     return m if abs(span - m * period) <= _SNAP * _snapshot_steps(params)[1] else None
-
-
-def sampled_histories(state: HybridState, params: SimParams, duration: float,
-                      sample_intervals: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``propagate`` history (times, amps) of each sample interval."""
-    return [propagate(state, params, duration, i)[1:] for i in sample_intervals]
 
 
 # states per moment evaluation: mean_a's temporaries for a whole history

@@ -242,8 +242,7 @@ def quarter_turns(dim: int) -> np.ndarray:
     return np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
 
 
-# The real symmetric tridiagonal a + a^dag diagonalized once per dim, shared by
-# every D(alpha) build.
+# the real symmetric tridiagonal a + a^dag, diagonalized once per dim for ``displace``
 @functools.cache
 def _displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(np.arange(1.0, dim))
@@ -251,26 +250,17 @@ def _displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated basis.
+    """D(alpha) on the truncated basis: ``displace`` of the basis vectors, transposed."""
+    return displace(np.eye(dim, dtype=complex), alpha).T
+
+
+def displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
+    """D(alpha) = exp(alpha a^dag - alpha* a) on each vector along the last axis of ``amps``.
 
     With alpha = r e^{i theta} and P = diag(e^{i theta n} i^n), P a P^dag =
     -i e^{-i theta} a, so alpha a^dag - alpha* a = -i r P (a + a^dag) P^dag and
     D(alpha) = P W e^{-i r mu} W^T P^dag for the real eigenpairs (mu, W) of
-    a + a^dag: two real products, W cos(r mu) W^T and W sin(r mu) W^T."""
-    r, phase = _polar_phase(alpha, dim)
-    vals, vecs = _displacement_eig(dim)
-    out = np.empty((dim, dim), dtype=complex)
-    out.real = (vecs * np.cos(r * vals)) @ vecs.T
-    out.imag = (vecs * -np.sin(r * vals)) @ vecs.T
-    out *= phase[:, None]
-    out *= phase.conj()
-    return out
-
-
-def displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
-    """D(alpha) applied to each amplitude vector along the last axis of ``amps``:
-    displacement_matrix's factors P W e^{-i r mu} W^T P^dag without the matrix,
-    two real (dim x dim) products on each vector's (re, im) pairs."""
+    a + a^dag: two real (dim x dim) products on each vector's (re, im) pairs."""
     r, phase = _polar_phase(alpha, amps.shape[-1])
     vals, vecs = _displacement_eig(amps.shape[-1])
     pairs = np.ascontiguousarray(amps * phase.conj()).view(float).reshape(*amps.shape, 2)

@@ -227,13 +227,12 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     return float(abs(np.vdot(ideal, chi * undo_rotation)) ** 2)
 
 
-# |H>|0> and its ideal kick per (eta, dim, direction), kept read-only: every
-# fidelity evaluation of these shares them, at any alpha, t_p and omega_z.
+# |H>|0> and its ideal kick, kick_ideal's column -i Q K[:, |H>|0>] (Q^dag |0> = |0>), per
+# (eta, dim, direction), read-only: every fidelity evaluation shares them at any alpha, t_p, omega_z.
 @functools.cache
 def _vacuum_pair(eta: float, dim: int, direction: int) -> tuple[HybridState, np.ndarray]:
     start = HybridState.product("H", coherent_state(0.0, dim))
-    ideal_kick = kick_ideal(KickParams(t_p=THRESHOLD_FLOOR, eta=eta, omega_z=0.0, dim=dim), direction)
-    ideal = (ideal_kick @ start.amps.ravel()).reshape(2, dim)
+    ideal = (-1j * np.tile(quarter_turns(dim), 2) * _kick_block(eta, dim, direction)[:, dim]).reshape(2, dim)
     ideal.setflags(write=False)
     return start, ideal
 

@@ -212,7 +212,8 @@ class TestRegimeDeparture:
 
     def test_sampled_histories_of_an_empty_pulse(self):
         start = dyn.ground_hybrid(32)
-        for times, amps in dyn.sampled_histories(start, fig5_params("RWA", dim=32), 0.0, (1e-7, 1e-8)):
+        for interval in (1e-7, 1e-8):
+            times, amps = dyn.propagate(start, fig5_params("RWA", dim=32), 0.0, interval)[1:]
             assert list(times) == [0.0, 0.0]
             assert np.array_equal(amps, [start.amps, start.amps])
 
@@ -288,8 +289,6 @@ class TestSampledHistory:
         start = dyn.ground_hybrid(32)
         with pytest.raises(ValueError, match="sample_interval"):
             dyn.propagate(start, p, duration, interval)
-        with pytest.raises(ValueError, match="sample_interval"):
-            dyn.sampled_histories(start, p, duration, (1e-7, interval))
         program = pulses.PulseProgram([pulses.dipole(duration)], p)
         with pytest.raises(ValueError, match="sample_interval"):
             pulses.run_program(program, start, interval)
@@ -361,7 +360,7 @@ class TestSampledHistory:
         # _EXACT_BLOCK: stride 200 leaves a block of one sample
         assert {(n_steps - 1) // k % dyn._EXACT_BLOCK for k in strides} >= {1}
         intervals = tuple(k * h for k in strides)
-        histories = dyn.sampled_histories(start, p, duration, intervals)
+        histories = [dyn.propagate(start, p, duration, interval)[1:] for interval in intervals]
         run = histories[0][1]  # stride 1
         for k, interval, (times, amps) in zip(strides, intervals, histories, strict=True):
             _, expected_times, expected_amps = dyn.propagate(start, p, duration, interval)
@@ -492,7 +491,7 @@ class TestStepwiseExcitation:
             return apply_drive(*args)
 
         monkeypatch.setattr(dyn, "apply_drive", counting)
-        dyn._period_map.cache_clear()
+        dyn.period_map.cache_clear()
         dyn.stepwise_excitation(p, 3)
         steps, _ = dyn._snapshot_steps(p)
         map_build = 4 * steps[len(steps) // 2]  # one RK4 run over half a period
@@ -919,14 +918,14 @@ class TestStroboscopic:
         assert dyn.drive_period(p) == 2.0 * math.pi / (p.omega_z - p.delta)
 
     def test_period_map_cache(self):
-        dyn._period_map.cache_clear()
+        dyn.period_map.cache_clear()
         p = fock.experimental_params(level="3SB", dim=32)
         base, snapshots = dyn.period_map(p)
         assert base.shape == (2, 32, 32)
         assert snapshots.shape == (dyn.SNAPSHOTS_PER_PERIOD - 1, 2, 32, 32)
         assert dyn.period_map(p)[0] is base
-        assert dyn._period_map.cache_info().currsize == 1
-        entry = dyn._period_map(p)
+        assert dyn.period_map.cache_info().currsize == 1
+        entry = dyn.period_map(p)
         assert entry[0] is base and entry[1] is snapshots
         for table in (base, snapshots):
             assert not table.flags.writeable
@@ -938,7 +937,7 @@ class TestStroboscopic:
             assert np.max(np.abs(other[1] - base[1])) > 1e-3
             assert np.max(np.abs(other_snapshots[:, 1] - snapshots[:, 1])) > 1e-3
         # one map stays resident; an evicted one is rebuilt element for element
-        assert dyn._period_map.cache_info().currsize == 1
+        assert dyn.period_map.cache_info().currsize == 1
         rebuilt, rebuilt_snapshots = dyn.period_map(p)
         assert rebuilt is not base
         assert np.array_equal(rebuilt, base) and np.array_equal(rebuilt_snapshots, snapshots)
@@ -950,7 +949,7 @@ class TestStroboscopic:
         snapshot_steps = dyn._snapshot_steps
 
         def recording(params):  # the first call of a map build
-            resident.append(dyn._period_map.cache_info().currsize)
+            resident.append(dyn.period_map.cache_info().currsize)
             return snapshot_steps(params)
 
         monkeypatch.setattr(dyn, "_snapshot_steps", recording)
@@ -958,7 +957,7 @@ class TestStroboscopic:
         assert resident and resident[0] == 0
 
     def test_td_scan_builds_one_period_map(self, tmp_path, monkeypatch):
-        dyn._period_map.cache_clear()
+        dyn.period_map.cache_clear()
         builds, two_row_steps = [], []
         rk4 = dyn._rk4
 
@@ -974,7 +973,7 @@ class TestStroboscopic:
         # the perfbench td-scan workload: 19 three-step walks at dim 96
         cli.run_scenario("scan-td", {"mode": "near", "points": 5, "dim": 96, "level": "3SB",
                                      "n_steps": 3, "wait_multiplier": 4.0}, out_dir=str(tmp_path))
-        assert dyn._period_map.cache_info().currsize == 1
+        assert dyn.period_map.cache_info().currsize == 1
         assert len(builds) == 1
         # each end integrates to its nearest anchor: 1,068 steps (2,223 when
         # every end ran forward to the next one)
@@ -985,7 +984,7 @@ class TestStroboscopic:
         # each takes one RK4 run of under one period on its 25 period starts
         # and the end's tail, after one map build; the start lies on a
         # boundary, so no head runs
-        dyn._period_map.cache_clear()
+        dyn.period_map.cache_clear()
         runs = []
         rk4 = dyn._rk4
 
@@ -1196,7 +1195,7 @@ class TestStroboscopic:
     @pytest.mark.parametrize("dim", [32, 48])
     @pytest.mark.parametrize("setting", ["trap", "fig5"])
     def test_period_map_matches_full_period_rk4(self, setting, dim):
-        dyn._period_map.cache_clear()
+        dyn.period_map.cache_clear()
         p = fock.experimental_params(level="3SB", dim=dim) if setting == "trap" else fig5_params("3SB", dim)
         maps, snapshots = dyn.period_map(p)
         # one RK4 run over the whole period, every snapshot recorded

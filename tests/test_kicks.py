@@ -301,6 +301,17 @@ class TestExactKick:
         for t_p, f in samples:
             assert f == kicks.kick_fidelity(2j, kicks.pi_pulse(t_p, 0.31, WZ, 64))
 
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("dim", [16, 32, 256])
+    def test_fidelity_reference_is_the_ideal_kick_of_the_vacuum(self, dim, direction):
+        # kick_fidelity compares against kick_ideal's |H>|0> column, taken
+        # from the cached block without building the dense operator
+        start, ideal = kicks._vacuum_pair(0.31, dim, direction)
+        assert np.array_equal(start.amps, HybridState.product("H", fock.coherent_state(0.0, dim)).amps)
+        expected = kicks.kick_ideal(kicks.pi_pulse(1e-9, 0.31, WZ, dim), direction) @ start.amps.ravel()
+        assert np.array_equal(ideal.ravel(), expected)
+        assert not ideal.flags.writeable
+
     def test_threshold_search_samples_through_kick_fidelity(self, monkeypatch):
         # one fidelity path: every sample is a kick_fidelity call
         calls = []
