@@ -472,19 +472,27 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
                   sample_interval: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``propagate`` history (times, amps) of each of ``starts`` over
     ``duration`` on the ``_sample_grid``, each amps a view of one read-only
-    array whose end is the unsampled result, bit for bit.  Several starts
-    lie whole 3SB periods m_i T after t0 = ``starts[0].time``, and as
-    H(t + m T) = P^m H(t) P^-m, one RK4 run from t0 on the stacked rows
+    array whose end is the unsampled result, bit for bit.  An undriven or
+    zero-length pulse holds its start on every grid point.  Starts that lie
+    whole 3SB periods m_i T after t0 = ``starts[0].time`` share one RK4 run,
+    as H(t + m T) = P^m H(t) P^-m: one run from t0 on the stacked rows
     P^-m_i psi_i takes every 3SB sample, copying out only the rows that own
     one at a step.  Where the period map pays (``_tabled``), the rows are
     the ``_period_starts`` P^-n psi(t0 + n T), n = m_i + k, the run spans at
-    most a period, and sample k n_T + r is P^n times its row at step r."""
+    most a period, and sample k n_T + r is P^n times its row at step r.
+    Any other set of starts, and every single-rate run, goes one start at
+    a time."""
+    t0, period = starts[0].time, drive_period(params)
+    if len(starts) > 1 and (period is None or any(
+            abs(math.remainder(s.time - t0, period)) > _SNAP * _snapshot_steps(params)[1] for s in starts)):
+        return [run for s in starts for run in _sampled_runs(params, [s], duration, sample_interval)]
     n, dim = len(starts), params.dim
     n_steps, h = _sample_grid(params, duration)
     every = _stride(sample_interval, h)
     last = (n_steps - 1) // every + 1  # the index of the end
-    t0, period = starts[0].time, drive_period(params)
-    if period is None:  # one start: no 3SB period to stack
+    if duration == 0.0 or params.omega_d == 0.0:
+        amps = np.repeat(np.array([s.amps for s in starts])[:, None], last + 1, axis=1)
+    elif period is None:
         amps = _runner(params)(params, starts[0].amps, t0, n_steps * h, every, h)[None]
     else:
         amps = np.empty((n, last + 1, 2, dim), dtype=complex)
@@ -507,7 +515,8 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
         psi = firsts.transpose(2, 0, 1, 3).reshape(-1, dim)
         record(0, psi.T)  # the samples on period starts
         _rk4(params, psi, t0, int(steps.max()) * h, h=h, record=record)
-    amps[:, -1] = [_evolve(s, params, duration) for s in starts]
+    if duration and params.omega_d:  # a held end is the start already
+        amps[:, -1] = [_evolve(s, params, duration) for s in starts]
     amps.setflags(write=False)
     offsets = np.arange(last + 1) * every * h
     offsets[-1] = duration
@@ -529,25 +538,21 @@ def propagate(
     times, amps): the states about that far apart on the ``_sample_grid``,
     start and end included, as one read-only (samples, 2, dim) array in
     ``HybridState.amps`` row order.  Samples are never closer than one grid
-    step: ``_stride`` rounds a shorter interval up.  The end is the
-    unsampled result, bit for bit, and whole drive periods of a 3SB pulse
-    go through the cached ``period_map`` where it pays (``_tabled``).
-    Every state a run hands back, each sample and the end, passes
-    ``_check_states``.
+    step: ``_stride`` rounds a shorter interval up.  An undriven pulse
+    holds its start on every grid point.  The end is the unsampled
+    result, bit for bit, and whole drive periods of a 3SB pulse go through
+    the cached ``period_map`` where it pays (``_tabled``).  Every state a
+    run hands back, each sample and the end, passes ``_check_states``.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError("duration must be finite and nonnegative")
     if state.dim != params.dim:
         raise ValueError("state dim does not match params.dim")
-    if duration == 0.0 or params.omega_d == 0.0:
-        final = state.with_time(state.time + duration)
-        if sample_interval is None:
-            return final
-        _stride(sample_interval, 1.0)  # checked as in every sampled run
-        return final, np.array([state.time, final.time]), np.broadcast_to(state.amps, (2, 2, state.dim))
     if sample_interval is not None:
         [(times, amps)] = _sampled_runs(params, [state], duration, sample_interval)
         return HybridState(amps[-1], float(times[-1])), times, amps
+    if duration == 0.0 or params.omega_d == 0.0:
+        return state.with_time(state.time + duration)
     return HybridState(_evolve(state, params, duration), state.time + duration)
 
 
@@ -648,16 +653,6 @@ def _check_states(amps: np.ndarray, start: HybridState, times) -> None:
             raise StepError(f"norm drift {drift[i]:.3e} at t = {times[i]:.3e} s")
         for coin, row in zip(COINS, amps[i]):
             check_leakage(row, f"propagate ({coin} branch, t = {times[i]:.3e} s)")
-
-
-def _whole_periods(params: SimParams, span: float) -> int | None:
-    """The number m of drive periods T in ``span`` if m T lies within the
-    snapshot tolerance of it; None otherwise and for single-rate drives."""
-    period = drive_period(params)
-    if period is None:
-        return None
-    m = round(span / period)
-    return m if abs(span - m * period) <= _SNAP * _snapshot_steps(params)[1] else None
 
 
 # states per moment evaluation: mean_a's temporaries for a whole history
@@ -770,27 +765,20 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
     1/50 of its length.
 
     The drive clock keeps running during the waits, so the direction of
-    each displacement follows the accumulated drive phase.  When pulse +
-    wait spans whole 3SB drive periods, the start states come from
-    unsampled ``propagate``, and one RK4 run on the stacked rows of every
-    pulse samples them all (``_sampled_runs``).  Otherwise, and at RWA,
-    whose exact runs take no RK4 step, the pulses run one at a time.
+    each displacement follows the accumulated drive phase.  The start
+    states come from unsampled ``propagate``, and one ``_sampled_runs``
+    call samples every pulse: stacked where pulse + wait spans whole 3SB
+    drive periods, one start at a time otherwise.  An undriven pulse
+    holds its start on the grid.
     """
     if params.level == LDA:
         raise ConfigError("stepwise excitation requires level RWA or 3SB")
     if n_pulses < 0:
         raise ConfigError(f"n_pulses must be nonnegative, got {n_pulses!r}")
     span = params.t_half_turn
-    state = ground_hybrid(params.dim)
-    if n_pulses < 2 or params.omega_d == 0.0 or _whole_periods(params, 2.0 * span) is None:
-        segments = []
-        for _ in range(n_pulses):
-            state, times, amps = propagate(state, params, span, span / 50.0)
-            segments.append((times, amps))
-            state = state.with_time(state.time + span)
-        return StepwiseResult(final=state, segments=segments)
-
-    starts = [state]
+    starts = [ground_hybrid(params.dim)]
+    if n_pulses == 0:
+        return StepwiseResult(final=starts[0], segments=[])
     for _ in range(n_pulses - 1):
         end = propagate(starts[-1], params, span)
         starts.append(end.with_time(end.time + span))

@@ -326,6 +326,14 @@ class TestScenarioOutputs:
             t_ret, n_min = dyn.return_time(*return_history)
             assert returns[level] == {"return_time": t_ret, "min_n": n_min}
 
+    def test_undriven_stepwise_samples_every_pulse_on_the_grid(self, tmp_path):
+        assert run(["stepwise", "--out", str(tmp_path), "--set", "omega_d=0",
+                    "--set", "n_pulses=2"]) == 0
+        _, rows = read_csv(tmp_path / "stepwise.csv")
+        assert len(rows) == 102
+        assert [row[0] for row in rows] == ["0"] * 51 + ["1"] * 51
+        assert all(float(v) == 0.0 for row in rows for v in row[2:])
+
     def test_combined_pulse_scenario(self, tmp_path):
         out = str(tmp_path / "cp")
         assert run(["combined-pulse", "--out", out, "--set", 'levels=["LDA"]']) == 0

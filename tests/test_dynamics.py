@@ -217,6 +217,16 @@ class TestRegimeDeparture:
             assert list(times) == [0.0, 0.0]
             assert np.array_equal(amps, [start.amps, start.amps])
 
+    def test_undriven_sampled_pulse_holds_the_sample_grid(self):
+        start = dyn.ground_hybrid(32)
+        for level in ("LDA", "RWA", "3SB"):
+            driven = fock.experimental_params(level=level, dim=32, omega_d=1e-3)
+            grid = dyn.propagate(start, driven, 1e-6, 1e-8)[1]
+            final, times, amps = dyn.propagate(start, driven.replace(omega_d=0.0), 1e-6, 1e-8)
+            assert len(grid) > 2 and np.array_equal(times, grid)
+            assert all(np.array_equal(psi, start.amps) for psi in amps)
+            assert np.array_equal(final.amps, start.amps) and final.time == times[-1]
+
     def test_3sb_trajectory_carries_high_frequency_bands(self):
         spectra = {}
         for level in ("3SB", "RWA"):
@@ -456,7 +466,7 @@ class TestStepwiseExcitation:
     @pytest.mark.parametrize("wait_periods", [9.5])
     def test_batched_pulses_equal_the_sequential_loop(self, fig7_params, wait_periods):
         p = self.three_sb(fig7_params, 20.0)  # pulse = wait = pi/delta = 9.5 T
-        assert dyn._whole_periods(p, 2.0 * p.t_half_turn) == round(9.5 + wait_periods)
+        assert 2.0 * p.t_half_turn / dyn.drive_period(p) == pytest.approx(9.5 + wait_periods, abs=1e-9)
         result = dyn.stepwise_excitation(p, 3)
         oracle = sequential_stepwise(p, 3)
         assert len(result.segments) == len(oracle.segments) == 3
@@ -472,14 +482,17 @@ class TestStepwiseExcitation:
 
     def test_pulses_off_the_period_grid_keep_the_sequential_loop(self, fig7_params):
         p = self.three_sb(fig7_params, 20.5)  # pulse + wait = 19.5 T
-        assert dyn._whole_periods(p, 2 * p.t_half_turn) is None
-        result = dyn.stepwise_excitation(p, 3)
-        oracle = sequential_stepwise(p, 3)
-        for (times, amps), (expected_times, expected_amps) in zip(result.segments, oracle.segments):
-            assert np.array_equal(times, expected_times)
-            assert np.array_equal(amps, expected_amps)
-        assert result.final.time == oracle.final.time
-        assert np.array_equal(result.final.amps, oracle.final.amps)
+        assert 2 * p.t_half_turn / dyn.drive_period(p) == pytest.approx(19.5, abs=1e-9)
+        # so do RWA pulses, whose exact runs stack nothing, and a lone pulse
+        for params, n_pulses in ((p, 3), (fig7_params, 3), (p, 1)):
+            result = dyn.stepwise_excitation(params, n_pulses)
+            oracle = sequential_stepwise(params, n_pulses)
+            assert len(result.segments) == len(oracle.segments) == n_pulses
+            for (times, amps), (expected_times, expected_amps) in zip(result.segments, oracle.segments):
+                assert np.array_equal(times, expected_times)
+                assert np.array_equal(amps, expected_amps)
+            assert result.final.time == oracle.final.time
+            assert np.array_equal(result.final.amps, oracle.final.amps)
 
     def test_batched_pulses_integrate_one_period_of_rk4(self, fig7_params, monkeypatch):
         p = self.three_sb(fig7_params, 20.0)
