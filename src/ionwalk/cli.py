@@ -8,13 +8,14 @@ are reported as one JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,22 +73,32 @@ def _params_from_options(opt: dict) -> SimParams:
 def scenario_walk_ideal(ctx: RunContext) -> dict:
     opt = ctx.options
     spec = lattice.WalkSpec(opt["steps"], opt["step_size"], opt["phi"])
+    # walk_states never reads step_size: the late states of one walk at coin
+    # phase 0 (this walk at phi = 0), relabelled, serve every scaling step size
+    late = {s: [] for s in opt["scaling_step_sizes"]}
     sigmas = []
-    for state in lattice.walk_states(spec):
+    for n, state in enumerate(lattice.walk_states(spec)):
         sigmas.append(lattice.std_dev(state))
+        if spec.phi == 0.0 and n >= spec.n_steps // 2:
+            _late_spread(late, state, sigmas[-1])
+    if spec.phi != 0.0:
+        for zero_phase in itertools.islice(lattice.walk_states(replace(spec, phi=0.0)), spec.n_steps // 2, None):
+            _late_spread(late, zero_phase)
     ks, probs = lattice.position_probabilities(state)
     ctx.write_csv("positions.csv", ["k", "p"], zip(ks.tolist(), probs))
     ctx.write_csv("sigma.csv", ["n", "sigma"], enumerate(sigmas))
-    scaling_rows = []
-    for s in opt["scaling_step_sizes"]:
-        if s == spec.step_size and spec.phi == 0.0:  # this walk is scaling_factor's
-            v = lattice.late_slope(sigmas[spec.n_steps // 2 :], spec.n_steps)
-        else:
-            v = lattice.scaling_factor(s, spec.n_steps)
-        scaling_rows.append((s, v))
-    ctx.write_csv("scaling.csv", ["step_size", "v"], scaling_rows)
+    ctx.write_csv("scaling.csv", ["step_size", "v"],
+                  [(s, lattice.late_slope(values, spec.n_steps)) for s, values in late.items()])
     p_t, p_h = lattice.coin_probabilities(state)
     return {"p_t": p_t, "p_h": p_h, "sigma_final": float(sigmas[-1])}
+
+
+def _late_spread(late: dict, state: lattice.LatticeState, sigma: float | None = None) -> None:
+    """Append std_dev of ``state``'s amplitudes at each step size of ``late``;
+    ``sigma``, if given, is std_dev(state) itself."""
+    for s, values in late.items():
+        own = s == state.step_size and sigma is not None
+        values.append(sigma if own else lattice.std_dev(replace(state, step_size=s)))
 
 
 def scenario_trajectory(ctx: RunContext) -> dict:
@@ -279,12 +290,11 @@ def scenario_walk_positions(ctx: RunContext) -> dict:
 
 def scenario_kick_threshold(ctx: RunContext) -> dict:
     opt = ctx.options
-    rows = []
-    for mag in opt["alphas"]:
-        for phase, alpha, arg in (("imag", 1j * mag, math.pi / 2.0), ("real", complex(mag), 0.0)):
-            t_p, f_val, _ = kicks.fidelity_threshold(alpha, opt["f_min"], opt["eta"],
-                                                     opt["omega_z"], dim=opt["dim"])
-            rows.append((mag, arg, phase, t_p, f_val))
+    cases = [(mag, arg, phase, alpha) for mag in opt["alphas"]
+             for phase, alpha, arg in (("imag", 1j * mag, math.pi / 2.0), ("real", complex(mag), 0.0))]
+    found = kicks.fidelity_thresholds([alpha for *_, alpha in cases], opt["f_min"], opt["eta"],
+                                      opt["omega_z"], dim=opt["dim"])
+    rows = [(mag, arg, phase, t_p, f_val) for (mag, arg, phase, _), (t_p, f_val, _) in zip(cases, found)]
     ctx.write_csv(
         "thresholds.csv",
         ["alpha_mag", "arg_alpha", "phase", "t_p", "fidelity"],

@@ -789,9 +789,14 @@ def stepwise_excitation(params: SimParams, n_pulses: int) -> StepwiseResult:
 
 def return_time(times: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     """(t, <n>) of the minimum <n> of the T branch after its excitation peak
-    in the ``propagate`` history ``times``, ``amps`` from the ground state."""
+    in the ``propagate`` history ``times``, ``amps`` from the ground state.
+    ValueError if <n> never rises above its start (an undriven history has no
+    return) or still rises at the last sample."""
     n_vals = _blockwise(mean_n, amps[:, 0])
     peak = int(np.argmax(n_vals))
+    if peak == 0:
+        raise ValueError(f"T-branch <n> never rises above its start, t = {times[0]:.3e} s: "
+                         "the history holds no excitation to return from")
     if peak >= len(n_vals) - 1:
         raise ValueError(f"T-branch <n> still rises at the last sample, t = {times[-1]:.3e} s: "
                          "the history must be longer (raise duration) to hold a post-peak window")

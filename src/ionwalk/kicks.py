@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,14 +132,20 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1, alpha: com
     & Kosloff, J. Chem. Phys. 81, 3967 (1984)), up to the first k > R with
     |J_k(R)| < 1e-16; in the basis Q^dag chi a term is one real symmetric
     product on the rows' (re, im) pairs plus the frame term.  TruncationError
-    if a segment ends with guard-band population.
+    if a segment ends with guard-band population.  One kick of ``_kick_stack``.
     """
     if state.dim != kp.dim:
         raise ValueError("state dim does not match kick dim")
-    dim, turn = kp.dim, kp.omega_z * kp.t_p
+    return _kick_stack([state], [kp], direction, [alpha])[0]
+
+
+def _expansion(kp: KickParams, alpha: complex) -> tuple:
+    """``kick_full``'s plan of a kick: omega_z t_p, J, the frame term's and the
+    generator's scale, the generator's diagonal and the Chebyshev coefficients."""
+    turn = kp.omega_z * kp.t_p
     segments = max(1, math.ceil(abs(alpha) * turn / FRAME_ARC))
     scale, kick = turn / segments, math.pi / 2.0 / segments
-    lo, hi = _frame_spectrum(abs(alpha), dim)
+    lo, hi = _frame_spectrum(abs(alpha), kp.dim)
     centre = scale * (lo + hi) / 2.0
     radius = scale * (hi - lo) / 2.0 + kick
     # |J_{R+m}(R)| < 1e-16 by m ~ 12 R^(1/3) (Airy tail), well inside this range
@@ -148,42 +155,71 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1, alpha: com
     # e^{-ic} (2 - delta_k0) (-i)^k J_k(R)
     coeffs = cmath.exp(-1j * centre) * np.array([2.0, -2j, -2.0, 2j])[k[:n_terms] % 4] * bessel[:n_terms]
     coeffs[0] /= 2.0
-    # 2 Ht without the frame term: real symmetric
-    gen = 2.0 * kick / radius * _kick_block(kp.eta, dim, direction)
-    gen.flat[:: 2 * dim + 1] = np.tile(2.0 * (scale * np.arange(dim) - centre) / radius, 2)
-    # T_k(Ht) chi in a ring of flat (T, H) rows, also viewed as real (re, im)
-    # pairs; each filled ring is summed into psi with its coefficients
-    ring = min(n_terms, 64)
-    zs = np.empty((ring, 2 * dim), dtype=complex)
-    ys = list(zs.view(float).reshape(ring, 2 * dim, 2))
-    heads, tails = list(zs[:, :-1]), list(zs[:, 1:])
-    q = quarter_turns(dim)
-    chi, here = state.amps * q.conj(), alpha
-    for j in range(segments + 1):  # each segment in the frame of its midpoint, then the end
-        beta = alpha * cmath.exp(-1j * turn * min(1.0, (j + 0.5) / segments))
-        if beta != here:  # chi <- D(here - beta) chi, and Q^dag D(g) Q = D(-i g)
-            chi, here = displace(chi, 1j * (beta - here)), beta
-        if j == segments:
-            break
-        coin = np.array([[cmath.exp(2j * direction * kp.eta * beta.real)], [1.0]])
-        zs[0] = (chi * coin.conj()).ravel()
-        # the frame term, links[m] coupling m and m + 1 within each row
-        link = 2.0 * scale / radius * 1j * beta.conjugate() * np.sqrt(np.arange(1.0, dim))
-        links = np.concatenate([link, [0.0], link])
-        back = links.conj()
-        psi = np.zeros(2 * dim, dtype=complex)
-        for m in range(1, n_terms):
-            src, dst = (m - 1) % ring, m % ring
-            np.matmul(gen, ys[src], out=ys[dst])
-            if beta:
-                heads[dst] += links * tails[src]
-                tails[dst] += back * heads[src]
-            ys[dst] -= ys[(m - 2) % ring] if m > 1 else 0.5 * ys[dst]  # T_1 = Ht T_0
-            if dst == ring - 1 or m == n_terms - 1:
-                psi += coeffs[m - dst : m + 1] @ zs[: dst + 1]
-        chi = coin * psi.reshape(2, dim)
-        check_leakage(chi, "kick")
-    return HybridState(chi * q, state.time + kp.t_p)
+    diagonal = np.tile(2.0 * (scale * np.arange(kp.dim) - centre) / radius, 2)
+    return turn, segments, 2.0 * scale / radius, 2.0 * kick / radius, diagonal, coeffs
+
+
+def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
+    """``kick_full`` of each (state, kp, alpha) of a stack sharing eta, omega_z, dim
+    and direction, with each kick's arithmetic alone: segment j of every kick with
+    J > j runs at once, longest expansion first, a term one batched product (its
+    items equal lone products) on the prefix whose expansion has not ended."""
+    dim, q = kps[0].dim, quarter_turns(kps[0].dim)
+    plans = [_expansion(kp, alpha) for kp, alpha in zip(kps, alphas)]
+    live = sorted(range(len(kps)), key=lambda i: -len(plans[i][-1]))
+    gens = np.empty((len(kps), 2 * dim, 2 * dim))  # 2 Ht without the frame term: real symmetric
+    for p, i in enumerate(live):
+        np.multiply(plans[i][3], _kick_block(kps[i].eta, dim, direction), out=gens[p])
+        gens[p].flat[:: 2 * dim + 1] = plans[i][4]
+    # T_k(Ht) chi in a ring of <= 64 terms of flat (T, H) rows, also viewed as (re, im) pairs
+    ring = min(len(plans[live[0]][-1]), 64)
+    zs = np.empty((ring, len(kps), 2 * dim), dtype=complex)
+    ys = zs.view(float).reshape(ring, len(kps), 2 * dim, 2)
+    links, back = np.empty((2, len(kps), 2 * dim - 1), dtype=complex)
+    # what a term of the first a kicks takes, per ring slot for the rows, their heads and tails
+    rows = functools.cache(lambda a: (gens[:a], links[:a], back[:a], list(ys[:, :a]),
+                                      list(zs[:, :a, :-1]), list(zs[:, :a, 1:])))
+    chis, here, out = [s.amps * q.conj() for s in states], list(alphas), [None] * len(kps)
+    for j in itertools.count():  # segment j of each kick in the frame of its midpoint, then the end
+        going = []
+        for p, i in enumerate(live):
+            turn, segments, link_scale = plans[i][:3]
+            beta = alphas[i] * cmath.exp(-1j * turn * min(1.0, (j + 0.5) / segments))
+            if beta != here[i]:  # chi <- D(here - beta) chi, and Q^dag D(g) Q = D(-i g)
+                chis[i], here[i] = displace(chis[i], 1j * (beta - here[i])), beta
+            if j == segments:
+                out[i] = HybridState(chis[i] * q, states[i].time + kps[i].t_p)
+                continue
+            if p > len(going):  # the kicks past their last segment leave the stack
+                gens[len(going)] = gens[p]
+            coin = np.array([[cmath.exp(2j * direction * kps[i].eta * beta.real)], [1.0]])
+            zs[0, len(going)] = (chis[i] * coin.conj()).ravel()
+            # the frame term, links[m] coupling m and m + 1 within each row
+            link = link_scale * 1j * beta.conjugate() * np.sqrt(np.arange(1.0, dim))
+            links[len(going)] = np.concatenate([link, [0.0], link])
+            going.append((i, coin, beta))
+        if not going:
+            return out
+        live, coeffs = [i for i, _, _ in going], [plans[i][-1] for i, _, _ in going]
+        ns, framed = [len(c) for c in coeffs], any(beta for _, _, beta in going)  # none at alpha = 0
+        psis, start = np.zeros((len(going), 2 * dim), dtype=complex), 1
+        np.conjugate(links, out=back)
+        for a in range(len(going), 0, -1):  # terms up to ns[a - 1] - 1 run on the first a kicks
+            gen, fwd, bwd, y, heads, tails = rows(a)
+            for m in range(start, ns[a - 1]):
+                src, dst = (m - 1) % ring, m % ring
+                np.matmul(gen, y[src], out=y[dst])
+                if framed:
+                    heads[dst] += fwd * tails[src]
+                    tails[dst] += bwd * heads[src]
+                y[dst] -= y[(m - 2) % ring] if m > 1 else 0.5 * y[dst]  # T_1 = Ht T_0
+                if dst == ring - 1 or m == ns[a - 1] - 1:  # each filled ring is summed into psi
+                    for p in range(a) if dst == ring - 1 else range(ns.index(m + 1), a):
+                        psis[p] += coeffs[p][m - dst : m + 1] @ zs[: dst + 1, p]
+            start = ns[a - 1]
+        for p, (i, coin, _) in enumerate(going):
+            chis[i] = coin * psis[p].reshape(2, dim)
+            check_leakage(chis[i], "kick")
 
 
 @functools.cache
@@ -221,10 +257,15 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
     flight is, in the frame alpha e^{-i omega_z t_p}, the rotated ideal kick of
     |H>|0>: the comparison runs on ``kp.dim`` levels at any |alpha|.
     """
-    start, ideal = _vacuum_pair(kp.eta, kp.dim, direction)
-    chi = kick_full(start, kp, direction, alpha).amps
-    undo_rotation = np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim))
-    return float(abs(np.vdot(ideal, chi * undo_rotation)) ** 2)
+    return _fidelities([alpha], [kp], direction)[0]
+
+
+def _fidelities(alphas, kps, direction: int = 1) -> list[float]:
+    """``kick_fidelity`` of each (alpha, kp) of one ``_kick_stack``."""
+    start, ideal = _vacuum_pair(kps[0].eta, kps[0].dim, direction)
+    kicked = _kick_stack([start] * len(kps), kps, direction, alphas)
+    return [float(abs(np.vdot(ideal, out.amps * np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim)))) ** 2)
+            for kp, out in zip(kps, kicked)]
 
 
 # |H>|0> and its ideal kick, kick_ideal's column -i Q K[:, |H>|0>] (Q^dag |0> = |0>), per
@@ -242,56 +283,65 @@ def error_bound(alpha: complex, omega_z: float, t_p: float) -> float:
     return t_p * omega_z * abs(alpha) ** 2
 
 
-def fidelity_threshold(
-    alpha: complex,
-    f_min: float,
-    eta: float,
-    omega_z: float,
-    dim: int | None = None,
-) -> tuple[float, float, list[tuple[float, float]]]:
-    """Largest pulse duration whose kick fidelity still reaches ``f_min``.
+def fidelity_threshold(alpha: complex, f_min: float, eta: float, omega_z: float,
+                       dim: int | None = None) -> tuple[float, float, list[tuple[float, float]]]:
+    """``fidelity_thresholds`` of one alpha."""
+    return fidelity_thresholds([alpha], f_min, eta, omega_z, dim)[0]
 
-    Quadruples t_p from THRESHOLD_FLOOR, capped at THRESHOLD_CEILING, until
-    the fidelity drops below ``f_min``, then bisects on log t_p; returns
-    (t_p, fidelity at t_p, sampled (t_p, f) pairs), with (t_p, f) one of the
-    samples (the ceiling if it still reaches ``f_min``).  Raises NoThreshold
-    when even the shortest valid pulse falls below ``f_min``,
-    TruncationError when the ``dim``-level frame basis (FRAME_DIM by
-    default) cannot hold the kick.
+
+def fidelity_thresholds(alphas, f_min: float, eta: float, omega_z: float,
+                        dim: int | None = None) -> list[tuple[float, float, list[tuple[float, float]]]]:
+    """Largest pulse duration whose kick fidelity still reaches ``f_min``, per alpha.
+
+    Quadruples t_p from THRESHOLD_FLOOR, capped at THRESHOLD_CEILING, until the
+    fidelity drops below ``f_min``, then bisects on log t_p; returns (t_p,
+    fidelity at t_p, sampled (t_p, f) pairs) per alpha, (t_p, f) one of the
+    samples (the ceiling if it still reaches ``f_min``).  NoThreshold when even
+    the shortest valid pulse falls below ``f_min``, TruncationError when the
+    ``dim``-level frame basis (FRAME_DIM by default) cannot hold the kick.  The
+    searches run in lockstep, each round's samples one stacked kick, so each
+    alpha samples the t_p it samples alone.
     """
     if dim is None:
         dim = FRAME_DIM
+    searches = [_search(f_min) for _ in alphas]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    samples, results = [[] for _ in alphas], [None] * len(alphas)
+    while pending:
+        kps = [pi_pulse(t_p, eta, omega_z, dim) for t_p in pending.values()]
+        for (i, t_p), f in zip(list(pending.items()), _fidelities([alphas[i] for i in pending], kps)):
+            samples[i].append((t_p, f))
+            try:
+                pending[i] = searches[i].send(f)
+            except StopIteration as done:  # the search returned (t_p, f)
+                results[i] = (*done.value, samples[i])
+                del pending[i]
+    return results
 
-    samples: list[tuple[float, float]] = []
 
-    def f_at(t_p: float) -> float:
-        val = kick_fidelity(alpha, pi_pulse(t_p, eta, omega_z, dim))
-        samples.append((t_p, val))
-        return val
-
+def _search(f_min: float):
+    # one threshold search: yields each t_p to sample and is sent its fidelity
     lo = THRESHOLD_FLOOR
-    f_lo = f_at(lo)
+    f_lo = yield lo
     if f_lo < f_min:
-        raise NoThreshold(
-            f"fidelity {f_lo:.6f} < {f_min} already at the validity floor"
-        )
+        raise NoThreshold(f"fidelity {f_lo:.6f} < {f_min} already at the validity floor")
     hi, f_hi = lo, f_lo
     while f_hi >= f_min:
         if hi >= THRESHOLD_CEILING:
-            return hi, f_hi, samples
+            return hi, f_hi
         lo, f_lo = hi, f_hi
         hi = min(hi * 4.0, THRESHOLD_CEILING)
-        f_hi = f_at(hi)
+        f_hi = yield hi
     for _ in range(20):
         if hi / lo < 1.0 + THRESHOLD_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
-        f_mid = f_at(mid)
+        f_mid = yield mid
         if f_mid >= f_min:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    return lo, f_lo, samples
+    return lo, f_lo
 
 
 def fit_threshold_curve(pairs) -> tuple[float, float, float]:

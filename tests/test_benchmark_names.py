@@ -9,6 +9,7 @@ losing one would break the benchmark while every other test passes.
 import importlib
 import inspect
 import json
+import math
 import types
 from pathlib import Path
 
@@ -83,3 +84,19 @@ def test_harness_alias_is_the_traced_function(layer, name, home):
     defined = getattr(importlib.import_module(f"ionwalk.{home}"), name, None)
     assert isinstance(defined, types.FunctionType), f"ionwalk.{home}.{name} is gone"
     assert alias is defined, f"ionwalk.{layer}.{name} no longer imports ionwalk.{home}.{name}"
+
+
+def test_threshold_search_result_holds_its_samples():
+    # perfbench/tracing.py counts kicks.fidelity_threshold.samples as
+    # len(result[2]), and the scenario path passes these arguments
+    from ionwalk import kicks
+
+    params = list(inspect.signature(kicks.fidelity_threshold).parameters)
+    assert params == ["alpha", "f_min", "eta", "omega_z", "dim"]
+    kp = kicks.pi_pulse(1e-9, 0.31, 2 * math.pi * 2.13e6, 32)
+    assert type(kicks.kick_fidelity(1j, kp)) is float
+    result = kicks.fidelity_threshold(1j, 0.99, 0.31, kp.omega_z, dim=32)
+    assert len(result) == 3
+    t_p, f, samples = result
+    assert isinstance(samples, list) and len(samples) > 5
+    assert all(len(sample) == 2 for sample in samples) and (t_p, f) in samples

@@ -243,6 +243,16 @@ class TestConfigHandling:
             assert payload["error"] == error and message in payload["message"]
             assert os.listdir(out) == []
 
+    def test_undriven_trajectory_has_no_return_exits_3(self, tmp_path, capsys):
+        # <n> holds its start on every sample, so no level has a return time
+        out = tmp_path / "t"
+        assert run(["trajectory", "--out", str(out), "--set", "omega_d=0",
+                    "--set", "duration=2e-6"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ValueError"
+        assert "T-branch <n> never rises above its start, t = 0.000e+00 s" in payload["message"]
+        assert os.listdir(out) == []
+
     def test_kick_basis_too_small_exits_3(self, tmp_path, capsys):
         # dim sets the frame basis: 16 levels cannot hold a kick segment at |alpha| = 200
         out = tmp_path / "k"

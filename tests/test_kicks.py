@@ -312,18 +312,21 @@ class TestExactKick:
         assert np.array_equal(ideal.ravel(), expected)
         assert not ideal.flags.writeable
 
-    def test_threshold_search_samples_through_kick_fidelity(self, monkeypatch):
-        # one fidelity path: every sample is a kick_fidelity call
+    def test_threshold_search_samples_through_the_stacked_fidelity(self, monkeypatch):
+        # one fidelity path: every sample of a one-alpha search, and every
+        # kick_fidelity, is a stack of one of _fidelities
         calls = []
-        evaluate = kicks.kick_fidelity
+        evaluate = kicks._fidelities
 
-        def counting(alpha, kp, direction=1):
-            calls.append((alpha, kp.t_p, direction))
-            return evaluate(alpha, kp, direction)
+        def counting(alphas, kps, direction=1):
+            calls.append((list(alphas), [kp.t_p for kp in kps], direction))
+            return evaluate(alphas, kps, direction)
 
-        monkeypatch.setattr(kicks, "kick_fidelity", counting)
+        monkeypatch.setattr(kicks, "_fidelities", counting)
         _, _, samples = kicks.fidelity_threshold(2j, 0.99, 0.31, WZ, dim=64)
-        assert calls == [(2j, t_p, 1) for t_p, _ in samples]
+        assert calls == [([2j], [t_p], 1) for t_p, _ in samples]
+        kicks.kick_fidelity(2j, kicks.pi_pulse(1e-9, 0.31, WZ, 64), -1)
+        assert calls[-1] == ([2j], [1e-9], -1)
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("dim, alpha", [(16, 0.1 + 0.2j), (64, 2.0 - 1.0j), (256, 6.0 + 5.0j)])
@@ -442,6 +445,36 @@ class TestFrames:
                     worst = max(worst, abs(frame - fock_kick_fidelity(alpha, kp, direction)))
         assert worst <= 1e-12
 
+    def test_lockstep_searches_equal_lone_searches_and_kicks(self):
+        # every sample of the lockstep searches is a lone kick_fidelity at its
+        # (alpha, t_p), bit for bit, and each alpha's result is its one-alpha search
+        found = kicks.fidelity_thresholds(DEFAULT_ALPHAS, 0.99, 0.31, WZ)
+        assert sum(len(samples) for _, _, samples in found) == 123
+        for alpha, result in zip(DEFAULT_ALPHAS, found):
+            assert result == kicks.fidelity_threshold(alpha, 0.99, 0.31, WZ), alpha
+            for t_p, f in result[2]:
+                assert f == kicks.kick_fidelity(alpha, kicks.pi_pulse(t_p, 0.31, WZ, kicks.FRAME_DIM))
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_mixed_stack_equals_its_kicks_alone(self, direction):
+        # alpha = 0 next to alpha != 0, 1, 7 and 34 segments, 17 to 2,212 terms,
+        # states on both coin rows at different times
+        d = kicks.FRAME_DIM
+        members = [(0j, 1e-8), (3.0 + 4.0j, 3e-8), (10j, 1e-6), (0j, 1e-5), (2.0, 1e-6), (0.5, 6e-12)]
+        states, kps, alphas = [], [], []
+        for k, (alpha, t_p) in enumerate(members):
+            chi = np.stack([fock.coherent_state(0.3 - 0.1j * k, d), fock.coherent_state(0.2j + 0.1 * k, d)])
+            states.append(HybridState(chi / math.sqrt(2.0), 1e-6 * k))
+            kps.append(kicks.pi_pulse(t_p, 0.31, WZ, d))
+            alphas.append(alpha)
+        plans = [kicks._expansion(kp, alpha) for kp, alpha in zip(kps, alphas)]
+        assert len({plan[1] for plan in plans}) >= 3 and len({len(plan[-1]) for plan in plans}) == 6
+        stacked = kicks._kick_stack(states, kps, direction, alphas)
+        for state, kp, alpha, got in zip(states, kps, alphas, stacked):
+            alone = kicks.kick_full(state, kp, direction, alpha)
+            assert np.array_equal(got.amps, alone.amps), (alpha, kp.t_p)
+            assert got.time == alone.time == state.time + kp.t_p
+
     def test_alpha_20_matches_fock_space_at_dim_676(self):
         assert fock_kick_dim(20j) == 676
         kp = kicks.pi_pulse(1.8768e-9, 0.31, WZ, kicks.FRAME_DIM)
@@ -482,7 +515,7 @@ class TestFrames:
     def test_default_kick_threshold_stays_in_the_frame_basis(self, tmp_path, monkeypatch):
         # the perfbench kick-thresholds workload: every state, displacement and
         # spectral bound is built on FRAME_DIM levels, and each fidelity sample
-        # is one kick_full call
+        # is one kick of a stacked kick
         for cached in (kicks._kick_block, kicks._vacuum_pair, kicks._frame_spectrum,
                        fock._displacement_eig):
             cached.cache_clear()
@@ -501,13 +534,34 @@ class TestFrames:
         recording(kicks, "coherent_state", lambda alpha, dim: dim)
         recording(kicks, "_frame_spectrum", lambda mag, dim: dim)
         recording(fock, "_displacement_eig", lambda dim: dim)
-        full = kicks.kick_full
+        stack = kicks._kick_stack
 
-        def counting(state, kp, direction=1, alpha=0j):
-            kicks_run.append((state.dim, kp.dim))
-            return full(state, kp, direction, alpha)
+        def counting(states, kps, direction, alphas):
+            kicks_run.extend((state.dim, kp.dim) for state, kp in zip(states, kps))
+            return stack(states, kps, direction, alphas)
 
-        monkeypatch.setattr(kicks, "kick_full", counting)
+        monkeypatch.setattr(kicks, "_kick_stack", counting)
         cli.run_scenario("kick-threshold", {}, out_dir=str(tmp_path))
         assert kicks_run == [(kicks.FRAME_DIM, kicks.FRAME_DIM)] * 123
         assert dims and set(dims) == {kicks.FRAME_DIM}
+
+    def test_default_kick_threshold_runs_its_searches_in_lockstep(self, tmp_path, monkeypatch):
+        # the perfbench kick-thresholds workload: the 8 searches' 123 samples
+        # take one stacked kick per round, 16 rounds, and each alpha samples
+        # the t_p of its search alone, in the same order
+        stacks, sampled = [], {alpha: [] for alpha in DEFAULT_ALPHAS}
+        stack = kicks._kick_stack
+
+        def recording(states, kps, direction, alphas):
+            stacks.append(len(kps))
+            for alpha, kp in zip(alphas, kps):
+                sampled[alpha].append(kp.t_p)
+            return stack(states, kps, direction, alphas)
+
+        monkeypatch.setattr(kicks, "_kick_stack", recording)
+        cli.run_scenario("kick-threshold", {}, out_dir=str(tmp_path))
+        assert len(stacks) <= 16 and sum(stacks) == 123
+        monkeypatch.undo()
+        for alpha in DEFAULT_ALPHAS:
+            _, _, samples = kicks.fidelity_threshold(alpha, 0.99, 0.31, WZ)
+            assert sampled[alpha] == [t_p for t_p, _ in samples], alpha

@@ -278,3 +278,24 @@ def test_walk_ideal_csvs_follow_walk_states(tmp_path):
     for name, rows in (("sigma.csv", ["n,sigma"] + sigma_rows),
                        ("positions.csv", ["k,p"] + position_rows)):
         assert (tmp_path / name).read_text().splitlines() == rows, name
+
+
+@pytest.mark.parametrize("phi, walks", [(0.0, 1), (0.3, 2)])
+def test_walk_ideal_scaling_takes_one_zero_phase_walk(tmp_path, monkeypatch, phi, walks):
+    # walk_states never reads step_size: the main walk at phi = 0, or one more
+    # walk at phase 0, relabelled, gives every scaling_factor bit for bit
+    sizes = [0.5, 1.5, 4.0]
+    specs = []
+    walk = lattice.walk_states
+
+    def counting(spec):
+        specs.append(spec)
+        return walk(spec)
+
+    monkeypatch.setattr(lattice, "walk_states", counting)
+    options = {"steps": 40, "step_size": 1.5, "phi": phi, "scaling_step_sizes": sizes}
+    cli.run_scenario("walk-ideal", options, out_dir=str(tmp_path))
+    assert len(specs) == walks and specs[-1].phi == 0.0
+    monkeypatch.undo()
+    rows = [f"{s:.12g},{lattice.scaling_factor(s, 40):.12g}" for s in sizes]
+    assert (tmp_path / "scaling.csv").read_text().splitlines() == ["step_size,v"] + rows
