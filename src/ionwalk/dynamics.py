@@ -19,7 +19,9 @@ integrated by fixed-step RK4 on the Schrodinger equation.  The RK4 step,
 ``rk4_step_size``, depends on the trap only, and every level samples its
 history on that one grid.  RK4 holds its rows level-major, as a
 (dim, rows) array, so that one batched matmul over target levels applies
-the band stencil to every row at once.
+the band stencil to every row at once.  Each row is labelled by its coin:
+H = sum_b |b><b| (x) c_b W(t), so the coin rows evolve apart, a zero row
+stays zero, and only the rows that hold amplitude are integrated.
 
 The 3SB drive (two rates per band, s*omega_z +- (delta - omega_z))
 repeats after T = 2 pi/|omega_z - delta| up to a diagonal phase,
@@ -42,7 +44,8 @@ T/16 back from the anchors, and stacks P^-k psi(t0 + k T) as the rows of
 one RK4 run over at most one period; each sample is P^k times its row.
 The table serves a pulse only where its plain RK4 would cost more than
 the map build; such pulses, and those holding no whole period, take every
-step.  One period map is kept.
+step.  One parameter set's period map is kept, with a table per coin
+built the first time a run needs that coin.
 """
 
 from __future__ import annotations
@@ -251,45 +254,62 @@ def _snapshot_steps(params: SimParams) -> tuple[list[int], float]:
     return [j * n_steps // SNAPSHOTS_PER_PERIOD for j in range(1, SNAPSHOTS_PER_PERIOD)], period / n_steps
 
 
-# one entry: every scenario propagates under one two-rate parameter set, and
-# a dim-128 map with its snapshots holds ~4 MB
-@functools.lru_cache(maxsize=1)
-def period_map(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only one-period maps (2, dim, dim) and snapshot table
-    (SNAPSHOTS_PER_PERIOD - 1, 2, dim, dim) of the two coin rows of the
-    drive.
+def _live(amps: np.ndarray) -> str:
+    """The coins, in COINS order, whose rows of ``amps`` (..., 2, dim) hold any amplitude."""
+    held = np.flatnonzero(amps.reshape(-1, 2, amps.shape[-1]).any(axis=(0, 2)))
+    return COINS[held[0] : held[-1] + 1]
 
-    ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to row b of
-    ``HybridState.amps``, P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
+
+def _rows(coins: str, of: str = COINS) -> slice:
+    """The rows of ``coins``, a run of the coins ``of`` that label a table's rows."""
+    return slice(of.index(coins[0]), of.index(coins[0]) + len(coins))
+
+
+# {params: (coins, maps, snapshots)} of one set, as a scenario drives one; ~4 MB at dim 128
+_MAPS: dict[SimParams, tuple[str, np.ndarray, np.ndarray]] = {}
+
+
+def period_map(params: SimParams, coins: str = COINS) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only one-period maps (c, dim, dim) and snapshot table
+    (SNAPSHOTS_PER_PERIOD - 1, c, dim, dim) of the c coin rows ``coins``.
+
+    ``psi[b] @ maps[b]`` is P^-1 U_b(T, 0) applied to coin row b,
+    P = diag exp(i delta T n), and ``psi[b] @ snapshots[j, b]`` is
     F_j = U_b(steps[j] h, 0) with (steps, h) = ``_snapshot_steps(params)``.
-    One RK4 run on all basis columns covers the half period; the time
-    reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step shares,
-    gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
+    One parameter set stays resident, with a table per coin built on first
+    use: one RK4 run on the new coins' basis columns covers the half period;
+    the time reversal H(-t) = Pi H(t)* Pi, Pi = (-1)^n, which the RK4 step
+    shares, gives U(T, T - t) = P Pi F(t)^T Pi P^dag for the rest.
     """
-    # a miss: drop the resident map first, so that it is not held through the
-    # build (lru_cache evicts only once the new entry is in); this also zeroes
-    # the hit and miss counts of cache_info()
-    period_map.cache_clear()
-    dim = params.dim
-    steps, h = _snapshot_steps(params)
-    half = len(steps) // 2  # snapshots[half] = U(T/2, 0)
-    # the top basis columns reach the guard band by construction: no leakage check
-    run = _rk4(params, np.tile(np.eye(dim, dtype=complex), (2, 1)), 0.0,
-               drive_period(params) / 2.0, every=steps[0], h=h)
-    # the table is allocated once the run has freed its stage buffers
-    snapshots = np.empty((len(steps), 2, dim, dim), dtype=complex)
-    snapshots[: half + 1] = run[1:].reshape(half + 1, 2, dim, dim)
-    del run  # copied into the table
-    # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
-    parity = (-1.0) ** np.arange(dim)
-    reflect = _period_phase(params, -1) * parity  # P^-1 Pi
-    maps = (snapshots[half] * reflect) @ snapshots[half].transpose(0, 2, 1) * parity
-    rhs = parity[:, None] * maps.transpose(0, 2, 1)
-    for j in range(1, half + 1):  # F(T - t_j) = P Pi (F_j^T)^-1 Pi P^-1 M
-        snapshots[-j] = np.linalg.solve(snapshots[j - 1], rhs).transpose(0, 2, 1) * reflect.conj()
-    maps.setflags(write=False)
-    snapshots.setflags(write=False)
-    return maps, snapshots
+    held, maps, snapshots = _MAPS.pop(params, ("", None, None))
+    _MAPS.clear()  # the resident set is not held through the build of another
+    grown = COINS if {*held, *coins} == {*COINS} else held or coins  # held + coins, in order
+    if grown != held:
+        build, dim = grown.replace(held, ""), params.dim
+        steps, h = _snapshot_steps(params)
+        half, new = len(steps) // 2, _rows(build, grown)  # snapshots[half] = U(T/2, 0)
+        # the top basis columns reach the guard band by construction: no leakage check
+        run = _rk4(params, np.tile(np.eye(dim, dtype=complex), (len(build), 1)), 0.0,
+                   drive_period(params) / 2.0, every=steps[0], h=h, coins=build)
+        # the table is allocated once the run has freed its stage buffers
+        table = np.empty((len(steps), len(grown), dim, dim), dtype=complex)
+        table[: half + 1, new] = run[1:].reshape(half + 1, len(build), dim, dim)
+        del run  # copied into the table
+        if held:  # the coin built before is copied over
+            table[:, _rows(held, grown)] = snapshots
+        # the tables hold transposes: snapshots[j, b] = F^T, maps[b] = (P^-1 M)^T
+        parity = (-1.0) ** np.arange(dim)
+        reflect = _period_phase(params, -1) * parity  # P^-1 Pi
+        built = (table[half, new] * reflect) @ table[half, new].transpose(0, 2, 1) * parity
+        rhs = parity[:, None] * built.transpose(0, 2, 1)
+        for j in range(1, half + 1):  # F(T - t_j) = P Pi (F_j^T)^-1 Pi P^-1 M
+            table[-j, new] = np.linalg.solve(table[j - 1, new], rhs).transpose(0, 2, 1) * reflect.conj()
+        maps = np.concatenate([built, maps] if new.start == 0 else [maps, built]) if held else built
+        held, snapshots = grown, table
+        for done in (maps, snapshots):
+            done.setflags(write=False)
+    _MAPS[params] = held, maps, snapshots
+    return maps[_rows(coins, held)], snapshots[:, _rows(coins, held)]
 
 
 def _period_phase(params: SimParams, k: int | np.ndarray) -> np.ndarray:
@@ -329,10 +349,10 @@ def _sample_grid(params: SimParams, duration: float) -> tuple[int, float]:
 
 
 def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-         every: int | None = None, h: float | None = None, record=None) -> np.ndarray:
+         every: int | None = None, h: float | None = None, record=None, coins: str = COINS) -> np.ndarray:
     """RK4 under -i H(t) on the ``_rk4_grid`` of ``duration`` (or on the
     whole number of steps ``h`` in it) from ``t0``, backward if negative,
-    for rows psi that stack equally many T-branch then H-branch states.
+    for rows psi that stack equally many branches of each of ``coins`` in turn.
 
     Returns one (samples, rows, dim) array: the rows at the start, after
     every ``every``-th step before the last (none without ``every``), and
@@ -346,8 +366,8 @@ def _rk4(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     # band factors at each step's stage times t, t + h/2 and t + h
     starts = t0 + np.arange(n_steps) * h
     factors = stencil.factors(np.stack([starts, starts + h / 2.0, starts + h], axis=1))
-    scale = np.array([1.0, params.force_ratio]) * (params.omega_d / 2.0)
-    coef = np.repeat(-1j * scale, len(psi) // 2)
+    scale = np.array([1.0, params.force_ratio])[_rows(coins)] * (params.omega_d / 2.0)
+    coef = np.repeat(-1j * scale, len(psi) // len(coins))
     every = every or n_steps
     run = np.empty(((n_steps - 1) // every + 2, *psi.shape), dtype=complex)
     run[0] = psi
@@ -415,20 +435,21 @@ _EXACT_BLOCK = 32
 
 
 def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
-           every: int | None = None, h: float | None = None) -> np.ndarray:
-    """``_rk4``'s run, on its sample grid, for a single-rate drive from the
-    exact U_b(t, t0) = exp(i delta n t) Q V_b exp(-i lambda_b (t - t0))
-    V_b^T Q^dag exp(-i delta n t0), with (lambda_b, V_b) = ``_eigen``.  The
-    phases at sample lo + j of each _EXACT_BLOCK are those at lo times those
-    at j; the end is evaluated on its own, so it does not depend on ``every``."""
+           every: int | None = None, h: float | None = None, coins: str = COINS) -> np.ndarray:
+    """``_rk4``'s run, on its sample grid and coin-labelled rows, for a
+    single-rate drive from the exact U_b(t, t0) = exp(i delta n t) Q V_b
+    exp(-i lambda_b (t - t0)) V_b^T Q^dag exp(-i delta n t0), with
+    (lambda_b, V_b) = ``_eigen`` of each coin b of ``coins``.  The phases at
+    sample lo + j of each _EXACT_BLOCK are those at lo times those at j; the
+    end is evaluated on its own, so it does not depend on ``every``."""
     if duration <= 0.0:
         return psi[None]
     n_steps, h = _rk4_grid(params, duration) if h is None else (round(duration / h), h)
     every = every or n_steps
-    values, vectors = _eigen(params)
-    dim, rows, levels = params.dim, len(psi) // 2, np.arange(params.dim)
+    values, vectors = (table[_rows(coins)] for table in _eigen(params))
+    dim, rows, levels = params.dim, len(psi) // len(coins), np.arange(params.dim)
     q = quarter_turns(params.dim)
-    coef = (psi * (q.conj() * np.exp(-1j * params.delta * t0 * levels))).reshape(2, rows, dim) @ vectors
+    coef = (psi * (q.conj() * np.exp(-1j * params.delta * t0 * levels))).reshape(-1, rows, dim) @ vectors
     run = np.empty(((n_steps - 1) // every + 2, *psi.shape), dtype=complex)
     run[0] = psi
 
@@ -440,7 +461,7 @@ def _exact(params: SimParams, psi: np.ndarray, t0: float, duration: float,
     def evaluate(k: int, spectral: np.ndarray, frame: np.ndarray) -> None:
         # run[k : k + len(frame)], one matmul by V_b per coin row b
         left = (frame * q)[:, None]
-        for b in range(2):
+        for b in range(len(coins)):
             out = (coef[b] * spectral[b][:, None]).reshape(-1, dim) @ vectors[b].T
             run[k : k + len(frame), b * rows : (b + 1) * rows] = out.reshape(len(frame), rows, dim) * left
 
@@ -473,12 +494,13 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
     """The ``propagate`` history (times, amps) of each of ``starts`` over
     ``duration`` on the ``_sample_grid``, each amps a view of one read-only
     array whose end is the unsampled result, bit for bit.  An undriven or
-    zero-length pulse holds its start on every grid point.  Starts that lie
-    whole 3SB periods m_i T after t0 = ``starts[0].time`` share one RK4 run,
-    as H(t + m T) = P^m H(t) P^-m: one run from t0 on the stacked rows
-    P^-m_i psi_i takes every 3SB sample, copying out only the rows that own
-    one at a step.  Where the period map pays (``_tabled``), the rows are
-    the ``_period_starts`` P^-n psi(t0 + n T), n = m_i + k, the run spans at
+    zero-length pulse holds its start on every grid point.  A coin row that
+    no start holds stays exact zeros.  Starts that lie whole 3SB periods
+    m_i T after t0 = ``starts[0].time`` share one RK4 run, as H(t + m T) =
+    P^m H(t) P^-m: one run from t0 on the stacked rows P^-m_i psi_i takes
+    every 3SB sample, copying out only the rows that own one at a step.
+    Where the period map pays (``_tabled``), the rows are the
+    ``_period_starts`` P^-n psi(t0 + n T), n = m_i + k, the run spans at
     most a period, and sample k n_T + r is P^n times its row at step r.
     Any other set of starts, and every single-rate run, goes one start at
     a time."""
@@ -487,34 +509,37 @@ def _sampled_runs(params: SimParams, starts: list[HybridState], duration: float,
             abs(math.remainder(s.time - t0, period)) > _SNAP * _snapshot_steps(params)[1] for s in starts)):
         return [run for s in starts for run in _sampled_runs(params, [s], duration, sample_interval)]
     n, dim = len(starts), params.dim
+    coins = _live(np.array([s.amps for s in starts]))
+    rows = _rows(coins)
     n_steps, h = _sample_grid(params, duration)
     every = _stride(sample_interval, h)
     last = (n_steps - 1) // every + 1  # the index of the end
     if duration == 0.0 or params.omega_d == 0.0:
         amps = np.repeat(np.array([s.amps for s in starts])[:, None], last + 1, axis=1)
     elif period is None:
-        amps = _runner(params)(params, starts[0].amps, t0, n_steps * h, every, h)[None]
+        amps = np.zeros((1, last + 1, 2, dim), dtype=complex)
+        amps[0, :, rows] = _runner(params)(params, starts[0].amps[rows], t0, n_steps * h, every, h, coins=coins)
     else:
-        amps = np.empty((n, last + 1, 2, dim), dtype=complex)
+        amps = np.zeros((n, last + 1, 2, dim), dtype=complex)
         fold = round(period / h) if _tabled(params, duration, 2 * n) else n_steps
         periods, steps = np.divmod(np.arange(last) * every, fold)
         count = int(periods[-1]) + 1
         shifts = [round((s.time - t0) / period) for s in starts]  # m_i
         phase = _period_phase(params, np.add.outer(shifts, np.arange(count))[..., None])  # P^n
         # P^-n psi(t0 + n T), (n, count, 2, dim)
-        firsts = np.array([_period_starts(s, params, count) * _period_phase(params, -m)
+        firsts = np.array([_period_starts(s, params, count, coins) * _period_phase(params, -m)
                            for s, m in zip(starts, shifts)])
 
-        def record(step: int, rows: np.ndarray) -> None:  # rows: level-major (dim, 2 n count)
+        def record(step: int, run: np.ndarray) -> None:  # run: level-major (dim, c n count)
             owned = np.flatnonzero(steps == step)
             k = periods[owned]
-            picked = rows.reshape(dim, 2, n, count)[..., k].transpose(2, 3, 1, 0)
-            amps[:, owned] = picked * phase[:, k, None]
+            picked = run.reshape(dim, len(coins), n, count)[..., k].transpose(2, 3, 1, 0)
+            amps[:, owned, rows] = picked * phase[:, k, None]
 
-        # row (b n + i) count + k: T branches then H branches
+        # row (b n + i) count + k: the branches of each coin b of coins
         psi = firsts.transpose(2, 0, 1, 3).reshape(-1, dim)
         record(0, psi.T)  # the samples on period starts
-        _rk4(params, psi, t0, int(steps.max()) * h, h=h, record=record)
+        _rk4(params, psi, t0, int(steps.max()) * h, h=h, record=record, coins=coins)
     if duration and params.omega_d:  # a held end is the start already
         amps[:, -1] = [_evolve(s, params, duration) for s in starts]
     amps.setflags(write=False)
@@ -540,9 +565,10 @@ def propagate(
     ``HybridState.amps`` row order.  Samples are never closer than one grid
     step: ``_stride`` rounds a shorter interval up.  An undriven pulse
     holds its start on every grid point.  The end is the unsampled
-    result, bit for bit, and whole drive periods of a 3SB pulse go through
-    the cached ``period_map`` where it pays (``_tabled``).  Every state a
-    run hands back, each sample and the end, passes ``_check_states``.
+    result, bit for bit.  Only the coin rows that hold amplitude are
+    integrated, and whole periods of a 3SB pulse go through the per-coin
+    ``period_map`` where it pays (``_tabled``).  Every state a run hands
+    back, each sample and the end, passes ``_check_states``.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError("duration must be finite and nonnegative")
@@ -558,8 +584,9 @@ def propagate(
 
 def _evolve(state: HybridState, params: SimParams, duration: float) -> np.ndarray:
     """The checked amps of ``state`` after ``duration``; whole 3SB periods go
-    through ``period_map`` where it pays (``_tabled``)."""
-    psi = state.amps
+    through ``period_map`` where it pays (``_tabled``); a zero coin row stays 0."""
+    coins = _live(state.amps)
+    psi = state.amps[_rows(coins)]
     t0, t1 = state.time, state.time + duration
     period = drive_period(params)
     k0 = k1 = 0
@@ -567,19 +594,21 @@ def _evolve(state: HybridState, params: SimParams, duration: float) -> np.ndarra
         snap = _SNAP * _snapshot_steps(params)[1]
         # t0 - (k0 - 1) T and t1 - k1 T miss a snapshot time by a few ulps of k T
         k0, k1 = math.ceil((t0 - snap) / period), math.floor((t1 + snap) / period)
-    if k0 < k1 and _tabled(params, duration, len(psi)):
+    if k0 < k1 and _tabled(params, duration, len(state.amps)):
         # with k1 T + t_i the anchor nearest t1, ahead or behind (F_0 = I):
         # U(t1, t0) = U(t1, k1 T + t_i) P^k1 F_i P^-k1 U(k1 T, t0)
         k1, i, start = _nearest_anchor(params, t1)
-        psi = _boundary_states(params, psi, t0, k1)[-1][-1]
+        psi = _boundary_states(params, psi, t0, k1, coins)[-1][-1]
         if i:
-            psi = np.matmul(psi[:, None], period_map(params)[1][i - 1])[:, 0]
-        tail = t1 - start
-        psi = _rk4(params, psi * _period_phase(params, k1), start, tail if abs(tail) > snap else 0.0)[-1]
+            psi = np.matmul(psi[:, None], period_map(params, coins)[1][i - 1])[:, 0]
+        tail = t1 - start if abs(t1 - start) > snap else 0.0
+        psi = _rk4(params, psi * _period_phase(params, k1), start, tail, coins=coins)[-1]
     else:
-        psi = _runner(params)(params, psi, t0, duration)[-1]
-    _check_states(psi[None], state, [t1])
-    return psi
+        psi = _runner(params)(params, psi, t0, duration, coins=coins)[-1]
+    amps = np.zeros_like(state.amps)
+    amps[_rows(coins)] = psi
+    _check_states(amps[None], state, [t1])
+    return amps
 
 
 # the fixed cost of an RK4 step (band factors, windows, Python) in rows: on
@@ -602,17 +631,17 @@ def _nearest_anchor(params: SimParams, t: float) -> tuple[int, int, float]:
     return q, j, q * period + (steps[j - 1] * h if j else 0.0)
 
 
-def _boundary_states(params: SimParams, psi: np.ndarray, t0: float,
-                     last: int) -> tuple[int, int, float, np.ndarray]:
-    """(q, j, head, chis): RK4 takes the rows psi the signed span ``head``
+def _boundary_states(params: SimParams, psi: np.ndarray, t0: float, last: int,
+                     coins: str) -> tuple[int, int, float, np.ndarray]:
+    """(q, j, head, chis): RK4 takes the rows psi of ``coins`` the signed span ``head``
     from t0 to its nearest anchor q T + t_j, and the table on to every
     period boundary from k0 = q + (j > 0) to ``last``, chis[m - k0] =
     P^-m psi(m T): first P^-1 U(T, t_j) = Pi F_(8-j)^T Pi P^-1 (see
     ``period_map``), then P^-1 M per period."""
-    maps, snapshots = period_map(params)
+    maps, snapshots = period_map(params, coins)
     q, j, anchor = _nearest_anchor(params, t0)
     head = anchor - t0 if abs(anchor - t0) > _SNAP * _snapshot_steps(params)[1] else 0.0
-    psi = _rk4(params, psi, t0, head)[-1] * _period_phase(params, -q - (j > 0))
+    psi = _rk4(params, psi, t0, head, coins=coins)[-1] * _period_phase(params, -q - (j > 0))
     if j:  # rows hold transposes: F^T psi is snapshots @ psi
         parity = (-1.0) ** np.arange(params.dim)
         psi = np.matmul(snapshots[-j], (psi * parity)[:, :, None])[:, :, 0] * parity
@@ -622,21 +651,22 @@ def _boundary_states(params: SimParams, psi: np.ndarray, t0: float,
     return q, j, head, np.array(chis)
 
 
-def _period_starts(state: HybridState, params: SimParams, count: int) -> np.ndarray:
-    """(count, 2, dim): P^-k psi(t + k T), t = ``state.time``.  At t's
+def _period_starts(state: HybridState, params: SimParams, count: int, coins: str) -> np.ndarray:
+    """(count, c, dim): P^-k psi(t + k T) on the c rows ``coins``, t = ``state.time``.  At t's
     nearest anchor a = q T + t_j, P^-k psi(a + k T) = P^q F_j chi_(q+k) from
     the ``_boundary_states``, and one RK4 run takes them all back to t, as
     U(t + k T, a + k T) = P^k U(t, a) P^-k."""
+    psi = state.amps[_rows(coins)]
     if count == 1:
-        return state.amps[None]
+        return psi[None]
     q = _nearest_anchor(params, state.time)[0]
-    q, j, head, chis = _boundary_states(params, state.amps, state.time, q + count - 1)
+    q, j, head, chis = _boundary_states(params, psi, state.time, q + count - 1, coins)
     ahead = chis[1 - count:]  # chi_(q + k), k = 1..count - 1
     if j:
-        ahead = np.matmul(ahead[:, :, None], period_map(params)[1][j - 1])[:, :, 0]
-    rows = (ahead * _period_phase(params, q)).transpose(1, 0, 2).reshape(-1, params.dim)  # T, then H
-    back = _rk4(params, rows, state.time + head, -head)[-1].reshape(2, count - 1, -1)
-    return np.concatenate([state.amps[None], back.transpose(1, 0, 2)])
+        ahead = np.matmul(ahead[:, :, None], period_map(params, coins)[1][j - 1])[:, :, 0]
+    rows = (ahead * _period_phase(params, q)).transpose(1, 0, 2).reshape(-1, params.dim)  # by coin
+    back = _rk4(params, rows, state.time + head, -head, coins=coins)[-1].reshape(len(coins), count - 1, -1)
+    return np.concatenate([psi[None], back.transpose(1, 0, 2)])
 
 
 def _check_states(amps: np.ndarray, start: HybridState, times) -> None:

@@ -504,7 +504,7 @@ class TestStepwiseExcitation:
             return apply_drive(*args)
 
         monkeypatch.setattr(dyn, "apply_drive", counting)
-        dyn.period_map.cache_clear()
+        dyn._MAPS.clear()
         dyn.stepwise_excitation(p, 3)
         steps, _ = dyn._snapshot_steps(p)
         map_build = 4 * steps[len(steps) // 2]  # one RK4 run over half a period
@@ -898,9 +898,20 @@ class TestExactSingleRate:
 # Stroboscopic propagation: whole drive periods through the cached period map
 
 
+def plain_run(state, params, duration, **kwargs):
+    """One RK4 run over the whole pulse, no period map, on the coin rows of
+    ``state`` that hold amplitude; the other rows stay zero."""
+    live = [b for b in range(2) if np.any(state.amps[b])]
+    coins = "".join(dyn.COINS[b] for b in live)
+    run = dyn._rk4(params, state.amps[live], state.time, duration, coins=coins, **kwargs)
+    full = np.zeros((len(run), *state.amps.shape), dtype=complex)
+    full[:, live] = run
+    return full
+
+
 def plain_rk4(state, params, duration):
-    """The end of one RK4 run over the whole pulse, no period map."""
-    return dyn._rk4(params, state.amps, state.time, duration)[-1]
+    """The end of ``plain_run``."""
+    return plain_run(state, params, duration)[-1]
 
 
 def plain_rk4_walk(program):
@@ -930,17 +941,28 @@ class TestStroboscopic:
         p = fock.experimental_params(level="3SB")
         assert dyn.drive_period(p) == 2.0 * math.pi / (p.omega_z - p.delta)
 
-    def test_period_map_cache(self):
-        dyn.period_map.cache_clear()
+    def test_period_map_cache(self, monkeypatch):
+        dyn._MAPS.clear()
         p = fock.experimental_params(level="3SB", dim=32)
         base, snapshots = dyn.period_map(p)
         assert base.shape == (2, 32, 32)
         assert snapshots.shape == (dyn.SNAPSHOTS_PER_PERIOD - 1, 2, 32, 32)
-        assert dyn.period_map(p)[0] is base
-        assert dyn.period_map.cache_info().currsize == 1
-        entry = dyn.period_map(p)
-        assert entry[0] is base and entry[1] is snapshots
-        for table in (base, snapshots):
+        assert list(dyn._MAPS) == [p] and dyn._MAPS[p][0] == "TH"
+
+        def unused(*args, **kwargs):
+            raise AssertionError("resident coin tables rebuilt")
+
+        # a resident coin is served from its table, both coins or one
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn, "_rk4", unused)
+            entry = dyn.period_map(p)
+            assert np.shares_memory(entry[0], base) and np.shares_memory(entry[1], snapshots)
+            assert np.array_equal(entry[0], base) and np.array_equal(entry[1], snapshots)
+            for row, coin in enumerate(dyn.COINS):
+                maps, coin_snapshots = dyn.period_map(p, coin)
+                assert np.shares_memory(maps, base) and np.array_equal(maps, base[row : row + 1])
+                assert np.array_equal(coin_snapshots, snapshots[:, row : row + 1])
+        for table in (base, snapshots, *dyn.period_map(p, "H")):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
@@ -949,11 +971,30 @@ class TestStroboscopic:
             assert not other.flags.writeable and not other_snapshots.flags.writeable
             assert np.max(np.abs(other[1] - base[1])) > 1e-3
             assert np.max(np.abs(other_snapshots[:, 1] - snapshots[:, 1])) > 1e-3
-        # one map stays resident; an evicted one is rebuilt element for element
-        assert dyn.period_map.cache_info().currsize == 1
+        # one parameter set stays resident; an evicted one is rebuilt element for element
+        assert list(dyn._MAPS) == [changed]
         rebuilt, rebuilt_snapshots = dyn.period_map(p)
-        assert rebuilt is not base
+        assert list(dyn._MAPS) == [p]
+        assert not np.shares_memory(rebuilt, base)
         assert np.array_equal(rebuilt, base) and np.array_equal(rebuilt_snapshots, snapshots)
+
+    @pytest.mark.parametrize("first", ["T", "H"])
+    def test_a_second_coin_grows_the_resident_table(self, first):
+        # the coin built first is copied into the two-coin table, the other
+        # is built alone on its dim basis columns and goes in its own row
+        p = fig5_params("3SB", dim=32)
+        alone = {}
+        for coin in dyn.COINS:
+            dyn._MAPS.clear()
+            alone[coin] = dyn.period_map(p, coin)
+        dyn._MAPS.clear()
+        dyn.period_map(p, first)
+        maps, snapshots = dyn.period_map(p)
+        assert list(dyn._MAPS) == [p] and dyn._MAPS[p][0] == "TH"
+        assert maps.shape == (2, 32, 32) and snapshots.shape[1:] == (2, 32, 32)
+        for row, coin in enumerate(dyn.COINS):
+            assert np.array_equal(maps[row : row + 1], alone[coin][0])
+            assert np.array_equal(snapshots[:, row : row + 1], alone[coin][1])
 
     def test_a_new_period_map_is_built_with_none_resident(self, monkeypatch):
         p = fock.experimental_params(level="3SB", dim=32)
@@ -962,7 +1003,7 @@ class TestStroboscopic:
         snapshot_steps = dyn._snapshot_steps
 
         def recording(params):  # the first call of a map build
-            resident.append(dyn.period_map.cache_info().currsize)
+            resident.append(len(dyn._MAPS))
             return snapshot_steps(params)
 
         monkeypatch.setattr(dyn, "_snapshot_steps", recording)
@@ -970,15 +1011,17 @@ class TestStroboscopic:
         assert resident and resident[0] == 0
 
     def test_td_scan_builds_one_period_map(self, tmp_path, monkeypatch):
-        dyn.period_map.cache_clear()
+        # the walks hold both coins: one two-coin build, two-row ends
+        dyn._MAPS.clear()
         builds, two_row_steps = [], []
         rk4 = dyn._rk4
 
         def recording(params, psi, t0, duration, *args, **kwargs):
             if len(psi) == 2 * params.dim:  # the map build's RK4 on all basis columns
+                assert kwargs["coins"] == "TH"
                 builds.append(params)
             elif duration != 0.0:  # a pulse end's RK4 on the two coin rows
-                assert len(psi) == 2 and not args and not kwargs
+                assert len(psi) == 2 and not args and kwargs == {"coins": "TH"}
                 two_row_steps.append(dyn._rk4_grid(params, duration)[0])
             return rk4(params, psi, t0, duration, *args, **kwargs)
 
@@ -986,40 +1029,68 @@ class TestStroboscopic:
         # the perfbench td-scan workload: 19 three-step walks at dim 96
         cli.run_scenario("scan-td", {"mode": "near", "points": 5, "dim": 96, "level": "3SB",
                                      "n_steps": 3, "wait_multiplier": 4.0}, out_dir=str(tmp_path))
-        assert dyn.period_map.cache_info().currsize == 1
+        assert [coins for coins, *_ in dyn._MAPS.values()] == ["TH"]
         assert len(builds) == 1
         # each end integrates to its nearest anchor: 1,068 steps (2,223 when
         # every end ran forward to the next one)
         assert sum(two_row_steps) <= 1100
 
-    def test_trajectory_3sb_integrates_one_period(self, tmp_path, monkeypatch):
-        # the default trajectory's 3SB histories, one per sample interval:
-        # each takes one RK4 run of under one period on its 25 period starts
-        # and the end's tail, after one map build; the start lies on a
-        # boundary, so no head runs
-        dyn.period_map.cache_clear()
+    @staticmethod
+    def record_rk4(monkeypatch):
+        """(rows, steps, coins) of every RK4 run that takes a step, from here on."""
+        dyn._MAPS.clear()
         runs = []
         rk4 = dyn._rk4
 
-        def recording(params, psi, t0, duration, every=None, h=None, record=None):
+        def recording(params, psi, t0, duration, every=None, h=None, record=None, coins=dyn.COINS):
             if duration != 0.0:
                 n_steps = dyn._rk4_grid(params, duration)[0] if h is None else round(duration / h)
-                runs.append((len(psi), n_steps))
-            return rk4(params, psi, t0, duration, every, h, record)
+                runs.append((len(psi), n_steps, coins))
+            return rk4(params, psi, t0, duration, every, h, record, coins)
 
         monkeypatch.setattr(dyn, "_rk4", recording)
+        return runs
+
+    def test_trajectory_3sb_integrates_one_period(self, tmp_path, monkeypatch):
+        # the default trajectory's 3SB histories from |T>|0>, one per sample
+        # interval: each takes one RK4 run of under one period on the T
+        # branches of its 25 period starts and the end's tail, after one map
+        # build on the T coin's dim basis columns; the start lies on a
+        # boundary, so no head runs
+        runs = self.record_rk4(monkeypatch)
         cli.run_scenario("trajectory", {"levels": ["3SB"]}, out_dir=str(tmp_path))
         options = cli.SCENARIOS["trajectory"][1]
         p = cli._params_from_options(options)
         steps, _ = dyn._snapshot_steps(p)
         n_period = dyn.SNAPSHOTS_PER_PERIOD * steps[0]
         build, *histories = runs
-        assert build == (2 * p.dim, steps[len(steps) // 2])
+        assert build == (p.dim, steps[len(steps) // 2], "T")
         whole = math.floor(options["duration"] / dyn.drive_period(p))
+        assert whole + 1 == 25
         assert len(histories) == 4  # the CSV's and the return time's
         for stacked, tail in zip(histories[::2], histories[1::2]):
-            assert stacked[0] == 2 * (whole + 1) and stacked[1] < n_period
-            assert tail[0] == 2 and tail[1] <= n_period / 16 + 1
+            assert stacked[0] == whole + 1 and stacked[1] < n_period and stacked[2] == "T"
+            assert tail[0] == 1 and tail[1] <= n_period / 16 + 1 and tail[2] == "T"
+        assert [coins for coins, *_ in dyn._MAPS.values()] == ["T"]
+
+    def test_stepwise_3sb_builds_the_t_coin_only(self, tmp_path, monkeypatch):
+        # the default stepwise scenario from |T>|0>: pulse + wait spans 19
+        # periods, so its 8 pulses of 9.5 periods stack their 10 period
+        # starts each: one map build on the T coin's dim basis columns, then
+        # one RK4 run of under one period on 80 T branches.  Every pulse
+        # starts on a boundary and ends on the half-period snapshot, so no
+        # head or tail runs
+        runs = self.record_rk4(monkeypatch)
+        cli.run_scenario("stepwise", {}, out_dir=str(tmp_path))
+        options = cli.SCENARIOS["stepwise"][1]
+        p = cli._params_from_options(options)
+        assert p.level == "3SB" and options["n_pulses"] == 8
+        steps, _ = dyn._snapshot_steps(p)
+        n_period = dyn.SNAPSHOTS_PER_PERIOD * steps[0]
+        build, stacked = runs
+        assert build == (p.dim, steps[len(steps) // 2], "T")
+        assert stacked[0] == 80 and stacked[1] < n_period and stacked[2] == "T"
+        assert [coins for coins, *_ in dyn._MAPS.values()] == ["T"]
 
     @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
     def test_paths_that_keep_plain_rk4(self, level, monkeypatch):
@@ -1042,7 +1113,8 @@ class TestStroboscopic:
 
     def test_short_pulse_at_large_dim_builds_no_map(self, monkeypatch):
         # 2.2 periods of two-row RK4 at dim 512 cost a fraction of the map
-        # build on 1,024 rows: sampled or not, such a pulse runs plain RK4
+        # build on 1,024 rows: sampled or not, such a pulse runs plain RK4,
+        # here on the T row alone, the one that holds amplitude
         def unused(*args, **kwargs):
             raise AssertionError("period map used")
 
@@ -1056,7 +1128,7 @@ class TestStroboscopic:
         final, times, amps = dyn.propagate(start, p, duration, 5 * h)
         assert np.array_equal(final.amps, dyn.propagate(start, p, duration).amps)
         assert np.array_equal(final.amps, plain_rk4(start, p, duration))
-        plain = dyn._rk4(p, start.amps, start.time, (len(times) - 2) * 5 * h, every=5, h=h)
+        plain = plain_run(start, p, (len(times) - 2) * 5 * h, every=5, h=h)
         assert np.array_equal(amps[:-1], plain)
 
     def test_long_pulse_matches_plain_rk4(self):
@@ -1208,7 +1280,7 @@ class TestStroboscopic:
     @pytest.mark.parametrize("dim", [32, 48])
     @pytest.mark.parametrize("setting", ["trap", "fig5"])
     def test_period_map_matches_full_period_rk4(self, setting, dim):
-        dyn.period_map.cache_clear()
+        dyn._MAPS.clear()
         p = fock.experimental_params(level="3SB", dim=dim) if setting == "trap" else fig5_params("3SB", dim)
         maps, snapshots = dyn.period_map(p)
         # one RK4 run over the whole period, every snapshot recorded
@@ -1240,3 +1312,63 @@ class TestStroboscopic:
             t0 = 2 * period + (j + 0.37) / 8 * period
             dyn.propagate(random_hybrid(np.random.default_rng(j), p.dim, time=t0), p, 3.2 * period)
         assert solves == []
+
+
+# ---------------------------------------------------------------------------
+# Coin rows: H = sum_b |b><b| (x) c_b W(t), so the rows evolve apart
+
+
+class TestCoinRows:
+    @pytest.mark.parametrize("level", ["LDA", "RWA", "3SB"])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("periods", [2, 2.37])  # a start on and off the 3SB period grid
+    @pytest.mark.parametrize("coin", ["T", "H"])
+    def test_a_zero_coin_row_is_not_integrated_and_stays_zero(self, level, sampled, periods, coin,
+                                                             monkeypatch):
+        # the run on the one row that holds amplitude against the two-row
+        # run, which also builds the period map of both coins at once
+        p = fig5_params(level, dim=48)
+        period = dyn.drive_period(fig5_params("3SB", dim=48))
+        motion = random_hybrid(np.random.default_rng(37), p.dim).amps[0]
+        start = dyn.HybridState.product(coin, motion / np.linalg.norm(motion)).with_time(periods * period)
+        # 3SB: 4.3 periods at dim 48 go through the table, sampled or not
+        duration = 4.3 * period if level == "3SB" else 0.6e-6
+        assert level != "3SB" or dyn._tabled(p, duration, 2)
+
+        def run():
+            dyn._MAPS.clear()
+            if sampled:
+                return dyn.propagate(start, p, duration, duration / 7)[1:]
+            final = dyn.propagate(start, p, duration)
+            return np.array([final.time]), final.amps[None]
+
+        held = []
+
+        def recording(runner):
+            def recorded(params, psi, *args, coins=dyn.COINS, **kwargs):
+                held.append(coins)
+                return runner(params, psi, *args, coins=coins, **kwargs)
+            return recorded
+
+        for name in ("_rk4", "_exact"):
+            monkeypatch.setattr(dyn, name, recording(getattr(dyn, name)))
+        times, amps = run()
+        assert held and set(held) == {coin}
+        monkeypatch.setattr(dyn, "_live", lambda amps: dyn.COINS)  # every run on both rows
+        two_row_times, two_row = run()
+        zero = 1 - dyn.COINS.index(coin)
+        assert np.array_equal(times, two_row_times) and len(amps) == len(times)
+        assert not np.any(amps[:, zero]) and not np.any(two_row[:, zero])
+        assert np.max(np.abs(amps - two_row)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [32, 48, 96, 128])
+    def test_each_coin_built_alone_matches_the_joint_build(self, dim):
+        p = fig5_params("3SB", dim)
+        dyn._MAPS.clear()
+        maps, snapshots = dyn.period_map(p)
+        for row, coin in enumerate(dyn.COINS):
+            dyn._MAPS.clear()
+            alone, alone_snapshots = dyn.period_map(p, coin)
+            assert alone.shape == (1, dim, dim) and alone_snapshots.shape[1:] == (1, dim, dim)
+            assert np.max(np.abs(alone - maps[row : row + 1])) <= 1e-15
+            assert np.max(np.abs(alone_snapshots - snapshots[:, row : row + 1])) <= 1e-15
