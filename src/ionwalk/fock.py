@@ -254,13 +254,15 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return displace(np.eye(dim, dtype=complex), alpha).T
 
 
-def displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on each vector along the last axis of ``amps``.
+def displace(amps: np.ndarray, alpha: complex | np.ndarray) -> np.ndarray:
+    """D(alpha) = exp(alpha a^dag - alpha* a) on each vector along the last axis of ``amps``,
+    ``alpha`` one value or an array of one per vector, broadcast over the leading axes.
 
     With alpha = r e^{i theta} and P = diag(e^{i theta n} i^n), P a P^dag =
     -i e^{-i theta} a, so alpha a^dag - alpha* a = -i r P (a + a^dag) P^dag and
     D(alpha) = P W e^{-i r mu} W^T P^dag for the real eigenpairs (mu, W) of
-    a + a^dag: two real (dim x dim) products on each vector's (re, im) pairs."""
+    a + a^dag: two real (dim x dim) products on each vector's (re, im) pairs, one
+    batched call for every vector, each as it would be alone."""
     r, phase = _polar_phase(alpha, amps.shape[-1])
     vals, vecs = _displacement_eig(amps.shape[-1])
     pairs = np.ascontiguousarray(amps * phase.conj()).view(float).reshape(*amps.shape, 2)
@@ -268,7 +270,12 @@ def displace(amps: np.ndarray, alpha: complex) -> np.ndarray:
     return (vecs @ rotated.view(float).reshape(pairs.shape)).view(complex)[..., 0] * phase
 
 
-def _polar_phase(alpha: complex, dim: int) -> tuple[float, np.ndarray]:
-    """r and the diagonal of P for alpha = r e^{i theta}, P = diag(e^{i theta n} i^n)."""
-    alpha = complex(alpha)
-    return abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim)) * quarter_turns(dim)
+def _polar_phase(alpha: complex | np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """r and the diagonal of P for each alpha = r e^{i theta}, P = diag(e^{i theta n} i^n),
+    along a new last axis; r and theta come from Python's abs and math.atan2 (libm)
+    per value, since numpy's vector abs and arctan2 can round differently."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    values = alpha.ravel().tolist()
+    r = np.array([abs(a) for a in values]).reshape(alpha.shape)
+    theta = np.array([math.atan2(a.imag, a.real) for a in values]).reshape(alpha.shape)
+    return r, np.exp(1j * theta * np.arange(dim)) * quarter_turns(dim)

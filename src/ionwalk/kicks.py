@@ -35,10 +35,12 @@ import numpy as np
 from .dynamics import HybridState
 from .errors import ConfigError, NoThreshold
 from .fock import (
+    LEAK_TOL,
     check_leakage,
     coherent_state,
     displace,
     displacement_matrix,
+    leakage,
     quarter_turns,
 )
 
@@ -140,8 +142,9 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1, alpha: com
 
 
 def _expansion(kp: KickParams, alpha: complex) -> tuple:
-    """``kick_full``'s plan of a kick: omega_z t_p, J, the frame term's and the
-    generator's scale, the generator's diagonal and the Chebyshev coefficients."""
+    """``kick_full``'s plan of a kick, which depends on alpha through |alpha| only:
+    omega_z t_p, J, the frame term's and the generator's scale, the generator's
+    diagonal and the Chebyshev coefficients."""
     turn = kp.omega_z * kp.t_p
     segments = max(1, math.ceil(abs(alpha) * turn / FRAME_ARC))
     scale, kick = turn / segments, math.pi / 2.0 / segments
@@ -161,11 +164,14 @@ def _expansion(kp: KickParams, alpha: complex) -> tuple:
 
 def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
     """``kick_full`` of each (state, kp, alpha) of a stack sharing eta, omega_z, dim
-    and direction, with each kick's arithmetic alone: segment j of every kick with
-    J > j runs at once, longest expansion first, a term one batched product (its
-    items equal lone products) on the prefix whose expansion has not ended."""
-    dim, q = kps[0].dim, quarter_turns(kps[0].dim)
-    plans = [_expansion(kp, alpha) for kp, alpha in zip(kps, alphas)]
+    and direction, with each kick's arithmetic alone: one plan per distinct (kp,
+    |alpha|); segment j of every kick with J > j runs at once, longest expansion
+    first, a term one batched product (its items equal lone products) on the prefix
+    whose expansion has not ended.  A segment boundary re-homes every moved frame in
+    one ``displace``; a segment ends in one coin multiply and one guard-band
+    reduction over the stack, and raises as the first kick that leaks would alone."""
+    dim, q, plan = kps[0].dim, quarter_turns(kps[0].dim), functools.cache(_expansion)
+    plans = [plan(kp, abs(alpha)) for kp, alpha in zip(kps, alphas)]
     live = sorted(range(len(kps)), key=lambda i: -len(plans[i][-1]))
     gens = np.empty((len(kps), 2 * dim, 2 * dim))  # 2 Ht without the frame term: real symmetric
     for p, i in enumerate(live):
@@ -175,36 +181,40 @@ def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
     ring = min(len(plans[live[0]][-1]), 64)
     zs = np.empty((ring, len(kps), 2 * dim), dtype=complex)
     ys = zs.view(float).reshape(ring, len(kps), 2 * dim, 2)
-    links, back = np.empty((2, len(kps), 2 * dim - 1), dtype=complex)
+    links, back = np.zeros((2, len(kps), 2 * dim - 1), dtype=complex)
     # what a term of the first a kicks takes, per ring slot for the rows, their heads and tails
     rows = functools.cache(lambda a: (gens[:a], links[:a], back[:a], list(ys[:, :a]),
                                       list(zs[:, :a, :-1]), list(zs[:, :a, 1:])))
-    chis, here, out = [s.amps * q.conj() for s in states], list(alphas), [None] * len(kps)
+    chis, here = np.stack([s.amps for s in states]) * q.conj(), dict(enumerate(alphas))
+    out, ladder = [None] * len(kps), np.sqrt(np.arange(1.0, dim))
     for j in itertools.count():  # segment j of each kick in the frame of its midpoint, then the end
-        going = []
-        for p, i in enumerate(live):
-            turn, segments, link_scale = plans[i][:3]
-            beta = alphas[i] * cmath.exp(-1j * turn * min(1.0, (j + 0.5) / segments))
-            if beta != here[i]:  # chi <- D(here - beta) chi, and Q^dag D(g) Q = D(-i g)
-                chis[i], here[i] = displace(chis[i], 1j * (beta - here[i])), beta
-            if j == segments:
+        frames = {i: alphas[i] * cmath.exp(-1j * plans[i][0] * min(1.0, (j + 0.5) / plans[i][1])) for i in live}
+        moved = [i for i in live if frames[i] != here[i]]
+        if moved:  # chi <- D(here - beta) chi, and Q^dag D(g) Q = D(-i g)
+            chis[moved] = displace(chis[moved], np.array([[1j * (frames[i] - here[i])] for i in moved]))
+            here.update(frames)
+        going = [(p, i) for p, i in enumerate(live) if j < plans[i][1]]
+        for i in live:
+            if j == plans[i][1]:
                 out[i] = HybridState(chis[i] * q, states[i].time + kps[i].t_p)
-                continue
-            if p > len(going):  # the kicks past their last segment leave the stack
-                gens[len(going)] = gens[p]
-            coin = np.array([[cmath.exp(2j * direction * kps[i].eta * beta.real)], [1.0]])
-            zs[0, len(going)] = (chis[i] * coin.conj()).ravel()
-            # the frame term, links[m] coupling m and m + 1 within each row
-            link = link_scale * 1j * beta.conjugate() * np.sqrt(np.arange(1.0, dim))
-            links[len(going)] = np.concatenate([link, [0.0], link])
-            going.append((i, coin, beta))
         if not going:
             return out
-        live, coeffs = [i for i, _, _ in going], [plans[i][-1] for i, _, _ in going]
-        ns, framed = [len(c) for c in coeffs], any(beta for _, _, beta in going)  # none at alpha = 0
-        psis, start = np.zeros((len(going), 2 * dim), dtype=complex), 1
+        for g, (p, _) in enumerate(going):  # the kicks past their last segment leave the stack
+            if p > g:
+                gens[g] = gens[p]
+        live = [i for _, i in going]
+        coeffs, g = [plans[i][-1] for i in live], len(live)
+        ns, framed = [len(c) for c in coeffs], any(here[i] for i in live)  # none at alpha = 0
+        coins = np.array([[[cmath.exp(2j * direction * kps[i].eta * here[i].real)], [1.0]] for i in live])
+        zs[0, :g] = (chis[live] * coins.conj()).reshape(g, 2 * dim)
+        # the frame term, links[m] coupling m and m + 1 within each row
+        links[:g, : dim - 1] = np.array([[plans[i][2] * 1j * here[i].conjugate()] for i in live]) * ladder
+        links[:g, dim:] = links[:g, : dim - 1]
+        psis, start = np.zeros((g, 2 * dim), dtype=complex), 1
         np.conjugate(links, out=back)
-        for a in range(len(going), 0, -1):  # terms up to ns[a - 1] - 1 run on the first a kicks
+        for a in range(g, 0, -1):  # terms up to ns[a - 1] - 1 run on the first a kicks
+            if ns[a - 1] == start:  # none left for this prefix: build no rows for it
+                continue
             gen, fwd, bwd, y, heads, tails = rows(a)
             for m in range(start, ns[a - 1]):
                 src, dst = (m - 1) % ring, m % ring
@@ -217,9 +227,9 @@ def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
                     for p in range(a) if dst == ring - 1 else range(ns.index(m + 1), a):
                         psis[p] += coeffs[p][m - dst : m + 1] @ zs[: dst + 1, p]
             start = ns[a - 1]
-        for p, (i, coin, _) in enumerate(going):
-            chis[i] = coin * psis[p].reshape(2, dim)
-            check_leakage(chis[i], "kick")
+        chis[live] = coins * psis.reshape(g, 2, dim)
+        for p in np.flatnonzero(np.sum(leakage(chis[live]), axis=-1) >= LEAK_TOL)[:1]:  # the first to leak
+            check_leakage(chis[live[p]], "kick")
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from ionwalk import fock
+from ionwalk import fock, kicks
 from ionwalk.errors import ConfigError, TruncationError
 from oracles import lowering_op, raising_op
 
@@ -78,6 +79,29 @@ def test_collinear_displacements_compose_without_phase():
     lhs = fock.displacement_matrix(b, dim) @ fock.displacement_matrix(a, dim)
     rhs = fock.displacement_matrix(a + b, dim)
     assert np.max(np.abs((lhs - rhs)[:40, :40])) < 1e-9
+
+
+def test_stacked_displace_equals_each_vector_alone():
+    # a kick re-homes its frames by 1j * (beta - here): at |alpha| = 200, t_p =
+    # 10 ns (7 segments) the mid-segment steps are ~3.8, the first ~1.9
+    kp = kicks.pi_pulse(1e-8, 0.31, 2 * math.pi * 2.13e6, kicks.FRAME_DIM)
+    turn, segments = kicks._expansion(kp, 200.0)[:2]
+    assert segments == 7
+    frames = [200.0] + [200.0 * cmath.exp(-1j * turn * min(1.0, (j + 0.5) / segments)) for j in range(8)]
+    steps = [1j * (b - a) for a, b in zip(frames, frames[1:])]
+    assert 3.8 < max(abs(s) for s in steps) < kicks.FRAME_ARC
+    alphas = [0.0, 0j, 0.31, -0.31, 2.5, -2.5, 0.31j, -0.31j, 3.0j, -3.0j, 1.5 + 0.5j, -2.3 + 1.1j,
+              0.8 - 1.1j, -0.4 - 1.9j] + steps
+    rng = np.random.default_rng(3)
+    for dim in (16, 32, 64):
+        amps = rng.normal(size=(len(alphas), 2, dim)) + 1j * rng.normal(size=(len(alphas), 2, dim))
+        stacked = fock.displace(amps, np.array(alphas)[:, None])
+        for k, alpha in enumerate(alphas):
+            assert stacked[k].tobytes() == fock.displace(amps[k], alpha).tobytes(), (dim, alpha)
+            for row in range(2):
+                assert stacked[k, row].tobytes() == fock.displace(amps[k, row], alpha).tobytes(), (dim, alpha)
+            eye = fock.displace(np.eye(dim), alpha).T
+            assert fock.displacement_matrix(alpha, dim).tobytes() == eye.tobytes(), (dim, alpha)
 
 
 @settings(max_examples=25, deadline=None)

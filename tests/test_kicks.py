@@ -378,6 +378,22 @@ class TestExactKick:
         with pytest.raises(TruncationError, match="kick: guard-band population"):
             kicks.kick_full(initial, kp)
 
+    def test_the_leaking_kick_of_a_stack_raises_its_own_message(self):
+        # the pattern above as the middle of five kicks whose others stay
+        # clear of the guard band: the stack raises what that kick raises alone
+        kp = kicks.pi_pulse(1e-9, 0.31, WZ, 16)
+        starts = [0.1, -0.2j, 0.5j, 0.15 + 0.1j, 0j]
+        states = [HybridState.product("H", fock.coherent_state(a, 16)) for a in starts]
+        for k, state in enumerate(states):
+            if k != 2:
+                assert fock.leakage(kicks.kick_full(state, kp).amps).sum() < fock.LEAK_TOL
+        with pytest.raises(TruncationError) as alone:
+            kicks.kick_full(states[2], kp)
+        with pytest.raises(TruncationError) as stacked:
+            kicks._kick_stack(states, [kp] * 5, 1, [0j] * 5)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("kick: guard-band population")
+
 
 def _cheb_terms(r):
     """kick_full's Bessel orders for radius r, and its term count on given values."""
@@ -405,6 +421,22 @@ def test_miller_bessel_rescales_a_start_far_above_the_radius():
     # J_399(2) ~ 1e-800: the recurrence grows past 1e250 on its way down
     k = np.arange(400)
     assert np.max(np.abs(kicks._bessel_j(k.size, 2.0) - jv(k, 2.0))) <= 1e-15
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of each named ``kicks`` function, in a dict by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(kicks, name, counting(name, getattr(kicks, name)))
+    return calls
 
 
 DEFAULT_ALPHAS = [m * phase for m in cli.SCENARIOS["kick-threshold"][1]["alphas"]
@@ -474,6 +506,26 @@ class TestFrames:
             alone = kicks.kick_full(state, kp, direction, alpha)
             assert np.array_equal(got.amps, alone.amps), (alpha, kp.t_p)
             assert got.time == alone.time == state.time + kp.t_p
+
+    @pytest.mark.parametrize("t_p", [1e-11, 1e-9])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_walk_stack_equals_its_kicks_alone(self, t_p, direction, monkeypatch):
+        # a kick of a 201-site walk, frames alpha = i eta j (j = -100..100): one
+        # plan per distinct |alpha| and one displace per moving segment boundary
+        d, sites = kicks.FRAME_DIM, range(-100, 101)
+        states = [HybridState(np.stack([fock.coherent_state(0.3 - 0.05j * (j % 7), d),
+                                        fock.coherent_state(0.2j + 0.03 * (j % 5), d)]) / math.sqrt(2.0), 1e-7)
+                  for j in sites]
+        kp, alphas = kicks.pi_pulse(t_p, 0.31, WZ, d), [0.31j * j for j in sites]
+        assert kicks._expansion(kp, 100 * 0.31)[1] == 1
+        calls = _counted(monkeypatch, "_expansion", "displace")
+        stacked = kicks._kick_stack(states, [kp] * len(alphas), direction, alphas)
+        assert calls == {"_expansion": 101, "displace": 2}
+        monkeypatch.undo()
+        for j in (-100, -1, 0, 1, 57, 100):
+            alone = kicks.kick_full(states[j + 100], kp, direction, alphas[j + 100])
+            assert stacked[j + 100].amps.tobytes() == alone.amps.tobytes(), j
+            assert stacked[j + 100].time == alone.time == 1e-7 + t_p
 
     def test_alpha_20_matches_fock_space_at_dim_676(self):
         assert fock_kick_dim(20j) == 676
@@ -565,3 +617,25 @@ class TestFrames:
         for alpha in DEFAULT_ALPHAS:
             _, _, samples = kicks.fidelity_threshold(alpha, 0.99, 0.31, WZ)
             assert sampled[alpha] == [t_p for t_p, _ in samples], alpha
+
+    def test_default_kick_threshold_plans_and_rehomes_once_per_stack(self, tmp_path, monkeypatch):
+        # the perfbench kick-thresholds workload: 123 samples in 16 stacks, one
+        # plan per distinct (t_p, |alpha|) of a stack, at most J + 1 displace calls
+        calls, stacks = _counted(monkeypatch, "_expansion", "displace"), []
+        stack = kicks._kick_stack
+
+        def recording(states, kps, direction, alphas):
+            before = dict(calls)
+            out = stack(states, kps, direction, alphas)
+            segments = max(math.ceil(abs(a) * kp.omega_z * kp.t_p / kicks.FRAME_ARC) for a, kp in zip(alphas, kps))
+            stacks.append((len(kps), len({(kp.t_p, abs(a)) for a, kp in zip(alphas, kps)}),
+                           calls["_expansion"] - before["_expansion"], calls["displace"] - before["displace"],
+                           max(segments, 1)))
+            return out
+
+        monkeypatch.setattr(kicks, "_kick_stack", recording)
+        cli.run_scenario("kick-threshold", {}, out_dir=str(tmp_path))
+        assert len(stacks) == 16 and sum(n for n, *_ in stacks) == 123
+        assert all(plans == distinct for _, distinct, plans, _, _ in stacks)
+        assert sum(plans for _, _, plans, _, _ in stacks) == calls["_expansion"] == 93  # of 123 samples
+        assert all(moves <= segments + 1 for *_, moves, segments in stacks)
