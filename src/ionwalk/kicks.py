@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HybridState
-from .errors import ConfigError, NoThreshold
+from .errors import ConfigError, NoThreshold, StepError
 from .fock import (
     LEAK_TOL,
     check_leakage,
@@ -134,11 +134,12 @@ def kick_full(state: HybridState, kp: KickParams, direction: int = 1, alpha: com
     & Kosloff, J. Chem. Phys. 81, 3967 (1984)), up to the first k > R with
     |J_k(R)| < 1e-16; in the basis Q^dag chi a term is one real symmetric
     product on the rows' (re, im) pairs plus the frame term.  TruncationError
-    if a segment ends with guard-band population.  One kick of ``_kick_stack``.
+    if a segment ends with guard-band population, StepError if the norm drifts.
+    One kick of ``_kick_stack``, the one kick path that builds a HybridState.
     """
     if state.dim != kp.dim:
         raise ValueError("state dim does not match kick dim")
-    return _kick_stack([state], [kp], direction, [alpha])[0]
+    return HybridState(_kick_stack(state.amps[None], [kp], direction, [alpha])[0], state.time + kp.t_p)
 
 
 def _expansion(kp: KickParams, alpha: complex) -> tuple:
@@ -162,14 +163,15 @@ def _expansion(kp: KickParams, alpha: complex) -> tuple:
     return turn, segments, 2.0 * scale / radius, 2.0 * kick / radius, diagonal, coeffs
 
 
-def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
-    """``kick_full`` of each (state, kp, alpha) of a stack sharing eta, omega_z, dim
-    and direction, with each kick's arithmetic alone: one plan per distinct (kp,
-    |alpha|); segment j of every kick with J > j runs at once, longest expansion
-    first, a term one batched product (its items equal lone products) on the prefix
-    whose expansion has not ended.  A segment boundary re-homes every moved frame in
-    one ``displace``; a segment ends in one coin multiply and one guard-band
-    reduction over the stack, and raises as the first kick that leaks would alone."""
+def _kick_stack(amps: np.ndarray, kps, direction: int, alphas) -> np.ndarray:
+    """``kick_full``'s chi' of each (amps[i], kps[i], alphas[i]), (kicks, 2, dim) of any
+    norm in and out, for kicks sharing eta, omega_z, dim and direction, each with its
+    arithmetic alone: one plan per distinct (kp, |alpha|); segment j of every kick with
+    J > j runs at once, longest expansion first, a term one batched product (its items
+    equal lone products) on the prefix whose expansion has not ended.  A segment boundary
+    re-homes every moved frame in one ``displace``; a segment ends in one coin multiply
+    and guard-band reduction over the stack, raising as the first kick that leaks would
+    alone.  Each kick must keep its input's norm to 1e-6: StepError names the first that does not (NaN too)."""
     dim, q, plan = kps[0].dim, quarter_turns(kps[0].dim), functools.cache(_expansion)
     plans = [plan(kp, abs(alpha)) for kp, alpha in zip(kps, alphas)]
     live = sorted(range(len(kps)), key=lambda i: -len(plans[i][-1]))
@@ -185,8 +187,7 @@ def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
     # what a term of the first a kicks takes, per ring slot for the rows, their heads and tails
     rows = functools.cache(lambda a: (gens[:a], links[:a], back[:a], list(ys[:, :a]),
                                       list(zs[:, :a, :-1]), list(zs[:, :a, 1:])))
-    chis, here = np.stack([s.amps for s in states]) * q.conj(), dict(enumerate(alphas))
-    out, ladder = [None] * len(kps), np.sqrt(np.arange(1.0, dim))
+    chis, here, ladder = amps * q.conj(), dict(enumerate(alphas)), np.sqrt(np.arange(1.0, dim))
     for j in itertools.count():  # segment j of each kick in the frame of its midpoint, then the end
         frames = {i: alphas[i] * cmath.exp(-1j * plans[i][0] * min(1.0, (j + 0.5) / plans[i][1])) for i in live}
         moved = [i for i in live if frames[i] != here[i]]
@@ -194,11 +195,11 @@ def _kick_stack(states, kps, direction: int, alphas) -> list[HybridState]:
             chis[moved] = displace(chis[moved], np.array([[1j * (frames[i] - here[i])] for i in moved]))
             here.update(frames)
         going = [(p, i) for p, i in enumerate(live) if j < plans[i][1]]
-        for i in live:
-            if j == plans[i][1]:
-                out[i] = HybridState(chis[i] * q, states[i].time + kps[i].t_p)
-        if not going:
-            return out
+        if not going:  # every kick has left the stack
+            drift = np.abs(np.linalg.norm(chis, axis=(1, 2)) - np.linalg.norm(amps, axis=(1, 2)))
+            for i in np.flatnonzero(~(drift <= 1e-6))[:1]:
+                raise StepError(f"kick: norm drift {drift[i]:.3e} in kick {i} of the stack")
+            return chis * q
         for g, (p, _) in enumerate(going):  # the kicks past their last segment leave the stack
             if p > g:
                 gens[g] = gens[p]
@@ -273,8 +274,8 @@ def kick_fidelity(alpha: complex, kp: KickParams, direction: int = 1) -> float:
 def _fidelities(alphas, kps, direction: int = 1) -> list[float]:
     """``kick_fidelity`` of each (alpha, kp) of one ``_kick_stack``."""
     start, ideal = _vacuum_pair(kps[0].eta, kps[0].dim, direction)
-    kicked = _kick_stack([start] * len(kps), kps, direction, alphas)
-    return [float(abs(np.vdot(ideal, out.amps * np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim)))) ** 2)
+    kicked = _kick_stack(np.broadcast_to(start.amps, (len(kps), *start.amps.shape)), kps, direction, alphas)
+    return [float(abs(np.vdot(ideal, out * np.exp(1j * kp.omega_z * kp.t_p * np.arange(kp.dim)))) ** 2)
             for kp, out in zip(kps, kicked)]
 
 

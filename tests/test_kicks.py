@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.special import jv
 
 from ionwalk import cli, fock, kicks
 from ionwalk.dynamics import HybridState
-from ionwalk.errors import ConfigError, NoThreshold, TruncationError
+from ionwalk.errors import ConfigError, NoThreshold, StepError, TruncationError
 from oracles import fock_kick_dim, fock_kick_fidelity, kick_deviation, kick_train
 
 WZ = 2 * math.pi * 2.13e6
@@ -390,9 +391,38 @@ class TestExactKick:
         with pytest.raises(TruncationError) as alone:
             kicks.kick_full(states[2], kp)
         with pytest.raises(TruncationError) as stacked:
-            kicks._kick_stack(states, [kp] * 5, 1, [0j] * 5)
+            kicks._kick_stack(np.stack([state.amps for state in states]), [kp] * 5, 1, [0j] * 5)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("kick: guard-band population")
+
+    def test_a_kick_that_drifts_in_norm_raises_for_the_stack(self, monkeypatch):
+        # the pattern above for the norm rule: the middle of five kicks has its
+        # Chebyshev coefficients scaled by 1 + 1e-5, so its norm grows by 1e-5
+        kps = [kicks.pi_pulse(t_p, 0.31, WZ, 32) for t_p in (1e-9, 2e-9, 3e-9, 4e-9, 5e-9)]
+        starts = np.stack([HybridState.product("H", fock.coherent_state(a, 32)).amps
+                           for a in (0.1, -0.2j, 0.3j, 0.15 + 0.1j, 0j)])
+        kicked = kicks._kick_stack(starts, kps, 1, [0j] * 5)
+        assert np.max(np.abs(np.linalg.norm(kicked, axis=(1, 2)) - 1.0)) <= 1e-12
+        _drifting(monkeypatch, lambda kp, mag: kp.t_p == 3e-9)
+        with pytest.raises(StepError, match=r"^kick: norm drift 1\.0\d\de-05 in kick 2 of the stack$"):
+            kicks._kick_stack(starts, kps, 1, [0j] * 5)
+        with pytest.raises(StepError, match="kick: norm drift"):
+            kicks.kick_full(HybridState(starts[2]), kps[2])
+
+    def test_a_drifting_kick_fails_the_cli_with_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the largest default |alpha|'s kicks drift: the run stops at its first stack
+        top = max(cli.SCENARIOS["kick-threshold"][1]["alphas"])
+        _drifting(monkeypatch, lambda kp, mag: mag == top)
+        assert cli.main(["kick-threshold", "--out", str(tmp_path)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "StepError"
+
+    def test_a_nan_amplitude_fails_the_norm_rule(self):
+        # NaN passes the guard-band comparison, so the norm rule must catch it
+        kp = kicks.pi_pulse(1e-9, 0.31, WZ, 16)
+        starts = np.stack([HybridState.product("H", fock.coherent_state(0.0, 16)).amps] * 3)
+        starts[1, 0, 3] = np.nan
+        with pytest.raises(StepError, match="^kick: norm drift nan in kick 1 of the stack$"):
+            kicks._kick_stack(starts, [kp] * 3, 1, [0j, 2j, 2j])
 
 
 def _cheb_terms(r):
@@ -437,6 +467,17 @@ def _counted(monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(kicks, name, counting(name, getattr(kicks, name)))
     return calls
+
+
+def _drifting(monkeypatch, chosen):
+    """Scale the Chebyshev coefficients of each plan (kp, |alpha|) that ``chosen`` picks by 1 + 1e-5."""
+    plan = kicks._expansion
+
+    def drifting(kp, mag):
+        *head, coeffs = plan(kp, mag)
+        return (*head, coeffs * (1.0 + 1e-5) if chosen(kp, mag) else coeffs)
+
+    monkeypatch.setattr(kicks, "_expansion", drifting)
 
 
 DEFAULT_ALPHAS = [m * phase for m in cli.SCENARIOS["kick-threshold"][1]["alphas"]
@@ -501,11 +542,11 @@ class TestFrames:
             alphas.append(alpha)
         plans = [kicks._expansion(kp, alpha) for kp, alpha in zip(kps, alphas)]
         assert len({plan[1] for plan in plans}) >= 3 and len({len(plan[-1]) for plan in plans}) == 6
-        stacked = kicks._kick_stack(states, kps, direction, alphas)
+        stacked = kicks._kick_stack(np.stack([state.amps for state in states]), kps, direction, alphas)
         for state, kp, alpha, got in zip(states, kps, alphas, stacked):
             alone = kicks.kick_full(state, kp, direction, alpha)
-            assert np.array_equal(got.amps, alone.amps), (alpha, kp.t_p)
-            assert got.time == alone.time == state.time + kp.t_p
+            assert np.array_equal(got, alone.amps), (alpha, kp.t_p)
+            assert alone.time == state.time + kp.t_p
 
     @pytest.mark.parametrize("t_p", [1e-11, 1e-9])
     @pytest.mark.parametrize("direction", [1, -1])
@@ -519,13 +560,30 @@ class TestFrames:
         kp, alphas = kicks.pi_pulse(t_p, 0.31, WZ, d), [0.31j * j for j in sites]
         assert kicks._expansion(kp, 100 * 0.31)[1] == 1
         calls = _counted(monkeypatch, "_expansion", "displace")
-        stacked = kicks._kick_stack(states, [kp] * len(alphas), direction, alphas)
+        stacked = kicks._kick_stack(np.stack([state.amps for state in states]), [kp] * len(alphas), direction, alphas)
         assert calls == {"_expansion": 101, "displace": 2}
         monkeypatch.undo()
         for j in (-100, -1, 0, 1, 57, 100):
             alone = kicks.kick_full(states[j + 100], kp, direction, alphas[j + 100])
-            assert stacked[j + 100].amps.tobytes() == alone.amps.tobytes(), j
-            assert stacked[j + 100].time == alone.time == 1e-7 + t_p
+            assert stacked[j + 100].tobytes() == alone.amps.tobytes(), j
+            assert alone.time == 1e-7 + t_p
+
+    @pytest.mark.parametrize("t_p", [1e-11, 1e-9])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_walk_site_states_kick_as_their_amplitudes_times_unit_states(self, t_p, direction):
+        # a walk holds c_j chi_j at site j, of norm |c_j| with sum |c_j|^2 = 1: its
+        # kick is c_j times the kick of chi_j, to rounding (c_j x rounds apart)
+        d, sites = kicks.FRAME_DIM, np.arange(-100, 101)
+        units = np.stack([np.stack([fock.coherent_state(0.3 - 0.05j * (j % 7), d),
+                                    fock.coherent_state(0.2j + 0.03 * (j % 5), d)]) / math.sqrt(2.0)
+                          for j in sites])
+        c = np.exp(-((sites / 30.0) ** 2) + 0.4j * sites)
+        c /= np.linalg.norm(c)
+        kp, alphas = kicks.pi_pulse(t_p, 0.31, WZ, d), [0.31j * j for j in sites]
+        unit = kicks._kick_stack(units, [kp] * len(sites), direction, alphas)
+        scaled = kicks._kick_stack(c[:, None, None] * units, [kp] * len(sites), direction, alphas)
+        error = np.max(np.abs(scaled - c[:, None, None] * unit), axis=(1, 2)) / np.abs(c)
+        assert np.max(error) <= 1e-14
 
     def test_alpha_20_matches_fock_space_at_dim_676(self):
         assert fock_kick_dim(20j) == 676
@@ -588,13 +646,13 @@ class TestFrames:
         recording(fock, "_displacement_eig", lambda dim: dim)
         stack = kicks._kick_stack
 
-        def counting(states, kps, direction, alphas):
-            kicks_run.extend((state.dim, kp.dim) for state, kp in zip(states, kps))
-            return stack(states, kps, direction, alphas)
+        def counting(amps, kps, direction, alphas):
+            kicks_run.extend((chi.shape, kp.dim) for chi, kp in zip(amps, kps))
+            return stack(amps, kps, direction, alphas)
 
         monkeypatch.setattr(kicks, "_kick_stack", counting)
         cli.run_scenario("kick-threshold", {}, out_dir=str(tmp_path))
-        assert kicks_run == [(kicks.FRAME_DIM, kicks.FRAME_DIM)] * 123
+        assert kicks_run == [((2, kicks.FRAME_DIM), kicks.FRAME_DIM)] * 123
         assert dims and set(dims) == {kicks.FRAME_DIM}
 
     def test_default_kick_threshold_runs_its_searches_in_lockstep(self, tmp_path, monkeypatch):
